@@ -2,13 +2,14 @@
 
 Exit codes are part of the interface so CI pipelines can gate on them:
 0 success, 1 audit completed and flagged memorization, 2 usage error,
-3 I/O / format / data error. Reports are written atomically; two runs
-with identical inputs and seeds produce byte-identical reports.
+3 I/O / format / data error. Every output is written atomically; two
+runs with identical inputs and seeds produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
@@ -28,6 +29,7 @@ from .errors import MemauditError
 from .harness import PlantConfig, plant, save_ground_truth
 from .ingest import (
     EmbeddingSet,
+    atomic_write,
     load_dataset,
     load_embedding_set,
     load_manifest,
@@ -78,14 +80,11 @@ class UsageError(Exception):
 class RunConfig:
     """Validated global options shared by all subcommands."""
 
-    workers: int
     quiet: bool
     log_level: str
     progress_interval: float
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise UsageError(f"--workers must be >= 1, got {self.workers}")
         if self.progress_interval < 0:
             raise UsageError("--progress-interval must be >= 0")
 
@@ -202,9 +201,7 @@ def _cmd_preprocess(args, cfg: RunConfig) -> int:
         raise MemauditError("preprocess produced no images (filter dropped everything)")
 
     container = Path(args.out_container)
-    tmp = container.with_name(container.name + f".tmp{os.getpid()}")
-    write_ivc(out, tmp, dtype=args.dtype)
-    os.replace(tmp, container)
+    write_ivc(out, container, dtype=args.dtype)
     out_manifest = Path(args.out_manifest)
     write_manifest(
         out_manifest,
@@ -216,83 +213,71 @@ def _cmd_preprocess(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _is_embedding_manifest(path) -> bool:
-    manifest = load_manifest(path)
-    return all(fmt == "emb" for fmt, _ in manifest.entries)
+def _sampled(rows, picks):
+    """The picked rows of a Dataset or EmbeddingSet, and their ids."""
+    if isinstance(rows, EmbeddingSet):
+        rows = EmbeddingSet(
+            tuple(rows.ids[i] for i in picks), rows.dim, rows.rows[picks]
+        )
+        return rows, list(rows.ids)
+    rows = Dataset(rows.name, rows.role, tuple(rows.images[i] for i in picks))
+    return rows, [img.id for img in rows.images]
 
 
-def _audit_images(args, cfg: RunConfig):
-    train = load_dataset(args.train)
-    synthetic = load_dataset(args.synthetic)
-    channels = _parse_channels(args.channels)
+def _audit(args, cfg: RunConfig):
+    """Compare synthetic with train and, given --test, test with train and
+    synthetic with test. Images and embeddings share every step; the
+    manifest kind only picks the loader, the engine and its options."""
+    manifest = load_manifest(args.train)
+    if all(fmt == "emb" for fmt, _ in manifest.entries):
+        load, engine = load_embedding_set, max_correlations_embeddings
+        options = dict(metric=args.metric)
+        train = load(manifest)
+        row_length = train.dim
+    else:
+        load, engine = load_dataset, max_correlations
+        channels = _parse_channels(args.channels)
+        options = dict(channel_mask=channels, mode=args.channel_mode)
+        train = load(manifest)
+        c, h, w = train.shape
+        row_length = len(resolve_channel_mask(channels, c)) * h * w
+    options["block_budget_mib"] = args.block_budget_mib
+    synthetic = load(args.synthetic)
     sample_ids = None
     if args.sample is not None and args.sample < len(synthetic):
         picks = _sample_ids(len(synthetic), args.sample, args.seed)
-        synthetic = Dataset(
-            synthetic.name, "synthetic",
-            tuple(synthetic.images[i] for i in picks),
-        )
-        sample_ids = [img.id for img in synthetic.images]
-    c, h, w = train.shape
-    n_vec = len(resolve_channel_mask(channels, c)) * h * w
-    plan = plan_audit(len(synthetic), len(train), n_vec, args.block_budget_mib)
+        synthetic, sample_ids = _sampled(synthetic, picks)
+    plan = plan_audit(len(synthetic), len(train), row_length, args.block_budget_mib)
     log.info(
         "audit: %d synthetic x %d train = %s comparisons",
         plan.n_query, plan.n_reference, f"{plan.total_comparisons:,}",
     )
-    common = dict(
-        channel_mask=channels, mode=args.channel_mode, workers=cfg.workers,
-        block_budget_mib=args.block_budget_mib,
-    )
-    synth_vs_train = max_correlations(
+    synth_vs_train = engine(
         synthetic, train, k=args.k,
-        progress=_progress(cfg, "synth-vs-train"), **common,
+        progress=_progress(cfg, "synth-vs-train"), **options,
     )
     baseline = synth_vs_test = None
     if args.test:
-        test = load_dataset(args.test)
-        baseline = max_correlations(
-            test, train, k=1, progress=_progress(cfg, "test-vs-train"), **common
+        test = load(args.test)
+        baseline = engine(
+            test, train, k=1, progress=_progress(cfg, "test-vs-train"), **options
         )
-        synth_vs_test = max_correlations(
+        synth_vs_test = engine(
             synthetic, test, k=1,
-            progress=_progress(cfg, "synth-vs-test"), **common,
+            progress=_progress(cfg, "synth-vs-test"), **options,
         )
     return plan, synth_vs_train, baseline, synth_vs_test, sample_ids
 
 
-def _audit_embeddings(args, cfg: RunConfig):
-    train = load_embedding_set(args.train)
-    synthetic = load_embedding_set(args.synthetic)
-    sample_ids = None
-    if args.sample is not None and args.sample < len(synthetic):
-        picks = _sample_ids(len(synthetic), args.sample, args.seed)
-        synthetic = EmbeddingSet(
-            tuple(synthetic.ids[i] for i in picks),
-            synthetic.dim,
-            synthetic.rows[picks],
-        )
-        sample_ids = list(synthetic.ids)
-    plan = plan_audit(len(synthetic), len(train), train.dim, args.block_budget_mib)
-    common = dict(
-        metric=args.metric, workers=cfg.workers,
-        block_budget_mib=args.block_budget_mib,
-    )
-    synth_vs_train = max_correlations_embeddings(
-        synthetic, train, k=args.k,
-        progress=_progress(cfg, "synth-vs-train"), **common,
-    )
-    baseline = synth_vs_test = None
-    if args.test:
-        test = load_embedding_set(args.test)
-        baseline = max_correlations_embeddings(
-            test, train, k=1, progress=_progress(cfg, "test-vs-train"), **common
-        )
-        synth_vs_test = max_correlations_embeddings(
-            synthetic, test, k=1,
-            progress=_progress(cfg, "synth-vs-test"), **common,
-        )
-    return plan, synth_vs_train, baseline, synth_vs_test, sample_ids
+def _emit_report(report, args) -> None:
+    """Write the report to --out, or print it to stdout in --format."""
+    if args.out:
+        export_report(report, args.out, args.format)
+        log.info("%s: report written to %s", args.command, args.out)
+    elif args.format == "json":
+        print(json.dumps(report_to_dict(report), indent=2))
+    else:
+        print(report_to_csv(report), end="")
 
 
 def _cmd_audit(args, cfg: RunConfig) -> int:
@@ -305,14 +290,7 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
             "use --rule fixed:V to audit without one"
         )
 
-    if _is_embedding_manifest(args.train):
-        plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit_embeddings(
-            args, cfg
-        )
-    else:
-        plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit_images(
-            args, cfg
-        )
+    plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit(args, cfg)
 
     metrics_table = {}
     if args.fid_embeddings:
@@ -343,16 +321,7 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
             raise UsageError("--baseline-matches-out needs --test")
         save_matches(baseline, args.baseline_matches_out, "test-vs-train", plan)
 
-    if args.out:
-        export_report(report, args.out, args.format)
-        log.info("audit: report written to %s", args.out)
-    else:
-        if args.format == "json":
-            import json as _json
-
-            print(_json.dumps(report_to_dict(report), indent=2))
-        else:
-            print(report_to_csv(report), end="")
+    _emit_report(report, args)
 
     if not cfg.quiet:
         print(
@@ -409,13 +378,9 @@ def _cmd_metrics(args, cfg: RunConfig) -> int:
         mean, std = inception_score(read_embeddings(args.inception), args.is_splits)
         result["inception_score"] = {"mean": mean, "std": std}
 
-    import json as _json
-
-    text = _json.dumps(result, indent=2) + "\n"
+    text = json.dumps(result, indent=2) + "\n"
     if args.out:
-        from .report import atomic_write_text
-
-        atomic_write_text(args.out, text)
+        atomic_write(args.out, text.encode("utf-8"))
     else:
         print(text, end="")
     return EXIT_OK
@@ -434,9 +399,7 @@ def _cmd_plant(args, cfg: RunConfig) -> int:
     )
     dataset, truth = plant(train, config)
     container = Path(args.out)
-    tmp = container.with_name(container.name + f".tmp{os.getpid()}")
-    write_ivc(list(dataset.images), tmp)
-    os.replace(tmp, container)
+    write_ivc(list(dataset.images), container)
     save_ground_truth(truth, args.truth)
     manifest_path = Path(args.out_manifest) if args.out_manifest else container.with_suffix(".mf")
     write_manifest(
@@ -472,15 +435,7 @@ def _cmd_report(args, cfg: RunConfig) -> int:
         rule=args.rule,
         histogram_bins=args.histogram_bins,
     )
-    if args.out:
-        export_report(report, args.out, args.format)
-    else:
-        if args.format == "json":
-            import json as _json
-
-            print(_json.dumps(report_to_dict(report), indent=2))
-        else:
-            print(report_to_csv(report), end="")
+    _emit_report(report, args)
     return EXIT_FLAGGED if report.flagged else EXIT_OK
 
 
@@ -491,11 +446,6 @@ def _cmd_report(args, cfg: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--workers", type=int, default=None,
-        help="thread count for the correlation engine "
-        "(default: MEMAUDIT_WORKERS or 1)",
-    )
     common.add_argument("--quiet", action="store_true", help="suppress progress lines")
     common.add_argument(
         "--log-level", default="warning",
@@ -607,18 +557,6 @@ _COMMANDS = {
 }
 
 
-def _resolve_workers(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("MEMAUDIT_WORKERS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"MEMAUDIT_WORKERS must be an integer, got {env!r}")
-    return 1
-
-
 def run(argv) -> int:
     """Parse argv, dispatch, and map failures to exit codes."""
     parser = build_parser()
@@ -628,7 +566,6 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         cfg = RunConfig(
-            workers=_resolve_workers(args.workers),
             quiet=args.quiet,
             log_level=args.log_level,
             progress_interval=args.progress_interval,

@@ -24,6 +24,8 @@ from .errors import InvalidArgumentError, UndefinedCorrelationError
 # constant: their correlation is undefined, never zero.
 VARIANCE_FLOOR = 1e-12
 
+CHANNEL_MODES = ("concat", "mean")
+
 
 def _as_pixels(values, expected_len: int, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float32).reshape(-1)
@@ -218,13 +220,45 @@ def _selected(img: ImageRecord, mask: tuple[int, ...]) -> np.ndarray:
     return np.stack([chw[c] for c in mask]).reshape(len(mask), -1).astype(np.float64)
 
 
-def _standardize_values(flat: np.ndarray) -> Optional[np.ndarray]:
-    """Center and normalize one float64 vector; None if constant."""
-    centered = flat - flat.mean()
-    var = float(np.mean(centered * centered))
-    if var < VARIANCE_FLOOR:
-        return None
-    return centered / np.sqrt(centered.dot(centered))
+def standardize_rows(
+    rows: np.ndarray, mode: str = "concat"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standardize a float64 block of rows for dot-product correlation;
+    the one standardizer behind `standardize` and the engine. Works in
+    place: the contents of rows are overwritten.
+
+    rows has shape (n, segments, L): an image's selected channels are its
+    segments, an embedding row is a single segment. "concat" and
+    "pearson" center and L2-normalize each row as one vector; "mean"
+    centers and normalizes every segment, then scales by
+    1/sqrt(segments), so dot products average per-segment correlations;
+    "cosine" only normalizes. Returns (values, valid): values is the
+    block viewed as (n, segments * L) with invalid rows zeroed. A row is
+    invalid when a centered vector has population variance below
+    VARIANCE_FLOOR (for "mean", any constant segment) or, for "cosine",
+    when its squared norm is below 1e-24.
+    """
+    n, segments, length = rows.shape
+    if mode == "mean":
+        parts = rows
+    elif mode in ("concat", "pearson", "cosine"):
+        parts = rows.reshape(n, 1, segments * length)
+    else:
+        raise InvalidArgumentError(f"unknown standardization mode {mode!r}")
+    if mode != "cosine":
+        parts -= parts.mean(axis=2, keepdims=True)
+    sq = np.einsum("nsl,nsl->ns", parts, parts)
+    if mode == "cosine":
+        ok = sq >= 1e-24
+    else:
+        ok = sq / parts.shape[2] >= VARIANCE_FLOOR
+    parts /= np.sqrt(np.where(ok, sq, 1.0))[:, :, None]
+    if mode == "mean":
+        parts *= 1.0 / np.sqrt(segments)
+    valid = ok.all(axis=1)
+    values = parts.reshape(n, segments * length)
+    values[~valid] = 0.0
+    return values, valid
 
 
 def standardize(
@@ -242,23 +276,12 @@ def standardize(
     below 1e-12; for "mean", any constant selected channel) yields
     valid=False with all-zero values.
     """
+    if mode not in CHANNEL_MODES:
+        raise InvalidArgumentError(f"unknown channel mode {mode!r}")
     mask = resolve_channel_mask(channel_mask, img.channels)
     sel = _selected(img, mask)
-    if mode == "concat":
-        std = _standardize_values(sel.reshape(-1))
-        if std is None:
-            return StandardizedVector(img.id, np.zeros(sel.size), False)
-        return StandardizedVector(img.id, std, True)
-    if mode == "mean":
-        parts = []
-        scale = 1.0 / np.sqrt(len(mask))
-        for row in sel:
-            std = _standardize_values(row)
-            if std is None:
-                return StandardizedVector(img.id, np.zeros(sel.size), False)
-            parts.append(std * scale)
-        return StandardizedVector(img.id, np.concatenate(parts), True)
-    raise InvalidArgumentError(f"unknown channel mode {mode!r}")
+    values, valid = standardize_rows(sel[None], mode)
+    return StandardizedVector(img.id, values[0], bool(valid[0]))
 
 
 def _pearson_flat(a: np.ndarray, b: np.ndarray) -> float:

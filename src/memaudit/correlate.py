@@ -1,12 +1,16 @@
-"""All-pairs correlation engine: every query image against every
-reference image, keeping the top-k per query.
+"""All-pairs correlation engine: every query row against every reference
+row, keeping the top-k per query.
 
-The fast path standardizes each image once (float32 storage), then runs
-a blocked matrix product with float64 accumulation: tiles are upcast and
-multiplied with dgemm, clamped to [-1, 1], and merged into per-query
-top-k selections in a fixed order (ascending reference-block index) with
-ties broken by ascending reference id. Workers parallelize across query
-blocks only, so results are bit-identical for any worker count.
+Images (their selected channels) and embeddings are both row matrices
+once standardized, so they take one path. Rows are standardized a chunk
+at a time by `core.standardize_rows` into a float32 matrix; then a
+blocked matrix product with float64 accumulation runs over the query
+blocks in order: tiles are upcast and multiplied with dgemm, clamped to
+[-1, 1], and merged into per-query top-k selections in a fixed order
+(ascending reference-block index) with ties broken by ascending
+reference id. Parallelism is the BLAS library's own threads. Results are
+bit-identical for identical inputs, block budget and BLAS thread count;
+across block budgets they agree within 1e-6.
 
 `brute_force_correlations` is the deliberately naive oracle: per-pair
 scalar Pearson with no shared standardization, used to verify the
@@ -16,14 +20,18 @@ abused.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, pearson, resolve_channel_mask, standardize
+from .core import (
+    CHANNEL_MODES,
+    Dataset,
+    pearson,
+    resolve_channel_mask,
+    standardize_rows,
+)
 from .errors import InvalidArgumentError, UndefinedCorrelationError
 from .ingest import EmbeddingSet
 
@@ -165,77 +173,74 @@ def _select_topk_rows(vals: np.ndarray, ranks: np.ndarray, k: int):
     return out_v, out_r
 
 
-class _StandardizedSet:
-    """Float32 standardized vectors for the valid members of a collection."""
+# Float64 staging per standardization chunk: sets are standardized a few
+# MiB at a time, so the transient memory does not grow with their size.
+_CHUNK_BYTES = 8 << 20
 
-    def __init__(self, ids, vectors, valid_mask):
-        self.all_ids = list(ids)
-        self.valid_mask = np.asarray(valid_mask, dtype=bool)
-        self.matrix = vectors  # (n_valid, N) float32
-        self.valid_ids = [i for i, ok in zip(self.all_ids, self.valid_mask) if ok]
-        self.n_invalid = int((~self.valid_mask).sum())
+RowReader = Callable[[int, int], np.ndarray]  # (i0, i1) -> rows i0..i1-1
 
 
-def _standardize_dataset(ds: Dataset, channel_mask, mode) -> _StandardizedSet:
-    ids, rows, mask = [], [], []
-    for img in ds.images:
-        vec = standardize(img, channel_mask, mode)
-        ids.append(img.id)
-        mask.append(vec.valid)
-        if vec.valid:
-            rows.append(vec.values.astype(np.float32))
-    n = rows[0].size if rows else 1
-    matrix = np.stack(rows) if rows else np.empty((0, n), dtype=np.float32)
-    return _StandardizedSet(ids, matrix, mask)
+def _standardize(
+    n_rows: int, read: RowReader, shape: tuple[int, int], mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 standardized matrix of the valid rows, plus the validity
+    mask of all rows.
+
+    read(i0, i1) returns rows i0..i1-1 as floats of shape
+    (i1 - i0, *shape), where shape is (segments, length); it is called
+    on consecutive chunks of at most _CHUNK_BYTES of float64.
+    """
+    segments, length = shape
+    width = segments * length
+    step = max(1, _CHUNK_BYTES // (8 * width))
+    matrix = np.empty((n_rows, width), dtype=np.float32)
+    valid = np.empty(n_rows, dtype=bool)
+    filled = 0
+    for i0 in range(0, n_rows, step):
+        i1 = min(i0 + step, n_rows)
+        block = np.array(read(i0, i1), dtype=np.float64).reshape(i1 - i0, *shape)
+        values, ok = standardize_rows(block, mode)
+        valid[i0:i1] = ok
+        good = values if ok.all() else values[ok]
+        matrix[filled : filled + len(good)] = good
+        filled += len(good)
+    return matrix[:filled], valid
 
 
-def _standardize_embeddings(emb: EmbeddingSet, metric: str) -> _StandardizedSet:
-    rows = emb.rows.astype(np.float64)
-    if metric == "pearson":
-        centered = rows - rows.mean(axis=1, keepdims=True)
-        var = np.mean(centered * centered, axis=1)
-        valid = var >= 1e-12
-        norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-        out = centered[valid] / norms[valid, None]
-    elif metric == "cosine":
-        sq = np.einsum("ij,ij->i", rows, rows)
-        valid = sq >= 1e-24
-        out = rows[valid] / np.sqrt(sq[valid, None])
-    else:
-        raise InvalidArgumentError(f"unknown embedding metric {metric!r}")
-    matrix = out.astype(np.float32)
-    if matrix.size == 0:
-        matrix = matrix.reshape(0, emb.dim)
-    return _StandardizedSet(list(emb.ids), matrix, valid)
-
-
-def _run_topk(
-    query: _StandardizedSet,
-    reference: _StandardizedSet,
+def _run(
+    query_ids: Sequence[str],
+    read_query: RowReader,
+    reference_ids: Sequence[str],
+    read_reference: RowReader,
+    shape: tuple[int, int],
+    mode: str,
     k: int,
-    plan: ComparisonPlan,
-    workers: int = 1,
-    progress: Optional[ProgressFn] = None,
+    block_budget_mib: float,
+    progress: Optional[ProgressFn],
 ) -> list[TopKMatches]:
-    """Blocked top-k over prebuilt standardized sets."""
-    q_mat, r_mat = query.matrix, reference.matrix
+    """Standardize both sides, then blocked top-k of query rows against
+    reference rows."""
+    q_mat, q_valid = _standardize(len(query_ids), read_query, shape, mode)
+    r_mat, r_valid = _standardize(len(reference_ids), read_reference, shape, mode)
+    plan = plan_audit(
+        len(query_ids), len(reference_ids), shape[0] * shape[1], block_budget_mib
+    )
     nq, nr = q_mat.shape[0], r_mat.shape[0]
-    skipped = reference.n_invalid
-    ranks, id_by_rank = _tie_ranks(reference.valid_ids)
+    skipped = int((~r_valid).sum())
+    ranks, id_by_rank = _tie_ranks(
+        [rid for rid, ok in zip(reference_ids, r_valid) if ok]
+    )
 
     bq, br = plan.block_query, plan.block_reference
-    r_starts = list(range(0, nr, br))
     total_pairs = nq * nr
     done = 0
-    lock = threading.Lock()
-
-    def process_block(q0: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        nonlocal done
+    sorted_rows = []
+    for q0 in range(0, nq, bq):
         q1 = min(q0 + bq, nq)
         q64 = q_mat[q0:q1].astype(np.float64)
         carry_v = np.empty((q1 - q0, 0), dtype=np.float64)
         carry_r = np.empty((q1 - q0, 0), dtype=np.int64)
-        for r0 in r_starts:  # fixed ascending order: deterministic merges
+        for r0 in range(0, nr, br):  # fixed ascending order: deterministic merges
             r1 = min(r0 + br, nr)
             tile = q64 @ r_mat[r0:r1].astype(np.float64).T
             np.clip(tile, -1.0, 1.0, out=tile)
@@ -245,34 +250,17 @@ def _run_topk(
             )
             carry_v, carry_r = _select_topk_rows(cand_v, cand_r, k)
             if progress is not None:
-                with lock:
-                    done += (q1 - q0) * (r1 - r0)
-                    progress(done, total_pairs)
-        rows = []
+                done += (q1 - q0) * (r1 - r0)
+                progress(done, total_pairs)
         for i in range(q1 - q0):
             order = np.lexsort((carry_r[i], -carry_v[i]))
-            rows.append((carry_v[i][order], carry_r[i][order]))
-        return rows
-
-    q_starts = list(range(0, nq, bq))
-    per_block: list = [None] * len(q_starts)
-    if workers > 1 and len(q_starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, rows in zip(
-                range(len(q_starts)), pool.map(process_block, q_starts)
-            ):
-                per_block[idx] = rows
-    else:
-        for idx, q0 in enumerate(q_starts):
-            per_block[idx] = process_block(q0)
-
-    sorted_rows = [row for block in per_block for row in block]
+            sorted_rows.append((carry_v[i][order], carry_r[i][order]))
     if progress is not None and total_pairs == 0:
         progress(0, 0)
 
     results: list[TopKMatches] = []
     valid_iter = iter(sorted_rows)
-    for qid, ok in zip(query.all_ids, query.valid_mask):
+    for qid, ok in zip(query_ids, q_valid):
         if not ok:
             results.append(TopKMatches(qid, (), skipped, query_valid=False))
             continue
@@ -290,7 +278,6 @@ def max_correlations(
     channel_mask: Optional[Iterable[int]] = None,
     k: int = 5,
     mode: str = "concat",
-    workers: int = 1,
     block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
     progress: Optional[ProgressFn] = None,
 ) -> list[TopKMatches]:
@@ -311,12 +298,19 @@ def max_correlations(
         raise InvalidArgumentError(
             f"dimension mismatch: query {query.shape} vs reference {reference.shape}"
         )
+    if mode not in CHANNEL_MODES:
+        raise InvalidArgumentError(f"unknown channel mode {mode!r}")
     c, h, w = reference.shape
-    n_vec = len(resolve_channel_mask(channel_mask, c)) * h * w
-    q_set = _standardize_dataset(query, channel_mask, mode)
-    r_set = _standardize_dataset(reference, channel_mask, mode)
-    plan = plan_audit(len(query), len(reference), n_vec, block_budget_mib)
-    return _run_topk(q_set, r_set, k, plan, workers, progress)
+    mask = list(resolve_channel_mask(channel_mask, c))
+
+    def rows(ds: Dataset) -> RowReader:
+        return lambda i0, i1: np.stack([img.chw()[mask] for img in ds.images[i0:i1]])
+
+    return _run(
+        [img.id for img in query.images], rows(query),
+        [img.id for img in reference.images], rows(reference),
+        (len(mask), h * w), mode, k, block_budget_mib, progress,
+    )
 
 
 def max_correlations_embeddings(
@@ -324,7 +318,6 @@ def max_correlations_embeddings(
     reference: EmbeddingSet,
     k: int = 5,
     metric: str = "pearson",
-    workers: int = 1,
     block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
     progress: Optional[ProgressFn] = None,
 ) -> list[TopKMatches]:
@@ -339,10 +332,13 @@ def max_correlations_embeddings(
         raise InvalidArgumentError(
             f"dimension mismatch: query dim {query.dim} vs reference {reference.dim}"
         )
-    q_set = _standardize_embeddings(query, metric)
-    r_set = _standardize_embeddings(reference, metric)
-    plan = plan_audit(len(query), len(reference), query.dim, block_budget_mib)
-    return _run_topk(q_set, r_set, k, plan, workers, progress)
+    if metric not in ("pearson", "cosine"):
+        raise InvalidArgumentError(f"unknown embedding metric {metric!r}")
+    return _run(
+        query.ids, lambda i0, i1: query.rows[i0:i1],
+        reference.ids, lambda i0, i1: reference.rows[i0:i1],
+        (1, query.dim), metric, k, block_budget_mib, progress,
+    )
 
 
 def brute_force_correlations(

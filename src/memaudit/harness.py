@@ -7,10 +7,10 @@ and score precision/recall against the planted ground truth.
 
 All randomness comes from the documented splitmix64 stream in `_rng`;
 image i uses the derived stream seed mix64(run seed) XOR i, so outputs
-are bit-identical for a given config regardless of generation order or
-worker count. The run seed goes through the mix64 finalizer first
-because raw nearby seeds (7 and 8, say) would otherwise share per-image
-streams across runs and silently plant duplicates. Fresh images are
+are bit-identical for a given config regardless of generation order.
+The run seed goes through the mix64 finalizer first because raw nearby
+seeds (7 and 8, say) would otherwise share per-image streams across runs
+and silently plant duplicates. Fresh images are
 zero-padded separable Gaussian blurs (sigma 8 px, radius 24) of white
 noise, moment-matched per channel to the training set: unsmoothed noise
 would be trivially uncorrelated with everything and make baselines
@@ -30,6 +30,8 @@ from scipy.ndimage import correlate1d
 from ._rng import SplitMix64, mix64
 from .core import Dataset, ImageRecord
 from .errors import InvalidArgumentError
+from .ingest import atomic_write
+from .metrics import _gaussian_kernel
 from .report import FlaggedPair
 
 FRESH_FIELD_SIGMA = 8.0
@@ -107,16 +109,10 @@ class GroundTruth:
         return counts
 
 
-def _blur_kernel(sigma: float) -> np.ndarray:
-    radius = int(np.ceil(3.0 * sigma))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return k / k.sum()
-
-
 def _smooth_field(rng: SplitMix64, height: int, width: int) -> np.ndarray:
     """Zero-padded separable Gaussian blur of splitmix white noise."""
-    kernel = _blur_kernel(FRESH_FIELD_SIGMA)
+    radius = int(np.ceil(3.0 * FRESH_FIELD_SIGMA))
+    kernel = _gaussian_kernel(2 * radius + 1, FRESH_FIELD_SIGMA)
     field = rng.gaussian(height * width).reshape(height, width)
     field = correlate1d(field, kernel, axis=0, mode="constant")
     return correlate1d(field, kernel, axis=1, mode="constant")
@@ -332,7 +328,7 @@ def evaluate_detector(
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
     data = [asdict(e) for e in truth.entries]
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    atomic_write(path, (json.dumps(data, indent=2) + "\n").encode("utf-8"))
 
 
 def load_ground_truth(path) -> GroundTruth:

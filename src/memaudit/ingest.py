@@ -17,11 +17,14 @@ Four formats, all little-endian:
 
 Readers reject rather than repair: wrong magic, truncated payloads,
 checksum mismatches and oversized files all raise FormatError naming the
-byte offset.
+byte offset. Every writer goes through `atomic_write`, so an output file
+is either its previous version or the complete new one, never a prefix.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 import zlib
 from dataclasses import dataclass
@@ -43,6 +46,21 @@ MAX_DIM_PRODUCT = 1 << 40  # refuse absurd headers before allocating
 
 IVC_DTYPE_U8 = 0
 IVC_DTYPE_F32 = 1
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write via a temp file in the same directory + rename, so no partial
+    file can exist under ``path``; the temp file is removed on failure."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +170,7 @@ def write_pgm(img: ImageRecord, path) -> None:
             f"image {img.id!r}: PGM requires integer pixels in [0, 255]"
         )
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + rounded.astype(np.uint8).tobytes())
+    atomic_write(path, header + rounded.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +334,7 @@ def write_ivc(
         chunks.append(struct.pack("<B", code))
         chunks.append(payload)
         chunks.append(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-    Path(path).write_bytes(b"".join(chunks))
+    atomic_write(path, b"".join(chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +418,9 @@ def read_embeddings(path) -> EmbeddingSet:
 def write_embeddings(emb: EmbeddingSet, path, write_ids: bool = True) -> None:
     path = Path(path)
     header = b"EMB1" + struct.pack("<II", len(emb), emb.dim)
-    path.write_bytes(header + emb.rows.astype("<f4").tobytes())
+    atomic_write(path, header + emb.rows.astype("<f4").tobytes())
     if write_ids:
-        _ids_sidecar(path).write_text("\n".join(emb.ids) + "\n", encoding="utf-8")
+        atomic_write(_ids_sidecar(path), ("\n".join(emb.ids) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -561,4 +579,4 @@ def write_manifest(path, name: str, role: str, files: Iterable[str]) -> None:
     """Write a manifest referencing ``files`` (paths relative to it)."""
     lines = [f"name = {name}", f"role = {role}"]
     lines.extend(str(f) for f in files)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import ImageRecord, VolumeRecord
+from .core import ImageRecord, VolumeRecord, resolve_channel_mask
 from .errors import InvalidArgumentError
 
 
@@ -93,17 +93,6 @@ def zero_pad(img: ImageRecord, target_h: int, target_w: int) -> ImageRecord:
     )
 
 
-def _channel_subset(n_channels: int, channels: Optional[Iterable[int]]):
-    if channels is None:
-        return tuple(range(n_channels))
-    subset = sorted(set(int(c) for c in channels))
-    if not subset or subset[0] < 0 or subset[-1] >= n_channels:
-        raise InvalidArgumentError(
-            f"channel subset {subset} out of range for {n_channels} channels"
-        )
-    return tuple(subset)
-
-
 def rescale_intensity(
     rec: Union[ImageRecord, VolumeRecord],
     channels: Optional[Iterable[int]] = None,
@@ -113,7 +102,9 @@ def rescale_intensity(
     Constant channels map to all zeros. ``channels`` limits the rescale
     to a subset (default: every channel), leaving the rest untouched.
     """
-    subset = _channel_subset(rec.channels, channels)
+    subset = resolve_channel_mask(
+        range(rec.channels) if channels is None else channels, rec.channels
+    )
     is_volume = isinstance(rec, VolumeRecord)
     data = (rec.cdhw() if is_volume else rec.chw()).astype(np.float32).copy()
     for c in subset:
@@ -144,7 +135,9 @@ def remap_labels(
     subset (default: every channel). Matching is done against the input,
     so chained keys/values do not cascade.
     """
-    subset = _channel_subset(img.channels, channels)
+    subset = resolve_channel_mask(
+        range(img.channels) if channels is None else channels, img.channels
+    )
     data = img.chw().astype(np.float32).copy()
     original = img.chw()
     for c in subset:

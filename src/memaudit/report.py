@@ -15,8 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -25,6 +23,7 @@ import numpy as np
 
 from .correlate import ComparisonPlan, TopKMatches
 from .errors import EmptyInputError, InvalidArgumentError
+from .ingest import atomic_write
 
 PERCENTILE_POINTS = (1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0, 99.5)
 DEFAULT_RULE = "percentile:99.5"
@@ -275,20 +274,6 @@ def build_audit_report(
 # ---------------------------------------------------------------------------
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file + rename so no partial file can exist."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def report_to_dict(report: AuditReport) -> dict:
     return {
         "plan": asdict(report.plan),
@@ -372,7 +357,7 @@ def export_report(report: AuditReport, path, format: str = "json") -> None:
         text = report_to_csv(report)
     else:
         raise InvalidArgumentError(f"unknown report format {format!r}")
-    atomic_write_text(path, text)
+    atomic_write(path, text.encode("utf-8"))
 
 
 def load_report(path) -> AuditReport:
@@ -406,9 +391,8 @@ def save_matches(
     matches: Sequence[TopKMatches], path, label: str,
     plan: Optional[ComparisonPlan] = None,
 ) -> None:
-    atomic_write_text(
-        path, json.dumps(matches_to_dict(matches, label, plan), indent=2) + "\n"
-    )
+    text = json.dumps(matches_to_dict(matches, label, plan), indent=2) + "\n"
+    atomic_write(path, text.encode("utf-8"))
 
 
 def load_matches(path) -> tuple[str, Optional[ComparisonPlan], list[TopKMatches]]:

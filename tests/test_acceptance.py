@@ -91,10 +91,8 @@ def test_criterion_2_oracle_equivalence():
     ref_ids = [img.id for img in reference.images]
 
     worst = 0.0
-    for workers in (1, 4, 8):
-        got = max_correlations(
-            query, reference, k=200, workers=workers, block_budget_mib=0.25
-        )
+    for budget in (0.05, 0.25, 32.0):
+        got = max_correlations(query, reference, k=200, block_budget_mib=budget)
         for i, match in enumerate(got):
             by_id = dict(match.matches)
             for j, rid in enumerate(ref_ids):
@@ -112,7 +110,7 @@ def test_criterion_2_oracle_equivalence():
     verdict(
         2,
         f"blocked vs brute force max |delta| {worst:.2e} over 10,000 pairs x "
-        f"workers 1/4/8, top-5 ids exact, {elapsed:.1f}s",
+        f"block budgets 0.05/0.25/32 MiB, top-5 ids exact, {elapsed:.1f}s",
     )
 
 
@@ -125,11 +123,11 @@ def test_criterion_3_planted_memorization_recall():
     )
     baseline_set, _ = plant(train, PlantConfig(n_output=200, seed=990001))
 
-    baseline_matches = max_correlations(baseline_set, train, k=1, workers=2)
+    baseline_matches = max_correlations(baseline_set, train, k=1)
     baseline = summarize(baseline_matches, "fresh-vs-train")
     decision = derive_threshold(baseline, "percentile:99.5")
 
-    matches = max_correlations(planted, train, k=1, workers=2)
+    matches = max_correlations(planted, train, k=1)
     flags = flag_memorized(matches, decision.value)
     score = evaluate_detector(flags, truth, positive_kinds=("copy", "noisy"))
 
@@ -240,19 +238,19 @@ def test_criterion_6_determinism(cli_workspace):
     assert blobs[0] == blobs[1], "identical runs must write identical bytes"
 
     values = {}
-    for workers in ("1", "4"):
-        out = tmp / f"w{workers}.json"
+    for budget in ("0.05", "32"):
+        out = tmp / f"b{budget}.json"
         run([
             "audit", "--train", str(tmp / "train.mf"),
             "--synthetic", str(tmp / "synth.mf"),
-            "--rule", "fixed:0.999", "--workers", workers,
+            "--rule", "fixed:0.999", "--block-budget-mib", budget,
             "--out", str(out), "--quiet",
         ])
         report = load_report(out)
-        values[workers] = np.array(report.summaries[0].values)
-    delta = float(np.abs(values["1"] - values["4"]).max())
+        values[budget] = np.array(report.summaries[0].values)
+    delta = float(np.abs(values["0.05"] - values["32"]).max())
     assert delta <= 1e-6
-    verdict(6, f"byte-identical reports; worker-count correlation delta {delta:.1e}")
+    verdict(6, f"byte-identical reports; block-budget correlation delta {delta:.1e}")
 
 
 def test_criterion_7_throughput_recorded():
@@ -278,10 +276,7 @@ def test_criterion_7_throughput_recorded():
     plan = plan_audit(n_query, n_reference, 256 * 256, block_budget_mib=512.0)
 
     t0 = time.perf_counter()
-    results = max_correlations(
-        query, reference, k=5,
-        workers=os.cpu_count() or 1, block_budget_mib=512.0,
-    )
+    results = max_correlations(query, reference, k=5, block_budget_mib=512.0)
     elapsed = time.perf_counter() - t0
     assert len(results) == n_query
     rate = plan.estimated_multiply_adds / elapsed

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import memaudit.correlate as correlate
 from memaudit.core import Dataset, ImageRecord, pearson
 from memaudit.correlate import (
     brute_force_correlations,
@@ -94,12 +95,12 @@ class TestMaxCorrelations:
         assert by_id[r.images[3].id] == pytest.approx(-1.0, abs=1e-6)
         assert match.top1[1] == pytest.approx(np.nanmax(matrix), abs=1e-6)
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_oracle_equivalence_random(self, workers):
+    @pytest.mark.parametrize("budget_mib", [0.05, 32.0])
+    def test_oracle_equivalence_random(self, budget_mib):
         q = random_dataset(20, (1, 16, 16), 21, role="synthetic", name="q")
         r = random_dataset(50, (1, 16, 16), 22, name="r")
         oracle = brute_force_correlations(q, r)
-        got = max_correlations(q, r, k=len(r), workers=workers, block_budget_mib=0.05)
+        got = max_correlations(q, r, k=len(r), block_budget_mib=budget_mib)
         for i, match in enumerate(got):
             by_id = dict(match.matches)
             for j, img in enumerate(r.images):
@@ -142,15 +143,43 @@ class TestMaxCorrelations:
             assert "const" not in dict(match.matches)
             assert len(match.matches) == 4
 
-    def test_deterministic_across_workers_and_runs(self):
+    def test_deterministic_across_runs_and_budgets(self):
         q = random_dataset(17, (1, 12, 12), 51, role="synthetic", name="q")
         r = random_dataset(33, (1, 12, 12), 52, name="r")
-        runs = [
-            max_correlations(q, r, k=4, workers=w, block_budget_mib=0.02)
-            for w in (1, 1, 4, 8)
-        ]
-        for other in runs[1:]:
-            assert runs[0] == other  # bit-identical, not merely close
+        first, again = (
+            max_correlations(q, r, k=4, block_budget_mib=0.02) for _ in range(2)
+        )
+        assert first == again  # same budget: bit-identical, not merely close
+        for budget in (0.25, 32.0):
+            other = max_correlations(q, r, k=4, block_budget_mib=budget)
+            for a, b in zip(first, other):
+                assert [m[0] for m in a.matches] == [m[0] for m in b.matches]
+                for (_, x), (_, y) in zip(a.matches, b.matches):
+                    assert abs(x - y) <= 1e-6
+
+    def test_mean_mode_constant_channel_is_invalid(self):
+        r = random_dataset(4, (3, 4, 4), 44)
+        flat = r.images[0].chw().copy()
+        flat[1] = 7.0  # one constant selected channel
+        q = Dataset("q", "synthetic", (ImageRecord("flat", 3, 4, 4, flat),))
+        (match,) = max_correlations(q, r, k=2, mode="mean")
+        assert not match.query_valid and match.matches == ()
+        ref = Dataset("r2", "train", (ImageRecord("flat", 3, 4, 4, flat), *r.images))
+        (match,) = max_correlations(r, ref, k=5, mode="mean")[:1]
+        assert match.skipped_invalid == 1 and "flat" not in dict(match.matches)
+        (match,) = max_correlations(r, ref, k=5, mode="concat")[:1]
+        assert match.skipped_invalid == 0 and "flat" in dict(match.matches)
+
+    def test_chunked_standardization_keeps_row_order(self, monkeypatch):
+        imgs = list(random_dataset(9, (1, 5, 5), 45).images)
+        for i in (0, 4, 8):  # constant rows at both ends and mid-chunk
+            imgs[i] = ImageRecord(f"const{i}", 1, 5, 5, np.full(25, float(i)))
+        r = Dataset("r", "train", tuple(imgs))
+        q = random_dataset(3, (1, 5, 5), 46, role="synthetic", name="q")
+        whole = max_correlations(q, r, k=9)
+        monkeypatch.setattr(correlate, "_CHUNK_BYTES", 2 * 8 * 25)  # 2 rows
+        assert max_correlations(q, r, k=9) == whole
+        assert max_correlations(r, r, k=1)[4].query_valid is False
 
     def test_monotone_completeness(self):
         q = random_dataset(8, (1, 8, 8), 61, role="synthetic", name="q")
@@ -264,3 +293,24 @@ class TestEmbeddingCorrelations:
         b = EmbeddingSet(("b",), 3, np.ones((1, 3), np.float32))
         with pytest.raises(InvalidArgumentError):
             max_correlations_embeddings(a, b)
+
+    def test_unknown_metric_rejected(self):
+        a = EmbeddingSet(("a",), 2, np.array([[1.0, 2.0]], np.float32))
+        with pytest.raises(InvalidArgumentError, match="metric"):
+            max_correlations_embeddings(a, a, metric="euclid")
+
+    @pytest.mark.parametrize("metric, dead", [
+        ("pearson", [3.0, 3.0, 3.0, 3.0]),  # constant row: no variance
+        ("cosine", [0.0, 0.0, 0.0, 0.0]),   # zero row: no direction
+    ])
+    def test_degenerate_rows_invalid(self, metric, dead):
+        rows = np.array([[1.0, 2.0, 4.0, 3.0], dead, [0.5, -1.0, 2.0, 1.0]], np.float32)
+        emb = EmbeddingSet(("a", "dead", "b"), 4, rows)
+        matches = max_correlations_embeddings(emb, emb, k=3, metric=metric)
+        assert [m.query_valid for m in matches] == [True, False, True]
+        assert matches[1].matches == ()
+        for m in (matches[0], matches[2]):
+            assert m.skipped_invalid == 1
+            assert [r for r, _ in m.matches] == sorted(
+                ("a", "b"), key=lambda r: r != m.query_id
+            )

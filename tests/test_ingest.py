@@ -1,3 +1,4 @@
+import os
 import struct
 import zlib
 
@@ -328,3 +329,30 @@ class TestManifest:
         assert merged.ids == ("r0", "r1")
         with pytest.raises(ManifestError):
             load_dataset(mf)
+
+
+class TestAtomicWrites:
+    WRITERS = {
+        "ivc": lambda path, v: write_ivc([image([v, 2.0, 3.0], id="a")], path),
+        "pgm": lambda path, v: write_pgm(image([v, 2.0, 3.0], id="a"), path),
+        "emb": lambda path, v: write_embeddings(
+            EmbeddingSet(("r0",), 2, np.array([[v, 1.0]], np.float32)), path
+        ),
+        "mf": lambda path, v: write_manifest(path, f"set{v}", "train", ["a.ivc"]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        write = self.WRITERS[kind]
+        target = tmp_path / f"out.{kind}"
+        write(target, 1.0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="refused"):
+            write(target, 9.0)
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert after == before  # old bytes intact, no temp file left
