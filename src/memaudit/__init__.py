@@ -35,10 +35,14 @@ from .errors import (
 )
 from .harness import PlantConfig, evaluate_detector, generate_train_set, plant
 from .ingest import (
+    DatasetFile,
     EmbeddingSet,
+    EmbeddingSetFile,
     load_dataset,
     load_embedding_set,
     load_manifest,
+    open_dataset,
+    open_embedding_set,
     read_embeddings,
     read_ivc,
     read_pgm,
@@ -74,8 +78,10 @@ __all__ = [
     "AuditReport",
     "ComparisonPlan",
     "Dataset",
+    "DatasetFile",
     "DistributionSummary",
     "EmbeddingSet",
+    "EmbeddingSetFile",
     "EmptyInputError",
     "FormatError",
     "GaussianStats",
@@ -110,6 +116,8 @@ __all__ = [
     "max_correlations",
     "max_correlations_embeddings",
     "mutual_information",
+    "open_dataset",
+    "open_embedding_set",
     "pearson",
     "plan_audit",
     "plant",

@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -34,6 +34,8 @@ from .ingest import (
     load_embedding_set,
     load_manifest,
     load_records,
+    open_dataset,
+    open_embedding_set,
     read_embeddings,
     write_ivc,
     write_manifest,
@@ -219,53 +221,59 @@ def _sampled(rows, picks):
         rows = EmbeddingSet(
             tuple(rows.ids[i] for i in picks), rows.dim, rows.rows[picks]
         )
-        return rows, list(rows.ids)
-    rows = Dataset(rows.name, rows.role, tuple(rows.images[i] for i in picks))
-    return rows, [img.id for img in rows.images]
+    else:
+        rows = Dataset(rows.name, rows.role, tuple(rows.images[i] for i in picks))
+    return rows, list(rows.ids)
 
 
 def _audit(args, cfg: RunConfig):
     """Compare synthetic with train and, given --test, test with train and
     synthetic with test. Images and embeddings share every step; the
-    manifest kind only picks the loader, the engine and its options."""
+    manifest kind only picks the readers, the engine and its options.
+    Every set stays in its files and is read into the engine's float64
+    buffers (only a --sample subset is loaded): train once, with
+    synthetic and test searched against it together."""
     manifest = load_manifest(args.train)
     if all(fmt == "emb" for fmt, _ in manifest.entries):
-        load, engine = load_embedding_set, max_correlations_embeddings
+        load, open_set = load_embedding_set, open_embedding_set
+        engine = max_correlations_embeddings
         options = dict(metric=args.metric)
-        train = load(manifest)
+        train = open_set(manifest)
         row_length = train.dim
     else:
-        load, engine = load_dataset, max_correlations
+        load, open_set, engine = load_dataset, open_dataset, max_correlations
         channels = _parse_channels(args.channels)
         options = dict(channel_mask=channels, mode=args.channel_mode)
-        train = load(manifest)
+        train = open_set(manifest)
         c, h, w = train.shape
         row_length = len(resolve_channel_mask(channels, c)) * h * w
     options["block_budget_mib"] = args.block_budget_mib
-    synthetic = load(args.synthetic)
+    synthetic = open_set(args.synthetic)
     sample_ids = None
     if args.sample is not None and args.sample < len(synthetic):
         picks = _sample_ids(len(synthetic), args.sample, args.seed)
-        synthetic, sample_ids = _sampled(synthetic, picks)
+        synthetic, sample_ids = _sampled(load(args.synthetic), picks)
     plan = plan_audit(len(synthetic), len(train), row_length, args.block_budget_mib)
     log.info(
         "audit: %d synthetic x %d train = %s comparisons",
         plan.n_query, plan.n_reference, f"{plan.total_comparisons:,}",
     )
-    synth_vs_train = engine(
-        synthetic, train, k=args.k,
-        progress=_progress(cfg, "synth-vs-train"), **options,
+    if not args.test:
+        synth_vs_train = engine(
+            synthetic, train, k=args.k,
+            progress=_progress(cfg, "synth-vs-train"), **options,
+        )
+        return plan, synth_vs_train, None, None, sample_ids
+    test = open_set(args.test)
+    both = engine(
+        (synthetic, test), train, k=args.k,
+        progress=_progress(cfg, "synth+test-vs-train"), **options,
     )
-    baseline = synth_vs_test = None
-    if args.test:
-        test = load(args.test)
-        baseline = engine(
-            test, train, k=1, progress=_progress(cfg, "test-vs-train"), **options
-        )
-        synth_vs_test = engine(
-            synthetic, test, k=1,
-            progress=_progress(cfg, "synth-vs-test"), **options,
-        )
+    synth_vs_train = both[: len(synthetic)]
+    baseline = [replace(m, matches=m.matches[:1]) for m in both[len(synthetic) :]]
+    synth_vs_test = engine(
+        synthetic, test, k=1, progress=_progress(cfg, "synth-vs-test"), **options
+    )
     return plan, synth_vs_train, baseline, synth_vs_test, sample_ids
 
 

@@ -160,6 +160,10 @@ class Dataset:
         return len(self.images)
 
     @property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(img.id for img in self.images)
+
+    @property
     def shape(self) -> tuple[int, int, int]:
         if not self.images:
             raise InvalidArgumentError(f"dataset {self.name!r} is empty")

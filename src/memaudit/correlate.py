@@ -2,15 +2,21 @@
 row, keeping the top-k per query.
 
 Images (their selected channels) and embeddings are both row matrices
-once standardized, so they take one path. Rows are standardized a chunk
-at a time by `core.standardize_rows` into a float32 matrix; then a
-blocked matrix product with float64 accumulation runs over the query
-blocks in order: tiles are upcast and multiplied with dgemm, clamped to
-[-1, 1], and merged into per-query top-k selections in a fixed order
-(ascending reference-block index) with ties broken by ascending
-reference id. Parallelism is the BLAS library's own threads. Results are
-bit-identical for identical inputs, block budget and BLAS thread count;
-across block budgets they agree within 1e-6.
+once standardized by `core.standardize_rows`, so they take one path.
+All query rows (one set or several, e.g. synthetic and test) are
+standardized once into one resident float64 matrix. The reference set
+is then read once, in blocks of rows sized by the block budget: each
+block is read into one reused float64 buffer and standardized in place,
+multiplied against the queries with one dgemm, clamped to [-1, 1], and
+each query's top-k of the block (argpartition, with an exact pass only
+for rows whose k-th value is tied past the kept slots) is merged with
+its carried top-k. Blocks are merged in ascending order, and ties go to
+the ascending reference id. A reference can be an in-memory set or a
+file-backed one (`ingest.open_dataset`, `ingest.open_embedding_set`),
+so its size never sets the memory: that is the resident queries plus
+one block and its temporaries. Parallelism is the BLAS library's own
+threads. Results are bit-identical for identical inputs, block budget
+and BLAS thread count; across block budgets they agree within 1e-6.
 
 `brute_force_correlations` is the deliberately naive oracle: per-pair
 scalar Pearson with no shared standardization, used to verify the
@@ -21,7 +27,7 @@ abused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .core import (
     standardize_rows,
 )
 from .errors import InvalidArgumentError, UndefinedCorrelationError
-from .ingest import EmbeddingSet
+from .ingest import DatasetFile, EmbeddingSet, EmbeddingSetFile
 
 DEFAULT_BLOCK_BUDGET_MIB = 32.0
 BRUTE_FORCE_LIMIT = 10_000_000
@@ -101,10 +107,13 @@ def plan_audit(
     vector_length: int,
     block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
 ) -> ComparisonPlan:
-    """Exact comparison counts plus tile sizes for the blocked engine.
+    """Exact comparison counts plus the engine's blocking.
 
-    Tiles are sized so one float64 tile pair plus its output fits the
-    working-set budget: 8*(2*B*N + B*B) <= budget bytes.
+    All queries stay resident (block_query = n_query). References stream
+    in blocks of block_reference rows, as many as fit the budget with
+    their per-block temporaries: per row, the float64 row itself (8*N
+    bytes) and, per resident query, a float64 tile entry, an int64
+    partition index and a one-byte tie mask (17 bytes).
     """
     if n_query < 0 or n_reference < 0:
         raise InvalidArgumentError("counts must be non-negative")
@@ -112,104 +121,84 @@ def plan_audit(
         raise InvalidArgumentError("vector_length must be positive")
     if block_budget_mib <= 0:
         raise InvalidArgumentError("block budget must be positive")
-    budget = block_budget_mib * (1 << 20) / 8.0  # float64 slots
-    n = float(vector_length)
-    block = int(np.sqrt(n * n + budget) - n)
-    block = max(1, min(block, 65536))
+    row_bytes = 8 * vector_length + 17 * n_query
+    block = int(block_budget_mib * (1 << 20) // row_bytes)
     total = n_query * n_reference
     return ComparisonPlan(
         n_query=n_query,
         n_reference=n_reference,
         total_comparisons=total,
         vector_length=vector_length,
-        block_query=max(1, min(block, n_query or 1)),
-        block_reference=max(1, min(block, n_reference or 1)),
+        block_query=max(1, n_query),
+        block_reference=max(1, min(block, n_reference)),
         estimated_multiply_adds=total * vector_length,
     )
 
 
 # ---------------------------------------------------------------------------
-# Blocked engine
+# Streaming engine
 # ---------------------------------------------------------------------------
 
 
-def _tie_ranks(ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
-    """Rank ids lexicographically; returns (rank per position, id by rank)."""
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
+def _tie_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Position of every id in ascending id order: equal correlations go
+    to the lower rank."""
     rank = np.empty(len(ids), dtype=np.int64)
-    by_rank = [""] * len(ids)
-    for pos, i in enumerate(order):
-        rank[i] = pos
-        by_rank[pos] = ids[i]
-    return rank, by_rank
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
-def _select_topk_rows(vals: np.ndarray, ranks: np.ndarray, k: int):
-    """Per row: the k largest values, ties resolved toward smaller rank.
+def _block_topk(tile: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
+    """Per row of tile, the columns of its k largest values, ties going to
+    the smaller rank (ranks holds one rank per column); unordered.
 
-    Exact selection: entries strictly above the k-th value are always
-    kept, then remaining slots go to the tied entries with the smallest
-    ranks. Output columns are unordered (final ordering happens once per
-    query at the end).
+    argpartition picks k columns per row. It can split a run of values
+    equal to the k-th one arbitrarily, so rows where more than k values
+    reach the k-th are re-selected exactly.
     """
-    rows, m = vals.shape
+    m = tile.shape[1]
     if m <= k:
-        return vals, ranks
-    out_v = np.empty((rows, k), dtype=vals.dtype)
-    out_r = np.empty((rows, k), dtype=ranks.dtype)
-    for i in range(rows):
-        v = vals[i]
-        r = ranks[i]
-        top = np.argpartition(v, m - k)[m - k :]
-        kth = v[top].min()
-        sure = np.flatnonzero(v > kth)
+        return np.broadcast_to(np.arange(m), tile.shape)
+    cols = np.argpartition(tile, m - k, axis=1)[:, m - k :]
+    kth = np.take_along_axis(tile, cols, axis=1).min(axis=1)
+    tied = np.count_nonzero(tile >= kth[:, None], axis=1) > k
+    for i in np.flatnonzero(tied):
+        row = tile[i]
+        sure = np.flatnonzero(row > kth[i])
+        ties = np.flatnonzero(row == kth[i])
         need = k - sure.size
-        tied = np.flatnonzero(v == kth)
-        if tied.size > need:
-            tied = tied[np.argpartition(r[tied], need - 1)[:need]]
-        sel = np.concatenate([sure, tied])
-        out_v[i] = v[sel]
-        out_r[i] = r[sel]
-    return out_v, out_r
+        cols[i] = np.concatenate([sure, ties[np.argsort(ranks[ties])[:need]]])
+    return cols
 
 
-# Float64 staging per standardization chunk: sets are standardized a few
-# MiB at a time, so the transient memory does not grow with their size.
-_CHUNK_BYTES = 8 << 20
+def _merge_block(best_v, best_r, tile, ranks, k):
+    """Clip a block's tile and merge its per-row top-k into the carried
+    top-k; the merge is 2k wide, ordered by value descending, then rank
+    ascending."""
+    np.clip(tile, -1.0, 1.0, out=tile)
+    cols = _block_topk(tile, ranks, k)
+    cand_v = np.concatenate([best_v, np.take_along_axis(tile, cols, axis=1)], axis=1)
+    cand_r = np.concatenate([best_r, ranks[cols]], axis=1)
+    order = np.lexsort((cand_r, -cand_v), axis=1)[:, :k]
+    return np.take_along_axis(cand_v, order, axis=1), np.take_along_axis(cand_r, order, axis=1)
 
-RowReader = Callable[[int, int], np.ndarray]  # (i0, i1) -> rows i0..i1-1
+
+# (i0, i1, out): fills out, shape (i1 - i0, segments, length), with rows i0..i1-1
+RowReader = Callable[[int, int, np.ndarray], None]
 
 
-def _standardize(
-    n_rows: int, read: RowReader, shape: tuple[int, int], mode: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 standardized matrix of the valid rows, plus the validity
-    mask of all rows.
-
-    read(i0, i1) returns rows i0..i1-1 as floats of shape
-    (i1 - i0, *shape), where shape is (segments, length); it is called
-    on consecutive chunks of at most _CHUNK_BYTES of float64.
-    """
-    segments, length = shape
-    width = segments * length
-    step = max(1, _CHUNK_BYTES // (8 * width))
-    matrix = np.empty((n_rows, width), dtype=np.float32)
-    valid = np.empty(n_rows, dtype=bool)
-    filled = 0
-    for i0 in range(0, n_rows, step):
-        i1 = min(i0 + step, n_rows)
-        block = np.array(read(i0, i1), dtype=np.float64).reshape(i1 - i0, *shape)
-        values, ok = standardize_rows(block, mode)
-        valid[i0:i1] = ok
-        good = values if ok.all() else values[ok]
-        matrix[filled : filled + len(good)] = good
-        filled += len(good)
-    return matrix[:filled], valid
+def _valid_rows(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Shift the valid rows of rows (n, width) to its front, in order,
+    and return them as a view."""
+    kept = np.flatnonzero(valid)
+    if kept.size < len(rows):
+        for dst in range(int(np.argmin(valid)), kept.size):  # from the first invalid row
+            rows[dst] = rows[kept[dst]]
+    return rows[: kept.size]
 
 
 def _run(
-    query_ids: Sequence[str],
-    read_query: RowReader,
+    queries: Sequence[tuple[Sequence[str], RowReader]],
     reference_ids: Sequence[str],
     read_reference: RowReader,
     shape: tuple[int, int],
@@ -218,63 +207,89 @@ def _run(
     block_budget_mib: float,
     progress: Optional[ProgressFn],
 ) -> list[TopKMatches]:
-    """Standardize both sides, then blocked top-k of query rows against
-    reference rows."""
-    q_mat, q_valid = _standardize(len(query_ids), read_query, shape, mode)
-    r_mat, r_valid = _standardize(len(reference_ids), read_reference, shape, mode)
-    plan = plan_audit(
-        len(query_ids), len(reference_ids), shape[0] * shape[1], block_budget_mib
-    )
-    nq, nr = q_mat.shape[0], r_mat.shape[0]
-    skipped = int((~r_valid).sum())
-    ranks, id_by_rank = _tie_ranks(
-        [rid for rid, ok in zip(reference_ids, r_valid) if ok]
-    )
+    """Top-k of every query row against every reference row: queries
+    standardized once into one resident float64 matrix, references read
+    once, block by block, with one dgemm per block."""
+    query_ids = [qid for ids, _ in queries for qid in ids]
+    nr = len(reference_ids)
+    q_all = np.empty((len(query_ids), *shape), dtype=np.float64)
+    q0 = 0
+    for ids, read in queries:
+        read(0, len(ids), q_all[q0 : q0 + len(ids)])
+        q0 += len(ids)
+    q_all, q_valid = standardize_rows(q_all, mode)
+    q_mat = _valid_rows(q_all, q_valid)
+    nq = q_mat.shape[0]
 
-    bq, br = plan.block_query, plan.block_reference
-    total_pairs = nq * nr
-    done = 0
-    sorted_rows = []
-    for q0 in range(0, nq, bq):
-        q1 = min(q0 + bq, nq)
-        q64 = q_mat[q0:q1].astype(np.float64)
-        carry_v = np.empty((q1 - q0, 0), dtype=np.float64)
-        carry_r = np.empty((q1 - q0, 0), dtype=np.int64)
-        for r0 in range(0, nr, br):  # fixed ascending order: deterministic merges
-            r1 = min(r0 + br, nr)
-            tile = q64 @ r_mat[r0:r1].astype(np.float64).T
-            np.clip(tile, -1.0, 1.0, out=tile)
-            cand_v = np.concatenate([carry_v, tile], axis=1)
-            cand_r = np.concatenate(
-                [carry_r, np.broadcast_to(ranks[r0:r1], tile.shape)], axis=1
+    plan = plan_audit(len(query_ids), nr, q_mat.shape[1], block_budget_mib)
+    ranks = _tie_ranks(reference_ids)
+    buffer = np.empty((plan.block_reference, *shape), dtype=np.float64)
+    best_v = np.empty((nq, 0), dtype=np.float64)
+    best_r = np.empty((nq, 0), dtype=np.int64)
+    skipped = 0
+    for r0 in range(0, nr, plan.block_reference):  # ascending: deterministic merges
+        r1 = min(r0 + plan.block_reference, nr)
+        read_reference(r0, r1, buffer[: r1 - r0])
+        values, valid = standardize_rows(buffer[: r1 - r0], mode)
+        block = _valid_rows(values, valid)
+        skipped += r1 - r0 - block.shape[0]
+        if nq and block.shape[0]:
+            best_v, best_r = _merge_block(
+                best_v, best_r, q_mat @ block.T, ranks[r0:r1][valid], k
             )
-            carry_v, carry_r = _select_topk_rows(cand_v, cand_r, k)
-            if progress is not None:
-                done += (q1 - q0) * (r1 - r0)
-                progress(done, total_pairs)
-        for i in range(q1 - q0):
-            order = np.lexsort((carry_r[i], -carry_v[i]))
-            sorted_rows.append((carry_v[i][order], carry_r[i][order]))
-    if progress is not None and total_pairs == 0:
+        if progress is not None:
+            progress(nq * r1, nq * nr)
+    if progress is not None and nq * nr == 0:
         progress(0, 0)
 
-    results: list[TopKMatches] = []
-    valid_iter = iter(sorted_rows)
-    for qid, ok in zip(query_ids, q_valid):
-        if not ok:
-            results.append(TopKMatches(qid, (), skipped, query_valid=False))
-            continue
-        vals, rks = next(valid_iter)
-        matches = tuple(
-            (id_by_rank[int(r)], float(v)) for v, r in zip(vals, rks)
-        )
-        results.append(TopKMatches(qid, matches, skipped, query_valid=True))
-    return results
+    id_by_rank = np.empty(nr, dtype=object)
+    id_by_rank[ranks] = list(reference_ids)
+    matches = iter(zip(id_by_rank[best_r].tolist(), best_v.tolist()))
+    return [
+        TopKMatches(qid, tuple(zip(*next(matches))), skipped)
+        if ok
+        else TopKMatches(qid, (), skipped, query_valid=False)
+        for qid, ok in zip(query_ids, q_valid)
+    ]
+
+
+def _parts(query) -> tuple:
+    """A query argument (one set or a tuple of sets) as a tuple of sets."""
+    return tuple(query) if isinstance(query, tuple) else (query,)
+
+
+def _image_reader(images, mask: list[int]) -> RowReader:
+    """Selected channels of an in-memory Dataset or a DatasetFile."""
+    if isinstance(images, DatasetFile):
+        return lambda i0, i1, out: images.read_rows(i0, i1, out, mask)
+
+    def read(i0: int, i1: int, out: np.ndarray) -> None:
+        for row, img in zip(out, images.images[i0:i1]):
+            planes = img.pixels.reshape(img.channels, -1)
+            for dst, src in enumerate(mask):  # no fancy-index temporary
+                row[dst] = planes[src]
+
+    return read
+
+
+def _embedding_reader(emb) -> RowReader:
+    """Rows of an in-memory EmbeddingSet or an EmbeddingSetFile."""
+    if isinstance(emb, EmbeddingSetFile):
+        return lambda i0, i1, out: emb.read_rows(i0, i1, out.reshape(i1 - i0, -1))
+
+    def read(i0: int, i1: int, out: np.ndarray) -> None:
+        out.reshape(i1 - i0, -1)[...] = emb.rows[i0:i1]
+
+    return read
+
+
+ImageSet = Union[Dataset, DatasetFile]
+EmbeddingRows = Union[EmbeddingSet, EmbeddingSetFile]
 
 
 def max_correlations(
-    query: Dataset,
-    reference: Dataset,
+    query: Union[ImageSet, tuple[ImageSet, ...]],
+    reference: ImageSet,
     channel_mask: Optional[Iterable[int]] = None,
     k: int = 5,
     mode: str = "concat",
@@ -284,38 +299,40 @@ def max_correlations(
     """Top-k highest correlations for every query image against all
     valid reference images.
 
-    Agrees with brute_force_correlations within 1e-6 per entry. Constant
-    reference images are excluded (counted in skipped_invalid); constant
-    queries come back with query_valid=False and no matches.
+    query is one set or a tuple of sets, all searched in one pass over
+    the reference; results come back as one list in query order.
+    reference is a Dataset or a DatasetFile (open_dataset), which is
+    read once, block by block. Agrees with brute_force_correlations
+    within 1e-6 per entry. Constant reference images are excluded
+    (counted in skipped_invalid); constant queries come back with
+    query_valid=False and no matches.
     """
     if k < 1:
         raise InvalidArgumentError("k must be at least 1")
     if len(reference) == 0:
         raise InvalidArgumentError("reference dataset is empty")
-    if len(query) == 0:
+    parts = [q for q in _parts(query) if len(q)]
+    if not parts:
         return []
-    if query.shape != reference.shape:
-        raise InvalidArgumentError(
-            f"dimension mismatch: query {query.shape} vs reference {reference.shape}"
-        )
+    for q in parts:
+        if q.shape != reference.shape:
+            raise InvalidArgumentError(
+                f"dimension mismatch: query {q.shape} vs reference {reference.shape}"
+            )
     if mode not in CHANNEL_MODES:
         raise InvalidArgumentError(f"unknown channel mode {mode!r}")
     c, h, w = reference.shape
     mask = list(resolve_channel_mask(channel_mask, c))
-
-    def rows(ds: Dataset) -> RowReader:
-        return lambda i0, i1: np.stack([img.chw()[mask] for img in ds.images[i0:i1]])
-
     return _run(
-        [img.id for img in query.images], rows(query),
-        [img.id for img in reference.images], rows(reference),
+        [(q.ids, _image_reader(q, mask)) for q in parts],
+        reference.ids, _image_reader(reference, mask),
         (len(mask), h * w), mode, k, block_budget_mib, progress,
     )
 
 
 def max_correlations_embeddings(
-    query: EmbeddingSet,
-    reference: EmbeddingSet,
+    query: Union[EmbeddingRows, tuple[EmbeddingRows, ...]],
+    reference: EmbeddingRows,
     k: int = 5,
     metric: str = "pearson",
     block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
@@ -323,21 +340,25 @@ def max_correlations_embeddings(
 ) -> list[TopKMatches]:
     """max_correlations over embedding rows instead of images.
 
-    metric="pearson" centers each row before normalizing; "cosine" is
-    the plain dot product of L2-normalized rows.
+    query is one set or a tuple of sets; reference is an EmbeddingSet or
+    an EmbeddingSetFile (open_embedding_set). metric="pearson" centers
+    each row before normalizing; "cosine" is the plain dot product of
+    L2-normalized rows.
     """
     if k < 1:
         raise InvalidArgumentError("k must be at least 1")
-    if query.dim != reference.dim:
-        raise InvalidArgumentError(
-            f"dimension mismatch: query dim {query.dim} vs reference {reference.dim}"
-        )
+    parts = _parts(query)
+    for q in parts:
+        if q.dim != reference.dim:
+            raise InvalidArgumentError(
+                f"dimension mismatch: query dim {q.dim} vs reference {reference.dim}"
+            )
     if metric not in ("pearson", "cosine"):
         raise InvalidArgumentError(f"unknown embedding metric {metric!r}")
     return _run(
-        query.ids, lambda i0, i1: query.rows[i0:i1],
-        reference.ids, lambda i0, i1: reference.rows[i0:i1],
-        (1, query.dim), metric, k, block_budget_mib, progress,
+        [(q.ids, _embedding_reader(q)) for q in parts],
+        reference.ids, _embedding_reader(reference),
+        (1, reference.dim), metric, k, block_budget_mib, progress,
     )
 
 

@@ -23,11 +23,14 @@ is either its previous version or the complete new one, never a prefix.
 
 from __future__ import annotations
 
+import io
 import os
 import secrets
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -74,8 +77,10 @@ def read_pgm(path) -> ImageRecord:
     Pixel values come back as reals 0-255; the record id is the file stem.
     """
     path = Path(path)
-    data = path.read_bytes()
+    return _decode_pgm(path.read_bytes(), path)
 
+
+def _decode_pgm(data: bytes, path: Path) -> ImageRecord:
     pos = 0
 
     def skip_space():
@@ -179,20 +184,49 @@ def write_pgm(img: ImageRecord, path) -> None:
 
 
 class _Cursor:
-    def __init__(self, data: bytes, path: Path):
-        self.data = data
+    """Bounds-checked reads from a binary stream of known size; reading
+    or skipping past the end raises FormatError naming the offset."""
+
+    def __init__(self, stream, size: int, path: Path):
+        self.stream = stream
+        self.size = size
         self.pos = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
+    @classmethod
+    def over_bytes(cls, data: bytes, path: Path) -> "_Cursor":
+        return cls(io.BytesIO(data), len(data), path)
+
+    def _need(self, n: int, what: str, found: int) -> None:
+        if found < n:
             raise FormatError(
                 f"{self.path}: truncated {what} at offset {self.pos}: "
-                f"need {n} bytes, found {len(self.data) - self.pos}"
+                f"need {n} bytes, found {found}"
             )
-        out = self.data[self.pos : self.pos + n]
+
+    def take(self, n: int, what: str) -> bytes:
+        self._need(n, what, self.size - self.pos)
+        out = self.stream.read(n)
+        self._need(n, what, len(out))  # the file shrank since it was sized
         self.pos += n
         return out
+
+    def take_into(self, out: bytearray, n: int, what: str) -> memoryview:
+        """The next n bytes, read into the front of out (no allocation)."""
+        self._need(n, what, self.size - self.pos)
+        view = memoryview(out)[:n]
+        self._need(n, what, self.stream.readinto(view))  # the file shrank since it was sized
+        self.pos += n
+        return view
+
+    def skip(self, n: int, what: str) -> None:
+        self._need(n, what, self.size - self.pos)
+        self.pos += n
+        self.stream.seek(self.pos)
+
+    def seek(self, pos: int) -> None:
+        self.pos = pos
+        self.stream.seek(pos)
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -204,11 +238,22 @@ class _Cursor:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def read_ivc(path) -> list[Union[ImageRecord, VolumeRecord]]:
-    """Decode an IVC1 container into image and volume records (file order)."""
-    path = Path(path)
-    cur = _Cursor(path.read_bytes(), path)
+@dataclass(frozen=True)
+class _IvcEntry:
+    """Header of one IVC1 entry and where its payload sits in the file."""
 
+    index: int
+    id: str
+    dims: tuple[int, ...]
+    dtype: int
+    offset: int  # first payload byte
+    size: int  # payload bytes (the CRC-32 follows)
+
+
+def _scan_ivc(cur: _Cursor) -> list[_IvcEntry]:
+    """Parse every entry header, skipping payloads and checksums; rejects
+    bad magic and version, bad headers, truncation and trailing bytes."""
+    path = cur.path
     magic = cur.take(4, "magic")
     if magic != b"IVC1":
         if magic[:3] == b"IVC":
@@ -218,7 +263,7 @@ def read_ivc(path) -> list[Union[ImageRecord, VolumeRecord]]:
         raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
 
     count = cur.u32("entry count")
-    records: list[Union[ImageRecord, VolumeRecord]] = []
+    entries: list[_IvcEntry] = []
     for i in range(count):
         what = f"entry {i}"
         id_len = cur.u16(f"{what} id length")
@@ -240,41 +285,59 @@ def read_ivc(path) -> list[Union[ImageRecord, VolumeRecord]]:
                 f"{path}: {what}: dimension overflow, product {n_values} > 2^40"
             )
         dtype = cur.u8(f"{what} dtype")
-        if dtype == IVC_DTYPE_U8:
-            payload = cur.take(n_values, f"{what} payload")
-            values = np.frombuffer(payload, dtype=np.uint8).astype(np.float32)
-        elif dtype == IVC_DTYPE_F32:
-            payload = cur.take(4 * n_values, f"{what} payload")
-            values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-        else:
+        if dtype not in (IVC_DTYPE_U8, IVC_DTYPE_F32):
             raise FormatError(
                 f"{path}: {what}: unknown dtype code {dtype} at offset {cur.pos - 1}"
             )
-        stored_crc = cur.u32(f"{what} checksum")
-        actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
-        if stored_crc != actual_crc:
-            raise FormatError(
-                f"{path}: {what} ({entry_id!r}): checksum mismatch: "
-                f"stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-            )
-        if not np.isfinite(values).all():
-            raise FormatError(
-                f"{path}: {what} ({entry_id!r}): non-finite payload values"
-            )
-        if ndims == 3:
-            c, h, w = dims
-            records.append(
-                ImageRecord(entry_id, c, h, w, values, source=str(path))
-            )
-        else:
-            c, d, h, w = dims
-            records.append(
-                VolumeRecord(entry_id, c, d, h, w, values, source=str(path))
-            )
-    if cur.pos != len(cur.data):
+        size = n_values if dtype == IVC_DTYPE_U8 else 4 * n_values
+        entries.append(_IvcEntry(i, entry_id, tuple(dims), dtype, cur.pos, size))
+        cur.skip(size, f"{what} payload")
+        cur.skip(4, f"{what} checksum")
+    if cur.pos != cur.size:
         raise FormatError(
-            f"{path}: {len(cur.data) - cur.pos} trailing bytes after offset {cur.pos}"
+            f"{path}: {cur.size - cur.pos} trailing bytes after offset {cur.pos}"
         )
+    return entries
+
+
+def _ivc_values(
+    cur: _Cursor, entry: _IvcEntry, into: Optional[bytearray] = None
+) -> np.ndarray:
+    """One entry's payload (u8 or f32, flat), after its CRC-32 and
+    finiteness checks. Read-only, or, given into (at least entry.size
+    bytes), a view of into that the next read overwrites."""
+    what = f"entry {entry.index}"
+    cur.seek(entry.offset)
+    if into is None:
+        payload = cur.take(entry.size, f"{what} payload")
+    else:
+        payload = cur.take_into(into, entry.size, f"{what} payload")
+    stored_crc = cur.u32(f"{what} checksum")
+    actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
+    if stored_crc != actual_crc:
+        raise FormatError(
+            f"{cur.path}: {what} ({entry.id!r}): checksum mismatch: "
+            f"stored {stored_crc:#010x}, computed {actual_crc:#010x}"
+        )
+    if entry.dtype == IVC_DTYPE_U8:
+        return np.frombuffer(payload, dtype=np.uint8)
+    values = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise FormatError(
+            f"{cur.path}: {what} ({entry.id!r}): non-finite payload values"
+        )
+    return values
+
+
+def read_ivc(path) -> list[Union[ImageRecord, VolumeRecord]]:
+    """Decode an IVC1 container into image and volume records (file order)."""
+    path = Path(path)
+    cur = _Cursor.over_bytes(path.read_bytes(), path)
+    records: list[Union[ImageRecord, VolumeRecord]] = []
+    for entry in _scan_ivc(cur):
+        values = _ivc_values(cur, entry).astype(np.float32, copy=False)
+        kind = ImageRecord if len(entry.dims) == 3 else VolumeRecord
+        records.append(kind(entry.id, *entry.dims, values, source=str(path)))
     return records
 
 
@@ -376,11 +439,9 @@ def _ids_sidecar(path: Path) -> Path:
     return path.with_suffix(".ids")
 
 
-def read_embeddings(path) -> EmbeddingSet:
-    """Read an EMB1 matrix; ids come from the sidecar or fall back to row
-    indices as text."""
-    path = Path(path)
-    cur = _Cursor(path.read_bytes(), path)
+def _emb_header(cur: _Cursor) -> tuple[int, int]:
+    """(N, dim) of an EMB1 file; its payload size must match exactly."""
+    path = cur.path
     magic = cur.take(4, "magic")
     if magic != b"EMB1":
         raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
@@ -392,27 +453,42 @@ def read_embeddings(path) -> EmbeddingSet:
         raise FormatError(f"{path}: dim must be positive at offset 8")
     if n * dim > MAX_DIM_PRODUCT:
         raise FormatError(f"{path}: dimension overflow, {n} x {dim}")
-    remaining = len(cur.data) - cur.pos
+    remaining = cur.size - cur.pos
     expected = 4 * n * dim
     if remaining != expected:
         raise FormatError(
             f"{path}: payload is {remaining} bytes at offset {cur.pos}, "
             f"expected {expected} (= 4 * {n} * {dim})"
         )
-    rows = np.frombuffer(cur.take(expected, "payload"), dtype="<f4").reshape(n, dim)
-    if not np.isfinite(rows).all():
-        raise FormatError(f"{path}: non-finite embedding values")
+    return n, dim
 
+
+def _emb_values(path: Path, payload) -> np.ndarray:
+    values = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: non-finite embedding values")
+    return values
+
+
+def _emb_ids(path: Path, n: int) -> tuple[str, ...]:
+    """Ids from the sidecar, or row indices as text without one."""
     sidecar = _ids_sidecar(path)
-    if sidecar.exists():
-        ids = [ln for ln in sidecar.read_text("utf-8").splitlines() if ln.strip()]
-        if len(ids) != n:
-            raise FormatError(
-                f"{sidecar}: {len(ids)} ids for {n} rows in {path.name}"
-            )
-    else:
-        ids = [str(i) for i in range(n)]
-    return EmbeddingSet(tuple(ids), dim, rows)
+    if not sidecar.exists():
+        return tuple(str(i) for i in range(n))
+    ids = [ln for ln in sidecar.read_text("utf-8").splitlines() if ln.strip()]
+    if len(ids) != n:
+        raise FormatError(f"{sidecar}: {len(ids)} ids for {n} rows in {path.name}")
+    return tuple(ids)
+
+
+def read_embeddings(path) -> EmbeddingSet:
+    """Read an EMB1 matrix; ids come from the sidecar or fall back to row
+    indices as text."""
+    path = Path(path)
+    cur = _Cursor.over_bytes(path.read_bytes(), path)
+    n, dim = _emb_header(cur)
+    rows = _emb_values(path, cur.take(4 * n * dim, "payload")).reshape(n, dim)
+    return EmbeddingSet(_emb_ids(path, n), dim, rows)
 
 
 def write_embeddings(emb: EmbeddingSet, path, write_ids: bool = True) -> None:
@@ -487,24 +563,97 @@ def load_manifest(path) -> Manifest:
     return Manifest(header["name"], role, tuple(entries))
 
 
-def _read_entry_records(manifest: Manifest):
+def _as_manifest(manifest: Union[Manifest, str, Path]) -> Manifest:
+    return manifest if isinstance(manifest, Manifest) else load_manifest(manifest)
+
+
+@contextmanager
+def _file_cursor(file: Path):
+    """A cursor over an open file, closed on exit."""
+    with open(file, "rb") as handle:
+        yield _Cursor(handle, os.fstat(handle.fileno()).st_size, file)
+
+
+def _image_files(manifest: Manifest):
     for fmt, file in manifest.entries:
-        if fmt == "pgm":
-            yield file, read_pgm(file)
-        elif fmt == "ivc":
-            for rec in read_ivc(file):
-                yield file, rec
-        else:
+        if fmt == "emb":
             raise ManifestError(
                 f"{manifest.name}: {file} is an embedding file; "
                 "load it with load_embedding_set"
             )
+        yield fmt, file
+
+
+def _embedding_files(manifest: Manifest) -> list[Path]:
+    non_emb = [str(f) for fmt, f in manifest.entries if fmt != "emb"]
+    if non_emb:
+        raise ManifestError(
+            f"{manifest.name}: embedding manifest contains non-EMB1 files: "
+            + ", ".join(non_emb)
+        )
+    return [f for _, f in manifest.entries]
+
+
+_MAX_LISTED = 10  # duplicate ids named in one error message
+
+
+def _check_members(
+    name: str, members: Iterable[tuple[Path, str, tuple[int, ...]]], kind: str
+) -> None:
+    """The one validator of a manifest's members, shared by the loaders
+    and the file-backed sets. members are (file, id, shape) in manifest
+    order; kind is "image" (shape C,H,W or C,D,H,W) or "embedding"
+    (shape (dim,)). Volumes, duplicate ids (naming both files), mixed
+    shapes and empty image sets raise one ManifestError naming every
+    offender."""
+    problems: list[str] = []
+    duplicates: list[str] = []
+    first_file: dict[str, Path] = {}
+    by_shape: dict[tuple[int, ...], list[str]] = {}
+    for file, member_id, shape in members:
+        if kind == "image" and len(shape) == 4:
+            problems.append(
+                f"{file.name}: entry {member_id!r} is a 3-D volume; "
+                "run preprocess to slice it first"
+            )
+            continue
+        if member_id in first_file:
+            duplicates.append(
+                f"duplicate id {member_id!r} in {file.name} (first seen in "
+                f"{first_file[member_id].name})"
+            )
+            continue
+        first_file[member_id] = file
+        by_shape.setdefault(shape, []).append(member_id)
+    problems.extend(duplicates[:_MAX_LISTED])
+    if len(duplicates) > _MAX_LISTED:
+        problems.append(f"{len(duplicates) - _MAX_LISTED} more duplicate ids")
+    if len(by_shape) > 1 and kind == "embedding":
+        problems.append(f"mixed embedding dims {sorted(s[0] for s in by_shape)}")
+    elif len(by_shape) > 1:
+        detail = "; ".join(
+            f"{s}: {ids[0]} (+{len(ids) - 1} more)" if len(ids) > 1 else f"{s}: {ids[0]}"
+            for s, ids in sorted(by_shape.items())
+        )
+        problems.append(f"mixed dimensions: {detail}")
+    if problems:
+        raise ManifestError(f"{name}: " + "; ".join(problems))
+    if not first_file:
+        raise ManifestError(f"{name}: no 2-D images")
+
+
+def _read_entry_records(manifest: Manifest):
+    for fmt, file in _image_files(manifest):
+        if fmt == "pgm":
+            yield file, read_pgm(file)
+        else:
+            for rec in read_ivc(file):
+                yield file, rec
 
 
 def load_records(manifest: Union[Manifest, str, Path]):
     """All image/volume records referenced by a manifest, in manifest order."""
-    if not isinstance(manifest, Manifest):
-        manifest = load_manifest(manifest)
+    manifest = _as_manifest(manifest)
     return manifest, [rec for _, rec in _read_entry_records(manifest)]
 
 
@@ -514,65 +663,138 @@ def load_dataset(manifest: Union[Manifest, str, Path]) -> Dataset:
     Volumes are rejected (slice them with preprocess first); duplicate ids
     and mixed dimensions raise a ManifestError naming every offender.
     """
-    if not isinstance(manifest, Manifest):
-        manifest = load_manifest(manifest)
-    images: list[ImageRecord] = []
-    problems: list[str] = []
-    seen: dict[str, Path] = {}
-    for file, rec in _read_entry_records(manifest):
-        if isinstance(rec, VolumeRecord):
-            problems.append(
-                f"{file.name}: entry {rec.id!r} is a 3-D volume; "
-                "run preprocess to slice it first"
-            )
-            continue
-        if rec.id in seen:
-            problems.append(
-                f"duplicate id {rec.id!r} in {file.name} (first seen in "
-                f"{seen[rec.id].name})"
-            )
-            continue
-        seen[rec.id] = file
-        images.append(rec)
-    shapes = {img.shape for img in images}
-    if len(shapes) > 1:
-        by_shape = {}
-        for img in images:
-            by_shape.setdefault(img.shape, []).append(img.id)
-        detail = "; ".join(
-            f"{s}: {ids[0]} (+{len(ids) - 1} more)" if len(ids) > 1 else f"{s}: {ids[0]}"
-            for s, ids in sorted(by_shape.items())
-        )
-        problems.append(f"mixed dimensions: {detail}")
-    if problems:
-        raise ManifestError(f"{manifest.name}: " + "; ".join(problems))
-    if not images:
-        raise ManifestError(f"{manifest.name}: no 2-D images")
-    return Dataset(manifest.name, manifest.role, tuple(images))
+    manifest = _as_manifest(manifest)
+    pairs = list(_read_entry_records(manifest))
+    _check_members(manifest.name, ((f, r.id, r.shape) for f, r in pairs), "image")
+    return Dataset(manifest.name, manifest.role, tuple(r for _, r in pairs))
 
 
 def load_embedding_set(manifest: Union[Manifest, str, Path]) -> EmbeddingSet:
     """Load a manifest whose entries are all EMB1 files as one EmbeddingSet."""
-    if not isinstance(manifest, Manifest):
-        manifest = load_manifest(manifest)
-    non_emb = [str(f) for fmt, f in manifest.entries if fmt != "emb"]
-    if non_emb:
-        raise ManifestError(
-            f"{manifest.name}: embedding manifest contains non-EMB1 files: "
-            + ", ".join(non_emb)
-        )
-    parts = [read_embeddings(f) for _, f in manifest.entries]
-    dims = {p.dim for p in parts}
-    if len(dims) > 1:
-        raise ManifestError(f"{manifest.name}: mixed embedding dims {sorted(dims)}")
-    ids: list[str] = []
-    for p in parts:
-        ids.extend(p.ids)
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ManifestError(f"{manifest.name}: duplicate embedding ids {dupes[:10]}")
-    rows = np.concatenate([p.rows for p in parts], axis=0)
-    return EmbeddingSet(tuple(ids), parts[0].dim, rows)
+    manifest = _as_manifest(manifest)
+    parts = [(f, read_embeddings(f)) for f in _embedding_files(manifest)]
+    _check_members(
+        manifest.name,
+        ((f, i, (p.dim,)) for f, p in parts for i in p.ids),
+        "embedding",
+    )
+    ids = tuple(i for _, p in parts for i in p.ids)
+    rows = np.concatenate([p.rows for _, p in parts], axis=0)
+    return EmbeddingSet(ids, parts[0][1].dim, rows)
+
+
+# ---------------------------------------------------------------------------
+# File-backed sets: headers scanned once, rows read on demand
+# ---------------------------------------------------------------------------
+
+# Raw bytes read at once from an EMB1 file (bounds the read temporary).
+_READ_CHUNK_BYTES = 1 << 20
+
+
+class DatasetFile:
+    """A manifest of 2-D images whose pixels stay in their files.
+
+    Opening scans every header, so name, role, ids, shape and len come
+    without reading payloads, and it rejects what load_dataset rejects,
+    with the same messages. read_rows then reads contiguous ranges in
+    file order, checking each IVC1 entry's CRC-32 and finiteness as it
+    is read; a PGM file holds one image and is read whole. Payloads are
+    read into one buffer per handle, so reading allocates nothing per
+    entry.
+    """
+
+    def __init__(self, manifest: Manifest):
+        self.name, self.role = manifest.name, manifest.role
+        members: list[tuple[Path, str, tuple[int, ...]]] = []
+        self._locations: list[tuple[Path, Optional[_IvcEntry]]] = []
+        for fmt, file in _image_files(manifest):
+            if fmt == "pgm":  # one image per file: read_pgm checks it whole
+                members.append((file, file.stem, read_pgm(file).shape))
+                self._locations.append((file, None))
+                continue
+            with _file_cursor(file) as cur:
+                for entry in _scan_ivc(cur):
+                    members.append((file, entry.id, entry.dims))
+                    self._locations.append((file, entry))
+        _check_members(manifest.name, members, "image")
+        self.ids = tuple(m[1] for m in members)
+        self.shape: tuple[int, int, int] = members[0][2]
+        sizes = [e.size for _, e in self._locations if e is not None]
+        self._payload = bytearray(max(sizes, default=0))  # one IVC1 payload at a time
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _payloads(self, i0: int, i1: int):
+        """Flat pixel values of images i0..i1-1, one at a time."""
+        for file, group in groupby(self._locations[i0:i1], key=lambda loc: loc[0]):
+            with _file_cursor(file) as cur:
+                for _, entry in group:
+                    if entry is None:  # a PGM file is one image
+                        yield _decode_pgm(cur.stream.read(), file).pixels
+                    else:
+                        yield _ivc_values(cur, entry, self._payload)
+
+    def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
+        """Images i0..i1-1 into out, shape (i1 - i0, len(channels), H*W):
+        the given channels of each image, in order."""
+        c = self.shape[0]
+        for values, row in zip(self._payloads(i0, i1), out):
+            planes = values.reshape(c, -1)
+            for dst, src in enumerate(channels):  # no fancy-index temporary
+                row[dst] = planes[src]
+
+
+class EmbeddingSetFile:
+    """A manifest of EMB1 files whose rows stay in their files.
+
+    Opening reads every header and `.ids` sidecar and rejects what
+    load_embedding_set rejects, with the same messages; read_rows reads
+    contiguous row ranges, in chunks through one buffer per handle, and
+    checks their finiteness as they are read.
+    """
+
+    def __init__(self, manifest: Manifest):
+        self.name, self.role = manifest.name, manifest.role
+        members: list[tuple[Path, str, tuple[int, ...]]] = []
+        self._files: list[tuple[Path, int, int]] = []  # (path, first row, rows)
+        for file in _embedding_files(manifest):
+            with _file_cursor(file) as cur:
+                n, dim = _emb_header(cur)
+            self._files.append((file, len(members), n))
+            members.extend((file, i, (dim,)) for i in _emb_ids(file, n))
+        _check_members(manifest.name, members, "embedding")
+        self.ids = tuple(m[1] for m in members)
+        self.dim: int = members[0][2][0]
+        self._step = max(1, _READ_CHUNK_BYTES // (4 * self.dim))  # rows per chunk
+        self._chunk = bytearray(4 * self.dim * min(self._step, len(self.ids)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def read_rows(self, i0: int, i1: int, out: np.ndarray) -> None:
+        """Rows i0..i1-1 into out, shape (i1 - i0, dim)."""
+        dim, step = self.dim, self._step
+        for file, first, n in self._files:
+            lo, hi = max(i0, first), min(i1, first + n)
+            if lo >= hi:
+                continue
+            with _file_cursor(file) as cur:
+                for r0 in range(lo, hi, step):
+                    r1 = min(r0 + step, hi)
+                    cur.seek(12 + 4 * dim * (r0 - first))
+                    payload = cur.take_into(self._chunk, 4 * dim * (r1 - r0), "payload")
+                    out[r0 - i0 : r1 - i0] = _emb_values(file, payload).reshape(-1, dim)
+
+
+def open_dataset(manifest: Union[Manifest, str, Path]) -> DatasetFile:
+    """A manifest of 2-D images as a file-backed set (see DatasetFile)."""
+    return DatasetFile(_as_manifest(manifest))
+
+
+def open_embedding_set(manifest: Union[Manifest, str, Path]) -> EmbeddingSetFile:
+    """A manifest of EMB1 files as a file-backed set (see EmbeddingSetFile)."""
+    return EmbeddingSetFile(_as_manifest(manifest))
 
 
 def write_manifest(path, name: str, role: str, files: Iterable[str]) -> None:

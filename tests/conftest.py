@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,22 @@ def random_dataset(n, shape, seed, role="train", name="ds", scale=255.0):
         for i in range(n)
     ]
     return Dataset(name, role, tuple(images))
+
+
+def ivc_payload_span(path, index=-1):
+    """(offset, size) of entry ``index``'s payload in an IVC1 file."""
+    blob = path.read_bytes()
+    pos, spans = 8, []
+    for _ in range(struct.unpack_from("<I", blob, 4)[0]):
+        pos += 2 + struct.unpack_from("<H", blob, pos)[0]
+        ndims = blob[pos]
+        n_values = int(np.prod(struct.unpack_from(f"<{ndims}I", blob, pos + 1)))
+        pos += 1 + 4 * ndims
+        size = n_values * (4 if blob[pos] == 1 else 1)
+        pos += 1
+        spans.append((pos, size))
+        pos += size + 4
+    return spans[index]
 
 
 @pytest.fixture

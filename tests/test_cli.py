@@ -1,21 +1,28 @@
 import io
 import json
 import os
+import struct
+import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import memaudit.ingest as ingest
 from memaudit.cli import ProgressPrinter, run
 from memaudit.core import ImageRecord, VolumeRecord
 from memaudit.harness import generate_train_set
 from memaudit.ingest import (
     EmbeddingSet,
+    load_manifest,
     read_ivc,
     write_embeddings,
     write_ivc,
     write_manifest,
 )
 from memaudit.report import load_report
+
+from conftest import ivc_payload_span
 
 
 @pytest.fixture()
@@ -374,3 +381,140 @@ class TestProgressPrinter:
         ])
         err = capsys.readouterr().err
         assert "synth-vs-train" in err and "100.0%" in err
+
+
+def _split_train(tmp_path, n=24, shape=(1, 12, 12), seed=9100):
+    """A float IVC1 train set in two files, plus synthetic and test
+    manifests planted from it."""
+    train = generate_train_set(n, *shape, seed=seed)
+    images = list(train.images)
+    write_ivc(images[: n // 2], tmp_path / "t0.ivc", dtype="f32")
+    write_ivc(images[n // 2 :], tmp_path / "t1.ivc", dtype="f32")
+    write_manifest(tmp_path / "train.mf", "train", "train", ["t0.ivc", "t1.ivc"])
+    synth_mf, _ = plant_set(tmp_path, tmp_path / "train.mf", seed=21, n=8, p_copy=0.25)
+    test_mf, _ = plant_set(tmp_path, tmp_path / "train.mf", seed=22, n=8, name="heldout")
+    test_mf.write_text(test_mf.read_text().replace("role = synthetic", "role = test"))
+    return tmp_path / "train.mf", synth_mf, test_mf
+
+
+def _emb_sets(tmp_path):
+    rng = np.random.default_rng(23)
+    for name, role, n in (("train", "train", 30), ("synth", "synthetic", 6), ("test", "test", 6)):
+        ids = tuple(f"{name}{i}" for i in range(n))
+        rows = rng.normal(0, 1, (n, 8)).astype(np.float32)
+        write_embeddings(EmbeddingSet(ids, 8, rows), tmp_path / f"{name}.emb")
+        write_manifest(tmp_path / f"{name}.mf", name, role, [f"{name}.emb"])
+    return tmp_path / "train.mf", tmp_path / "synth.mf", tmp_path / "test.mf"
+
+
+def _flip_last(path):
+    blob = bytearray(path.read_bytes())
+    offset, _ = ivc_payload_span(path)
+    blob[offset + 2] ^= 0x40
+    path.write_bytes(bytes(blob))
+
+
+def _nan_last(path):
+    blob = bytearray(path.read_bytes())
+    offset, size = ivc_payload_span(path)
+    blob[offset : offset + 4] = struct.pack("<f", float("inf"))
+    crc = zlib.crc32(bytes(blob[offset : offset + size])) & 0xFFFFFFFF
+    struct.pack_into("<I", blob, offset + size, crc)
+    path.write_bytes(bytes(blob))
+
+
+class TestStreamedTrainRejections:
+    """Faults in the train set fail the audit with exit 3 and the loader's
+    message, and no report is written, though train is read block by
+    block after synthetic and test are read."""
+
+    FAULTS = {
+        "flipped-byte": (_flip_last, "t1.ivc: entry 11 ('train_00023'): checksum mismatch"),
+        "truncated": (
+            lambda p: p.write_bytes(p.read_bytes()[:-5]), "t1.ivc: truncated entry 11 payload"
+        ),
+        "non-finite": (_nan_last, "t1.ivc: entry 11 ('train_00023'): non-finite payload values"),
+        "volume": (
+            lambda p: write_ivc([VolumeRecord("vol", 1, 2, 12, 12, np.ones(288))], p),
+            "t1.ivc: entry 'vol' is a 3-D volume",
+        ),
+        "duplicate-id": (
+            lambda p: write_ivc([read_ivc(p.with_name("t0.ivc"))[3]], p),
+            "duplicate id 'train_00003' in t1.ivc (first seen in t0.ivc)",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_image_train_fault(self, tmp_path, capsys, fault):
+        train_mf, synth_mf, test_mf = _split_train(tmp_path)
+        damage, message = self.FAULTS[fault]
+        damage(tmp_path / "t1.ivc")
+        out = tmp_path / "report.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["synthetic", "test"])
+    def test_query_set_fault(self, tmp_path, capsys, role):
+        """Synthetic and test are file-backed too: a damaged entry fails
+        the audit the same way."""
+        train_mf, synth_mf, test_mf = _split_train(tmp_path)
+        manifest = load_manifest(synth_mf if role == "synthetic" else test_mf)
+        container = manifest.entries[0][1]
+        _flip_last(container)
+        out = tmp_path / "report.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{container.name}: entry 7 (" in err and "checksum mismatch" in err
+        assert not out.exists()
+
+    def test_embedding_ids_sidecar_count(self, tmp_path, capsys):
+        train_mf, synth_mf, test_mf = _emb_sets(tmp_path)
+        (tmp_path / "train.ids").write_text("only\ntwo\n")
+        out = tmp_path / "report.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert "train.ids: 2 ids for 30 rows in train.emb" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOnePassOverTrain:
+    def test_each_train_entry_read_once(self, tmp_path, monkeypatch, capsys):
+        train_mf, synth_mf, test_mf = _split_train(tmp_path)
+        rows, entries = Counter(), Counter()
+        read_rows, ivc_values = ingest.DatasetFile.read_rows, ingest._ivc_values
+
+        def counted_rows(self, i0, i1, out, channels):
+            if self.role == "train":  # synthetic and test are file-backed too
+                rows.update(range(i0, i1))
+            return read_rows(self, i0, i1, out, channels)
+
+        def counted_values(cur, entry, into=None):
+            if cur.path.name in ("t0.ivc", "t1.ivc"):
+                entries[cur.path.name, entry.index] += 1
+            return ivc_values(cur, entry, into)
+
+        monkeypatch.setattr(ingest.DatasetFile, "read_rows", counted_rows)
+        monkeypatch.setattr(ingest, "_ivc_values", counted_values)
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--block-budget-mib", "0.005",
+            "--out", str(tmp_path / "r.json"), "--progress-interval", "0",
+        ])
+        assert code in (0, 1)
+        assert rows == Counter(range(24))
+        assert entries == Counter((f, i) for f in ("t0.ivc", "t1.ivc") for i in range(12))
+        err = capsys.readouterr().err
+        assert "[synth+test-vs-train]" in err and "[synth-vs-test]" in err
+        assert "[synth-vs-train]" not in err and "[test-vs-train]" not in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import memaudit.correlate as correlate
 from memaudit.core import Dataset, ImageRecord, pearson
 from memaudit.correlate import (
     brute_force_correlations,
@@ -10,7 +10,14 @@ from memaudit.correlate import (
     plan_audit,
 )
 from memaudit.errors import InvalidArgumentError
-from memaudit.ingest import EmbeddingSet
+from memaudit.ingest import (
+    EmbeddingSet,
+    open_dataset,
+    open_embedding_set,
+    write_embeddings,
+    write_ivc,
+    write_manifest,
+)
 
 from conftest import image, random_dataset
 
@@ -31,12 +38,19 @@ class TestPlanAudit:
         assert plan.estimated_multiply_adds == 10 * 20 * 1024
 
     def test_blocks_fit_budget(self):
-        for n in (64, 1024, 65536, 262144):
-            plan = plan_audit(10_000, 10_000, n, block_budget_mib=32.0)
-            b = max(plan.block_query, plan.block_reference)
-            working_set = 8 * (2 * b * n + b * b)
-            assert working_set <= 32 * (1 << 20)
-            assert plan.block_query >= 1
+        # All queries stay resident; a reference block (8 bytes per value)
+        # plus its tile, partition indices and tie mask (17 bytes per
+        # query per row) fits the budget, and one more row would not.
+        budget = 32 * (1 << 20)
+        for nq in (1, 64, 2000, 100_000):
+            for n in (64, 1024, 65536, 262144):
+                plan = plan_audit(nq, 1_000_000, n, block_budget_mib=32.0)
+                assert plan.block_query == nq
+                b = plan.block_reference
+                row_bytes = 8 * n + 17 * nq
+                assert b == 1 or b * row_bytes <= budget
+                assert (b + 1) * row_bytes > budget
+        assert plan_audit(5, 3, 64).block_reference == 3  # never past the set
 
     def test_zero_sizes_allowed(self):
         assert plan_audit(0, 5, 10).total_comparisons == 0
@@ -170,16 +184,23 @@ class TestMaxCorrelations:
         (match,) = max_correlations(r, ref, k=5, mode="concat")[:1]
         assert match.skipped_invalid == 0 and "flat" in dict(match.matches)
 
-    def test_chunked_standardization_keeps_row_order(self, monkeypatch):
+    def test_chunked_standardization_keeps_row_order(self):
         imgs = list(random_dataset(9, (1, 5, 5), 45).images)
         for i in (0, 4, 8):  # constant rows at both ends and mid-chunk
             imgs[i] = ImageRecord(f"const{i}", 1, 5, 5, np.full(25, float(i)))
         r = Dataset("r", "train", tuple(imgs))
         q = random_dataset(3, (1, 5, 5), 46, role="synthetic", name="q")
         whole = max_correlations(q, r, k=9)
-        monkeypatch.setattr(correlate, "_CHUNK_BYTES", 2 * 8 * 25)  # 2 rows
-        assert max_correlations(q, r, k=9) == whole
-        assert max_correlations(r, r, k=1)[4].query_valid is False
+        two_rows = 2 * (8 * 25 + 17 * 3) / (1 << 20)  # budget of 2-row blocks
+        blocked = max_correlations(q, r, k=9, block_budget_mib=two_rows)
+        for a, b in zip(whole, blocked):
+            assert a.skipped_invalid == b.skipped_invalid == 3
+            assert [m[0] for m in a.matches] == [m[0] for m in b.matches]
+            for (_, x), (_, y) in zip(a.matches, b.matches):
+                assert abs(x - y) <= 1e-12
+        self_match = max_correlations(r, r, k=1, block_budget_mib=two_rows)
+        assert [m.query_valid for m in self_match] == [i % 4 != 0 for i in range(9)]
+        assert all(m.top1[0] == m.query_id for m in self_match if m.query_valid)
 
     def test_monotone_completeness(self):
         q = random_dataset(8, (1, 8, 8), 61, role="synthetic", name="q")
@@ -314,3 +335,115 @@ class TestEmbeddingCorrelations:
             assert [r for r, _ in m.matches] == sorted(
                 ("a", "b"), key=lambda r: r != m.query_id
             )
+
+
+def _ids_and_values(matches):
+    return [[(r, v) for r, v in m.matches] for m in matches]
+
+
+class TestStreamingEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pool=st.integers(1, 4),
+        n_ref=st.integers(1, 60),
+        n_query=st.integers(1, 5),
+        k=st.integers(1, 8),
+        budget=st.sampled_from([0.01, 0.05, 32.0]),
+        data=st.data(),
+    )
+    def test_exact_topk_under_ties(self, seed, pool, n_ref, n_query, k, budget, data):
+        # Reference rows repeat a few base rows (one may be constant), so
+        # many correlations tie exactly; ids are shuffled against row order.
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-1, 3, (pool, 128)).astype(np.float32)
+        if data.draw(st.booleans()):
+            base[0] = 1.0
+        picks = data.draw(st.lists(st.integers(0, pool - 1), min_size=n_ref, max_size=n_ref))
+        ids = data.draw(st.permutations([f"r{i:02d}" for i in range(n_ref)]))
+        ref = EmbeddingSet(tuple(ids), 128, base[picks])
+        query = EmbeddingSet(
+            tuple(f"q{i}" for i in range(n_query)), 128,
+            rng.integers(-1, 3, (n_query, 128)).astype(np.float32),
+        )
+        everything = max_correlations_embeddings(query, ref, k=n_ref, block_budget_mib=budget)
+        got = max_correlations_embeddings(query, ref, k=k, block_budget_mib=budget)
+        for full, top in zip(everything, got):
+            assert top.query_valid == full.query_valid
+            assert top.skipped_invalid == full.skipped_invalid
+            ranked = sorted(full.matches, key=lambda m: (-m[1], m[0]))
+            assert list(full.matches) == ranked
+            assert list(top.matches) == ranked[:k]
+
+    def test_tied_duplicates_cut_by_id_in_every_block(self):
+        # 40 identical references, ids shuffled against row order: at
+        # every budget the top 3 are the 3 smallest ids.
+        row = np.arange(64, dtype=np.float32) % 7
+        ids = tuple(f"d{i:02d}" for i in np.random.default_rng(107).permutation(40))
+        ref = EmbeddingSet(ids, 64, np.tile(row, (40, 1)))
+        query = EmbeddingSet(("q",), 64, row[None])
+        for budget in (0.002, 0.01, 32.0):
+            (match,) = max_correlations_embeddings(query, ref, k=3, block_budget_mib=budget)
+            assert [r for r, _ in match.matches] == ["d00", "d01", "d02"]
+
+    @pytest.mark.parametrize("budget_mib", [0.01, 32.0])
+    def test_query_tuple_equals_separate_calls(self, budget_mib):
+        a = random_dataset(7, (2, 6, 6), 101, role="synthetic", name="a")
+        b = random_dataset(5, (2, 6, 6), 102, role="test", name="b")
+        r = random_dataset(40, (2, 6, 6), 103, name="r")
+        both = max_correlations((a, b), r, k=4, block_budget_mib=budget_mib)
+        apart = [
+            *max_correlations(a, r, k=4, block_budget_mib=budget_mib),
+            *max_correlations(b, r, k=4, block_budget_mib=budget_mib),
+        ]
+        assert [m.query_id for m in both] == [m.query_id for m in apart]
+        for x, y in zip(both, apart):
+            assert [i for i, _ in x.matches] == [i for i, _ in y.matches]
+            for (_, u), (_, v) in zip(x.matches, y.matches):
+                assert abs(u - v) <= 1e-12
+
+    def test_file_backed_reference_equals_in_memory(self, tmp_path):
+        q = random_dataset(6, (5, 6, 6), 104, role="synthetic", name="q")
+        r = random_dataset(23, (5, 6, 6), 105, name="r")
+        write_ivc(list(r.images[:10]), tmp_path / "a.ivc")
+        write_ivc(list(r.images[10:]), tmp_path / "b.ivc")
+        write_manifest(tmp_path / "r.mf", "r", "train", ["a.ivc", "b.ivc"])
+        handle = open_dataset(tmp_path / "r.mf")
+        for budget in (0.005, 32.0):
+            for mode in ("concat", "mean"):
+                got = max_correlations(q, handle, k=5, mode=mode, block_budget_mib=budget)
+                want = max_correlations(q, r, k=5, mode=mode, block_budget_mib=budget)
+                assert got == want
+
+    def test_file_backed_queries_equal_in_memory(self, tmp_path):
+        q = random_dataset(9, (5, 6, 6), 107, role="synthetic", name="q")
+        t = random_dataset(4, (5, 6, 6), 108, role="test", name="t")
+        r = random_dataset(23, (5, 6, 6), 109, name="r")
+        for name, ds in (("q", q), ("t", t)):
+            write_ivc(list(ds.images), tmp_path / f"{name}.ivc")
+            write_manifest(tmp_path / f"{name}.mf", name, ds.role, [f"{name}.ivc"])
+        handles = (open_dataset(tmp_path / "q.mf"), open_dataset(tmp_path / "t.mf"))
+        for budget in (0.005, 32.0):
+            got = max_correlations(handles, r, k=4, block_budget_mib=budget)
+            assert got == max_correlations((q, t), r, k=4, block_budget_mib=budget)
+            got = max_correlations(handles[0], handles[1], k=1, block_budget_mib=budget)
+            assert got == max_correlations(q, t, k=1, block_budget_mib=budget)
+
+    def test_file_backed_embeddings_equal_in_memory(self, tmp_path):
+        rng = np.random.default_rng(106)
+        rows = rng.normal(0, 1, (300, 16)).astype(np.float32)
+        ids = tuple(f"e{i}" for i in range(300))
+        write_embeddings(EmbeddingSet(ids[:120], 16, rows[:120]), tmp_path / "a.emb")
+        write_embeddings(EmbeddingSet(ids[120:], 16, rows[120:]), tmp_path / "b.emb")
+        write_manifest(tmp_path / "e.mf", "e", "train", ["a.emb", "b.emb"])
+        q = EmbeddingSet(("x", "y"), 16, rng.normal(0, 1, (2, 16)).astype(np.float32))
+        ref = EmbeddingSet(ids, 16, rows)
+        for budget in (0.01, 32.0):
+            got = max_correlations_embeddings(
+                q, open_embedding_set(tmp_path / "e.mf"), k=6, block_budget_mib=budget
+            )
+            assert got == max_correlations_embeddings(q, ref, k=6, block_budget_mib=budget)
+            got = max_correlations_embeddings(
+                open_embedding_set(tmp_path / "e.mf"), q, k=2, block_budget_mib=budget
+            )
+            assert got == max_correlations_embeddings(ref, q, k=2, block_budget_mib=budget)

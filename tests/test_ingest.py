@@ -1,5 +1,6 @@
 import os
 import struct
+import time
 import zlib
 
 import numpy as np
@@ -17,6 +18,8 @@ from memaudit.ingest import (
     load_dataset,
     load_embedding_set,
     load_manifest,
+    open_dataset,
+    open_embedding_set,
     read_embeddings,
     read_ivc,
     read_pgm,
@@ -26,7 +29,7 @@ from memaudit.ingest import (
     write_pgm,
 )
 
-from conftest import image
+from conftest import image, ivc_payload_span
 
 
 def pgm_bytes(width, height, payload, maxval=255, magic=b"P5"):
@@ -356,3 +359,148 @@ class TestAtomicWrites:
             write(target, 9.0)
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert after == before  # old bytes intact, no temp file left
+
+
+def _ivc_train(tmp_path, n_files=2, per_file=4, shape=(3, 4, 5), seed=0):
+    """Float IVC1 files of random images plus a train manifest over them."""
+    rng = np.random.default_rng(seed)
+    files = []
+    for f in range(n_files):
+        recs = [
+            ImageRecord(f"im{f}_{i}", *shape, rng.normal(0, 5, int(np.prod(shape))))
+            for i in range(per_file)
+        ]
+        write_ivc(recs, tmp_path / f"part{f}.ivc", dtype="f32")
+        files.append(f"part{f}.ivc")
+    mf = tmp_path / "train.mf"
+    write_manifest(mf, "train", "train", files)
+    return mf
+
+
+def _set_entry_payload(path, index, payload: bytes, fix_crc=True):
+    """Overwrite entry ``index``'s payload of an IVC1 file in place."""
+    offset, size = ivc_payload_span(path, index)
+    blob = bytearray(path.read_bytes())
+    blob[offset : offset + size] = payload
+    if fix_crc:
+        struct.pack_into("<I", blob, offset + size, zlib.crc32(payload) & 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
+
+
+class TestFileBackedSets:
+    def test_rows_equal_loaded_pixels(self, tmp_path):
+        mf = _ivc_train(tmp_path, n_files=3, per_file=3)
+        loaded = load_dataset(mf)
+        handle = open_dataset(mf)
+        assert (handle.name, handle.role, len(handle)) == ("train", "train", 9)
+        assert handle.ids == tuple(img.id for img in loaded.images)
+        assert handle.shape == loaded.shape
+        for i0, i1 in ((0, 9), (2, 7), (8, 9)):  # ranges across file boundaries
+            out = np.empty((i1 - i0, 2, 20))
+            handle.read_rows(i0, i1, out, (0, 2))
+            for row, img in zip(out, loaded.images[i0:i1]):
+                np.testing.assert_array_equal(row, img.chw()[[0, 2]].reshape(2, 20))
+
+    def test_pgm_entries(self, tmp_path):
+        for name, values in (("a", [0, 9, 200, 3]), ("b", [5, 5, 1, 255])):
+            write_pgm(image(np.reshape(values, (2, 2)), id=name), tmp_path / f"{name}.pgm")
+        write_manifest(tmp_path / "p.mf", "p", "train", ["a.pgm", "b.pgm"])
+        handle = open_dataset(tmp_path / "p.mf")
+        assert handle.ids == ("a", "b") and handle.shape == (1, 2, 2)
+        out = np.empty((2, 1, 4))
+        handle.read_rows(0, 2, out, (0,))
+        np.testing.assert_array_equal(out[:, 0], [[0, 9, 200, 3], [5, 5, 1, 255]])
+
+    def test_embedding_rows_equal_loaded(self, tmp_path, monkeypatch):
+        import memaudit.ingest as ingest
+
+        rng = np.random.default_rng(3)
+        rows = rng.normal(0, 1, (50, 6)).astype(np.float32)
+        write_embeddings(EmbeddingSet(tuple(f"a{i}" for i in range(20)), 6, rows[:20]), tmp_path / "a.emb")
+        write_embeddings(EmbeddingSet(tuple(f"b{i}" for i in range(30)), 6, rows[20:]), tmp_path / "b.emb")
+        write_manifest(tmp_path / "e.mf", "e", "train", ["a.emb", "b.emb"])
+        monkeypatch.setattr(ingest, "_READ_CHUNK_BYTES", 3 * 4 * 6)  # 3 rows per read
+        handle = open_embedding_set(tmp_path / "e.mf")
+        assert handle.ids == load_embedding_set(tmp_path / "e.mf").ids
+        assert (handle.dim, len(handle)) == (6, 50)
+        out = np.empty((33, 6))
+        handle.read_rows(5, 38, out)
+        np.testing.assert_array_equal(out, rows[5:38])
+
+    FAULTS = {
+        "volume": (lambda p: write_ivc([make_volume()], p / "part1.ivc"), "3-D volume"),
+        "duplicate": (
+            lambda p: write_ivc([image([[1, 2], [3, 4]], id="im0_1")], p / "part1.ivc"),
+            "duplicate id 'im0_1' in part1.ivc \\(first seen in part0.ivc\\)",
+        ),
+        "mixed": (
+            lambda p: write_ivc([image([[1, 2], [3, 4]], id="odd")], p / "part1.ivc"),
+            "mixed dimensions",
+        ),
+        "truncated": (
+            lambda p: (p / "part1.ivc").write_bytes((p / "part1.ivc").read_bytes()[:-7]),
+            "truncated entry 3 payload",
+        ),
+        "trailing": (
+            lambda p: (p / "part1.ivc").write_bytes((p / "part1.ivc").read_bytes() + b"x"),
+            "1 trailing bytes",
+        ),
+        "magic": (lambda p: (p / "part1.ivc").write_bytes(b"NOPE" + bytes(8)), "bad magic"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_open_rejects_what_load_rejects(self, tmp_path, fault):
+        mf = _ivc_train(tmp_path)
+        damage, message = self.FAULTS[fault]
+        damage(tmp_path)
+        with pytest.raises((ManifestError, FormatError), match=message) as loaded:
+            load_dataset(mf)
+        with pytest.raises(type(loaded.value)) as opened:
+            open_dataset(mf)
+        assert str(opened.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("flip", "checksum mismatch"), ("nan", "non-finite payload values"),
+    ])
+    def test_payload_faults_found_when_read(self, tmp_path, fault, message):
+        mf = _ivc_train(tmp_path)
+        path = tmp_path / "part1.ivc"
+        entry = bytearray(read_ivc(path)[3].pixels.astype("<f4").tobytes())
+        if fault == "flip":
+            entry[5] ^= 0x10
+        else:
+            entry[4:8] = struct.pack("<f", float("nan"))
+        _set_entry_payload(path, 3, bytes(entry), fix_crc=fault == "nan")
+        handle = open_dataset(mf)  # headers are intact
+        out = np.empty((8, 3, 20))
+        handle.read_rows(0, 7, out, (0, 1, 2))  # the damaged entry is row 7
+        with pytest.raises(FormatError, match=f"part1.ivc: entry 3 \\('im1_3'\\): {message}"):
+            handle.read_rows(7, 8, out, (0, 1, 2))
+        with pytest.raises(FormatError, match=message):
+            load_dataset(mf)
+
+    def test_wrong_ids_sidecar_count(self, tmp_path):
+        emb = EmbeddingSet(("a", "b"), 2, np.eye(2, dtype=np.float32))
+        write_embeddings(emb, tmp_path / "m.emb")
+        (tmp_path / "m.ids").write_text("only_one\n")
+        write_manifest(tmp_path / "m.mf", "m", "train", ["m.emb"])
+        for reader in (load_embedding_set, open_embedding_set):
+            with pytest.raises(FormatError, match="1 ids for 2 rows in m.emb"):
+                reader(tmp_path / "m.mf")
+
+    def test_many_embedding_ids_one_duplicate(self, tmp_path):
+        # 2 x 20,000 ids sharing one: linear in the id count, and the error
+        # names the shared id and both files.
+        n = 20_000
+        first = tuple(f"a{i}" for i in range(n))
+        second = tuple(f"b{i}" for i in range(n - 1)) + ("a777",)
+        rows = np.zeros((n, 1), np.float32)
+        write_embeddings(EmbeddingSet(first, 1, rows), tmp_path / "one.emb")
+        write_embeddings(EmbeddingSet(second, 1, rows), tmp_path / "two.emb")
+        write_manifest(tmp_path / "d.mf", "d", "train", ["one.emb", "two.emb"])
+        for reader in (load_embedding_set, open_embedding_set):
+            start = time.perf_counter()
+            with pytest.raises(ManifestError, match="duplicate id 'a777' in two.emb") as exc:
+                reader(tmp_path / "d.mf")
+            assert "first seen in one.emb" in str(exc.value)
+            assert time.perf_counter() - start < 10.0
