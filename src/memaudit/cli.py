@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -19,19 +20,17 @@ from pathlib import Path
 from typing import Optional
 
 from ._rng import SplitMix64
-from .core import Dataset, VolumeRecord, resolve_channel_mask
+from .core import VolumeRecord, resolve_channel_mask
 from .correlate import (
     max_correlations,
     max_correlations_embeddings,
     plan_audit,
 )
-from .errors import MemauditError
+from .errors import InvalidArgumentError, MemauditError
 from .harness import PlantConfig, plant, save_ground_truth
 from .ingest import (
-    EmbeddingSet,
     atomic_write,
     load_dataset,
-    load_embedding_set,
     load_manifest,
     load_records,
     open_dataset,
@@ -142,6 +141,28 @@ def _parse_channels(text: Optional[str]):
         raise UsageError(f"--channels expects integers like '0,1,2', got {text!r}")
 
 
+def _positive(kind):
+    """An argparse type: a finite number of kind (int or float) above 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _rule(text: str) -> str:
+    """An argparse type: a threshold rule that parse_rule accepts."""
+    try:
+        parse_rule(text)
+    except InvalidArgumentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _parse_remap(text: str) -> dict[float, float]:
     mapping = {}
     for piece in text.split(","):
@@ -157,10 +178,6 @@ def _parse_remap(text: str) -> dict[float, float]:
 
 def _progress(cfg: RunConfig, label: str):
     return None if cfg.quiet else ProgressPrinter(label, cfg.progress_interval)
-
-
-def _sample_ids(n_total: int, n_sample: int, seed: int) -> list[int]:
-    return SplitMix64(seed).sample_without_replacement(n_total, n_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -215,64 +232,72 @@ def _cmd_preprocess(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sampled(rows, picks):
-    """The picked rows of a Dataset or EmbeddingSet, and their ids."""
-    if isinstance(rows, EmbeddingSet):
-        rows = EmbeddingSet(
-            tuple(rows.ids[i] for i in picks), rows.dim, rows.rows[picks]
-        )
-    else:
-        rows = Dataset(rows.name, rows.role, tuple(rows.images[i] for i in picks))
-    return rows, list(rows.ids)
+class _Picked:
+    """The picked rows of a set, read one by one through its read_rows."""
+
+    def __init__(self, rows, picks: list[int]):
+        self._rows, self._picks = rows, picks
+        self.ids = tuple(rows.ids[i] for i in picks)
+
+    def __getattr__(self, name):
+        return getattr(self._rows, name)
+
+    def __len__(self) -> int:
+        return len(self._picks)
+
+    def read_rows(self, i0: int, i1: int, out, *channels) -> None:
+        for row, i in zip(out, self._picks[i0:i1]):
+            self._rows.read_rows(i, i + 1, row[None], *channels)
 
 
 def _audit(args, cfg: RunConfig):
     """Compare synthetic with train and, given --test, test with train and
     synthetic with test. Images and embeddings share every step; the
-    manifest kind only picks the readers, the engine and its options.
+    manifest kind only picks the reader, the engine and its options.
     Every set stays in its files and is read into the engine's float64
-    buffers (only a --sample subset is loaded): train once, with
-    synthetic and test searched against it together."""
+    buffers (a --sample reads only the picked synthetic rows): train
+    once, with synthetic and test searched against it together."""
     manifest = load_manifest(args.train)
     if all(fmt == "emb" for fmt, _ in manifest.entries):
-        load, open_set = load_embedding_set, open_embedding_set
-        engine = max_correlations_embeddings
-        options = dict(metric=args.metric)
+        open_set, engine = open_embedding_set, max_correlations_embeddings
         train = open_set(manifest)
-        row_length = train.dim
+        options, row_length = dict(metric=args.metric), train.dim
     else:
-        load, open_set, engine = load_dataset, open_dataset, max_correlations
-        channels = _parse_channels(args.channels)
-        options = dict(channel_mask=channels, mode=args.channel_mode)
+        open_set, engine = open_dataset, max_correlations
         train = open_set(manifest)
         c, h, w = train.shape
-        row_length = len(resolve_channel_mask(channels, c)) * h * w
+        try:
+            mask = resolve_channel_mask(_parse_channels(args.channels), c)
+        except InvalidArgumentError as exc:
+            raise UsageError(f"--channels: {exc}") from None
+        options = dict(channel_mask=mask, mode=args.channel_mode)
+        row_length = len(mask) * h * w
     options["block_budget_mib"] = args.block_budget_mib
     synthetic = open_set(args.synthetic)
     sample_ids = None
     if args.sample is not None and args.sample < len(synthetic):
-        picks = _sample_ids(len(synthetic), args.sample, args.seed)
-        synthetic, sample_ids = _sampled(load(args.synthetic), picks)
-    plan = plan_audit(len(synthetic), len(train), row_length, args.block_budget_mib)
+        picks = SplitMix64(args.seed).sample_without_replacement(len(synthetic), args.sample)
+        synthetic = _Picked(synthetic, picks)
+        sample_ids = list(synthetic.ids)
+    queries = (synthetic, open_set(args.test)) if args.test else (synthetic,)
+    n_resident = sum(map(len, queries))
+    blocks = plan_audit(n_resident, len(train), row_length, args.block_budget_mib)
+    plan = replace(  # synthetic counts, with the blocks the engine reads for all queries
+        plan_audit(len(synthetic), len(train), row_length, args.block_budget_mib),
+        block_query=blocks.block_query, block_reference=blocks.block_reference,
+    )
     log.info(
         "audit: %d synthetic x %d train = %s comparisons",
         plan.n_query, plan.n_reference, f"{plan.total_comparisons:,}",
     )
-    if not args.test:
-        synth_vs_train = engine(
-            synthetic, train, k=args.k,
-            progress=_progress(cfg, "synth-vs-train"), **options,
-        )
-        return plan, synth_vs_train, None, None, sample_ids
-    test = open_set(args.test)
-    both = engine(
-        (synthetic, test), train, k=args.k,
-        progress=_progress(cfg, "synth+test-vs-train"), **options,
-    )
+    label = "synth+test-vs-train" if args.test else "synth-vs-train"
+    both = engine(queries, train, k=args.k, progress=_progress(cfg, label), **options)
     synth_vs_train = both[: len(synthetic)]
+    if not args.test:
+        return plan, synth_vs_train, None, None, sample_ids
     baseline = [replace(m, matches=m.matches[:1]) for m in both[len(synthetic) :]]
     synth_vs_test = engine(
-        synthetic, test, k=1, progress=_progress(cfg, "synth-vs-test"), **options
+        synthetic, queries[1], k=1, progress=_progress(cfg, "synth-vs-test"), **options
     )
     return plan, synth_vs_train, baseline, synth_vs_test, sample_ids
 
@@ -291,8 +316,9 @@ def _emit_report(report, args) -> None:
 def _cmd_audit(args, cfg: RunConfig) -> int:
     if args.sample is not None and args.seed is None:
         raise UsageError("--sample requires an explicit --seed")
-    kind, _ = parse_rule(args.rule)  # validate before heavy work
-    if kind == "percentile" and not args.test:
+    if args.baseline_matches_out and not args.test:
+        raise UsageError("--baseline-matches-out needs --test")
+    if parse_rule(args.rule)[0] == "percentile" and not args.test:
         raise UsageError(
             "percentile threshold rules need --test as the baseline; "
             "use --rule fixed:V to audit without one"
@@ -325,8 +351,6 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
     if args.matches_out:
         save_matches(synth_vs_train, args.matches_out, "synth-vs-train", plan)
     if args.baseline_matches_out:
-        if baseline is None:
-            raise UsageError("--baseline-matches-out needs --test")
         save_matches(baseline, args.baseline_matches_out, "test-vs-train", plan)
 
     _emit_report(report, args)
@@ -499,14 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--channel-mode", choices=["concat", "mean"], default="concat")
     a.add_argument("--metric", choices=["pearson", "cosine"], default="pearson",
                    help="similarity for embedding manifests")
-    a.add_argument("--k", type=int, default=5)
-    a.add_argument("--sample", type=int, nargs="?", const=1000, default=None,
+    a.add_argument("--k", type=_positive(int), default=5)
+    a.add_argument("--sample", type=_positive(int), nargs="?", const=1000, default=None,
                    help="audit a random sample of N synthetic images (default N=1000)")
     a.add_argument("--seed", type=int, help="sampling seed (required with --sample)")
-    a.add_argument("--block-budget-mib", type=float, default=32.0)
-    a.add_argument("--rule", default="percentile:99.5",
+    a.add_argument("--block-budget-mib", type=_positive(float), default=32.0)
+    a.add_argument("--rule", type=_rule, default="percentile:99.5",
                    help="'percentile:P' of the baseline or 'fixed:V'")
-    a.add_argument("--histogram-bins", type=int, default=50)
+    a.add_argument("--histogram-bins", type=_positive(int), default=50)
     a.add_argument("--format", choices=["json", "csv"], default="json")
     a.add_argument("--out", help="report path (default: stdout)")
     a.add_argument("--matches-out", help="save synth-vs-train matches as JSON")
@@ -548,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     r.add_argument("--matches", required=True)
     r.add_argument("--baseline")
-    r.add_argument("--rule", default="percentile:99.5")
-    r.add_argument("--histogram-bins", type=int, default=50)
+    r.add_argument("--rule", type=_rule, default="percentile:99.5")
+    r.add_argument("--histogram-bins", type=_positive(int), default=50)
     r.add_argument("--format", choices=["json", "csv"], default="json")
     r.add_argument("--out")
 

@@ -169,6 +169,21 @@ class Dataset:
             raise InvalidArgumentError(f"dataset {self.name!r} is empty")
         return self.images[0].shape
 
+    def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
+        """Images i0..i1-1 into out, shape (i1 - i0, len(channels), H*W):
+        the given channels of each image, in order."""
+        copy_channels((img.pixels for img in self.images[i0:i1]), out, channels)
+
+
+def copy_channels(
+    images: Iterable[np.ndarray], out: np.ndarray, channels: Sequence[int]
+) -> None:
+    """The given channels of each flat channel-major image into a row of out."""
+    for flat, row in zip(images, out):
+        planes = flat.reshape(-1, row.shape[-1])
+        for dst, src in enumerate(channels):  # no fancy-index temporary
+            row[dst] = planes[src]
+
 
 @dataclass(frozen=True)
 class StandardizedVector:

@@ -11,12 +11,15 @@ multiplied against the queries with one dgemm, clamped to [-1, 1], and
 each query's top-k of the block (argpartition, with an exact pass only
 for rows whose k-th value is tied past the kept slots) is merged with
 its carried top-k. Blocks are merged in ascending order, and ties go to
-the ascending reference id. A reference can be an in-memory set or a
-file-backed one (`ingest.open_dataset`, `ingest.open_embedding_set`),
-so its size never sets the memory: that is the resident queries plus
-one block and its temporaries. Parallelism is the BLAS library's own
-threads. Results are bit-identical for identical inputs, block budget
-and BLAS thread count; across block budgets they agree within 1e-6.
+the ascending reference id. Every set, query or reference, is read
+the same way, by its own `read_rows` into the engine's float64
+buffers: in-memory sets (`Dataset`, `EmbeddingSet`) copy their rows,
+file-backed ones (`ingest.open_dataset`, `ingest.open_embedding_set`)
+read them from their files. So the reference's size never sets the
+memory: that is the resident queries plus one block and its
+temporaries. Parallelism is the BLAS library's own threads. Results
+are bit-identical for identical inputs, block budget and BLAS thread
+count; across block budgets they agree within 1e-6.
 
 `brute_force_correlations` is the deliberately naive oracle: per-pair
 scalar Pearson with no shared standardization, used to verify the
@@ -183,10 +186,6 @@ def _merge_block(best_v, best_r, tile, ranks, k):
     return np.take_along_axis(cand_v, order, axis=1), np.take_along_axis(cand_r, order, axis=1)
 
 
-# (i0, i1, out): fills out, shape (i1 - i0, segments, length), with rows i0..i1-1
-RowReader = Callable[[int, int, np.ndarray], None]
-
-
 def _valid_rows(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Shift the valid rows of rows (n, width) to its front, in order,
     and return them as a view."""
@@ -198,10 +197,10 @@ def _valid_rows(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def _run(
-    queries: Sequence[tuple[Sequence[str], RowReader]],
-    reference_ids: Sequence[str],
-    read_reference: RowReader,
-    shape: tuple[int, int],
+    queries: Sequence,
+    reference,
+    row_shape: tuple[int, ...],
+    read_args: tuple,
     mode: str,
     k: int,
     block_budget_mib: float,
@@ -209,28 +208,33 @@ def _run(
 ) -> list[TopKMatches]:
     """Top-k of every query row against every reference row: queries
     standardized once into one resident float64 matrix, references read
-    once, block by block, with one dgemm per block."""
-    query_ids = [qid for ids, _ in queries for qid in ids]
+    once, block by block, with one dgemm per block. Every set is read by
+    its own read_rows(i0, i1, out, *read_args) into float64 rows of
+    row_shape: (channels, H*W) for images, (dim,) for embeddings."""
+    query_ids = [qid for q in queries for qid in q.ids]
+    reference_ids = reference.ids
     nr = len(reference_ids)
-    q_all = np.empty((len(query_ids), *shape), dtype=np.float64)
+    q_all = np.empty((len(query_ids), *row_shape), dtype=np.float64)
     q0 = 0
-    for ids, read in queries:
-        read(0, len(ids), q_all[q0 : q0 + len(ids)])
-        q0 += len(ids)
-    q_all, q_valid = standardize_rows(q_all, mode)
+    for q in queries:
+        q.read_rows(0, len(q), q_all[q0 : q0 + len(q)], *read_args)
+        q0 += len(q)
+    segments = row_shape if len(row_shape) == 2 else (1, *row_shape)  # an embedding: one
+    q_all, q_valid = standardize_rows(q_all.reshape(len(q_all), *segments), mode)
     q_mat = _valid_rows(q_all, q_valid)
     nq = q_mat.shape[0]
 
     plan = plan_audit(len(query_ids), nr, q_mat.shape[1], block_budget_mib)
     ranks = _tie_ranks(reference_ids)
-    buffer = np.empty((plan.block_reference, *shape), dtype=np.float64)
+    buffer = np.empty((plan.block_reference, *row_shape), dtype=np.float64)
     best_v = np.empty((nq, 0), dtype=np.float64)
     best_r = np.empty((nq, 0), dtype=np.int64)
     skipped = 0
     for r0 in range(0, nr, plan.block_reference):  # ascending: deterministic merges
         r1 = min(r0 + plan.block_reference, nr)
-        read_reference(r0, r1, buffer[: r1 - r0])
-        values, valid = standardize_rows(buffer[: r1 - r0], mode)
+        rows = buffer[: r1 - r0]
+        reference.read_rows(r0, r1, rows, *read_args)
+        values, valid = standardize_rows(rows.reshape(r1 - r0, *segments), mode)
         block = _valid_rows(values, valid)
         skipped += r1 - r0 - block.shape[0]
         if nq and block.shape[0]:
@@ -256,31 +260,6 @@ def _run(
 def _parts(query) -> tuple:
     """A query argument (one set or a tuple of sets) as a tuple of sets."""
     return tuple(query) if isinstance(query, tuple) else (query,)
-
-
-def _image_reader(images, mask: list[int]) -> RowReader:
-    """Selected channels of an in-memory Dataset or a DatasetFile."""
-    if isinstance(images, DatasetFile):
-        return lambda i0, i1, out: images.read_rows(i0, i1, out, mask)
-
-    def read(i0: int, i1: int, out: np.ndarray) -> None:
-        for row, img in zip(out, images.images[i0:i1]):
-            planes = img.pixels.reshape(img.channels, -1)
-            for dst, src in enumerate(mask):  # no fancy-index temporary
-                row[dst] = planes[src]
-
-    return read
-
-
-def _embedding_reader(emb) -> RowReader:
-    """Rows of an in-memory EmbeddingSet or an EmbeddingSetFile."""
-    if isinstance(emb, EmbeddingSetFile):
-        return lambda i0, i1, out: emb.read_rows(i0, i1, out.reshape(i1 - i0, -1))
-
-    def read(i0: int, i1: int, out: np.ndarray) -> None:
-        out.reshape(i1 - i0, -1)[...] = emb.rows[i0:i1]
-
-    return read
 
 
 ImageSet = Union[Dataset, DatasetFile]
@@ -324,9 +303,7 @@ def max_correlations(
     c, h, w = reference.shape
     mask = list(resolve_channel_mask(channel_mask, c))
     return _run(
-        [(q.ids, _image_reader(q, mask)) for q in parts],
-        reference.ids, _image_reader(reference, mask),
-        (len(mask), h * w), mode, k, block_budget_mib, progress,
+        parts, reference, (len(mask), h * w), (mask,), mode, k, block_budget_mib, progress
     )
 
 
@@ -356,9 +333,7 @@ def max_correlations_embeddings(
     if metric not in ("pearson", "cosine"):
         raise InvalidArgumentError(f"unknown embedding metric {metric!r}")
     return _run(
-        [(q.ids, _embedding_reader(q)) for q in parts],
-        reference.ids, _embedding_reader(reference),
-        (1, reference.dim), metric, k, block_budget_mib, progress,
+        parts, reference, (reference.dim,), (), metric, k, block_budget_mib, progress
     )
 
 

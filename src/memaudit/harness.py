@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from ._rng import SplitMix64, mix64
 from .core import Dataset, ImageRecord
@@ -111,6 +110,7 @@ class GroundTruth:
 
 def _smooth_field(rng: SplitMix64, height: int, width: int) -> np.ndarray:
     """Zero-padded separable Gaussian blur of splitmix white noise."""
+    from scipy.ndimage import correlate1d  # here: importing memaudit must not pay for scipy
     radius = int(np.ceil(3.0 * FRESH_FIELD_SIGMA))
     kernel = _gaussian_kernel(2 * radius + 1, FRESH_FIELD_SIGMA)
     field = rng.gaussian(height * width).reshape(height, width)

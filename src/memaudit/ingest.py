@@ -17,13 +17,15 @@ Four formats, all little-endian:
 
 Readers reject rather than repair: wrong magic, truncated payloads,
 checksum mismatches and oversized files all raise FormatError naming the
-byte offset. Every writer goes through `atomic_write`, so an output file
-is either its previous version or the complete new one, never a prefix.
+byte offset. A manifest's set has one reader, the `read_rows` of its
+`open_dataset` / `open_embedding_set` handle; `load_dataset` /
+`load_embedding_set` are that plus a read of every row. Every writer
+goes through `atomic_write`, so an output file is either its previous
+version or the complete new one, never a prefix.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import secrets
 import struct
@@ -36,7 +38,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Dataset, ImageRecord, VolumeRecord
+from .core import Dataset, ImageRecord, VolumeRecord, copy_channels
 from .errors import (
     EmptyInputError,
     FormatError,
@@ -193,10 +195,6 @@ class _Cursor:
         self.pos = 0
         self.path = path
 
-    @classmethod
-    def over_bytes(cls, data: bytes, path: Path) -> "_Cursor":
-        return cls(io.BytesIO(data), len(data), path)
-
     def _need(self, n: int, what: str, found: int) -> None:
         if found < n:
             raise FormatError(
@@ -300,18 +298,12 @@ def _scan_ivc(cur: _Cursor) -> list[_IvcEntry]:
     return entries
 
 
-def _ivc_values(
-    cur: _Cursor, entry: _IvcEntry, into: Optional[bytearray] = None
-) -> np.ndarray:
+def _ivc_values(cur: _Cursor, entry: _IvcEntry, into: bytearray) -> np.ndarray:
     """One entry's payload (u8 or f32, flat), after its CRC-32 and
-    finiteness checks. Read-only, or, given into (at least entry.size
-    bytes), a view of into that the next read overwrites."""
+    finiteness checks: a view of into (at least entry.size bytes)."""
     what = f"entry {entry.index}"
     cur.seek(entry.offset)
-    if into is None:
-        payload = cur.take(entry.size, f"{what} payload")
-    else:
-        payload = cur.take_into(into, entry.size, f"{what} payload")
+    payload = cur.take_into(into, entry.size, f"{what} payload")
     stored_crc = cur.u32(f"{what} checksum")
     actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
     if stored_crc != actual_crc:
@@ -332,12 +324,13 @@ def _ivc_values(
 def read_ivc(path) -> list[Union[ImageRecord, VolumeRecord]]:
     """Decode an IVC1 container into image and volume records (file order)."""
     path = Path(path)
-    cur = _Cursor.over_bytes(path.read_bytes(), path)
     records: list[Union[ImageRecord, VolumeRecord]] = []
-    for entry in _scan_ivc(cur):
-        values = _ivc_values(cur, entry).astype(np.float32, copy=False)
-        kind = ImageRecord if len(entry.dims) == 3 else VolumeRecord
-        records.append(kind(entry.id, *entry.dims, values, source=str(path)))
+    with _file_cursor(path) as cur:
+        for entry in _scan_ivc(cur):
+            values = _ivc_values(cur, entry, bytearray(entry.size))
+            values = values.astype(np.float32, copy=False)
+            kind = ImageRecord if len(entry.dims) == 3 else VolumeRecord
+            records.append(kind(entry.id, *entry.dims, values, source=str(path)))
     return records
 
 
@@ -434,6 +427,10 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return self.rows.shape[0]
 
+    def read_rows(self, i0: int, i1: int, out: np.ndarray) -> None:
+        """Rows i0..i1-1 into out, shape (i1 - i0, dim)."""
+        out[...] = self.rows[i0:i1]
+
 
 def _ids_sidecar(path: Path) -> Path:
     return path.with_suffix(".ids")
@@ -485,9 +482,9 @@ def read_embeddings(path) -> EmbeddingSet:
     """Read an EMB1 matrix; ids come from the sidecar or fall back to row
     indices as text."""
     path = Path(path)
-    cur = _Cursor.over_bytes(path.read_bytes(), path)
-    n, dim = _emb_header(cur)
-    rows = _emb_values(path, cur.take(4 * n * dim, "payload")).reshape(n, dim)
+    with _file_cursor(path) as cur:
+        n, dim = _emb_header(cur)
+        rows = _emb_values(path, cur.take(4 * n * dim, "payload")).reshape(n, dim)
     return EmbeddingSet(_emb_ids(path, n), dim, rows)
 
 
@@ -642,45 +639,37 @@ def _check_members(
         raise ManifestError(f"{name}: no 2-D images")
 
 
-def _read_entry_records(manifest: Manifest):
-    for fmt, file in _image_files(manifest):
-        if fmt == "pgm":
-            yield file, read_pgm(file)
-        else:
-            for rec in read_ivc(file):
-                yield file, rec
-
-
 def load_records(manifest: Union[Manifest, str, Path]):
     """All image/volume records referenced by a manifest, in manifest order."""
     manifest = _as_manifest(manifest)
-    return manifest, [rec for _, rec in _read_entry_records(manifest)]
+    records: list[Union[ImageRecord, VolumeRecord]] = []
+    for fmt, file in _image_files(manifest):
+        records.extend([read_pgm(file)] if fmt == "pgm" else read_ivc(file))
+    return manifest, records
 
 
 def load_dataset(manifest: Union[Manifest, str, Path]) -> Dataset:
-    """Load a manifest of 2-D images as a Dataset.
+    """Load a manifest of 2-D images as a Dataset (open_dataset + read all).
 
     Volumes are rejected (slice them with preprocess first); duplicate ids
     and mixed dimensions raise a ManifestError naming every offender.
     """
-    manifest = _as_manifest(manifest)
-    pairs = list(_read_entry_records(manifest))
-    _check_members(manifest.name, ((f, r.id, r.shape) for f, r in pairs), "image")
-    return Dataset(manifest.name, manifest.role, tuple(r for _, r in pairs))
+    images = open_dataset(manifest)
+    c, h, w = images.shape
+    pixels = np.empty((len(images), c, h * w), dtype=np.float32)  # no record shares a row
+    images.read_rows(0, len(images), pixels, range(c))
+    return Dataset(images.name, images.role, tuple(
+        ImageRecord(i, c, h, w, row, source=str(file))
+        for i, row, (file, _) in zip(images.ids, pixels, images._locations)
+    ))
 
 
 def load_embedding_set(manifest: Union[Manifest, str, Path]) -> EmbeddingSet:
-    """Load a manifest whose entries are all EMB1 files as one EmbeddingSet."""
-    manifest = _as_manifest(manifest)
-    parts = [(f, read_embeddings(f)) for f in _embedding_files(manifest)]
-    _check_members(
-        manifest.name,
-        ((f, i, (p.dim,)) for f, p in parts for i in p.ids),
-        "embedding",
-    )
-    ids = tuple(i for _, p in parts for i in p.ids)
-    rows = np.concatenate([p.rows for _, p in parts], axis=0)
-    return EmbeddingSet(ids, parts[0][1].dim, rows)
+    """Load a manifest of EMB1 files as one EmbeddingSet (open + read all)."""
+    emb = open_embedding_set(manifest)
+    rows = np.empty((len(emb), emb.dim), dtype=np.float32)
+    emb.read_rows(0, len(emb), rows)
+    return EmbeddingSet(emb.ids, emb.dim, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +684,8 @@ class DatasetFile:
     """A manifest of 2-D images whose pixels stay in their files.
 
     Opening scans every header, so name, role, ids, shape and len come
-    without reading payloads, and it rejects what load_dataset rejects,
-    with the same messages. read_rows then reads contiguous ranges in
+    without reading payloads; it rejects volumes, duplicate ids, mixed
+    shapes and bad headers. read_rows then reads contiguous ranges in
     file order, checking each IVC1 entry's CRC-32 and finiteness as it
     is read; a PGM file holds one image and is read whole. Payloads are
     read into one buffer per handle, so reading allocates nothing per
@@ -738,20 +727,16 @@ class DatasetFile:
     def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
         """Images i0..i1-1 into out, shape (i1 - i0, len(channels), H*W):
         the given channels of each image, in order."""
-        c = self.shape[0]
-        for values, row in zip(self._payloads(i0, i1), out):
-            planes = values.reshape(c, -1)
-            for dst, src in enumerate(channels):  # no fancy-index temporary
-                row[dst] = planes[src]
+        copy_channels(self._payloads(i0, i1), out, channels)
 
 
 class EmbeddingSetFile:
     """A manifest of EMB1 files whose rows stay in their files.
 
-    Opening reads every header and `.ids` sidecar and rejects what
-    load_embedding_set rejects, with the same messages; read_rows reads
-    contiguous row ranges, in chunks through one buffer per handle, and
-    checks their finiteness as they are read.
+    Opening reads every header and `.ids` sidecar and rejects bad
+    headers, wrong `.ids` counts, duplicate ids and mixed dims; read_rows
+    reads contiguous row ranges, in chunks through one buffer per handle,
+    and checks their finiteness as they are read.
     """
 
     def __init__(self, manifest: Manifest):

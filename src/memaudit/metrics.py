@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .core import ImageRecord
 from .errors import InvalidArgumentError
@@ -58,6 +57,7 @@ def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
 
 def _windowed_mean(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Separable Gaussian filter restricted to the valid region."""
+    from scipy.ndimage import correlate1d  # here: importing memaudit must not pay for scipy
     r = (kernel.size - 1) // 2
     out = correlate1d(plane, kernel, axis=0, mode="constant")
     out = correlate1d(out, kernel, axis=1, mode="constant")

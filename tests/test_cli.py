@@ -2,25 +2,33 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memaudit
 import memaudit.ingest as ingest
+from memaudit._rng import SplitMix64
 from memaudit.cli import ProgressPrinter, run
-from memaudit.core import ImageRecord, VolumeRecord
+from memaudit.core import Dataset, ImageRecord, VolumeRecord
+from memaudit.correlate import max_correlations, max_correlations_embeddings
 from memaudit.harness import generate_train_set
 from memaudit.ingest import (
     EmbeddingSet,
+    load_dataset,
+    load_embedding_set,
     load_manifest,
     read_ivc,
     write_embeddings,
     write_ivc,
     write_manifest,
 )
-from memaudit.report import load_report
+from memaudit.report import load_matches, load_report
 
 from conftest import ivc_payload_span
 
@@ -518,3 +526,148 @@ class TestOnePassOverTrain:
         err = capsys.readouterr().err
         assert "[synth+test-vs-train]" in err and "[synth-vs-test]" in err
         assert "[synth-vs-train]" not in err and "[test-vs-train]" not in err
+
+
+class TestSampleReadsPicked:
+    """--sample N reads only the N picked synthetic entries, and its
+    matches equal the engine's on those entries loaded in memory."""
+
+    @pytest.mark.parametrize("kind", ["ivc", "emb"])
+    def test_only_picked_entries_read(self, tmp_path, monkeypatch, kind):
+        if kind == "ivc":
+            train_mf, synth_mf, _ = _split_train(tmp_path)
+            handle, load, engine = ingest.DatasetFile, load_dataset, max_correlations
+        else:
+            train_mf, synth_mf, _ = _emb_sets(tmp_path)
+            handle, load = ingest.EmbeddingSetFile, load_embedding_set
+            engine = max_correlations_embeddings
+        synth = load(synth_mf)
+        picks = SplitMix64(4).sample_without_replacement(len(synth), 3)
+        rows, entries = Counter(), Counter()
+        read_rows, ivc_values = handle.read_rows, ingest._ivc_values
+
+        def counted_rows(self, i0, i1, out, *channels):
+            if self.role == "synthetic":
+                rows.update(range(i0, i1))
+            return read_rows(self, i0, i1, out, *channels)
+
+        def counted_values(cur, entry, into):
+            if cur.path.name == "synth.ivc":
+                entries[entry.index] += 1
+            return ivc_values(cur, entry, into)
+
+        monkeypatch.setattr(handle, "read_rows", counted_rows)
+        monkeypatch.setattr(ingest, "_ivc_values", counted_values)
+        matches_out = tmp_path / "m.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--sample", "3", "--seed", "4", "--k", "2", "--rule", "fixed:0.99",
+            "--matches-out", str(matches_out), "--quiet",
+        ])
+        assert code in (0, 1)
+        assert rows == Counter(picks)
+        assert entries == (Counter(picks) if kind == "ivc" else Counter())
+        if kind == "ivc":
+            picked = Dataset("s", "synthetic", tuple(synth.images[i] for i in picks))
+        else:
+            picked = EmbeddingSet(tuple(synth.ids[i] for i in picks), synth.dim, synth.rows[picks])
+        expected = engine(picked, load(train_mf), k=2)
+        _, _, got = load_matches(matches_out)
+        assert [(m.query_id, m.matches) for m in got] == [
+            (m.query_id, m.matches) for m in expected
+        ]
+
+
+class TestReportPlan:
+    def test_plan_blocks_are_the_engine_blocks(self, tmp_path, monkeypatch):
+        """With --test, the plan counts synthetic queries but records the
+        blocks the engine reads train in, sized for synthetic + test."""
+        train_mf, synth_mf, test_mf = _split_train(tmp_path)
+        calls = []
+        read_rows = ingest.DatasetFile.read_rows
+
+        def counted(self, i0, i1, out, channels):
+            if self.role == "train":
+                calls.append(i1 - i0)
+            return read_rows(self, i0, i1, out, channels)
+
+        monkeypatch.setattr(ingest.DatasetFile, "read_rows", counted)
+        out = tmp_path / "r.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--block-budget-mib", "0.005",
+            "--out", str(out), "--quiet",
+        ])
+        assert code in (0, 1)
+        plan = load_report(out).plan
+        assert (plan.n_query, plan.n_reference, plan.block_query) == (8, 24, 16)
+        assert len(calls) > 2 and sum(calls) == 24
+        assert set(calls[:-1]) == {plan.block_reference}
+        assert calls[-1] <= plan.block_reference
+
+
+class TestFlagValues:
+    """Bad flag values are usage errors (exit 2) named in the message,
+    caught before any output is written."""
+
+    CASES = {
+        "sample-negative": (["--sample", "-3", "--seed", "1"], "--sample"),
+        "sample-zero": (["--sample", "0", "--seed", "1"], "--sample"),
+        "k-zero": (["--k", "0"], "--k"),
+        "k-text": (["--k", "two"], "--k"),
+        "budget-zero": (["--block-budget-mib", "0"], "--block-budget-mib"),
+        "budget-nan": (["--block-budget-mib", "nan"], "--block-budget-mib"),
+        "budget-inf": (["--block-budget-mib", "inf"], "--block-budget-mib"),
+        "bins-zero": (["--histogram-bins", "0"], "--histogram-bins"),
+        "rule-bogus": (["--rule", "bogus"], "--rule"),
+        "rule-percentile": (["--rule", "percentile:150"], "--rule"),
+        "channels-range": (["--channels", "0,9"], "--channels"),
+        "channels-empty": (["--channels", ","], "--channels"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_audit(self, tmp_path, capsys, case):
+        extra, flag = self.CASES[case]
+        train_mf, synth_mf, test_mf = _split_train(tmp_path)
+        out = tmp_path / "r.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--out", str(out), "--quiet", *extra,
+        ])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_baseline_matches_out_without_test(self, tmp_path, capsys):
+        train_mf, synth_mf, _ = _split_train(tmp_path)
+        out, matches = tmp_path / "r.json", tmp_path / "m.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--rule", "fixed:0.9", "--matches-out", str(matches),
+            "--baseline-matches-out", str(tmp_path / "b.json"), "--out", str(out), "--quiet",
+        ])
+        assert code == 2
+        assert "--baseline-matches-out" in capsys.readouterr().err
+        assert not out.exists() and not matches.exists()
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--histogram-bins", "0"], "--histogram-bins"),
+        (["--rule", "percentile:0"], "--rule"),
+    ])
+    def test_report(self, tmp_path, capsys, extra, flag):
+        out = tmp_path / "r.json"
+        code = run(["report", "--matches", str(tmp_path / "m.json"), "--out", str(out), *extra])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy.ndimage is imported where SSIM and the harness use it, so
+    `memaudit audit` does not pay for it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(memaudit.__file__).parents[1]))
+    probe = "import sys, memaudit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -396,8 +396,10 @@ class TestFileBackedSets:
         assert handle.ids == tuple(img.id for img in loaded.images)
         assert handle.shape == loaded.shape
         for i0, i1 in ((0, 9), (2, 7), (8, 9)):  # ranges across file boundaries
-            out = np.empty((i1 - i0, 2, 20))
+            out, in_memory = np.empty((2, i1 - i0, 2, 20))
             handle.read_rows(i0, i1, out, (0, 2))
+            loaded.read_rows(i0, i1, in_memory, (0, 2))
+            np.testing.assert_array_equal(in_memory, out)
             for row, img in zip(out, loaded.images[i0:i1]):
                 np.testing.assert_array_equal(row, img.chw()[[0, 2]].reshape(2, 20))
 
@@ -423,9 +425,11 @@ class TestFileBackedSets:
         handle = open_embedding_set(tmp_path / "e.mf")
         assert handle.ids == load_embedding_set(tmp_path / "e.mf").ids
         assert (handle.dim, len(handle)) == (6, 50)
-        out = np.empty((33, 6))
+        out, in_memory = np.empty((2, 33, 6))
         handle.read_rows(5, 38, out)
+        load_embedding_set(tmp_path / "e.mf").read_rows(5, 38, in_memory)
         np.testing.assert_array_equal(out, rows[5:38])
+        np.testing.assert_array_equal(in_memory, rows[5:38])
 
     FAULTS = {
         "volume": (lambda p: write_ivc([make_volume()], p / "part1.ivc"), "3-D volume"),
@@ -504,3 +508,90 @@ class TestFileBackedSets:
                 reader(tmp_path / "d.mf")
             assert "first seen in one.emb" in str(exc.value)
             assert time.perf_counter() - start < 10.0
+
+
+class TestOneReadPath:
+    """The loaders are open_* plus a read of every row; the whole-file
+    readers read through an open file and keep their checks."""
+
+    def test_load_dataset_equals_file_readers(self, tmp_path):
+        rng = np.random.default_rng(31)
+        u8 = image(rng.integers(0, 256, (4, 3)), id="u8")
+        f32 = image(rng.normal(0, 40, (4, 3)), id="f32")
+        write_ivc([u8, f32], tmp_path / "a.ivc")
+        write_pgm(image(rng.integers(0, 256, (4, 3)), id="p"), tmp_path / "p.pgm")
+        write_manifest(tmp_path / "m.mf", "m", "train", ["a.ivc", "p.pgm"])
+        ivc, pgm = (tmp_path / "a.ivc").resolve(), (tmp_path / "p.pgm").resolve()
+        assert [ivc_payload_span(ivc, i)[1] for i in (0, 1)] == [12, 48]  # u8, f32
+        expected = read_ivc(ivc) + [read_pgm(pgm)]
+        loaded = load_dataset(tmp_path / "m.mf")
+        assert len(loaded) == len(expected) == 3
+        for got, want in zip(loaded.images, expected):
+            assert (got.id, got.shape, got.source) == (want.id, want.shape, want.source)
+            assert got.pixels.dtype == np.float32
+            np.testing.assert_array_equal(got.pixels, want.pixels)
+        pixels = [img.pixels for img in loaded.images]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert not np.shares_memory(pixels[i], pixels[j])
+
+    def test_load_embedding_set_equals_concatenated_reads(self, tmp_path, monkeypatch):
+        import memaudit.ingest as ingest
+
+        rng = np.random.default_rng(32)
+        files = []
+        for name, n in (("a", 7), ("b", 1), ("c", 12)):
+            ids = tuple(f"{name}{i}" for i in range(n))
+            emb = EmbeddingSet(ids, 5, rng.normal(0, 1, (n, 5)).astype(np.float32))
+            write_embeddings(emb, tmp_path / f"{name}.emb")
+            files.append(f"{name}.emb")
+        write_manifest(tmp_path / "e.mf", "e", "train", files)
+        monkeypatch.setattr(ingest, "_READ_CHUNK_BYTES", 4 * 4 * 5)  # 4 rows per read
+        parts = [read_embeddings(tmp_path / f) for f in files]
+        loaded = load_embedding_set(tmp_path / "e.mf")
+        assert loaded.ids == tuple(i for p in parts for i in p.ids)
+        assert loaded.dim == 5 and loaded.rows.dtype == np.float32
+        np.testing.assert_array_equal(loaded.rows, np.concatenate([p.rows for p in parts]))
+
+    @staticmethod
+    def _ivc(tmp_path):
+        path = tmp_path / "r.ivc"
+        write_ivc([image([[1.5, 2], [3, 4]], id="r")], path)
+        return path, bytearray(path.read_bytes())
+
+    @staticmethod
+    def _emb(tmp_path):
+        path = tmp_path / "r.emb"
+        write_embeddings(EmbeddingSet(("x", "y"), 3, np.ones((2, 3), np.float32)), path)
+        return path, bytearray(path.read_bytes())
+
+    FAULTS = {
+        "ivc-truncated": (
+            _ivc, lambda b: b[:-7], "truncated entry 0 payload at offset 25: need 16 bytes, found 13"
+        ),
+        "ivc-trailing": (_ivc, lambda b: b + b"xy", "2 trailing bytes after offset 45"),
+        "ivc-crc": (
+            _ivc, lambda b: b[:26] + bytes([b[26] ^ 1]) + b[27:],
+            "entry 0 ('r'): checksum mismatch: stored 0x",
+        ),
+        "emb-truncated": (
+            _emb, lambda b: b[:-4], "payload is 20 bytes at offset 12, expected 24 (= 4 * 2 * 3)"
+        ),
+        "emb-trailing": (
+            _emb, lambda b: b + b"1234", "payload is 28 bytes at offset 12, expected 24 (= 4 * 2 * 3)"
+        ),
+        "emb-non-finite": (
+            _emb, lambda b: b[:12] + struct.pack("<f", float("inf")) + b[16:],
+            "non-finite embedding values",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_whole_file_readers_reject(self, tmp_path, fault):
+        make, damage, message = self.FAULTS[fault]
+        path, blob = make.__func__(tmp_path)
+        path.write_bytes(bytes(damage(blob)))
+        reader = read_ivc if path.suffix == ".ivc" else read_embeddings
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
