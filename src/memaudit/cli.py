@@ -141,17 +141,29 @@ def _parse_channels(text: Optional[str]):
         raise UsageError(f"--channels expects integers like '0,1,2', got {text!r}")
 
 
-def _positive(kind):
-    """An argparse type: a finite number of kind (int or float) above 0."""
+def _number(kind, ok, wanted: str):
+    """An argparse type: a finite number of kind (int or float) for which
+    ok(value) holds; wanted describes such a value in the error."""
 
     def parse(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     return parse
+
+
+def _positive(kind):
+    return _number(kind, lambda v: v > 0, "a positive number")
+
+
+def _non_negative(kind):
+    return _number(kind, lambda v: v >= 0, "a non-negative number")
+
+
+_fraction = _number(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 def _rule(text: str) -> str:
@@ -419,17 +431,19 @@ def _cmd_metrics(args, cfg: RunConfig) -> int:
 
 
 def _cmd_plant(args, cfg: RunConfig) -> int:
-    train = load_dataset(args.train)
-    config = PlantConfig(
-        n_output=args.n,
-        p_copy=args.p_copy,
-        p_noisy=args.p_noisy,
-        p_shift=args.p_shift,
-        noise_sigma=args.sigma,
-        shift_pixels=args.shift,
-        seed=args.seed,
-    )
-    dataset, truth = plant(train, config)
+    try:
+        config = PlantConfig(
+            n_output=args.n,
+            p_copy=args.p_copy,
+            p_noisy=args.p_noisy,
+            p_shift=args.p_shift,
+            noise_sigma=args.sigma,
+            shift_pixels=args.shift,
+            seed=args.seed,
+        )
+    except InvalidArgumentError as exc:  # each flag is in range, so their sum is over 1
+        raise UsageError(f"--p-copy + --p-noisy + --p-shift: {exc}") from None
+    dataset, truth = plant(load_dataset(args.train), config)
     container = Path(args.out)
     write_ivc(list(dataset.images), container)
     save_ground_truth(truth, args.truth)
@@ -505,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=50.0)
     p.add_argument("--filter-channel", type=int, default=0)
     p.add_argument("--pad", nargs=2, type=int, metavar=("H", "W"))
-    p.add_argument("--resize", nargs=2, type=int, metavar=("H", "W"))
+    p.add_argument("--resize", nargs=2, type=_positive(int), metavar=("H", "W"))
     p.add_argument("--rescale", action="store_true")
     p.add_argument("--rescale-channels", help="e.g. '0,1,2,3' to skip an annotation channel")
     p.add_argument("--remap", help="e.g. '1=51,2=102,4=204'")
@@ -537,17 +551,20 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--baseline-matches-out", help="save test-vs-train matches as JSON")
     a.add_argument("--fid-embeddings", nargs=2, metavar=("REAL", "SYNTH"))
     a.add_argument("--is-probs", metavar="PROBS")
-    a.add_argument("--is-splits", type=int, default=10)
+    a.add_argument("--is-splits", type=_positive(int), default=10)
 
     m = sub.add_parser("metrics", parents=[common], help="SSIM / MI / FID / IS")
     m.add_argument("--ssim-pairs", nargs=2, metavar=("A", "B"))
     m.add_argument("--mi-pairs", nargs=2, metavar=("A", "B"))
     m.add_argument("--fid", nargs=2, metavar=("REAL", "SYNTH"))
     m.add_argument("--is", dest="inception", metavar="PROBS")
-    m.add_argument("--splits", dest="is_splits", type=int, default=10)
-    m.add_argument("--mi-bins", type=int, default=64)
-    m.add_argument("--ssim-window", type=int, default=11)
-    m.add_argument("--ssim-sigma", type=float, default=1.5)
+    m.add_argument("--splits", dest="is_splits", type=_positive(int), default=10)
+    m.add_argument("--mi-bins", type=_number(int, lambda v: v >= 2, "at least 2"), default=64)
+    m.add_argument(
+        "--ssim-window", type=_number(int, lambda v: v > 0 and v % 2, "odd and positive"),
+        default=11,
+    )
+    m.add_argument("--ssim-sigma", type=_positive(float), default=1.5)
     m.add_argument("--out")
 
     g = sub.add_parser(
@@ -555,12 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a synthetic set with planted copies for validation",
     )
     g.add_argument("--train", required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--p-copy", type=float, default=0.0)
-    g.add_argument("--p-noisy", type=float, default=0.0)
-    g.add_argument("--p-shift", type=float, default=0.0)
-    g.add_argument("--sigma", type=float, default=5.0)
-    g.add_argument("--shift", type=int, default=4)
+    g.add_argument("--n", type=_positive(int), required=True)
+    g.add_argument("--p-copy", type=_fraction, default=0.0)
+    g.add_argument("--p-noisy", type=_fraction, default=0.0)
+    g.add_argument("--p-shift", type=_fraction, default=0.0)
+    g.add_argument("--sigma", type=_non_negative(float), default=5.0)
+    g.add_argument("--shift", type=_non_negative(int), default=4)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True, help="output IVC1 container")
     g.add_argument("--truth", required=True, help="ground-truth JSON path")

@@ -7,12 +7,11 @@ All query rows (one set or several, e.g. synthetic and test) are
 standardized once into one resident float64 matrix. The reference set
 is then read once, in blocks of rows sized by the block budget: each
 block is read into one reused float64 buffer and standardized in place,
-multiplied against the queries with one dgemm, clamped to [-1, 1], and
-each query's top-k of the block (argpartition, with an exact pass only
-for rows whose k-th value is tied past the kept slots) is merged with
-its carried top-k. Blocks are merged in ascending order, and ties go to
-the ascending reference id. Every set, query or reference, is read
-the same way, by its own `read_rows` into the engine's float64
+multiplied against the queries with one dgemm, and merged into each
+query's carried top-k: only values (clamped to [-1, 1]) at or above
+its k-th best are gathered. Blocks are merged in ascending order, and
+ties go to the ascending reference id. Every set, query or reference,
+is read the same way, by its own `read_rows` into the engine's float64
 buffers: in-memory sets (`Dataset`, `EmbeddingSet`) copy their rows,
 file-backed ones (`ingest.open_dataset`, `ingest.open_embedding_set`)
 read them from their files. So the reference's size never sets the
@@ -115,8 +114,8 @@ def plan_audit(
     All queries stay resident (block_query = n_query). References stream
     in blocks of block_reference rows, as many as fit the budget with
     their per-block temporaries: per row, the float64 row itself (8*N
-    bytes) and, per resident query, a float64 tile entry, an int64
-    partition index and a one-byte tie mask (17 bytes).
+    bytes) and, per resident query, 17 bytes: a float64 tile entry, a
+    one-byte pass mask and 8 for the merge's partition chunks.
     """
     if n_query < 0 or n_reference < 0:
         raise InvalidArgumentError("counts must be non-negative")
@@ -151,38 +150,39 @@ def _tie_ranks(ids: Sequence[str]) -> np.ndarray:
     return rank
 
 
-def _block_topk(tile: np.ndarray, ranks: np.ndarray, k: int) -> np.ndarray:
-    """Per row of tile, the columns of its k largest values, ties going to
-    the smaller rank (ranks holds one rank per column); unordered.
-
-    argpartition picks k columns per row. It can split a run of values
-    equal to the k-th one arbitrarily, so rows where more than k values
-    reach the k-th are re-selected exactly.
-    """
-    m = tile.shape[1]
-    if m <= k:
-        return np.broadcast_to(np.arange(m), tile.shape)
-    cols = np.argpartition(tile, m - k, axis=1)[:, m - k :]
-    kth = np.take_along_axis(tile, cols, axis=1).min(axis=1)
-    tied = np.count_nonzero(tile >= kth[:, None], axis=1) > k
-    for i in np.flatnonzero(tied):
-        row = tile[i]
-        sure = np.flatnonzero(row > kth[i])
-        ties = np.flatnonzero(row == kth[i])
-        need = k - sure.size
-        cols[i] = np.concatenate([sure, ties[np.argsort(ranks[ties])[:need]]])
-    return cols
-
-
 def _merge_block(best_v, best_r, tile, ranks, k):
-    """Clip a block's tile and merge its per-row top-k into the carried
-    top-k; the merge is 2k wide, ordered by value descending, then rank
-    ascending."""
-    np.clip(tile, -1.0, 1.0, out=tile)
-    cols = _block_topk(tile, ranks, k)
-    cand_v = np.concatenate([best_v, np.take_along_axis(tile, cols, axis=1)], axis=1)
-    cand_r = np.concatenate([best_r, ranks[cols]], axis=1)
-    order = np.lexsort((cand_r, -cand_v), axis=1)[:, :k]
+    """Merge a block's raw tile (query rows x valid block columns, one rank
+    per column) into the carried top-k, by value clipped to [-1, 1]
+    descending, then rank ascending. Only values at or above a row's
+    carried k-th best can enter it. Rows where more than k pass raise it
+    to the block's own k-th largest (np.partition, in chunks of rows), and
+    ties at it are cut to the lowest ranks: at most k values per row stay.
+    """
+    nq, m = tile.shape
+    kept = best_v.shape[1]
+    thr = best_v[:, -1] if kept == k else np.full(nq, -1.0)
+    # clip(x) >= t is x >= t for a clipped t above -1; at -1 every x passes
+    passed = tile >= np.where(thr > -1.0, thr, -np.inf)[:, None]
+    busy = np.flatnonzero(passed.sum(axis=1, dtype=np.int32) > k)
+    step = min(64, max(1, nq // 8))  # chunk copies stay within the budget's 8 bytes per query
+    for c0 in range(0, busy.size, step):
+        rows = busy[c0 : c0 + step]
+        sub = np.clip(tile[rows], -1.0, 1.0)
+        kth = np.partition(sub, m - k, axis=1)[:, [m - k]]
+        keep = sub >= kth
+        tied = np.flatnonzero(keep.sum(axis=1, dtype=np.int32) > k)
+        if tied.size:  # keep the k smallest keys: values above kth, then ties by rank
+            key = np.where(keep[tied], ranks, np.iinfo(np.int64).max)
+            key[sub[tied] > kth[tied]] = -1
+            keep[tied] = key <= np.partition(key, k - 1, axis=1)[:, k - 1, None]
+        passed[rows] = keep
+    hit_q, hit_c = np.divmod(np.flatnonzero(passed), m)
+    slot = kept + np.arange(hit_q.size) - np.searchsorted(hit_q, hit_q)
+    cand_v = np.hstack([best_v, np.full((nq, k), -np.inf)])
+    cand_r = np.hstack([best_r, np.zeros((nq, k), dtype=np.int64)])
+    cand_v[hit_q, slot] = np.clip(tile[hit_q, hit_c], -1.0, 1.0)
+    cand_r[hit_q, slot] = ranks[hit_c]
+    order = np.lexsort((cand_r, -cand_v), axis=1)[:, : min(k, kept + m)]
     return np.take_along_axis(cand_v, order, axis=1), np.take_along_axis(cand_r, order, axis=1)
 
 

@@ -661,6 +661,52 @@ class TestFlagValues:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    AUDIT = ["audit", "--train", "IN", "--synthetic", "IN", "--rule", "fixed:0.9",
+             "--out", "OUT"]
+    METRICS = ["metrics", "--out", "OUT"]
+    PLANT = ["plant", "--train", "IN", "--n", "4", "--seed", "1", "--out", "OUT",
+             "--truth", "OUT"]
+    OTHER_CASES = {
+        "audit-is-splits": (AUDIT + ["--is-probs", "IN", "--is-splits", "0"], "--is-splits"),
+        "metrics-splits": (METRICS + ["--is", "IN", "--splits", "0"], "--splits"),
+        "metrics-mi-bins": (METRICS + ["--mi-pairs", "IN", "IN", "--mi-bins", "1"], "--mi-bins"),
+        "metrics-ssim-even": (
+            METRICS + ["--ssim-pairs", "IN", "IN", "--ssim-window", "4"], "--ssim-window"
+        ),
+        "metrics-ssim-zero": (
+            METRICS + ["--ssim-pairs", "IN", "IN", "--ssim-window", "0"], "--ssim-window"
+        ),
+        "metrics-ssim-negative": (
+            METRICS + ["--ssim-pairs", "IN", "IN", "--ssim-window", "-3"], "--ssim-window"
+        ),
+        "metrics-ssim-sigma": (
+            METRICS + ["--ssim-pairs", "IN", "IN", "--ssim-sigma", "0"], "--ssim-sigma"
+        ),
+        "plant-n": (PLANT + ["--n", "0"], "--n"),
+        "plant-p-copy": (PLANT + ["--p-copy", "2"], "--p-copy"),
+        "plant-p-noisy": (PLANT + ["--p-noisy", "-0.1"], "--p-noisy"),
+        "plant-p-shift": (PLANT + ["--p-shift", "nan"], "--p-shift"),
+        "plant-p-sum": (PLANT + ["--p-copy", "0.5", "--p-noisy", "0.4", "--p-shift", "0.2"],
+                        "--p-copy"),
+        "plant-sigma": (PLANT + ["--sigma", "-1"], "--sigma"),
+        "plant-shift": (PLANT + ["--shift", "-1"], "--shift"),
+        "preprocess-resize": (
+            ["preprocess", "--manifest", "IN", "--out-container", "OUT",
+             "--out-manifest", "OUT", "--resize", "0", "8"],
+            "--resize",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OTHER_CASES))
+    def test_other_commands(self, tmp_path, capsys, case):
+        # Every input is missing, so a data error (exit 3) would show that
+        # an input was read before the flag was checked.
+        argv, flag = self.OTHER_CASES[case]
+        paths = {"IN": str(tmp_path / "missing.mf"), "OUT": str(tmp_path / "out")}
+        assert run([paths.get(a, a) for a in argv]) == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_cli_import_loads_no_scipy():
     """scipy.ndimage is imported where SSIM and the harness use it, so

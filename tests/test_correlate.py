@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from memaudit.core import Dataset, ImageRecord, pearson
 from memaudit.correlate import (
+    _merge_block,
     brute_force_correlations,
     max_correlations,
     max_correlations_embeddings,
@@ -341,6 +342,31 @@ def _ids_and_values(matches):
     return [[(r, v) for r, v in m.matches] for m in matches]
 
 
+def _budgets(n_query, dim, k):
+    """Block budgets whose reference blocks are narrower than k, wider
+    than k, and the whole reference."""
+    row_bytes = 8 * dim + 17 * n_query
+    budgets = [(rows + 0.5) * row_bytes / (1 << 20) for rows in (max(1, k // 2), 3 * k)]
+    assert [plan_audit(n_query, 10**6, dim, b).block_reference for b in budgets] == [
+        max(1, k // 2), 3 * k,
+    ]
+    return [*budgets, 32.0]
+
+
+def _assert_full_sort_prefix(query, ref, k, budgets):
+    """Each query's top-k is the prefix of all its matches sorted by value
+    descending, then id ascending, at every budget."""
+    for budget in budgets:
+        everything = max_correlations_embeddings(query, ref, k=len(ref), block_budget_mib=budget)
+        got = max_correlations_embeddings(query, ref, k=k, block_budget_mib=budget)
+        for full, top in zip(everything, got):
+            assert top.skipped_invalid == full.skipped_invalid
+            assert len(full.matches) == len(ref) - full.skipped_invalid
+            assert all(-1.0 <= v <= 1.0 for _, v in full.matches)
+            ranked = sorted(full.matches, key=lambda m: (-m[1], m[0]))
+            assert list(top.matches) == ranked[:k]
+
+
 class TestStreamingEngine:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -385,6 +411,85 @@ class TestStreamingEngine:
         for budget in (0.002, 0.01, 32.0):
             (match,) = max_correlations_embeddings(query, ref, k=3, block_budget_mib=budget)
             assert [r for r, _ in match.matches] == ["d00", "d01", "d02"]
+
+    def test_ascending_similarity_every_block_beats_the_carried_kth(self):
+        # Reference j has correlation cos(theta_j) with q, theta falling
+        # with j: each block's values all beat the carried k-th best.
+        rng = np.random.default_rng(111)
+        basis = np.linalg.qr(np.column_stack([np.ones(64), rng.normal(size=(64, 61))]))[0].T
+        q, others = basis[1], basis[2:]  # orthonormal and centered
+        theta = np.linspace(1.5, 0.01, 60)
+        rows = np.cos(theta)[:, None] * q + np.sin(theta)[:, None] * others
+        ids = tuple(f"a{i:02d}" for i in rng.permutation(60))
+        ref = EmbeddingSet(ids, 64, rows.astype(np.float32))
+        query = EmbeddingSet(("up", "down"), 64, np.stack([q, -q]).astype(np.float32))
+        _assert_full_sort_prefix(query, ref, 5, _budgets(2, 64, 5))
+        (up, down) = max_correlations_embeddings(query, ref, k=5, block_budget_mib=0.002)
+        assert [r for r, _ in up.matches] == [ids[j] for j in range(59, 54, -1)]
+        assert [r for r, _ in down.matches] == [ids[j] for j in range(5)]
+
+    def test_fewer_valid_references_than_k_over_many_blocks(self):
+        rng = np.random.default_rng(112)
+        rows = np.full((40, 32), 2.0, np.float32)  # constant: invalid
+        rows[[3, 17, 38]] = rng.normal(size=(3, 32))
+        ref = EmbeddingSet(tuple(f"v{i:02d}" for i in range(40)), 32, rows)
+        query = EmbeddingSet(("a", "b"), 32, rng.normal(size=(2, 32)).astype(np.float32))
+        budgets = _budgets(2, 32, 5)
+        _assert_full_sort_prefix(query, ref, 5, budgets)
+        for budget in budgets:
+            for match in max_correlations_embeddings(query, ref, k=5, block_budget_mib=budget):
+                assert sorted(r for r, _ in match.matches) == ["v03", "v17", "v38"]
+                assert match.skipped_invalid == 37
+
+    def test_near_duplicates_clip_to_one_and_tie_by_id(self):
+        # Power-of-two multiples of one row standardize to the same vector,
+        # whose raw product with itself (with its negation) may round past
+        # 1 (past -1), and differently in blocks of different widths.
+        rng = np.random.default_rng(0)
+        base = rng.normal(size=64).astype(np.float32)
+        rows = base * np.float32(2.0) ** rng.integers(-3, 4, 40)[:, None].astype(np.float32)
+        ids = tuple(f"d{i:02d}" for i in rng.permutation(40))
+        ref = EmbeddingSet(ids, 64, rows.astype(np.float32))
+        query = EmbeddingSet(("p", "n"), 64, np.stack([base, -base]))
+        _assert_full_sort_prefix(query, ref, 5, _budgets(2, 64, 5))
+
+    def test_merge_clips_raw_values_before_ties(self):
+        # Raw values just beyond +-1 tie with exact +-1 after clipping, so
+        # the lower rank wins, whichever block either value comes in.
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(113)
+        near = np.array([1 + 2 * eps, 1 + eps, 1.0, 1 - eps, 0.5])
+        tile = np.stack([
+            rng.choice(near, 30), -rng.choice(near, 30),
+            rng.choice(near[:3], 30), -rng.choice(near[:3], 30),
+        ])
+        ranks = rng.permutation(30)
+        clipped = np.clip(tile, -1.0, 1.0)
+        for k in (1, 4, 9):
+            order = np.lexsort((np.broadcast_to(ranks, tile.shape), -clipped), axis=1)[:, :k]
+            for width in (1, k // 2 + 1, k + 2, 30):
+                best_v = np.empty((4, 0))
+                best_r = np.empty((4, 0), dtype=np.int64)
+                for c0 in range(0, 30, width):
+                    best_v, best_r = _merge_block(
+                        best_v, best_r, tile[:, c0 : c0 + width].copy(), ranks[c0 : c0 + width], k
+                    )
+                assert np.array_equal(best_r, ranks[order])
+                assert np.array_equal(best_v, np.take_along_axis(clipped, order, axis=1))
+
+    def test_every_value_tied(self):
+        # Identical references of 32 ones and 32 minus ones: standardized
+        # and multiplied exactly, so every value of a query's row ties.
+        rng = np.random.default_rng(114)
+        pm = np.stack([rng.permutation(np.repeat([1.0, -1.0], 32)) for _ in range(3)])
+        ids = tuple(f"t{i:02d}" for i in rng.permutation(50))
+        ref = EmbeddingSet(ids, 64, np.tile(pm[0], (50, 1)).astype(np.float32))
+        query = EmbeddingSet(("q0", "q1", "q2"), 64, pm.astype(np.float32))
+        budgets = _budgets(3, 64, 5)
+        _assert_full_sort_prefix(query, ref, 5, budgets)
+        for budget in budgets:
+            for match in max_correlations_embeddings(query, ref, k=5, block_budget_mib=budget):
+                assert [r for r, _ in match.matches] == [f"t{i:02d}" for i in range(5)]
 
     @pytest.mark.parametrize("budget_mib", [0.01, 32.0])
     def test_query_tuple_equals_separate_calls(self, budget_mib):
