@@ -10,11 +10,9 @@ validation harness round out the audit.
 from .core import (
     Dataset,
     ImageRecord,
-    StandardizedVector,
     VolumeRecord,
     default_channel_mask,
     pearson,
-    standardize,
 )
 from .correlate import (
     ComparisonPlan,
@@ -91,7 +89,6 @@ __all__ = [
     "MemauditError",
     "PlantConfig",
     "SsimParams",
-    "StandardizedVector",
     "TopKMatches",
     "UndefinedCorrelationError",
     "UnsupportedVersionError",
@@ -125,7 +122,6 @@ __all__ = [
     "read_ivc",
     "read_pgm",
     "ssim",
-    "standardize",
     "summarize",
     "write_embeddings",
     "write_ivc",

@@ -132,13 +132,22 @@ class ProgressPrinter:
 # ---------------------------------------------------------------------------
 
 
-def _parse_channels(text: Optional[str]):
+def _parse_channels(text: Optional[str], flag: str = "--channels"):
     if text is None:
         return None
     try:
         return tuple(int(c) for c in text.split(",") if c.strip() != "")
     except ValueError:
-        raise UsageError(f"--channels expects integers like '0,1,2', got {text!r}")
+        raise UsageError(f"{flag} expects integers like '0,1,2', got {text!r}")
+
+
+def _channel_mask(flag: str, channels, count: int) -> tuple[int, ...]:
+    """resolve_channel_mask(channels, count), a usage error naming flag
+    if it is out of range."""
+    try:
+        return resolve_channel_mask(channels, count)
+    except InvalidArgumentError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _number(kind, ok, wanted: str):
@@ -206,8 +215,16 @@ def _cmd_preprocess(args, cfg: RunConfig) -> int:
         channel=args.filter_channel,
     )
     remap = _parse_remap(args.remap) if args.remap else None
-    rescale_channels = _parse_channels(args.rescale_channels)
-    remap_channels = _parse_channels(args.remap_channels)
+    rescale_channels = _parse_channels(args.rescale_channels, "--rescale-channels")
+    remap_channels = _parse_channels(args.remap_channels, "--remap-channels")
+    counts = sorted({rec.channels for rec in records})
+    for flag, channels in (
+        ("--filter-channel", (args.filter_channel,)),
+        ("--rescale-channels", rescale_channels),
+        ("--remap-channels", remap_channels),
+    ):
+        for count in counts:
+            _channel_mask(flag, channels, count)
 
     images = []
     for rec in records:
@@ -266,9 +283,9 @@ def _audit(args, cfg: RunConfig):
     """Compare synthetic with train and, given --test, test with train and
     synthetic with test. Images and embeddings share every step; the
     manifest kind only picks the reader, the engine and its options.
-    Every set stays in its files and is read into the engine's float64
-    buffers (a --sample reads only the picked synthetic rows): train
-    once, with synthetic and test searched against it together."""
+    Every set stays in its files and is read once into the engine's
+    float64 buffers (a --sample reads only the picked synthetic rows),
+    by one engine call."""
     manifest = load_manifest(args.train)
     if all(fmt == "emb" for fmt, _ in manifest.entries):
         open_set, engine = open_embedding_set, max_correlations_embeddings
@@ -278,10 +295,7 @@ def _audit(args, cfg: RunConfig):
         open_set, engine = open_dataset, max_correlations
         train = open_set(manifest)
         c, h, w = train.shape
-        try:
-            mask = resolve_channel_mask(_parse_channels(args.channels), c)
-        except InvalidArgumentError as exc:
-            raise UsageError(f"--channels: {exc}") from None
+        mask = _channel_mask("--channels", _parse_channels(args.channels), c)
         options = dict(channel_mask=mask, mode=args.channel_mode)
         row_length = len(mask) * h * w
     options["block_budget_mib"] = args.block_budget_mib
@@ -291,9 +305,10 @@ def _audit(args, cfg: RunConfig):
         picks = SplitMix64(args.seed).sample_without_replacement(len(synthetic), args.sample)
         synthetic = _Picked(synthetic, picks)
         sample_ids = list(synthetic.ids)
-    queries = (synthetic, open_set(args.test)) if args.test else (synthetic,)
-    n_resident = sum(map(len, queries))
-    blocks = plan_audit(n_resident, len(train), row_length, args.block_budget_mib)
+    test = open_set(args.test) if args.test else None
+    blocks = plan_audit(
+        len(synthetic) + len(test or ()), len(train), row_length, args.block_budget_mib
+    )
     plan = replace(  # synthetic counts, with the blocks the engine reads for all queries
         plan_audit(len(synthetic), len(train), row_length, args.block_budget_mib),
         block_query=blocks.block_query, block_reference=blocks.block_reference,
@@ -302,15 +317,14 @@ def _audit(args, cfg: RunConfig):
         "audit: %d synthetic x %d train = %s comparisons",
         plan.n_query, plan.n_reference, f"{plan.total_comparisons:,}",
     )
-    label = "synth+test-vs-train" if args.test else "synth-vs-train"
-    both = engine(queries, train, k=args.k, progress=_progress(cfg, label), **options)
-    synth_vs_train = both[: len(synthetic)]
-    if not args.test:
-        return plan, synth_vs_train, None, None, sample_ids
-    baseline = [replace(m, matches=m.matches[:1]) for m in both[len(synthetic) :]]
-    synth_vs_test = engine(
-        synthetic, queries[1], k=1, progress=_progress(cfg, "synth-vs-test"), **options
+    label = "synth-vs-train" if test is None else "synth+test-vs-train"
+    found = engine(
+        synthetic, train, test=test, k=args.k, progress=_progress(cfg, label), **options
     )
+    if test is None:
+        return plan, found, None, None, sample_ids
+    synth_vs_train, test_vs_train, synth_vs_test = found
+    baseline = [replace(m, matches=m.matches[:1]) for m in test_vs_train]
     return plan, synth_vs_train, baseline, synth_vs_test, sample_ids
 
 
@@ -515,10 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-container", required=True)
     p.add_argument("--out-manifest", required=True)
-    p.add_argument("--min-fraction", type=float, default=0.15)
+    p.add_argument(
+        "--min-fraction", type=_number(float, lambda v: 0 < v <= 1, "in (0, 1]"), default=0.15
+    )
     p.add_argument("--threshold", type=float, default=50.0)
-    p.add_argument("--filter-channel", type=int, default=0)
-    p.add_argument("--pad", nargs=2, type=int, metavar=("H", "W"))
+    p.add_argument("--filter-channel", type=_non_negative(int), default=0)
+    p.add_argument("--pad", nargs=2, type=_positive(int), metavar=("H", "W"))
     p.add_argument("--resize", nargs=2, type=_positive(int), metavar=("H", "W"))
     p.add_argument("--rescale", action="store_true")
     p.add_argument("--rescale-channels", help="e.g. '0,1,2,3' to skip an annotation channel")

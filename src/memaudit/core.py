@@ -4,16 +4,17 @@ Images are stored as flat float32 arrays in channel-major order (channel,
 then row, then column); all correlation arithmetic accumulates in float64.
 `pearson` here is the plain two-pass covariance formula and serves as the
 oracle against which the blocked engine in `correlate` is verified. The
-identity it must satisfy:
+identity it must satisfy, for every non-constant pair within 1e-9:
 
-    pearson(a, b) == dot(standardize(a).values, standardize(b).values)
+    pearson(a, b) == dot(u, v)
 
-within 1e-9 for every non-constant pair.
+where u and v are the rows `standardize_rows` makes of the selected
+channels of a and b (the engine's standardization).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -185,28 +186,6 @@ def copy_channels(
             row[dst] = planes[src]
 
 
-@dataclass(frozen=True)
-class StandardizedVector:
-    """Mean-centered, unit-L2-norm flattening of an image.
-
-    Makes Pearson correlation a plain dot product: dot(standardize(a),
-    standardize(b)) equals pearson(a, b) within 1e-9, which is why the
-    values stay float64 (the engine downcasts its internal matrices).
-    Invalid vectors come from constant inputs: values are all zero and
-    the vector must be excluded from correlation maxima (it is reported,
-    never dropped).
-    """
-
-    id: str
-    values: np.ndarray
-    valid: bool
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
 def default_channel_mask(channels: int) -> tuple[int, ...]:
     """Channels entering correlation when the caller does not choose.
 
@@ -243,8 +222,8 @@ def standardize_rows(
     rows: np.ndarray, mode: str = "concat"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standardize a float64 block of rows for dot-product correlation;
-    the one standardizer behind `standardize` and the engine. Works in
-    place: the contents of rows are overwritten.
+    the engine's one standardizer. Works in place: the contents of rows
+    are overwritten.
 
     rows has shape (n, segments, L): an image's selected channels are its
     segments, an embedding row is a single segment. "concat" and
@@ -278,29 +257,6 @@ def standardize_rows(
     values = parts.reshape(n, segments * length)
     values[~valid] = 0.0
     return values, valid
-
-
-def standardize(
-    img: ImageRecord,
-    channel_mask: Optional[Iterable[int]] = None,
-    mode: str = "concat",
-) -> StandardizedVector:
-    """Standardize an image's selected channels for dot-product correlation.
-
-    mode="concat" treats the selected channels as one long vector (the
-    default multi-modality convention). mode="mean" standardizes each
-    channel separately and scales by 1/sqrt(n_channels), so the dot
-    product of two such vectors equals the per-channel mean of the
-    per-channel correlations. Either way, a constant input (variance
-    below 1e-12; for "mean", any constant selected channel) yields
-    valid=False with all-zero values.
-    """
-    if mode not in CHANNEL_MODES:
-        raise InvalidArgumentError(f"unknown channel mode {mode!r}")
-    mask = resolve_channel_mask(channel_mask, img.channels)
-    sel = _selected(img, mask)
-    values, valid = standardize_rows(sel[None], mode)
-    return StandardizedVector(img.id, values[0], bool(valid[0]))
 
 
 def _pearson_flat(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,20 +3,22 @@ row, keeping the top-k per query.
 
 Images (their selected channels) and embeddings are both row matrices
 once standardized by `core.standardize_rows`, so they take one path.
-All query rows (one set or several, e.g. synthetic and test) are
-standardized once into one resident float64 matrix. The reference set
-is then read once, in blocks of rows sized by the block budget: each
-block is read into one reused float64 buffer and standardized in place,
-multiplied against the queries with one dgemm, and merged into each
-query's carried top-k: only values (clamped to [-1, 1]) at or above
-its k-th best are gathered. Blocks are merged in ascending order, and
-ties go to the ascending reference id. Every set, query or reference,
+The query rows and, given one, the test rows (an audit's synthetic and
+held-out sets) are read and standardized once into one resident float64
+matrix. The reference set is then read once, in blocks of rows sized by
+the block budget: each block is read into one reused float64 buffer and
+standardized in place, multiplied against the resident rows with one
+dgemm, and merged into each row's carried top-k: only values (clamped
+to [-1, 1]) at or above its k-th best are gathered. The query rows are
+then searched against the test rows, sliced from the same matrix in
+blocks of as many columns, through the same merge. Blocks are merged in
+ascending order, and ties go to the ascending reference id. Every set
 is read the same way, by its own `read_rows` into the engine's float64
 buffers: in-memory sets (`Dataset`, `EmbeddingSet`) copy their rows,
 file-backed ones (`ingest.open_dataset`, `ingest.open_embedding_set`)
 read them from their files. So the reference's size never sets the
-memory: that is the resident queries plus one block and its
-temporaries. Parallelism is the BLAS library's own threads. Results
+memory: that is the resident query and test rows plus one block and
+its temporaries. Parallelism is the BLAS library's own threads. Results
 are bit-identical for identical inputs, block budget and BLAS thread
 count; across block budgets they agree within 1e-6.
 
@@ -196,35 +198,54 @@ def _valid_rows(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return rows[: kept.size]
 
 
+def _matches(query_ids, query_valid, best_v, best_r, reference_ids, ranks, skipped):
+    """One TopKMatches per query from the merged (value, rank) arrays of
+    its valid rows, in order; invalid queries get none."""
+    id_by_rank = np.empty(len(reference_ids), dtype=object)
+    id_by_rank[ranks] = list(reference_ids)
+    matches = iter(zip(id_by_rank[best_r].tolist(), best_v.tolist()))
+    return [
+        TopKMatches(qid, tuple(zip(*next(matches))), skipped)
+        if ok
+        else TopKMatches(qid, (), skipped, query_valid=False)
+        for qid, ok in zip(query_ids, query_valid)
+    ]
+
+
 def _run(
-    queries: Sequence,
+    query,
     reference,
+    test,
     row_shape: tuple[int, ...],
     read_args: tuple,
     mode: str,
     k: int,
     block_budget_mib: float,
     progress: Optional[ProgressFn],
-) -> list[TopKMatches]:
-    """Top-k of every query row against every reference row: queries
-    standardized once into one resident float64 matrix, references read
-    once, block by block, with one dgemm per block. Every set is read by
-    its own read_rows(i0, i1, out, *read_args) into float64 rows of
-    row_shape: (channels, H*W) for images, (dim,) for embeddings."""
-    query_ids = [qid for q in queries for qid in q.ids]
+):
+    """Top-k of every query and test row against every reference row:
+    query and test standardized once into one resident float64 matrix,
+    references read once, block by block, with one dgemm per block. Given
+    a test set, the query rows are then searched against the valid test
+    rows, sliced from that matrix in blocks of as many columns. Every set
+    is read by its own read_rows(i0, i1, out, *read_args) into float64
+    rows of row_shape: (channels, H*W) for images, (dim,) for embeddings."""
+    sets = (query,) if test is None else (query, test)
     reference_ids = reference.ids
     nr = len(reference_ids)
-    q_all = np.empty((len(query_ids), *row_shape), dtype=np.float64)
+    q_all = np.empty((sum(map(len, sets)), *row_shape), dtype=np.float64)
     q0 = 0
-    for q in queries:
-        q.read_rows(0, len(q), q_all[q0 : q0 + len(q)], *read_args)
-        q0 += len(q)
+    for s in sets:
+        s.read_rows(0, len(s), q_all[q0 : q0 + len(s)], *read_args)
+        q0 += len(s)
     segments = row_shape if len(row_shape) == 2 else (1, *row_shape)  # an embedding: one
     q_all, q_valid = standardize_rows(q_all.reshape(len(q_all), *segments), mode)
     q_mat = _valid_rows(q_all, q_valid)
-    nq = q_mat.shape[0]
+    nq, n = q_mat.shape[0], len(query)
+    ns = int(q_valid[:n].sum())  # q_mat: valid query rows, then valid test rows
+    total = nq * nr + (0 if test is None else ns * (nq - ns))
 
-    plan = plan_audit(len(query_ids), nr, q_mat.shape[1], block_budget_mib)
+    plan = plan_audit(len(q_all), nr, q_mat.shape[1], block_budget_mib)
     ranks = _tie_ranks(reference_ids)
     buffer = np.empty((plan.block_reference, *row_shape), dtype=np.float64)
     best_v = np.empty((nq, 0), dtype=np.float64)
@@ -242,24 +263,30 @@ def _run(
                 best_v, best_r, q_mat @ block.T, ranks[r0:r1][valid], k
             )
         if progress is not None:
-            progress(nq * r1, nq * nr)
-    if progress is not None and nq * nr == 0:
+            progress(nq * r1, total)
+    if progress is not None and total == 0:
         progress(0, 0)
+    found = _matches(
+        [i for s in sets for i in s.ids], q_valid, best_v, best_r, reference_ids, ranks, skipped
+    )
+    if test is None:
+        return found
 
-    id_by_rank = np.empty(nr, dtype=object)
-    id_by_rank[ranks] = list(reference_ids)
-    matches = iter(zip(id_by_rank[best_r].tolist(), best_v.tolist()))
-    return [
-        TopKMatches(qid, tuple(zip(*next(matches))), skipped)
-        if ok
-        else TopKMatches(qid, (), skipped, query_valid=False)
-        for qid, ok in zip(query_ids, q_valid)
-    ]
-
-
-def _parts(query) -> tuple:
-    """A query argument (one set or a tuple of sets) as a tuple of sets."""
-    return tuple(query) if isinstance(query, tuple) else (query,)
+    test_ranks = _tie_ranks(test.ids)
+    valid_ranks = test_ranks[q_valid[n:]]
+    best_v = np.empty((ns, 0), dtype=np.float64)
+    best_r = np.empty((ns, 0), dtype=np.int64)
+    for c0 in range(0, nq - ns, plan.block_reference):  # ascending, as the reference
+        c1 = min(c0 + plan.block_reference, nq - ns)
+        if ns:
+            tile = q_mat[:ns] @ q_mat[ns + c0 : ns + c1].T
+            best_v, best_r = _merge_block(best_v, best_r, tile, valid_ranks[c0:c1], k)
+        if progress is not None:
+            progress(nq * nr + ns * c1, total)
+    skipped = len(test) - (nq - ns)
+    return found[:n], found[n:], _matches(
+        query.ids, q_valid[:n], best_v, best_r, test.ids, test_ranks, skipped
+    )
 
 
 ImageSet = Union[Dataset, DatasetFile]
@@ -267,73 +294,75 @@ EmbeddingRows = Union[EmbeddingSet, EmbeddingSetFile]
 
 
 def max_correlations(
-    query: Union[ImageSet, tuple[ImageSet, ...]],
+    query: ImageSet,
     reference: ImageSet,
     channel_mask: Optional[Iterable[int]] = None,
     k: int = 5,
     mode: str = "concat",
     block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
     progress: Optional[ProgressFn] = None,
-) -> list[TopKMatches]:
+    *,
+    test: Optional[ImageSet] = None,
+):
     """Top-k highest correlations for every query image against all
-    valid reference images.
+    valid reference images, as a list in query order.
 
-    query is one set or a tuple of sets, all searched in one pass over
-    the reference; results come back as one list in query order.
     reference is a Dataset or a DatasetFile (open_dataset), which is
-    read once, block by block. Agrees with brute_force_correlations
-    within 1e-6 per entry. Constant reference images are excluded
-    (counted in skipped_invalid); constant queries come back with
-    query_valid=False and no matches.
+    read once, block by block. Given a test set, it is searched against
+    the reference in the same pass, and the query is then searched
+    against it too: the result is (query_vs_reference, test_vs_reference,
+    query_vs_test), and every set is read once. Agrees with
+    brute_force_correlations within 1e-6 per entry. Constant reference
+    (or test) images are excluded (counted in skipped_invalid); constant
+    queries come back with query_valid=False and no matches.
     """
     if k < 1:
         raise InvalidArgumentError("k must be at least 1")
     if len(reference) == 0:
         raise InvalidArgumentError("reference dataset is empty")
-    parts = [q for q in _parts(query) if len(q)]
-    if not parts:
-        return []
-    for q in parts:
-        if q.shape != reference.shape:
+    for name, s in (("query", query), ("test", test)):
+        if s is not None and len(s) and s.shape != reference.shape:
             raise InvalidArgumentError(
-                f"dimension mismatch: query {q.shape} vs reference {reference.shape}"
+                f"dimension mismatch: {name} {s.shape} vs reference {reference.shape}"
             )
     if mode not in CHANNEL_MODES:
         raise InvalidArgumentError(f"unknown channel mode {mode!r}")
     c, h, w = reference.shape
     mask = list(resolve_channel_mask(channel_mask, c))
     return _run(
-        parts, reference, (len(mask), h * w), (mask,), mode, k, block_budget_mib, progress
+        query, reference, test, (len(mask), h * w), (mask,), mode, k, block_budget_mib,
+        progress,
     )
 
 
 def max_correlations_embeddings(
-    query: Union[EmbeddingRows, tuple[EmbeddingRows, ...]],
+    query: EmbeddingRows,
     reference: EmbeddingRows,
     k: int = 5,
     metric: str = "pearson",
     block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
     progress: Optional[ProgressFn] = None,
-) -> list[TopKMatches]:
-    """max_correlations over embedding rows instead of images.
+    *,
+    test: Optional[EmbeddingRows] = None,
+):
+    """max_correlations over embedding rows instead of images, with the
+    same test keyword and results.
 
-    query is one set or a tuple of sets; reference is an EmbeddingSet or
-    an EmbeddingSetFile (open_embedding_set). metric="pearson" centers
-    each row before normalizing; "cosine" is the plain dot product of
-    L2-normalized rows.
+    query, reference and test are EmbeddingSets or EmbeddingSetFiles
+    (open_embedding_set). metric="pearson" centers each row before
+    normalizing; "cosine" is the plain dot product of L2-normalized rows.
     """
     if k < 1:
         raise InvalidArgumentError("k must be at least 1")
-    parts = _parts(query)
-    for q in parts:
-        if q.dim != reference.dim:
+    for name, s in (("query", query), ("test", test)):
+        if s is not None and s.dim != reference.dim:
             raise InvalidArgumentError(
-                f"dimension mismatch: query dim {q.dim} vs reference {reference.dim}"
+                f"dimension mismatch: {name} dim {s.dim} vs reference {reference.dim}"
             )
     if metric not in ("pearson", "cosine"):
         raise InvalidArgumentError(f"unknown embedding metric {metric!r}")
     return _run(
-        parts, reference, (reference.dim,), (), metric, k, block_budget_mib, progress
+        query, reference, test, (reference.dim,), (), metric, k, block_budget_mib, progress
     )
 
 

@@ -499,33 +499,45 @@ class TestStreamedTrainRejections:
 
 class TestOnePassOverTrain:
     def test_each_train_entry_read_once(self, tmp_path, monkeypatch, capsys):
+        """One engine call per audit: every train, synthetic and test row
+        and IVC1 entry is read exactly once, with and without --sample."""
         train_mf, synth_mf, test_mf = _split_train(tmp_path)
         rows, entries = Counter(), Counter()
         read_rows, ivc_values = ingest.DatasetFile.read_rows, ingest._ivc_values
 
         def counted_rows(self, i0, i1, out, channels):
-            if self.role == "train":  # synthetic and test are file-backed too
-                rows.update(range(i0, i1))
+            rows.update((self.role, i) for i in range(i0, i1))
             return read_rows(self, i0, i1, out, channels)
 
         def counted_values(cur, entry, into=None):
-            if cur.path.name in ("t0.ivc", "t1.ivc"):
-                entries[cur.path.name, entry.index] += 1
+            entries[cur.path.name, entry.index] += 1
             return ivc_values(cur, entry, into)
 
         monkeypatch.setattr(ingest.DatasetFile, "read_rows", counted_rows)
         monkeypatch.setattr(ingest, "_ivc_values", counted_values)
-        code = run([
-            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
-            "--test", str(test_mf), "--block-budget-mib", "0.005",
-            "--out", str(tmp_path / "r.json"), "--progress-interval", "0",
-        ])
-        assert code in (0, 1)
-        assert rows == Counter(range(24))
-        assert entries == Counter((f, i) for f in ("t0.ivc", "t1.ivc") for i in range(12))
-        err = capsys.readouterr().err
-        assert "[synth+test-vs-train]" in err and "[synth-vs-test]" in err
-        assert "[synth-vs-train]" not in err and "[test-vs-train]" not in err
+        for sample in (None, 3):
+            rows.clear()
+            entries.clear()
+            extra = [] if sample is None else ["--sample", str(sample), "--seed", "5"]
+            code = run([
+                "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+                "--test", str(test_mf), "--block-budget-mib", "0.005", *extra,
+                "--out", str(tmp_path / "r.json"), "--progress-interval", "0",
+            ])
+            assert code in (0, 1)
+            picks = range(8) if sample is None else SplitMix64(5).sample_without_replacement(8, 3)
+            assert rows == Counter([
+                *(("train", i) for i in range(24)),
+                *(("synthetic", i) for i in picks),
+                *(("test", i) for i in range(8)),
+            ])
+            assert entries == Counter([
+                *((f, i) for f in ("t0.ivc", "t1.ivc") for i in range(12)),
+                *(("synth.ivc", i) for i in picks),
+                *(("heldout.ivc", i) for i in range(8)),
+            ])
+            labels = {line.split("]")[0] for line in capsys.readouterr().err.splitlines()}
+            assert labels == {"[synth+test-vs-train", "[audit"}
 
 
 class TestSampleReadsPicked:
@@ -666,6 +678,8 @@ class TestFlagValues:
     METRICS = ["metrics", "--out", "OUT"]
     PLANT = ["plant", "--train", "IN", "--n", "4", "--seed", "1", "--out", "OUT",
              "--truth", "OUT"]
+    PREPROCESS = ["preprocess", "--manifest", "IN", "--out-container", "OUT",
+                  "--out-manifest", "OUT"]
     OTHER_CASES = {
         "audit-is-splits": (AUDIT + ["--is-probs", "IN", "--is-splits", "0"], "--is-splits"),
         "metrics-splits": (METRICS + ["--is", "IN", "--splits", "0"], "--splits"),
@@ -690,10 +704,11 @@ class TestFlagValues:
                         "--p-copy"),
         "plant-sigma": (PLANT + ["--sigma", "-1"], "--sigma"),
         "plant-shift": (PLANT + ["--shift", "-1"], "--shift"),
-        "preprocess-resize": (
-            ["preprocess", "--manifest", "IN", "--out-container", "OUT",
-             "--out-manifest", "OUT", "--resize", "0", "8"],
-            "--resize",
+        "preprocess-resize": (PREPROCESS + ["--resize", "0", "8"], "--resize"),
+        "preprocess-pad": (PREPROCESS + ["--pad", "-1", "4"], "--pad"),
+        "preprocess-min-fraction": (PREPROCESS + ["--min-fraction", "2"], "--min-fraction"),
+        "preprocess-filter-negative": (
+            PREPROCESS + ["--filter-channel", "-1"], "--filter-channel"
         ),
     }
 
@@ -706,6 +721,25 @@ class TestFlagValues:
         assert run([paths.get(a, a) for a in argv]) == 2
         assert flag in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--rescale", "--rescale-channels", "9"], "--rescale-channels"),
+        (["--remap", "1=2", "--remap-channels", "9"], "--remap-channels"),
+        (["--filter-channel", "7"], "--filter-channel"),
+    ], ids=["rescale-channels", "remap-channels", "filter-channel"])
+    def test_preprocess_channels(self, tmp_path, capsys, extra, flag):
+        # Checked against the records' channel count: 1, for these 2-D images.
+        train = generate_train_set(6, 1, 16, 16, seed=9200)
+        write_ivc(list(train.images), tmp_path / "in.ivc")
+        write_manifest(tmp_path / "in.mf", "in", "train", ["in.ivc"])
+        code = run([
+            "preprocess", "--manifest", str(tmp_path / "in.mf"),
+            "--out-container", str(tmp_path / "out.ivc"),
+            "--out-manifest", str(tmp_path / "out.mf"), *extra,
+        ])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ivc", "in.mf"]
 
 
 def test_cli_import_loads_no_scipy():

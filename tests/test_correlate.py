@@ -1,7 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memaudit import correlate
 from memaudit.core import Dataset, ImageRecord, pearson
 from memaudit.correlate import (
     _merge_block,
@@ -248,6 +251,8 @@ class TestMaxCorrelations:
         r = random_dataset(2, (1, 5, 5), 92)
         with pytest.raises(InvalidArgumentError, match="mismatch"):
             max_correlations(q, r)
+        with pytest.raises(InvalidArgumentError, match="mismatch: test"):
+            max_correlations(r, r, test=q)
 
     def test_empty_reference_rejected(self):
         q = random_dataset(2, (1, 4, 4), 93, role="synthetic")
@@ -315,6 +320,8 @@ class TestEmbeddingCorrelations:
         b = EmbeddingSet(("b",), 3, np.ones((1, 3), np.float32))
         with pytest.raises(InvalidArgumentError):
             max_correlations_embeddings(a, b)
+        with pytest.raises(InvalidArgumentError, match="mismatch: test"):
+            max_correlations_embeddings(a, a, test=b)
 
     def test_unknown_metric_rejected(self):
         a = EmbeddingSet(("a",), 2, np.array([[1.0, 2.0]], np.float32))
@@ -365,6 +372,42 @@ def _assert_full_sort_prefix(query, ref, k, budgets):
             assert all(-1.0 <= v <= 1.0 for _, v in full.matches)
             ranked = sorted(full.matches, key=lambda m: (-m[1], m[0]))
             assert list(top.matches) == ranked[:k]
+
+
+def _audit_sets(kind, mode):
+    """Synthetic (7 rows), test (6) and reference (40) sets of one kind,
+    rows of 72 values (2x6x6 images), and the engine for it. Synthetic s2
+    and test t0 are all zero (invalid for every mode and metric); test t3,
+    t1 and t4 (in that row order) duplicate synthetic s4."""
+    rng, dim = np.random.default_rng(115), 72
+    synth = rng.normal(0, 1, (7, dim)).astype(np.float32)
+    synth[2] = 0.0
+    test = rng.normal(0, 1, (6, dim)).astype(np.float32)
+    test[[0, 1, 4]] = synth[4]
+    test[3] = 0.0
+    ref = rng.normal(0, 1, (40, dim)).astype(np.float32)
+    sets = [
+        ("s", "synthetic", [f"s{i}" for i in range(7)], synth),
+        ("t", "test", ["t3", "t1", "t5", "t0", "t4", "t2"], test),
+        ("r", "train", [f"r{i:02d}" for i in range(40)], ref),
+    ]
+    if kind == "images":
+        engine = partial(max_correlations, mode=mode)
+        return (*(
+            Dataset(name, role, tuple(ImageRecord(i, 2, 6, 6, row) for i, row in zip(ids, rows)))
+            for name, role, ids, rows in sets
+        ), engine)
+    engine = partial(max_correlations_embeddings, metric=mode)
+    return (*(EmbeddingSet(tuple(ids), dim, rows) for _, _, ids, rows in sets), engine)
+
+
+def _assert_same_matches(got, want):
+    assert [m.query_id for m in got] == [m.query_id for m in want]
+    for x, y in zip(got, want):
+        assert (x.query_valid, x.skipped_invalid) == (y.query_valid, y.skipped_invalid)
+        assert [i for i, _ in x.matches] == [i for i, _ in y.matches]
+        for (_, u), (_, v) in zip(x.matches, y.matches):
+            assert abs(u - v) <= 1e-12
 
 
 class TestStreamingEngine:
@@ -491,21 +534,54 @@ class TestStreamingEngine:
             for match in max_correlations_embeddings(query, ref, k=5, block_budget_mib=budget):
                 assert [r for r, _ in match.matches] == [f"t{i:02d}" for i in range(5)]
 
-    @pytest.mark.parametrize("budget_mib", [0.01, 32.0])
-    def test_query_tuple_equals_separate_calls(self, budget_mib):
-        a = random_dataset(7, (2, 6, 6), 101, role="synthetic", name="a")
-        b = random_dataset(5, (2, 6, 6), 102, role="test", name="b")
-        r = random_dataset(40, (2, 6, 6), 103, name="r")
-        both = max_correlations((a, b), r, k=4, block_budget_mib=budget_mib)
-        apart = [
-            *max_correlations(a, r, k=4, block_budget_mib=budget_mib),
-            *max_correlations(b, r, k=4, block_budget_mib=budget_mib),
-        ]
-        assert [m.query_id for m in both] == [m.query_id for m in apart]
-        for x, y in zip(both, apart):
-            assert [i for i, _ in x.matches] == [i for i, _ in y.matches]
-            for (_, u), (_, v) in zip(x.matches, y.matches):
-                assert abs(u - v) <= 1e-12
+    @pytest.mark.parametrize(
+        "kind, mode",
+        [("images", "concat"), ("images", "mean"), ("embeddings", "pearson"),
+         ("embeddings", "cosine")],
+    )
+    def test_test_keyword_equals_separate_calls(self, kind, mode):
+        synth, test, ref, engine = _audit_sets(kind, mode)
+        k, n_resident = 4, len(synth) + len(test)
+        row_bytes = 8 * 72 + 17 * n_resident
+        narrow = [(rows + 0.5) * row_bytes / (1 << 20) for rows in (1, 3)]
+        assert [plan_audit(n_resident, len(ref), 72, b).block_reference for b in narrow] == [1, 3]
+        # test blocks of 1 and 3 columns (narrower than k), and of 40 (wider than the test set)
+        for budget in (*narrow, 32.0):
+            got = engine(synth, ref, k=k, block_budget_mib=budget, test=test)
+            apart = [
+                engine(synth, ref, k=k, block_budget_mib=budget),
+                engine(test, ref, k=k, block_budget_mib=budget),
+                engine(synth, test, k=k, block_budget_mib=budget),
+            ]
+            assert len(got) == 3
+            for x, y in zip(got, apart):
+                _assert_same_matches(x, y)
+            synth_vs_test = got[2]
+            assert not synth_vs_test[2].query_valid and not got[0][2].query_valid
+            assert synth_vs_test[0].skipped_invalid == 1 and not got[1][3].query_valid
+            # the duplicates t3, t1, t4 tie at 1 and go to the lowest id first
+            assert synth_vs_test[4].matches[0] == ("t1", pytest.approx(1.0, abs=1e-12))
+            for m in synth_vs_test:
+                dupes = [r for r, _ in m.matches if r in ("t1", "t3", "t4")]
+                assert dupes == sorted(dupes)
+
+    def test_test_blocks_no_wider_than_reference_blocks(self, monkeypatch):
+        synth, test, ref, engine = _audit_sets("embeddings", "pearson")
+        row_bytes = 8 * 72 + 17 * (len(synth) + len(test))
+        budget = 2.5 * row_bytes / (1 << 20)
+        block = plan_audit(len(synth) + len(test), len(ref), 72, budget).block_reference
+        assert block == 2
+        widths = []
+
+        def merge(best_v, best_r, tile, ranks, k):
+            widths.append(tile.shape)
+            return _merge_block(best_v, best_r, tile, ranks, k)
+
+        monkeypatch.setattr(correlate, "_merge_block", merge)
+        engine(synth, ref, k=3, block_budget_mib=budget, test=test)
+        # 6 valid synthetic rows x 5 valid test rows after 20 train blocks of 11 rows
+        assert widths[:20] == [(11, 2)] * 20
+        assert widths[20:] == [(6, 2), (6, 2), (6, 1)]
 
     def test_file_backed_reference_equals_in_memory(self, tmp_path):
         q = random_dataset(6, (5, 6, 6), 104, role="synthetic", name="q")
@@ -529,8 +605,8 @@ class TestStreamingEngine:
             write_manifest(tmp_path / f"{name}.mf", name, ds.role, [f"{name}.ivc"])
         handles = (open_dataset(tmp_path / "q.mf"), open_dataset(tmp_path / "t.mf"))
         for budget in (0.005, 32.0):
-            got = max_correlations(handles, r, k=4, block_budget_mib=budget)
-            assert got == max_correlations((q, t), r, k=4, block_budget_mib=budget)
+            got = max_correlations(handles[0], r, k=4, block_budget_mib=budget, test=handles[1])
+            assert got == max_correlations(q, r, k=4, block_budget_mib=budget, test=t)
             got = max_correlations(handles[0], handles[1], k=1, block_budget_mib=budget)
             assert got == max_correlations(q, t, k=1, block_budget_mib=budget)
 
