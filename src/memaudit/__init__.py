@@ -19,7 +19,6 @@ from .correlate import (
     TopKMatches,
     brute_force_correlations,
     max_correlations,
-    max_correlations_embeddings,
     plan_audit,
 )
 from .errors import (
@@ -111,7 +110,6 @@ __all__ = [
     "load_report",
     "matrix_sqrt_psd",
     "max_correlations",
-    "max_correlations_embeddings",
     "mutual_information",
     "open_dataset",
     "open_embedding_set",

@@ -15,17 +15,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from ._rng import SplitMix64
 from .core import VolumeRecord, resolve_channel_mask
-from .correlate import (
-    max_correlations,
-    max_correlations_embeddings,
-    plan_audit,
-)
+from .correlate import max_correlations, plan_audit
 from .errors import InvalidArgumentError, MemauditError
 from .harness import PlantConfig, plant, save_ground_truth
 from .ingest import (
@@ -75,19 +71,6 @@ EXIT_DATA = 3
 
 class UsageError(Exception):
     """Bad flag combination detected before any heavy work."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated global options shared by all subcommands."""
-
-    quiet: bool
-    log_level: str
-    progress_interval: float
-
-    def __post_init__(self):
-        if self.progress_interval < 0:
-            raise UsageError("--progress-interval must be >= 0")
 
 
 class ProgressPrinter:
@@ -197,8 +180,8 @@ def _parse_remap(text: str) -> dict[float, float]:
     return mapping
 
 
-def _progress(cfg: RunConfig, label: str):
-    return None if cfg.quiet else ProgressPrinter(label, cfg.progress_interval)
+def _progress(args, label: str):
+    return None if args.quiet else ProgressPrinter(label, args.progress_interval)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +189,7 @@ def _progress(cfg: RunConfig, label: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_preprocess(args, cfg: RunConfig) -> int:
+def _cmd_preprocess(args) -> int:
     manifest = load_manifest(args.manifest)
     _, records = load_records(manifest)
     rule = SliceFilterRule(
@@ -279,26 +262,32 @@ class _Picked:
             self._rows.read_rows(i, i + 1, row[None], *channels)
 
 
-def _audit(args, cfg: RunConfig):
+def _audit(args):
     """Compare synthetic with train and, given --test, test with train and
     synthetic with test. Images and embeddings share every step; the
-    manifest kind only picks the reader, the engine and its options.
-    Every set stays in its files and is read once into the engine's
-    float64 buffers (a --sample reads only the picked synthetic rows),
-    by one engine call."""
+    manifest kind only picks the reader and the engine's options, and
+    options of the other kind are usage errors. Every set stays in its
+    files and is read once into the engine's float64 buffers (a --sample
+    reads only the picked synthetic rows), by one engine call."""
     manifest = load_manifest(args.train)
-    if all(fmt == "emb" for fmt, _ in manifest.entries):
-        open_set, engine = open_embedding_set, max_correlations_embeddings
-        train = open_set(manifest)
-        options, row_length = dict(metric=args.metric), train.dim
+    embeddings = all(fmt == "emb" for fmt, _ in manifest.entries)
+    foreign = {"--channels": args.channels, "--channel-mode": args.channel_mode}
+    if not embeddings:
+        foreign = {"--metric": args.metric}
+    for flag, value in foreign.items():
+        if value is not None:
+            raise UsageError(
+                f"{flag} does not apply to --train {args.train}, which holds "
+                f"{'embeddings' if embeddings else 'images'}"
+            )
+    open_set = open_embedding_set if embeddings else open_dataset
+    train = open_set(manifest)
+    if embeddings:
+        mask, mode, row_length = None, args.metric, train.dim
     else:
-        open_set, engine = open_dataset, max_correlations
-        train = open_set(manifest)
         c, h, w = train.shape
         mask = _channel_mask("--channels", _parse_channels(args.channels), c)
-        options = dict(channel_mask=mask, mode=args.channel_mode)
-        row_length = len(mask) * h * w
-    options["block_budget_mib"] = args.block_budget_mib
+        mode, row_length = args.channel_mode, len(mask) * h * w
     synthetic = open_set(args.synthetic)
     sample_ids = None
     if args.sample is not None and args.sample < len(synthetic):
@@ -318,8 +307,9 @@ def _audit(args, cfg: RunConfig):
         plan.n_query, plan.n_reference, f"{plan.total_comparisons:,}",
     )
     label = "synth-vs-train" if test is None else "synth+test-vs-train"
-    found = engine(
-        synthetic, train, test=test, k=args.k, progress=_progress(cfg, label), **options
+    found = max_correlations(
+        synthetic, train, channel_mask=mask, k=args.k, mode=mode, test=test,
+        block_budget_mib=args.block_budget_mib, progress=_progress(args, label),
     )
     if test is None:
         return plan, found, None, None, sample_ids
@@ -339,7 +329,7 @@ def _emit_report(report, args) -> None:
         print(report_to_csv(report), end="")
 
 
-def _cmd_audit(args, cfg: RunConfig) -> int:
+def _cmd_audit(args) -> int:
     if args.sample is not None and args.seed is None:
         raise UsageError("--sample requires an explicit --seed")
     if args.baseline_matches_out and not args.test:
@@ -350,7 +340,7 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
             "use --rule fixed:V to audit without one"
         )
 
-    plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit(args, cfg)
+    plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit(args)
 
     metrics_table = {}
     if args.fid_embeddings:
@@ -381,7 +371,7 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
 
     _emit_report(report, args)
 
-    if not cfg.quiet:
+    if not args.quiet:
         print(
             f"[audit] {len(report.flagged)} of {report.summaries[0].n} synthetic "
             f"image(s) at or above threshold {report.threshold.value:.6f} "
@@ -401,7 +391,7 @@ def _paired_images(path_a, path_b):
     return a, b
 
 
-def _cmd_metrics(args, cfg: RunConfig) -> int:
+def _cmd_metrics(args) -> int:
     wanted = [args.ssim_pairs, args.mi_pairs, args.fid, args.inception]
     if not any(wanted):
         raise UsageError(
@@ -444,7 +434,7 @@ def _cmd_metrics(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_plant(args, cfg: RunConfig) -> int:
+def _cmd_plant(args) -> int:
     try:
         config = PlantConfig(
             n_output=args.n,
@@ -478,7 +468,7 @@ def _cmd_plant(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args, cfg: RunConfig) -> int:
+def _cmd_report(args) -> int:
     _, plan, synth_matches = load_matches(args.matches)
     if plan is None:
         raise MemauditError(
@@ -512,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["debug", "info", "warning", "error"],
     )
     common.add_argument(
-        "--progress-interval", type=float, default=5.0,
+        "--progress-interval", type=_non_negative(float), default=5.0,
         help="seconds between progress lines",
     )
 
@@ -550,9 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--synthetic", required=True)
     a.add_argument("--test", help="held-out set for the baseline distribution")
     a.add_argument("--channels", help="channel mask, e.g. '0,1,2,3'")
-    a.add_argument("--channel-mode", choices=["concat", "mean"], default="concat")
-    a.add_argument("--metric", choices=["pearson", "cosine"], default="pearson",
-                   help="similarity for embedding manifests")
+    a.add_argument("--channel-mode", choices=["concat", "mean"],
+                   help="for image manifests (default concat)")
+    a.add_argument("--metric", choices=["pearson", "cosine"],
+                   help="for embedding manifests (default pearson)")
     a.add_argument("--k", type=_positive(int), default=5)
     a.add_argument("--sample", type=_positive(int), nargs="?", const=1000, default=None,
                    help="audit a random sample of N synthetic images (default N=1000)")
@@ -630,13 +621,8 @@ def run(argv) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(
-            quiet=args.quiet,
-            log_level=args.log_level,
-            progress_interval=args.progress_interval,
-        )
-        logging.basicConfig(level=getattr(logging, cfg.log_level.upper()))
-        return _COMMANDS[args.command](args, cfg)
+        logging.basicConfig(level=getattr(logging, args.log_level.upper()))
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"memaudit {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

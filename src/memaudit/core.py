@@ -245,7 +245,9 @@ def standardize_rows(
         raise InvalidArgumentError(f"unknown standardization mode {mode!r}")
     if mode != "cosine":
         parts -= parts.mean(axis=2, keepdims=True)
-    sq = np.einsum("nsl,nsl->ns", parts, parts)
+    # einsum sums a lone row another way (other bits): give it a twin
+    pair = parts if parts.shape[0] * parts.shape[1] > 1 else np.concatenate([parts, parts])
+    sq = np.einsum("nsl,nsl->ns", pair, pair)[:n]
     if mode == "cosine":
         ok = sq >= 1e-24
     else:

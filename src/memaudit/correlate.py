@@ -1,26 +1,25 @@
 """All-pairs correlation engine: every query row against every reference
 row, keeping the top-k per query.
 
-Images (their selected channels) and embeddings are both row matrices
-once standardized by `core.standardize_rows`, so they take one path.
+`max_correlations` is its one entry point. Images (their selected
+channels) and embeddings are both row matrices once standardized by
+`core.standardize_rows`, so they take one path. Every set is read by
+its own `read_rows` into the engine's float64 buffers: in-memory sets
+(`Dataset`, `EmbeddingSet`) copy their rows, file-backed ones
+(`ingest.open_dataset`, `ingest.open_embedding_set`) read their files.
 The query rows and, given one, the test rows (an audit's synthetic and
-held-out sets) are read and standardized once into one resident float64
-matrix. The reference set is then read once, in blocks of rows sized by
-the block budget: each block is read into one reused float64 buffer and
-standardized in place, multiplied against the resident rows with one
-dgemm, and merged into each row's carried top-k: only values (clamped
-to [-1, 1]) at or above its k-th best are gathered. The query rows are
-then searched against the test rows, sliced from the same matrix in
-blocks of as many columns, through the same merge. Blocks are merged in
-ascending order, and ties go to the ascending reference id. Every set
-is read the same way, by its own `read_rows` into the engine's float64
-buffers: in-memory sets (`Dataset`, `EmbeddingSet`) copy their rows,
-file-backed ones (`ingest.open_dataset`, `ingest.open_embedding_set`)
-read them from their files. So the reference's size never sets the
-memory: that is the resident query and test rows plus one block and
-its temporaries. Parallelism is the BLAS library's own threads. Results
-are bit-identical for identical inputs, block budget and BLAS thread
-count; across block budgets they agree within 1e-6.
+held-out sets) are read and standardized once into one resident matrix.
+Two searches then share one loop over ascending blocks of columns, with
+one dgemm per block merged into each row's carried top-k: only values
+(clamped to [-1, 1]) at or above its k-th best are gathered, and ties go
+to the ascending reference id. The first reads the reference once, in
+blocks of rows sized by the block budget, standardized in place in one
+reused buffer; the second takes the test rows from the resident matrix
+in blocks of as many columns. So memory is the resident rows plus one
+block and its temporaries, whatever the reference's size. Parallelism
+is the BLAS library's own threads. Results are bit-identical for
+identical inputs, block budget and BLAS thread count; across block
+budgets they agree within 1e-6.
 
 `brute_force_correlations` is the deliberately naive oracle: per-pair
 scalar Pearson with no shared standardization, used to verify the
@@ -31,7 +30,7 @@ abused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .core import (
     standardize_rows,
 )
 from .errors import InvalidArgumentError, UndefinedCorrelationError
-from .ingest import DatasetFile, EmbeddingSet, EmbeddingSetFile
 
 DEFAULT_BLOCK_BUDGET_MIB = 32.0
 BRUTE_FORCE_LIMIT = 10_000_000
@@ -212,34 +210,105 @@ def _matches(query_ids, query_valid, best_v, best_r, reference_ids, ranks, skipp
     ]
 
 
-def _run(
+def _search(queries, n, step, block, k, progress, done, total):
+    """Top-k of every row of queries against n columns, merged block by
+    block in ascending order (deterministic merges): block(c0, c1) gives
+    the valid standardized rows among columns c0..c1-1 and their ranks.
+    Progress counts done plus the comparisons made so far. Returns the
+    merged (value, rank) arrays and the number of valid columns."""
+    best_v = np.empty((len(queries), 0), dtype=np.float64)
+    best_r = np.empty((len(queries), 0), dtype=np.int64)
+    n_valid = 0
+    for c0 in range(0, n, step):
+        c1 = min(c0 + step, n)
+        rows, ranks = block(c0, c1)
+        n_valid += len(rows)
+        if len(queries) and len(rows):
+            best_v, best_r = _merge_block(best_v, best_r, queries @ rows.T, ranks, k)
+        if progress is not None:
+            progress(done + len(queries) * c1, total)
+    return best_v, best_r, n_valid
+
+
+def _kind(rows) -> str:
+    return "embeddings" if hasattr(rows, "dim") else "images"
+
+
+def max_correlations(
     query,
     reference,
-    test,
-    row_shape: tuple[int, ...],
-    read_args: tuple,
-    mode: str,
-    k: int,
-    block_budget_mib: float,
-    progress: Optional[ProgressFn],
+    channel_mask: Optional[Iterable[int]] = None,
+    k: int = 5,
+    mode: Optional[str] = None,
+    block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
+    progress: Optional[ProgressFn] = None,
+    *,
+    test=None,
 ):
-    """Top-k of every query and test row against every reference row:
-    query and test standardized once into one resident float64 matrix,
-    references read once, block by block, with one dgemm per block. Given
-    a test set, the query rows are then searched against the valid test
-    rows, sliced from that matrix in blocks of as many columns. Every set
-    is read by its own read_rows(i0, i1, out, *read_args) into float64
-    rows of row_shape: (channels, H*W) for images, (dim,) for embeddings."""
-    sets = (query,) if test is None else (query, test)
+    """Top-k highest correlations for every query row against all valid
+    reference rows, as a list in query order.
+
+    query, reference and test are all image sets (Dataset, or DatasetFile
+    from open_dataset) or all embedding sets (EmbeddingSet, or
+    EmbeddingSetFile from open_embedding_set). Images correlate their
+    channel_mask channels by mode "concat" (default: one Pearson over all
+    of them) or "mean" (of per-channel correlations). Embeddings take no
+    channel_mask, and mode "pearson" (default) or "cosine" (the dot
+    product of L2-normalized rows). Given a test set, it is searched
+    against the reference in the same pass, and the query is then
+    searched against it too: the result is (query_vs_reference,
+    test_vs_reference, query_vs_test), and every set is read once. Agrees
+    with brute_force_correlations within 1e-6 per entry. Constant
+    reference (or test) rows are excluded (counted in skipped_invalid);
+    constant queries come back with query_valid=False and no matches.
+    """
+    if k < 1:
+        raise InvalidArgumentError("k must be at least 1")
+    if len(reference) == 0:
+        raise InvalidArgumentError("reference dataset is empty")
+    kind = _kind(reference)
+    sets = [("query", query)] + ([] if test is None else [("test", test)])
+    for name, s in sets:
+        if _kind(s) != kind:
+            raise InvalidArgumentError(
+                f"kind mismatch: {name} holds {_kind(s)} but reference holds {kind}"
+            )
+    if kind == "embeddings":
+        for name, s in sets:
+            if s.dim != reference.dim:
+                raise InvalidArgumentError(
+                    f"dimension mismatch: {name} dim {s.dim} vs reference {reference.dim}"
+                )
+        if channel_mask is not None:
+            raise InvalidArgumentError("channel_mask applies to images only")
+        modes, what = ("pearson", "cosine"), "embedding metric"
+        row_shape, read_args = (reference.dim,), ()
+    else:
+        for name, s in sets:
+            if len(s) and s.shape != reference.shape:
+                raise InvalidArgumentError(
+                    f"dimension mismatch: {name} {s.shape} vs reference {reference.shape}"
+                )
+        c, h, w = reference.shape
+        mask = list(resolve_channel_mask(channel_mask, c))
+        modes, what = CHANNEL_MODES, "channel mode"
+        row_shape, read_args = (len(mask), h * w), (mask,)
+    mode = modes[0] if mode is None else mode
+    if mode not in modes:
+        raise InvalidArgumentError(f"unknown {what} {mode!r}")
+
+    # Every set is read by its own read_rows(i0, i1, out, *read_args) into
+    # float64 rows of row_shape, whose segments (channels, or one for an
+    # embedding) standardize_rows takes. Query and test are standardized
+    # once into one resident matrix; references are read block by block.
     reference_ids = reference.ids
-    nr = len(reference_ids)
-    q_all = np.empty((sum(map(len, sets)), *row_shape), dtype=np.float64)
+    nr, length = len(reference_ids), row_shape[-1]
+    q_all = np.empty((sum(len(s) for _, s in sets), *row_shape), dtype=np.float64)
     q0 = 0
-    for s in sets:
+    for _, s in sets:
         s.read_rows(0, len(s), q_all[q0 : q0 + len(s)], *read_args)
         q0 += len(s)
-    segments = row_shape if len(row_shape) == 2 else (1, *row_shape)  # an embedding: one
-    q_all, q_valid = standardize_rows(q_all.reshape(len(q_all), *segments), mode)
+    q_all, q_valid = standardize_rows(q_all.reshape(len(q_all), -1, length), mode)
     q_mat = _valid_rows(q_all, q_valid)
     nq, n = q_mat.shape[0], len(query)
     ns = int(q_valid[:n].sum())  # q_mat: valid query rows, then valid test rows
@@ -248,121 +317,34 @@ def _run(
     plan = plan_audit(len(q_all), nr, q_mat.shape[1], block_budget_mib)
     ranks = _tie_ranks(reference_ids)
     buffer = np.empty((plan.block_reference, *row_shape), dtype=np.float64)
-    best_v = np.empty((nq, 0), dtype=np.float64)
-    best_r = np.empty((nq, 0), dtype=np.int64)
-    skipped = 0
-    for r0 in range(0, nr, plan.block_reference):  # ascending: deterministic merges
-        r1 = min(r0 + plan.block_reference, nr)
+
+    def reference_block(r0, r1):
         rows = buffer[: r1 - r0]
         reference.read_rows(r0, r1, rows, *read_args)
-        values, valid = standardize_rows(rows.reshape(r1 - r0, *segments), mode)
-        block = _valid_rows(values, valid)
-        skipped += r1 - r0 - block.shape[0]
-        if nq and block.shape[0]:
-            best_v, best_r = _merge_block(
-                best_v, best_r, q_mat @ block.T, ranks[r0:r1][valid], k
-            )
-        if progress is not None:
-            progress(nq * r1, total)
+        values, valid = standardize_rows(rows.reshape(r1 - r0, -1, length), mode)
+        return _valid_rows(values, valid), ranks[r0:r1][valid]
+
+    best_v, best_r, n_valid = _search(
+        q_mat, nr, plan.block_reference, reference_block, k, progress, 0, total
+    )
     if progress is not None and total == 0:
         progress(0, 0)
     found = _matches(
-        [i for s in sets for i in s.ids], q_valid, best_v, best_r, reference_ids, ranks, skipped
+        [i for _, s in sets for i in s.ids], q_valid, best_v, best_r, reference_ids, ranks,
+        nr - n_valid,
     )
     if test is None:
         return found
 
     test_ranks = _tie_ranks(test.ids)
     valid_ranks = test_ranks[q_valid[n:]]
-    best_v = np.empty((ns, 0), dtype=np.float64)
-    best_r = np.empty((ns, 0), dtype=np.int64)
-    for c0 in range(0, nq - ns, plan.block_reference):  # ascending, as the reference
-        c1 = min(c0 + plan.block_reference, nq - ns)
-        if ns:
-            tile = q_mat[:ns] @ q_mat[ns + c0 : ns + c1].T
-            best_v, best_r = _merge_block(best_v, best_r, tile, valid_ranks[c0:c1], k)
-        if progress is not None:
-            progress(nq * nr + ns * c1, total)
-    skipped = len(test) - (nq - ns)
+    best_v, best_r, n_valid = _search(  # the test rows, sliced from the resident matrix
+        q_mat[:ns], nq - ns, plan.block_reference,
+        lambda c0, c1: (q_mat[ns + c0 : ns + c1], valid_ranks[c0:c1]),
+        k, progress, nq * nr, total,
+    )
     return found[:n], found[n:], _matches(
-        query.ids, q_valid[:n], best_v, best_r, test.ids, test_ranks, skipped
-    )
-
-
-ImageSet = Union[Dataset, DatasetFile]
-EmbeddingRows = Union[EmbeddingSet, EmbeddingSetFile]
-
-
-def max_correlations(
-    query: ImageSet,
-    reference: ImageSet,
-    channel_mask: Optional[Iterable[int]] = None,
-    k: int = 5,
-    mode: str = "concat",
-    block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
-    progress: Optional[ProgressFn] = None,
-    *,
-    test: Optional[ImageSet] = None,
-):
-    """Top-k highest correlations for every query image against all
-    valid reference images, as a list in query order.
-
-    reference is a Dataset or a DatasetFile (open_dataset), which is
-    read once, block by block. Given a test set, it is searched against
-    the reference in the same pass, and the query is then searched
-    against it too: the result is (query_vs_reference, test_vs_reference,
-    query_vs_test), and every set is read once. Agrees with
-    brute_force_correlations within 1e-6 per entry. Constant reference
-    (or test) images are excluded (counted in skipped_invalid); constant
-    queries come back with query_valid=False and no matches.
-    """
-    if k < 1:
-        raise InvalidArgumentError("k must be at least 1")
-    if len(reference) == 0:
-        raise InvalidArgumentError("reference dataset is empty")
-    for name, s in (("query", query), ("test", test)):
-        if s is not None and len(s) and s.shape != reference.shape:
-            raise InvalidArgumentError(
-                f"dimension mismatch: {name} {s.shape} vs reference {reference.shape}"
-            )
-    if mode not in CHANNEL_MODES:
-        raise InvalidArgumentError(f"unknown channel mode {mode!r}")
-    c, h, w = reference.shape
-    mask = list(resolve_channel_mask(channel_mask, c))
-    return _run(
-        query, reference, test, (len(mask), h * w), (mask,), mode, k, block_budget_mib,
-        progress,
-    )
-
-
-def max_correlations_embeddings(
-    query: EmbeddingRows,
-    reference: EmbeddingRows,
-    k: int = 5,
-    metric: str = "pearson",
-    block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
-    progress: Optional[ProgressFn] = None,
-    *,
-    test: Optional[EmbeddingRows] = None,
-):
-    """max_correlations over embedding rows instead of images, with the
-    same test keyword and results.
-
-    query, reference and test are EmbeddingSets or EmbeddingSetFiles
-    (open_embedding_set). metric="pearson" centers each row before
-    normalizing; "cosine" is the plain dot product of L2-normalized rows.
-    """
-    if k < 1:
-        raise InvalidArgumentError("k must be at least 1")
-    for name, s in (("query", query), ("test", test)):
-        if s is not None and s.dim != reference.dim:
-            raise InvalidArgumentError(
-                f"dimension mismatch: {name} dim {s.dim} vs reference {reference.dim}"
-            )
-    if metric not in ("pearson", "cosine"):
-        raise InvalidArgumentError(f"unknown embedding metric {metric!r}")
-    return _run(
-        query, reference, test, (reference.dim,), (), metric, k, block_budget_mib, progress
+        query.ids, q_valid[:n], best_v, best_r, test.ids, test_ranks, len(test) - n_valid
     )
 
 

@@ -16,7 +16,7 @@ import memaudit.ingest as ingest
 from memaudit._rng import SplitMix64
 from memaudit.cli import ProgressPrinter, run
 from memaudit.core import Dataset, ImageRecord, VolumeRecord
-from memaudit.correlate import max_correlations, max_correlations_embeddings
+from memaudit.correlate import max_correlations
 from memaudit.harness import generate_train_set
 from memaudit.ingest import (
     EmbeddingSet,
@@ -219,6 +219,17 @@ class TestEmbeddingAudit:
         assert code == 1  # the 5 copied rows correlate at 1.0
         report = load_report(out)
         assert {f.query_id for f in report.flagged} == {f"s{i}" for i in range(5)}
+
+    def test_metric_pearson_is_the_default(self, tmp_path):
+        train_mf, synth_mf, test_mf = _emb_sets(tmp_path)
+        outs = [tmp_path / "default.json", tmp_path / "pearson.json"]
+        for out, extra in zip(outs, ([], ["--metric", "pearson"])):
+            code = run([
+                "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+                "--test", str(test_mf), "--out", str(out), "--quiet", *extra,
+            ])
+            assert code in (0, 1)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestPlantCommand:
@@ -551,8 +562,7 @@ class TestSampleReadsPicked:
             handle, load, engine = ingest.DatasetFile, load_dataset, max_correlations
         else:
             train_mf, synth_mf, _ = _emb_sets(tmp_path)
-            handle, load = ingest.EmbeddingSetFile, load_embedding_set
-            engine = max_correlations_embeddings
+            handle, load, engine = ingest.EmbeddingSetFile, load_embedding_set, max_correlations
         synth = load(synth_mf)
         picks = SplitMix64(4).sample_without_replacement(len(synth), 3)
         rows, entries = Counter(), Counter()
@@ -635,12 +645,35 @@ class TestFlagValues:
         "rule-percentile": (["--rule", "percentile:150"], "--rule"),
         "channels-range": (["--channels", "0,9"], "--channels"),
         "channels-empty": (["--channels", ","], "--channels"),
+        "progress-nan": (["--progress-interval", "nan"], "--progress-interval"),
+        "progress-inf": (["--progress-interval", "inf"], "--progress-interval"),
+        "progress-negative": (["--progress-interval", "-1"], "--progress-interval"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_audit(self, tmp_path, capsys, case):
         extra, flag = self.CASES[case]
         train_mf, synth_mf, test_mf = _split_train(tmp_path)
+        out = tmp_path / "r.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--out", str(out), "--quiet", *extra,
+        ])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, extra, flag", [
+        ("images", ["--metric", "cosine"], "--metric"),
+        ("images", ["--metric", "pearson"], "--metric"),
+        ("embeddings", ["--channels", "0"], "--channels"),
+        ("embeddings", ["--channel-mode", "mean"], "--channel-mode"),
+        ("embeddings", ["--channel-mode", "concat"], "--channel-mode"),
+    ], ids=["images-metric-cosine", "images-metric-pearson", "embeddings-channels",
+            "embeddings-channel-mode-mean", "embeddings-channel-mode-concat"])
+    def test_audit_flags_of_the_other_kind(self, tmp_path, capsys, kind, extra, flag):
+        sets = _split_train if kind == "images" else _emb_sets
+        train_mf, synth_mf, test_mf = sets(tmp_path)
         out = tmp_path / "r.json"
         code = run([
             "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),

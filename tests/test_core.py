@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memaudit import core
 from memaudit.core import (
     Dataset,
     ImageRecord,
@@ -116,6 +121,35 @@ class TestStandardize:
     def test_bad_mode_rejected(self, tiny_image):
         with pytest.raises(InvalidArgumentError):
             standardized(tiny_image, mode="median")
+
+    @pytest.mark.parametrize("segments", [1, 4])
+    @pytest.mark.parametrize("mode", ["concat", "mean", "pearson", "cosine"])
+    def test_row_alone_equals_row_in_block(self, mode, segments):
+        # Rows longer than 8,192 values: a lone row once summed its
+        # squares in another order than the same row inside a block.
+        x = np.random.default_rng(12).normal(3, 2, (5, segments, 65536 // segments))
+        whole, valid = standardize_rows(x.copy(), mode)
+        for i in range(len(x)):
+            one, ok = standardize_rows(x[i : i + 1].copy(), mode)
+            assert ok[0] == valid[i]
+            assert np.array_equal(one[0], whole[i])
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        probe = (
+            "import hashlib, numpy as np; from memaudit.core import standardize_rows; "
+            "x = np.random.default_rng(13).normal(3, 2, (3, 4, 65536)); "
+            "print(*(hashlib.sha256(standardize_rows(x[:n].copy(), m)[0].tobytes()).hexdigest() "
+            "for n in (1, 3) for m in ('concat', 'mean', 'pearson', 'cosine')))"
+        )
+        src = str(Path(core.__file__).parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1] != ""
 
 
 class TestPearson:

@@ -10,7 +10,6 @@ from memaudit.correlate import (
     _merge_block,
     brute_force_correlations,
     max_correlations,
-    max_correlations_embeddings,
     plan_audit,
 )
 from memaudit.errors import InvalidArgumentError
@@ -275,7 +274,7 @@ class TestEmbeddingCorrelations:
         rng = np.random.default_rng(7)
         rows = rng.normal(0, 1, (12, 16)).astype(np.float32)
         emb = EmbeddingSet(tuple(f"e{i}" for i in range(12)), 16, rows)
-        matches = max_correlations_embeddings(emb, emb, k=1)
+        matches = max_correlations(emb, emb, k=1)
         for i, match in enumerate(matches):
             assert match.top1[0] == f"e{i}"
             assert match.top1[1] == pytest.approx(1.0, abs=1e-6)
@@ -283,7 +282,7 @@ class TestEmbeddingCorrelations:
     def test_axis_rows_fully_anticorrelated(self):
         q = EmbeddingSet(("q0",), 2, np.array([[1.0, 0.0]], np.float32))
         r = EmbeddingSet(("r0",), 2, np.array([[0.0, 1.0]], np.float32))
-        (match,) = max_correlations_embeddings(q, r, k=1)
+        (match,) = max_correlations(q, r, k=1)
         assert match.top1[1] == pytest.approx(-1.0, abs=1e-6)
 
     def test_random_agrees_with_image_bruteforce(self):
@@ -298,7 +297,7 @@ class TestEmbeddingCorrelations:
         r_ds = Dataset("r", "train",
                        tuple(ImageRecord(f"r{i}", 1, 1, 64, rr[i]) for i in range(100)))
         oracle = brute_force_correlations(q_ds, r_ds)
-        got = max_correlations_embeddings(q_emb, r_emb, k=100, block_budget_mib=0.01)
+        got = max_correlations(q_emb, r_emb, k=100, block_budget_mib=0.01)
         for i, match in enumerate(got):
             by_id = dict(match.matches)
             for j in range(100):
@@ -310,7 +309,7 @@ class TestEmbeddingCorrelations:
             ("x", "y"), 3,
             np.array([[1.0, 1.0, 0.0], [0.0, 5.0, 0.0]], np.float32),
         )
-        (match,) = max_correlations_embeddings(q, r, k=2, metric="cosine")
+        (match,) = max_correlations(q, r, k=2, mode="cosine")
         by_id = dict(match.matches)
         assert by_id["x"] == pytest.approx(1 / np.sqrt(2), abs=1e-6)
         assert by_id["y"] == pytest.approx(0.0, abs=1e-6)
@@ -319,14 +318,36 @@ class TestEmbeddingCorrelations:
         a = EmbeddingSet(("a",), 2, np.ones((1, 2), np.float32))
         b = EmbeddingSet(("b",), 3, np.ones((1, 3), np.float32))
         with pytest.raises(InvalidArgumentError):
-            max_correlations_embeddings(a, b)
+            max_correlations(a, b)
         with pytest.raises(InvalidArgumentError, match="mismatch: test"):
-            max_correlations_embeddings(a, a, test=b)
+            max_correlations(a, a, test=b)
 
     def test_unknown_metric_rejected(self):
         a = EmbeddingSet(("a",), 2, np.array([[1.0, 2.0]], np.float32))
         with pytest.raises(InvalidArgumentError, match="metric"):
-            max_correlations_embeddings(a, a, metric="euclid")
+            max_correlations(a, a, mode="euclid")
+
+    def test_mixed_kinds_rejected(self):
+        emb = EmbeddingSet(("a", "b"), 16, np.arange(32, dtype=np.float32).reshape(2, 16) % 5)
+        img = random_dataset(2, (1, 4, 4), 96)
+        for query, reference, test in (
+            (emb, img, None), (img, emb, None), (img, img, emb), (emb, emb, img),
+        ):
+            with pytest.raises(InvalidArgumentError, match="kind mismatch") as info:
+                max_correlations(query, reference, test=test)
+            assert "images" in str(info.value) and "embeddings" in str(info.value)
+
+    def test_options_of_the_other_kind_rejected(self):
+        emb = EmbeddingSet(("a",), 4, np.array([[1.0, 2.0, 4.0, 3.0]], np.float32))
+        img = random_dataset(2, (2, 4, 4), 97)
+        for mode in ("concat", "mean"):
+            with pytest.raises(InvalidArgumentError, match="unknown embedding metric"):
+                max_correlations(emb, emb, mode=mode)
+        for mode in ("pearson", "cosine"):
+            with pytest.raises(InvalidArgumentError, match="unknown channel mode"):
+                max_correlations(img, img, mode=mode)
+        with pytest.raises(InvalidArgumentError, match="channel_mask"):
+            max_correlations(emb, emb, channel_mask=[0])
 
     @pytest.mark.parametrize("metric, dead", [
         ("pearson", [3.0, 3.0, 3.0, 3.0]),  # constant row: no variance
@@ -335,7 +356,7 @@ class TestEmbeddingCorrelations:
     def test_degenerate_rows_invalid(self, metric, dead):
         rows = np.array([[1.0, 2.0, 4.0, 3.0], dead, [0.5, -1.0, 2.0, 1.0]], np.float32)
         emb = EmbeddingSet(("a", "dead", "b"), 4, rows)
-        matches = max_correlations_embeddings(emb, emb, k=3, metric=metric)
+        matches = max_correlations(emb, emb, k=3, mode=metric)
         assert [m.query_valid for m in matches] == [True, False, True]
         assert matches[1].matches == ()
         for m in (matches[0], matches[2]):
@@ -364,8 +385,8 @@ def _assert_full_sort_prefix(query, ref, k, budgets):
     """Each query's top-k is the prefix of all its matches sorted by value
     descending, then id ascending, at every budget."""
     for budget in budgets:
-        everything = max_correlations_embeddings(query, ref, k=len(ref), block_budget_mib=budget)
-        got = max_correlations_embeddings(query, ref, k=k, block_budget_mib=budget)
+        everything = max_correlations(query, ref, k=len(ref), block_budget_mib=budget)
+        got = max_correlations(query, ref, k=k, block_budget_mib=budget)
         for full, top in zip(everything, got):
             assert top.skipped_invalid == full.skipped_invalid
             assert len(full.matches) == len(ref) - full.skipped_invalid
@@ -397,7 +418,7 @@ def _audit_sets(kind, mode):
             Dataset(name, role, tuple(ImageRecord(i, 2, 6, 6, row) for i, row in zip(ids, rows)))
             for name, role, ids, rows in sets
         ), engine)
-    engine = partial(max_correlations_embeddings, metric=mode)
+    engine = partial(max_correlations, mode=mode)
     return (*(EmbeddingSet(tuple(ids), dim, rows) for _, _, ids, rows in sets), engine)
 
 
@@ -435,8 +456,8 @@ class TestStreamingEngine:
             tuple(f"q{i}" for i in range(n_query)), 128,
             rng.integers(-1, 3, (n_query, 128)).astype(np.float32),
         )
-        everything = max_correlations_embeddings(query, ref, k=n_ref, block_budget_mib=budget)
-        got = max_correlations_embeddings(query, ref, k=k, block_budget_mib=budget)
+        everything = max_correlations(query, ref, k=n_ref, block_budget_mib=budget)
+        got = max_correlations(query, ref, k=k, block_budget_mib=budget)
         for full, top in zip(everything, got):
             assert top.query_valid == full.query_valid
             assert top.skipped_invalid == full.skipped_invalid
@@ -452,7 +473,7 @@ class TestStreamingEngine:
         ref = EmbeddingSet(ids, 64, np.tile(row, (40, 1)))
         query = EmbeddingSet(("q",), 64, row[None])
         for budget in (0.002, 0.01, 32.0):
-            (match,) = max_correlations_embeddings(query, ref, k=3, block_budget_mib=budget)
+            (match,) = max_correlations(query, ref, k=3, block_budget_mib=budget)
             assert [r for r, _ in match.matches] == ["d00", "d01", "d02"]
 
     def test_ascending_similarity_every_block_beats_the_carried_kth(self):
@@ -467,7 +488,7 @@ class TestStreamingEngine:
         ref = EmbeddingSet(ids, 64, rows.astype(np.float32))
         query = EmbeddingSet(("up", "down"), 64, np.stack([q, -q]).astype(np.float32))
         _assert_full_sort_prefix(query, ref, 5, _budgets(2, 64, 5))
-        (up, down) = max_correlations_embeddings(query, ref, k=5, block_budget_mib=0.002)
+        (up, down) = max_correlations(query, ref, k=5, block_budget_mib=0.002)
         assert [r for r, _ in up.matches] == [ids[j] for j in range(59, 54, -1)]
         assert [r for r, _ in down.matches] == [ids[j] for j in range(5)]
 
@@ -480,7 +501,7 @@ class TestStreamingEngine:
         budgets = _budgets(2, 32, 5)
         _assert_full_sort_prefix(query, ref, 5, budgets)
         for budget in budgets:
-            for match in max_correlations_embeddings(query, ref, k=5, block_budget_mib=budget):
+            for match in max_correlations(query, ref, k=5, block_budget_mib=budget):
                 assert sorted(r for r, _ in match.matches) == ["v03", "v17", "v38"]
                 assert match.skipped_invalid == 37
 
@@ -531,7 +552,7 @@ class TestStreamingEngine:
         budgets = _budgets(3, 64, 5)
         _assert_full_sort_prefix(query, ref, 5, budgets)
         for budget in budgets:
-            for match in max_correlations_embeddings(query, ref, k=5, block_budget_mib=budget):
+            for match in max_correlations(query, ref, k=5, block_budget_mib=budget):
                 assert [r for r, _ in match.matches] == [f"t{i:02d}" for i in range(5)]
 
     @pytest.mark.parametrize(
@@ -620,11 +641,11 @@ class TestStreamingEngine:
         q = EmbeddingSet(("x", "y"), 16, rng.normal(0, 1, (2, 16)).astype(np.float32))
         ref = EmbeddingSet(ids, 16, rows)
         for budget in (0.01, 32.0):
-            got = max_correlations_embeddings(
+            got = max_correlations(
                 q, open_embedding_set(tmp_path / "e.mf"), k=6, block_budget_mib=budget
             )
-            assert got == max_correlations_embeddings(q, ref, k=6, block_budget_mib=budget)
-            got = max_correlations_embeddings(
+            assert got == max_correlations(q, ref, k=6, block_budget_mib=budget)
+            got = max_correlations(
                 open_embedding_set(tmp_path / "e.mf"), q, k=2, block_budget_mib=budget
             )
-            assert got == max_correlations_embeddings(ref, q, k=2, block_budget_mib=budget)
+            assert got == max_correlations(ref, q, k=2, block_budget_mib=budget)
