@@ -17,11 +17,16 @@ Four formats, all little-endian:
 
 Readers reject rather than repair: wrong magic, truncated payloads,
 checksum mismatches and oversized files all raise FormatError naming the
-byte offset. A manifest's set has one reader, the `read_rows` of its
-`open_dataset` / `open_embedding_set` handle; `load_dataset` /
-`load_embedding_set` are that plus a read of every row. Every writer
-goes through `atomic_write`, so an output file is either its previous
-version or the complete new one, never a prefix.
+byte offset. Each image format has one header scan (`_scan_pgm`,
+`_scan_ivc`) that turns a file into entries (id, dims, dtype, payload
+offset; a PGM file is one u8 entry without checksum) without reading a
+payload byte, and all formats share one payload reader, `_entry_values`.
+A manifest's set has one reader, the `read_rows` of its `open_dataset` /
+`open_embedding_set` handle; `load_dataset` / `load_embedding_set` are
+that plus a read of every row, and `read_embeddings` is
+`load_embedding_set` of a one-file manifest. Every writer goes through
+`atomic_write`, so an output file is either its previous version or the
+complete new one, never a prefix.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -69,119 +74,7 @@ def atomic_write(path, data: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# PGM
-# ---------------------------------------------------------------------------
-
-
-def read_pgm(path) -> ImageRecord:
-    """Read a binary PGM ("P5") file as a single-channel image.
-
-    Pixel values come back as reals 0-255; the record id is the file stem.
-    """
-    path = Path(path)
-    return _decode_pgm(path.read_bytes(), path)
-
-
-def _decode_pgm(data: bytes, path: Path) -> ImageRecord:
-    pos = 0
-
-    def skip_space():
-        nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos] != 0x0A:
-                    pos += 1
-            else:
-                return
-
-    def token(what: str) -> bytes:
-        nonlocal pos
-        skip_space()
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise FormatError(f"{path}: missing {what} at offset {start}")
-        return data[start:pos]
-
-    magic = token("magic")
-    if magic != b"P5":
-        detail = " (ASCII PGM unsupported)" if magic in (b"P2", b"P1") else ""
-        raise FormatError(
-            f"{path}: expected magic 'P5' at offset 0, got {magic!r}{detail}"
-        )
-
-    dims, offsets = {}, {}
-    for name in ("width", "height", "maxval"):
-        skip_space()
-        offsets[name] = pos
-        text = token(name)
-        try:
-            dims[name] = int(text)
-        except ValueError:
-            raise FormatError(
-                f"{path}: non-numeric {name} {text!r} at offset {offsets[name]}"
-            ) from None
-        if dims[name] <= 0:
-            raise FormatError(
-                f"{path}: {name} must be positive at offset {offsets[name]}"
-            )
-    if dims["maxval"] > 255:
-        raise FormatError(
-            f"{path}: maxval {dims['maxval']} at offset {offsets['maxval']} "
-            "exceeds 255 (16-bit PGM unsupported)"
-        )
-
-    # Exactly one whitespace byte separates the header from the payload.
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise FormatError(f"{path}: missing header terminator at offset {pos}")
-    pos += 1
-
-    expected = dims["width"] * dims["height"]
-    got = len(data) - pos
-    if got < expected:
-        raise FormatError(
-            f"{path}: truncated payload at offset {pos}: "
-            f"need {expected} bytes, found {got}"
-        )
-    if got > expected:
-        raise FormatError(
-            f"{path}: {got - expected} trailing bytes after offset {pos + expected}"
-        )
-    pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
-    return ImageRecord(
-        id=path.stem,
-        channels=1,
-        height=dims["height"],
-        width=dims["width"],
-        pixels=pixels.astype(np.float32),
-        source=str(path),
-    )
-
-
-def write_pgm(img: ImageRecord, path) -> None:
-    """Write a single-channel image whose pixels are exact integers 0-255."""
-    if img.channels != 1:
-        raise InvalidArgumentError(
-            f"PGM holds one channel; image {img.id!r} has {img.channels}"
-        )
-    rounded = np.rint(img.pixels)
-    if not (
-        np.all(np.abs(img.pixels - rounded) < 1e-6)
-        and rounded.min() >= 0
-        and rounded.max() <= 255
-    ):
-        raise InvalidArgumentError(
-            f"image {img.id!r}: PGM requires integer pixels in [0, 255]"
-        )
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    atomic_write(path, header + rounded.astype(np.uint8).tobytes())
-
-
-# ---------------------------------------------------------------------------
-# IVC1 container
+# Entries: one header scan per format, one payload reader
 # ---------------------------------------------------------------------------
 
 
@@ -236,19 +129,169 @@ class _Cursor:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
+@contextmanager
+def _file_cursor(file: Path):
+    """A cursor over an open file, closed on exit."""
+    with open(file, "rb") as handle:
+        yield _Cursor(handle, os.fstat(handle.fileno()).st_size, file)
+
+
 @dataclass(frozen=True)
-class _IvcEntry:
-    """Header of one IVC1 entry and where its payload sits in the file."""
+class _Entry:
+    """Header of one image or volume in a file (an IVC1 entry or a whole
+    PGM file) and where its payload sits."""
 
     index: int
     id: str
     dims: tuple[int, ...]
     dtype: int
     offset: int  # first payload byte
-    size: int  # payload bytes (the CRC-32 follows)
+    size: int  # payload bytes
+    checksum: bool = True  # a CRC-32 of the payload follows it
 
 
-def _scan_ivc(cur: _Cursor) -> list[_IvcEntry]:
+def _entry_values(cur: _Cursor, entry: _Entry, into: bytearray) -> np.ndarray:
+    """One entry's payload (u8 or f32, flat), after its CRC-32 (where it
+    has one) and finiteness checks: a view of into (at least entry.size
+    bytes)."""
+    what = f"entry {entry.index}"
+    cur.seek(entry.offset)
+    payload = cur.take_into(into, entry.size, f"{what} payload")
+    if entry.checksum:
+        stored_crc = cur.u32(f"{what} checksum")
+        actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
+        if stored_crc != actual_crc:
+            raise FormatError(
+                f"{cur.path}: {what} ({entry.id!r}): checksum mismatch: "
+                f"stored {stored_crc:#010x}, computed {actual_crc:#010x}"
+            )
+    if entry.dtype == IVC_DTYPE_U8:
+        return np.frombuffer(payload, dtype=np.uint8)
+    values = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise FormatError(
+            f"{cur.path}: {what} ({entry.id!r}): non-finite payload values"
+        )
+    return values
+
+
+def _read_records(fmt: str, path: Path) -> list[Union[ImageRecord, VolumeRecord]]:
+    """Every record of one PGM or IVC1 file, in file order: the header
+    scan, then each payload read and checked."""
+    records: list[Union[ImageRecord, VolumeRecord]] = []
+    with _file_cursor(path) as cur:
+        for entry in _SCANNERS[fmt](cur):
+            values = _entry_values(cur, entry, bytearray(entry.size))
+            values = values.astype(np.float32, copy=False)
+            kind = ImageRecord if len(entry.dims) == 3 else VolumeRecord
+            records.append(kind(entry.id, *entry.dims, values, source=str(path)))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# PGM
+# ---------------------------------------------------------------------------
+
+
+def read_pgm(path) -> ImageRecord:
+    """Read a binary PGM ("P5") file as a single-channel image.
+
+    Pixel values come back as reals 0-255; the record id is the file stem.
+    """
+    return _read_records("pgm", Path(path))[0]
+
+
+def _scan_pgm(cur: _Cursor) -> list[_Entry]:
+    """A PGM file's one image, from its header: dims (1, H, W), a u8
+    payload without checksum. Reads the header bytes only; truncation and
+    trailing bytes are found from the file size."""
+    path, read = cur.path, cur.stream.read
+    pos, byte = 0, read(1)  # byte is the one at pos, b"" past the end
+
+    def token(what: str) -> bytes:
+        """The next token, after whitespace and '#' comments; stops at
+        the whitespace byte that ends it."""
+        nonlocal pos, byte
+        text, comment = bytearray(), False
+        while byte and not (text and byte.isspace()):
+            comment = (byte == b"#" and not text) or (comment and byte != b"\n")
+            if not (comment or byte.isspace()):
+                text += byte
+            pos, byte = pos + 1, read(1)
+        if not text:
+            raise FormatError(f"{path}: missing {what} at offset {pos}")
+        return bytes(text)
+
+    magic = token("magic")
+    if magic != b"P5":
+        detail = " (ASCII PGM unsupported)" if magic in (b"P2", b"P1") else ""
+        raise FormatError(
+            f"{path}: expected magic 'P5' at offset 0, got {magic!r}{detail}"
+        )
+
+    dims = {}
+    for name in ("width", "height", "maxval"):
+        text = token(name)
+        offset = pos - len(text)
+        try:
+            dims[name] = int(text)
+        except ValueError:
+            raise FormatError(
+                f"{path}: non-numeric {name} {text!r} at offset {offset}"
+            ) from None
+        if dims[name] <= 0:
+            raise FormatError(f"{path}: {name} must be positive at offset {offset}")
+    if dims["maxval"] > 255:
+        raise FormatError(
+            f"{path}: maxval {dims['maxval']} at offset {offset} "
+            "exceeds 255 (16-bit PGM unsupported)"
+        )
+
+    # Exactly one whitespace byte separates the header from the payload.
+    if not byte.isspace():
+        raise FormatError(f"{path}: missing header terminator at offset {pos}")
+    pos += 1
+
+    expected = dims["width"] * dims["height"]
+    got = cur.size - pos
+    if got < expected:
+        raise FormatError(
+            f"{path}: truncated payload at offset {pos}: "
+            f"need {expected} bytes, found {got}"
+        )
+    if got > expected:
+        raise FormatError(
+            f"{path}: {got - expected} trailing bytes after offset {pos + expected}"
+        )
+    shape = (1, dims["height"], dims["width"])
+    return [_Entry(0, path.stem, shape, IVC_DTYPE_U8, pos, expected, checksum=False)]
+
+
+def write_pgm(img: ImageRecord, path) -> None:
+    """Write a single-channel image whose pixels are exact integers 0-255."""
+    if img.channels != 1:
+        raise InvalidArgumentError(
+            f"PGM holds one channel; image {img.id!r} has {img.channels}"
+        )
+    rounded = np.rint(img.pixels)
+    if not (
+        np.all(np.abs(img.pixels - rounded) < 1e-6)
+        and rounded.min() >= 0
+        and rounded.max() <= 255
+    ):
+        raise InvalidArgumentError(
+            f"image {img.id!r}: PGM requires integer pixels in [0, 255]"
+        )
+    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+    atomic_write(path, header + rounded.astype(np.uint8).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# IVC1 container
+# ---------------------------------------------------------------------------
+
+
+def _scan_ivc(cur: _Cursor) -> list[_Entry]:
     """Parse every entry header, skipping payloads and checksums; rejects
     bad magic and version, bad headers, truncation and trailing bytes."""
     path = cur.path
@@ -261,7 +304,7 @@ def _scan_ivc(cur: _Cursor) -> list[_IvcEntry]:
         raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
 
     count = cur.u32("entry count")
-    entries: list[_IvcEntry] = []
+    entries: list[_Entry] = []
     for i in range(count):
         what = f"entry {i}"
         id_len = cur.u16(f"{what} id length")
@@ -288,7 +331,7 @@ def _scan_ivc(cur: _Cursor) -> list[_IvcEntry]:
                 f"{path}: {what}: unknown dtype code {dtype} at offset {cur.pos - 1}"
             )
         size = n_values if dtype == IVC_DTYPE_U8 else 4 * n_values
-        entries.append(_IvcEntry(i, entry_id, tuple(dims), dtype, cur.pos, size))
+        entries.append(_Entry(i, entry_id, tuple(dims), dtype, cur.pos, size))
         cur.skip(size, f"{what} payload")
         cur.skip(4, f"{what} checksum")
     if cur.pos != cur.size:
@@ -298,40 +341,12 @@ def _scan_ivc(cur: _Cursor) -> list[_IvcEntry]:
     return entries
 
 
-def _ivc_values(cur: _Cursor, entry: _IvcEntry, into: bytearray) -> np.ndarray:
-    """One entry's payload (u8 or f32, flat), after its CRC-32 and
-    finiteness checks: a view of into (at least entry.size bytes)."""
-    what = f"entry {entry.index}"
-    cur.seek(entry.offset)
-    payload = cur.take_into(into, entry.size, f"{what} payload")
-    stored_crc = cur.u32(f"{what} checksum")
-    actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
-        raise FormatError(
-            f"{cur.path}: {what} ({entry.id!r}): checksum mismatch: "
-            f"stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )
-    if entry.dtype == IVC_DTYPE_U8:
-        return np.frombuffer(payload, dtype=np.uint8)
-    values = np.frombuffer(payload, dtype="<f4")
-    if not np.isfinite(values).all():
-        raise FormatError(
-            f"{cur.path}: {what} ({entry.id!r}): non-finite payload values"
-        )
-    return values
-
-
 def read_ivc(path) -> list[Union[ImageRecord, VolumeRecord]]:
     """Decode an IVC1 container into image and volume records (file order)."""
-    path = Path(path)
-    records: list[Union[ImageRecord, VolumeRecord]] = []
-    with _file_cursor(path) as cur:
-        for entry in _scan_ivc(cur):
-            values = _ivc_values(cur, entry, bytearray(entry.size))
-            values = values.astype(np.float32, copy=False)
-            kind = ImageRecord if len(entry.dims) == 3 else VolumeRecord
-            records.append(kind(entry.id, *entry.dims, values, source=str(path)))
-    return records
+    return _read_records("ivc", Path(path))
+
+
+_SCANNERS = {"pgm": _scan_pgm, "ivc": _scan_ivc}
 
 
 def _entry_payload(values: np.ndarray, dtype: str, rec_id: str) -> tuple[int, bytes]:
@@ -407,12 +422,12 @@ class EmbeddingSet:
     rows: np.ndarray
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise InvalidArgumentError("embedding dim must be positive")
         object.__setattr__(self, "ids", tuple(self.ids))
         rows = np.asarray(self.rows, dtype=np.float32).reshape(-1, self.dim)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        if self.dim < 1:
-            raise InvalidArgumentError("embedding dim must be positive")
         if rows.shape[0] != len(self.ids):
             raise InvalidArgumentError(
                 f"{rows.shape[0]} rows but {len(self.ids)} ids"
@@ -430,10 +445,6 @@ class EmbeddingSet:
     def read_rows(self, i0: int, i1: int, out: np.ndarray) -> None:
         """Rows i0..i1-1 into out, shape (i1 - i0, dim)."""
         out[...] = self.rows[i0:i1]
-
-
-def _ids_sidecar(path: Path) -> Path:
-    return path.with_suffix(".ids")
 
 
 def _emb_header(cur: _Cursor) -> tuple[int, int]:
@@ -460,16 +471,9 @@ def _emb_header(cur: _Cursor) -> tuple[int, int]:
     return n, dim
 
 
-def _emb_values(path: Path, payload) -> np.ndarray:
-    values = np.frombuffer(payload, dtype="<f4")
-    if not np.isfinite(values).all():
-        raise FormatError(f"{path}: non-finite embedding values")
-    return values
-
-
 def _emb_ids(path: Path, n: int) -> tuple[str, ...]:
     """Ids from the sidecar, or row indices as text without one."""
-    sidecar = _ids_sidecar(path)
+    sidecar = path.with_suffix(".ids")
     if not sidecar.exists():
         return tuple(str(i) for i in range(n))
     ids = [ln for ln in sidecar.read_text("utf-8").splitlines() if ln.strip()]
@@ -479,21 +483,24 @@ def _emb_ids(path: Path, n: int) -> tuple[str, ...]:
 
 
 def read_embeddings(path) -> EmbeddingSet:
-    """Read an EMB1 matrix; ids come from the sidecar or fall back to row
-    indices as text."""
+    """Read an EMB1 matrix: load_embedding_set of a one-file manifest, so
+    ids come from the sidecar or fall back to row indices as text."""
     path = Path(path)
-    with _file_cursor(path) as cur:
-        n, dim = _emb_header(cur)
-        rows = _emb_values(path, cur.take(4 * n * dim, "payload")).reshape(n, dim)
-    return EmbeddingSet(_emb_ids(path, n), dim, rows)
+    return load_embedding_set(Manifest(str(path), "", (("emb", path),)))
 
 
 def write_embeddings(emb: EmbeddingSet, path, write_ids: bool = True) -> None:
+    """Write an EMB1 matrix and, with write_ids, its `.ids` sidecar; ids
+    the sidecar cannot hold (blank, or split by a line break) are refused
+    before anything is written."""
     path = Path(path)
+    for i in emb.ids if write_ids else ():
+        if not i.strip() or i.splitlines() != [i]:
+            raise InvalidArgumentError(f"id {i!r} cannot be one line of an .ids sidecar")
     header = b"EMB1" + struct.pack("<II", len(emb), emb.dim)
     atomic_write(path, header + emb.rows.astype("<f4").tobytes())
     if write_ids:
-        atomic_write(_ids_sidecar(path), ("\n".join(emb.ids) + "\n").encode("utf-8"))
+        atomic_write(path.with_suffix(".ids"), ("\n".join(emb.ids) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +569,6 @@ def load_manifest(path) -> Manifest:
 
 def _as_manifest(manifest: Union[Manifest, str, Path]) -> Manifest:
     return manifest if isinstance(manifest, Manifest) else load_manifest(manifest)
-
-
-@contextmanager
-def _file_cursor(file: Path):
-    """A cursor over an open file, closed on exit."""
-    with open(file, "rb") as handle:
-        yield _Cursor(handle, os.fstat(handle.fileno()).st_size, file)
 
 
 def _image_files(manifest: Manifest):
@@ -644,7 +644,7 @@ def load_records(manifest: Union[Manifest, str, Path]):
     manifest = _as_manifest(manifest)
     records: list[Union[ImageRecord, VolumeRecord]] = []
     for fmt, file in _image_files(manifest):
-        records.extend([read_pgm(file)] if fmt == "pgm" else read_ivc(file))
+        records.extend(_read_records(fmt, file))
     return manifest, records
 
 
@@ -686,30 +686,23 @@ class DatasetFile:
     Opening scans every header, so name, role, ids, shape and len come
     without reading payloads; it rejects volumes, duplicate ids, mixed
     shapes and bad headers. read_rows then reads contiguous ranges in
-    file order, checking each IVC1 entry's CRC-32 and finiteness as it
-    is read; a PGM file holds one image and is read whole. Payloads are
-    read into one buffer per handle, so reading allocates nothing per
-    entry.
+    file order, checking each entry's CRC-32 (PGM files have none) and
+    finiteness as it is read. Payloads are read into one buffer per
+    handle, so reading allocates nothing per entry.
     """
 
     def __init__(self, manifest: Manifest):
         self.name, self.role = manifest.name, manifest.role
-        members: list[tuple[Path, str, tuple[int, ...]]] = []
-        self._locations: list[tuple[Path, Optional[_IvcEntry]]] = []
+        self._locations: list[tuple[Path, _Entry]] = []
         for fmt, file in _image_files(manifest):
-            if fmt == "pgm":  # one image per file: read_pgm checks it whole
-                members.append((file, file.stem, read_pgm(file).shape))
-                self._locations.append((file, None))
-                continue
             with _file_cursor(file) as cur:
-                for entry in _scan_ivc(cur):
-                    members.append((file, entry.id, entry.dims))
-                    self._locations.append((file, entry))
-        _check_members(manifest.name, members, "image")
-        self.ids = tuple(m[1] for m in members)
-        self.shape: tuple[int, int, int] = members[0][2]
-        sizes = [e.size for _, e in self._locations if e is not None]
-        self._payload = bytearray(max(sizes, default=0))  # one IVC1 payload at a time
+                self._locations.extend((file, entry) for entry in _SCANNERS[fmt](cur))
+        _check_members(
+            manifest.name, ((f, e.id, e.dims) for f, e in self._locations), "image"
+        )
+        self.ids = tuple(e.id for _, e in self._locations)
+        self.shape: tuple[int, int, int] = self._locations[0][1].dims
+        self._payload = bytearray(max(e.size for _, e in self._locations))  # one payload at a time
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -719,10 +712,7 @@ class DatasetFile:
         for file, group in groupby(self._locations[i0:i1], key=lambda loc: loc[0]):
             with _file_cursor(file) as cur:
                 for _, entry in group:
-                    if entry is None:  # a PGM file is one image
-                        yield _decode_pgm(cur.stream.read(), file).pixels
-                    else:
-                        yield _ivc_values(cur, entry, self._payload)
+                    yield _entry_values(cur, entry, self._payload)
 
     def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
         """Images i0..i1-1 into out, shape (i1 - i0, len(channels), H*W):
@@ -769,7 +759,10 @@ class EmbeddingSetFile:
                     r1 = min(r0 + step, hi)
                     cur.seek(12 + 4 * dim * (r0 - first))
                     payload = cur.take_into(self._chunk, 4 * dim * (r1 - r0), "payload")
-                    out[r0 - i0 : r1 - i0] = _emb_values(file, payload).reshape(-1, dim)
+                    values = np.frombuffer(payload, dtype="<f4")
+                    if not np.isfinite(values).all():
+                        raise FormatError(f"{file}: non-finite embedding values")
+                    out[r0 - i0 : r1 - i0] = values.reshape(-1, dim)
 
 
 def open_dataset(manifest: Union[Manifest, str, Path]) -> DatasetFile:

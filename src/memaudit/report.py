@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -27,6 +28,7 @@ from .ingest import atomic_write
 
 PERCENTILE_POINTS = (1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0, 99.5)
 DEFAULT_RULE = "percentile:99.5"
+HISTOGRAM_RANGE = (0.0, 1.0)  # every histogram's bins span it
 
 
 def interpolated_percentile(sorted_values: Sequence[float], p: float) -> float:
@@ -114,7 +116,10 @@ def parse_rule(rule: str) -> tuple[str, float]:
             raise InvalidArgumentError(f"percentile must be in (0, 100), got {p}")
         return "percentile", p
     if kind == "fixed" and sep:
-        return "fixed", float(arg)
+        value = float(arg)
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"fixed threshold must be finite, got {value}")
+        return "fixed", value
     raise InvalidArgumentError(
         f"rule must be 'percentile:P' or 'fixed:V', got {rule!r}"
     )
@@ -170,23 +175,16 @@ class HistogramData:
     overflow: int
 
 
-def histogram(
-    values: Iterable[float],
-    n_bins: int = 50,
-    value_range: tuple[float, float] = (0.0, 1.0),
-    label: str = "",
-) -> HistogramData:
-    """Bin values into n_bins uniform bins over value_range.
+def histogram(values: Iterable[float], n_bins: int = 50, label: str = "") -> HistogramData:
+    """Bin values into n_bins uniform bins over HISTOGRAM_RANGE [lo, hi].
 
     Bin i covers [lo + i*w, lo + (i+1)*w), except the last bin which also
     includes the upper limit; out-of-range values land in underflow /
     overflow. counts + underflow + overflow == len(values).
     """
-    lo, hi = float(value_range[0]), float(value_range[1])
+    lo, hi = HISTOGRAM_RANGE
     if n_bins < 1:
         raise InvalidArgumentError("n_bins must be at least 1")
-    if not hi > lo:
-        raise InvalidArgumentError(f"bad range [{lo}, {hi}]")
     counts = [0] * n_bins
     under = over = 0
     scale = n_bins / (hi - lo)
@@ -234,7 +232,6 @@ def build_audit_report(
     synth_vs_test: Optional[Sequence[TopKMatches]] = None,
     rule: str = DEFAULT_RULE,
     histogram_bins: int = 50,
-    histogram_range: tuple[float, float] = (0.0, 1.0),
     metrics_table: Optional[dict[str, float]] = None,
     sample_ids: Optional[Sequence[str]] = None,
 ) -> AuditReport:
@@ -259,7 +256,7 @@ def build_audit_report(
         plan=plan,
         summaries=tuple(summaries),
         histograms=tuple(
-            histogram(s.values, histogram_bins, histogram_range, label=s.label)
+            histogram(s.values, histogram_bins, label=s.label)
             for s in summaries
         ),
         threshold=decision,

@@ -27,10 +27,11 @@ from memaudit.ingest import (
     write_embeddings,
     write_ivc,
     write_manifest,
+    write_pgm,
 )
 from memaudit.report import load_matches, load_report
 
-from conftest import ivc_payload_span
+from conftest import image, ivc_payload_span
 
 
 @pytest.fixture()
@@ -514,7 +515,7 @@ class TestOnePassOverTrain:
         and IVC1 entry is read exactly once, with and without --sample."""
         train_mf, synth_mf, test_mf = _split_train(tmp_path)
         rows, entries = Counter(), Counter()
-        read_rows, ivc_values = ingest.DatasetFile.read_rows, ingest._ivc_values
+        read_rows, ivc_values = ingest.DatasetFile.read_rows, ingest._entry_values
 
         def counted_rows(self, i0, i1, out, channels):
             rows.update((self.role, i) for i in range(i0, i1))
@@ -525,7 +526,7 @@ class TestOnePassOverTrain:
             return ivc_values(cur, entry, into)
 
         monkeypatch.setattr(ingest.DatasetFile, "read_rows", counted_rows)
-        monkeypatch.setattr(ingest, "_ivc_values", counted_values)
+        monkeypatch.setattr(ingest, "_entry_values", counted_values)
         for sample in (None, 3):
             rows.clear()
             entries.clear()
@@ -551,6 +552,94 @@ class TestOnePassOverTrain:
             assert labels == {"[synth+test-vs-train", "[audit"}
 
 
+class _Consumed:
+    """A file opened for reading whose reads record, per file name, the
+    furthest byte the program has taken from it."""
+
+    def __init__(self, file, log):
+        self._handle, self._log, self._name = open(file, "rb"), log, Path(file).name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def fileno(self):
+        return self._handle.fileno()
+
+    def seek(self, pos):
+        return self._handle.seek(pos)
+
+    def read(self, n=-1):
+        return self._note(self._handle.read(n))
+
+    def readinto(self, view):
+        return self._note(self._handle.readinto(view))
+
+    def _note(self, result):
+        self._log[self._name] = max(self._log.get(self._name, 0), self._handle.tell())
+        return result
+
+
+class TestPgmReadOnce:
+    """A PGM file is one entry like an IVC1 entry: opening reads only its
+    header, and one audit reads its payload exactly once."""
+
+    def test_open_reads_headers_and_audit_reads_each_payload_once(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(41)
+        train = [image(rng.integers(0, 256, (12, 10)), id=f"tr{i}") for i in range(10)]
+        sets = {
+            "train": train,
+            "synthetic": [image(train[i].pixels.reshape(12, 10), id=f"copy{i}") for i in range(2)]
+            + [image(rng.integers(0, 256, (12, 10)), id=f"sy{i}") for i in range(3)],
+            "test": [image(rng.integers(0, 256, (12, 10)), id=f"te{i}") for i in range(4)],
+        }
+        for role, images in sets.items():
+            pgm_dir, ivc_dir = tmp_path / "pgm" / role, tmp_path / "ivc"
+            pgm_dir.mkdir(parents=True)
+            ivc_dir.mkdir(exist_ok=True)
+            for img in images:
+                write_pgm(img, pgm_dir / f"{img.id}.pgm")
+            write_manifest(tmp_path / "pgm" / f"{role}.mf", role, role,
+                           [f"{role}/{img.id}.pgm" for img in images])
+            write_ivc(images, ivc_dir / f"{role}.ivc")
+            write_manifest(ivc_dir / f"{role}.mf", role, role, [f"{role}.ivc"])
+        header = len(b"P5\n10 12\n255\n")
+        consumed, entries = {}, Counter()
+        entry_values = ingest._entry_values
+
+        def counted_values(cur, entry, into):
+            entries[cur.path.name, entry.index] += 1
+            return entry_values(cur, entry, into)
+
+        monkeypatch.setattr(ingest, "open", lambda f, mode: _Consumed(f, consumed), raising=False)
+        monkeypatch.setattr(ingest, "_entry_values", counted_values)
+        for role, images in sets.items():
+            handle = ingest.open_dataset(tmp_path / "pgm" / f"{role}.mf")
+            assert handle.ids == tuple(img.id for img in images)
+        names = [f"{img.id}.pgm" for images in sets.values() for img in images]
+        assert consumed == dict.fromkeys(names, header) and not entries
+
+        consumed.clear()
+        reports = {}
+        for kind in ("pgm", "ivc"):
+            sets_dir, out = tmp_path / kind, tmp_path / f"{kind}.json"
+            code = run([
+                "audit", "--train", str(sets_dir / "train.mf"),
+                "--synthetic", str(sets_dir / "synthetic.mf"), "--test", str(sets_dir / "test.mf"),
+                "--block-budget-mib", "0.002", "--k", "2", "--out", str(out), "--quiet",
+            ])
+            assert code == 1  # the two copies are flagged
+            reports[kind] = out.read_bytes()
+            if kind == "pgm":
+                assert entries == Counter((name, 0) for name in names)
+                assert consumed == dict.fromkeys(names, header + 12 * 10)
+        assert reports["pgm"] == reports["ivc"]
+
+
 class TestSampleReadsPicked:
     """--sample N reads only the N picked synthetic entries, and its
     matches equal the engine's on those entries loaded in memory."""
@@ -566,7 +655,7 @@ class TestSampleReadsPicked:
         synth = load(synth_mf)
         picks = SplitMix64(4).sample_without_replacement(len(synth), 3)
         rows, entries = Counter(), Counter()
-        read_rows, ivc_values = handle.read_rows, ingest._ivc_values
+        read_rows, ivc_values = handle.read_rows, ingest._entry_values
 
         def counted_rows(self, i0, i1, out, *channels):
             if self.role == "synthetic":
@@ -579,7 +668,7 @@ class TestSampleReadsPicked:
             return ivc_values(cur, entry, into)
 
         monkeypatch.setattr(handle, "read_rows", counted_rows)
-        monkeypatch.setattr(ingest, "_ivc_values", counted_values)
+        monkeypatch.setattr(ingest, "_entry_values", counted_values)
         matches_out = tmp_path / "m.json"
         code = run([
             "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
@@ -643,6 +732,9 @@ class TestFlagValues:
         "bins-zero": (["--histogram-bins", "0"], "--histogram-bins"),
         "rule-bogus": (["--rule", "bogus"], "--rule"),
         "rule-percentile": (["--rule", "percentile:150"], "--rule"),
+        "rule-fixed-nan": (["--rule", "fixed:nan"], "--rule"),
+        "rule-fixed-inf": (["--rule", "fixed:inf"], "--rule"),
+        "rule-fixed-minus-inf": (["--rule", "fixed:-inf"], "--rule"),
         "channels-range": (["--channels", "0,9"], "--channels"),
         "channels-empty": (["--channels", ","], "--channels"),
         "progress-nan": (["--progress-interval", "nan"], "--progress-interval"),
@@ -698,6 +790,9 @@ class TestFlagValues:
     @pytest.mark.parametrize("extra, flag", [
         (["--histogram-bins", "0"], "--histogram-bins"),
         (["--rule", "percentile:0"], "--rule"),
+        (["--rule", "fixed:nan"], "--rule"),
+        (["--rule", "fixed:inf"], "--rule"),
+        (["--rule", "fixed:-inf"], "--rule"),
     ])
     def test_report(self, tmp_path, capsys, extra, flag):
         out = tmp_path / "r.json"

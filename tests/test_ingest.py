@@ -10,6 +10,7 @@ from memaudit.core import ImageRecord, VolumeRecord
 from memaudit.errors import (
     EmptyInputError,
     FormatError,
+    InvalidArgumentError,
     ManifestError,
     UnsupportedVersionError,
 )
@@ -80,6 +81,49 @@ class TestPgm:
         write_pgm(img, tmp_path / "rt.pgm")
         back = read_pgm(tmp_path / "rt.pgm")
         np.testing.assert_array_equal(back.pixels, img.pixels)
+
+    FAULTS = {
+        "empty": (b"", "missing magic at offset 0"),
+        "p6": (b"P6\n1 1\n255\n\x00\x00\x00", "expected magic 'P5' at offset 0, got b'P6'"),
+        "non-numeric": (b"P5\nab 1\n255\n\x00", "non-numeric width b'ab' at offset 3"),
+        "zero-width": (b"P5\n0 1\n255\n", "width must be positive at offset 3"),
+        "negative-width": (b"P5\n-2 1\n255\n\x00", "width must be positive at offset 3"),
+        "missing-height": (b"P5\n2", "missing height at offset 4"),
+        "comment-in-token": (b"P5\n2#c\n1\n255\n\x00\x00", "non-numeric width b'2#c' at offset 3"),
+        "no-terminator": (b"P5\n1 1\n255", "missing header terminator at offset 10"),
+        "maxval": (b"P5 1 1 256\n\x00", "maxval 256 at offset 7 exceeds 255 (16-bit PGM unsupported)"),
+        "truncated": (b"P5\n2 2\n255\n\x00\x00", "truncated payload at offset 11: need 4 bytes, found 2"),
+        "trailing": (b"P5\n1 1\n255\n\x00\x01\x02", "2 trailing bytes after offset 12"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_header_faults(self, tmp_path, fault):
+        """Each message in full, the same from read_pgm and open_dataset."""
+        blob, message = self.FAULTS[fault]
+        path = (tmp_path / "f.pgm").resolve()
+        path.write_bytes(blob)
+        write_manifest(tmp_path / "f.mf", "f", "train", ["f.pgm"])
+        for reader in (read_pgm, open_dataset):
+            with pytest.raises(FormatError) as exc:
+                reader(path if reader is read_pgm else tmp_path / "f.mf")
+            assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("header", [
+        b"  \n\tP5\n1 2\n255\n", b"# leading comment\nP5 1 2 255\n",
+        b"P5 #c\n1 #\n#\n 2 # two rows\n255\r",
+    ], ids=["leading-space", "leading-comment", "comments-between-tokens"])
+    def test_header_whitespace_and_comments_accepted(self, tmp_path, header):
+        path = tmp_path / "ok.pgm"
+        path.write_bytes(header + b"\x07\x09")
+        write_manifest(tmp_path / "ok.mf", "ok", "train", ["ok.pgm"])
+        img = read_pgm(path)
+        assert (img.id, img.shape) == ("ok", (1, 2, 1))
+        np.testing.assert_array_equal(img.pixels, [7, 9])
+        handle = open_dataset(tmp_path / "ok.mf")
+        assert (handle.ids, handle.shape) == (("ok",), (1, 2, 1))
+        out = np.empty((1, 1, 2))
+        handle.read_rows(0, 1, out, (0,))
+        np.testing.assert_array_equal(out[0, 0], [7, 9])
 
 
 def make_volume(seed=0, shape=(2, 3, 4, 5), id="vol"):
@@ -233,6 +277,33 @@ class TestEmbeddings:
         (tmp_path / "m.ids").write_text("only_one\n")
         with pytest.raises(FormatError, match="ids"):
             read_embeddings(tmp_path / "m.emb")
+
+    @pytest.mark.parametrize("dim, rows", [
+        (0, np.zeros((2, 0))), (0, np.zeros(3)), (-1, np.zeros((2, 3))), (-2, np.zeros(4)),
+    ], ids=["zero-empty", "zero-flat", "minus-one", "minus-two"])
+    def test_non_positive_dim_rejected(self, dim, rows):
+        with pytest.raises(InvalidArgumentError, match="embedding dim must be positive"):
+            EmbeddingSet(("a", "b"), dim, rows)
+
+    @pytest.mark.parametrize("bad", ["a\nb", "x\u2028y", "r\r", " ", ""],
+                             ids=["newline", "line-separator", "carriage-return", "blank", "empty"])
+    def test_ids_the_sidecar_cannot_hold_refused(self, tmp_path, bad):
+        emb = EmbeddingSet((bad, "c"), 2, np.eye(2, dtype=np.float32))
+        with pytest.raises(InvalidArgumentError) as exc:
+            write_embeddings(emb, tmp_path / "w.emb")
+        assert repr(bad) in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
+        write_embeddings(emb, tmp_path / "w.emb", write_ids=False)  # no sidecar, no check
+        assert read_embeddings(tmp_path / "w.emb").ids == ("0", "1")
+
+    def test_duplicate_sidecar_id_names_the_file(self, tmp_path):
+        write_embeddings(EmbeddingSet(("a", "b"), 2, np.eye(2, dtype=np.float32)), tmp_path / "d.emb")
+        (tmp_path / "d.ids").write_text("a\na\n")
+        with pytest.raises(ManifestError) as exc:
+            read_embeddings(tmp_path / "d.emb")
+        assert str(exc.value) == (
+            f"{tmp_path / 'd.emb'}: duplicate id 'a' in d.emb (first seen in d.emb)"
+        )
 
     def test_randomized_round_trips(self, tmp_path):
         rng = np.random.default_rng(7)
