@@ -381,9 +381,14 @@ def _cmd_audit(args) -> int:
     return EXIT_FLAGGED if report.flagged else EXIT_OK
 
 
-def _paired_images(path_a, path_b):
-    a = load_dataset(path_a)
-    b = load_dataset(path_b)
+def _paired_images(paths, loaded: dict):
+    """The two datasets a --*-pairs flag names. ``loaded`` holds every
+    manifest this run has read, by resolved path, so each is read once."""
+    for path in paths:
+        key = Path(path).resolve()
+        if key not in loaded:
+            loaded[key] = load_dataset(path)
+    a, b = (loaded[Path(path).resolve()] for path in paths)
     if len(a) != len(b):
         raise MemauditError(
             f"paired manifests differ in size: {len(a)} vs {len(b)}"
@@ -398,8 +403,9 @@ def _cmd_metrics(args) -> int:
             "nothing to do: pass --ssim-pairs, --mi-pairs, --fid or --is"
         )
     result: dict = {}
+    loaded: dict = {}
     if args.ssim_pairs:
-        a, b = _paired_images(*args.ssim_pairs)
+        a, b = _paired_images(args.ssim_pairs, loaded)
         params = SsimParams(window=args.ssim_window, sigma=args.ssim_sigma)
         values = [
             {"a": x.id, "b": y.id, "ssim": ssim(x, y, params)}
@@ -410,7 +416,7 @@ def _cmd_metrics(args) -> int:
             "mean": sum(v["ssim"] for v in values) / len(values),
         }
     if args.mi_pairs:
-        a, b = _paired_images(*args.mi_pairs)
+        a, b = _paired_images(args.mi_pairs, loaded)
         values = [
             {"a": x.id, "b": y.id, "mi_bits": mutual_information(x, y, args.mi_bins)}
             for x, y in zip(a.images, b.images)

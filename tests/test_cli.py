@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import memaudit
+import memaudit.cli as cli
 import memaudit.ingest as ingest
 from memaudit._rng import SplitMix64
 from memaudit.cli import ProgressPrinter, run
@@ -357,6 +358,26 @@ class TestMetricsCommand:
 
     def test_no_metric_selected_is_usage_error(self):
         assert run(["metrics", "--quiet"]) == 2
+
+    def test_each_manifest_loaded_once(self, tmp_path, train_manifest, monkeypatch):
+        synth_mf, _ = plant_set(tmp_path, train_manifest, seed=4, n=30)
+        loads = Counter()
+        load = cli.load_dataset
+
+        def counted(path):
+            loads[Path(path).name] += 1
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_dataset", counted)
+        pairs = [str(synth_mf), str(train_manifest)]
+        code = run([
+            "metrics", "--ssim-pairs", *pairs, "--mi-pairs", *pairs,
+            "--out", str(tmp_path / "m.json"), "--quiet",
+        ])
+        assert code == 0
+        assert loads == {"synth.mf": 1, "train.mf": 1}
+        result = json.loads((tmp_path / "m.json").read_text())
+        assert len(result["ssim"]["pairs"]) == len(result["mutual_information"]["pairs"]) == 30
 
 
 class TestProgressPrinter:
@@ -870,12 +891,47 @@ class TestFlagValues:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ivc", "in.mf"]
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy.ndimage is imported where SSIM and the harness use it, so
-    `memaudit audit` does not pay for it."""
-    env = dict(os.environ, PYTHONPATH=str(Path(memaudit.__file__).parents[1]))
-    probe = "import sys, memaudit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+PLANT_AND_METRICS = """
+import sys
+from memaudit.cli import run
+train, out = sys.argv[1:]
+assert run(["plant", "--train", train, "--n", "4", "--seed", "3", "--out", out + "/synth.ivc",
+            "--truth", out + "/truth.json", "--quiet"]) == 0
+assert run(["metrics", "--ssim-pairs", out + "/synth.mf", train, "--mi-pairs", out + "/synth.mf",
+            train, "--out", out + "/metrics.json", "--quiet"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def _plant_and_metrics(tmp_path, name, **env):
+    """A fresh child process plants 4 fresh 2x128x128 images from a
+    4-image train set, then scores them against it with SSIM and MI."""
+    train_mf = tmp_path / "train.mf"
+    if not train_mf.exists():
+        write_ivc(list(generate_train_set(4, 2, 128, 128, seed=9400).images), tmp_path / "train.ivc")
+        write_manifest(train_mf, "train", "train", ["train.ivc"])
+    out = tmp_path / name
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(memaudit.__file__).parents[1]), **env)
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", PLANT_AND_METRICS, str(train_mf), str(out)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return out, result.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    """The Gaussian filter behind SSIM and the harness's fresh images is
+    memaudit's own, so a process that plants fresh images and then runs
+    `metrics --ssim-pairs` never loads scipy."""
+    _, modules = _plant_and_metrics(tmp_path, "run")
+    assert modules == "[]"
+
+
+def test_plant_and_metrics_identical_across_blas_threads(tmp_path):
+    """The filter's band products give the same bytes at 1 and 2 BLAS threads."""
+    one, _ = _plant_and_metrics(tmp_path, "one", OPENBLAS_NUM_THREADS="1")
+    two, _ = _plant_and_metrics(tmp_path, "two", OPENBLAS_NUM_THREADS="2")
+    for name in ("synth.ivc", "truth.json", "metrics.json"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    assert json.loads((one / "metrics.json").read_text())["ssim"]["mean"] < 0.9

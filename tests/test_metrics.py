@@ -4,10 +4,13 @@ import pytest
 from memaudit.core import ImageRecord
 from memaudit.errors import InvalidArgumentError
 from memaudit.ingest import EmbeddingSet
+from memaudit import metrics
 from memaudit.metrics import (
     GaussianStats,
     SsimParams,
+    _gaussian_kernel,
     fid,
+    gaussian_filter,
     gaussian_stats,
     inception_score,
     matrix_sqrt_psd,
@@ -64,6 +67,107 @@ class TestSsim:
     def test_even_window_rejected(self):
         with pytest.raises(InvalidArgumentError):
             SsimParams(window=10)
+
+
+def scipy_filter(planes, kernel):
+    """Zero-padded separable correlation of the last two axes by scipy."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    out = ndimage.correlate1d(planes, kernel, axis=-2, mode="constant")
+    return ndimage.correlate1d(out, kernel, axis=-1, mode="constant")
+
+
+def assert_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)
+
+
+class TestGaussianFilter:
+    SHAPES = {
+        "square": (64, 64),
+        "wide": (13, 70),
+        "tall": (70, 13),
+        "2-lead": (2, 3, 40, 50),
+        "3-lead": (2, 2, 3, 9, 130),
+        "4-lead": (1, 2, 2, 2, 17, 11),
+        "several-groups": (100, 20, 20),
+    }
+
+    @pytest.mark.parametrize("taps", [1, 2, 3, 4, 11, 30, 33, 49])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_matches_scipy(self, taps, shape):
+        rng = np.random.default_rng(taps)
+        planes = rng.standard_normal(shape)
+        kernel = rng.random(taps) + 0.1
+        want = scipy_filter(planes, kernel)
+        assert_close(gaussian_filter(planes, kernel), want)
+        # valid: the outputs whose window lies inside the image
+        lo, (h, w) = taps // 2, shape[-2:]
+        valid = gaussian_filter(planes, kernel, valid=True)
+        if h < taps or w < taps:
+            assert valid.shape == (*shape[:-2], max(h - taps + 1, 0), max(w - taps + 1, 0))
+        else:
+            assert_close(valid, want[..., lo : lo + h - taps + 1, lo : lo + w - taps + 1])
+
+    def test_kernel_wider_than_image(self):
+        planes = np.random.default_rng(4).standard_normal((8, 8))
+        kernel = _gaussian_kernel(49, 8.0)
+        assert_close(gaussian_filter(planes, kernel), scipy_filter(planes, kernel))
+        assert gaussian_filter(planes, kernel, valid=True).shape == (0, 0)
+
+    def test_integer_input_is_filtered_in_float64(self):
+        planes = np.arange(12 * 9).reshape(12, 9)
+        kernel = _gaussian_kernel(5, 1.0)
+        assert_close(gaussian_filter(planes, kernel), scipy_filter(planes * 1.0, kernel))
+
+    def test_band_steps_and_groups_give_the_same_values(self, monkeypatch):
+        planes = np.random.default_rng(6).standard_normal((3, 2, 45, 37))
+        kernel = _gaussian_kernel(11, 1.5)
+        want = gaussian_filter(planes, kernel)
+        monkeypatch.setattr(metrics, "FILTER_STEP", 7)
+        monkeypatch.setattr(metrics, "FILTER_GROUP", 1)
+        assert_close(gaussian_filter(planes, kernel), want)
+
+    @pytest.mark.parametrize("planes, kernel", [
+        (np.zeros(5), np.ones(3)),
+        (np.zeros((5, 5)), np.ones(0)),
+    ], ids=["one-axis", "no-taps"])
+    def test_bad_arguments_rejected(self, planes, kernel):
+        with pytest.raises(InvalidArgumentError):
+            gaussian_filter(planes, kernel)
+
+
+def per_channel_ssim(x, y, params=SsimParams()):
+    """SSIM as each channel's own five zero-padded scipy filters, cropped
+    to the valid region, then averaged over channels."""
+    kernel = _gaussian_kernel(params.window, params.sigma)
+    r = params.window // 2
+    values = []
+    for xc, yc in zip(x.astype(np.float64), y.astype(np.float64)):
+        def mean(plane):
+            return scipy_filter(plane, kernel)[r : plane.shape[0] - r, r : plane.shape[1] - r]
+        mu_x, mu_y = mean(xc), mean(yc)
+        xx = mean(xc * xc) - mu_x * mu_x
+        yy = mean(yc * yc) - mu_y * mu_y
+        xy = mean(xc * yc) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + params.c1) * (2.0 * xy + params.c2)
+        den = (mu_x * mu_x + mu_y * mu_y + params.c1) * (xx + yy + params.c2)
+        values.append(float(np.mean(num / den)))
+    return float(np.mean(values))
+
+
+class TestSsimAgainstPerChannelFilters:
+    @pytest.mark.parametrize("shape, params", [
+        ((1, 16, 16), SsimParams()),
+        ((5, 60, 60), SsimParams()),
+        ((3, 40, 23), SsimParams(window=7, sigma=2.0)),
+        ((2, 11, 11), SsimParams()),
+    ], ids=["gray", "five-channel", "non-square", "window-sized"])
+    def test_matches(self, shape, params):
+        rng = np.random.default_rng(shape[1])
+        x = rng.integers(0, 256, shape).astype(np.float32)
+        y = np.clip(x + rng.normal(0, 30, shape), 0, 255).astype(np.float32)
+        want = per_channel_ssim(x, y, params)
+        assert ssim(image(x, id="x"), image(y, id="y"), params) == pytest.approx(want, abs=1e-12)
 
 
 class TestMutualInformation:
