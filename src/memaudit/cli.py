@@ -21,7 +21,7 @@ from typing import Optional
 
 from ._rng import SplitMix64
 from .core import VolumeRecord, resolve_channel_mask
-from .correlate import max_correlations, plan_audit
+from .correlate import DEFAULT_BLOCK_BUDGET_MIB, max_correlations, plan_audit
 from .errors import InvalidArgumentError, MemauditError
 from .harness import PlantConfig, plant, save_ground_truth
 from .ingest import (
@@ -52,6 +52,7 @@ from .preprocess import (
     zero_pad,
 )
 from .report import (
+    DEFAULT_RULE,
     build_audit_report,
     export_report,
     load_matches,
@@ -191,7 +192,7 @@ def _progress(args, label: str):
 
 def _cmd_preprocess(args) -> int:
     manifest = load_manifest(args.manifest)
-    _, records = load_records(manifest)
+    records = load_records(manifest)
     rule = SliceFilterRule(
         min_fraction=args.min_fraction,
         intensity_threshold=args.threshold,
@@ -232,7 +233,7 @@ def _cmd_preprocess(args) -> int:
         raise MemauditError("preprocess produced no images (filter dropped everything)")
 
     container = Path(args.out_container)
-    write_ivc(out, container, dtype=args.dtype)
+    write_ivc(out, container)
     out_manifest = Path(args.out_manifest)
     write_manifest(
         out_manifest,
@@ -341,18 +342,6 @@ def _cmd_audit(args) -> int:
         )
 
     plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit(args)
-
-    metrics_table = {}
-    if args.fid_embeddings:
-        real, synth = (read_embeddings(p) for p in args.fid_embeddings)
-        metrics_table["fid"] = fid(gaussian_stats(real), gaussian_stats(synth))
-    if args.is_probs:
-        is_mean, is_std = inception_score(
-            read_embeddings(args.is_probs), splits=args.is_splits
-        )
-        metrics_table["is_mean"] = is_mean
-        metrics_table["is_std"] = is_std
-
     report = build_audit_report(
         plan,
         synth_vs_train,
@@ -360,7 +349,6 @@ def _cmd_audit(args) -> int:
         synth_vs_test=synth_vs_test,
         rule=args.rule,
         histogram_bins=args.histogram_bins,
-        metrics_table=metrics_table,
         sample_ids=sample_ids,
     )
 
@@ -536,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rescale-channels", help="e.g. '0,1,2,3' to skip an annotation channel")
     p.add_argument("--remap", help="e.g. '1=51,2=102,4=204'")
     p.add_argument("--remap-channels", help="e.g. '4' to remap only the annotation channel")
-    p.add_argument("--dtype", choices=["auto", "u8", "f32"], default="auto")
 
     a = sub.add_parser(
         "audit", parents=[common],
@@ -554,17 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--sample", type=_positive(int), nargs="?", const=1000, default=None,
                    help="audit a random sample of N synthetic images (default N=1000)")
     a.add_argument("--seed", type=int, help="sampling seed (required with --sample)")
-    a.add_argument("--block-budget-mib", type=_positive(float), default=32.0)
-    a.add_argument("--rule", type=_rule, default="percentile:99.5",
+    a.add_argument("--block-budget-mib", type=_positive(float), default=DEFAULT_BLOCK_BUDGET_MIB)
+    a.add_argument("--rule", type=_rule, default=DEFAULT_RULE,
                    help="'percentile:P' of the baseline or 'fixed:V'")
     a.add_argument("--histogram-bins", type=_positive(int), default=50)
     a.add_argument("--format", choices=["json", "csv"], default="json")
     a.add_argument("--out", help="report path (default: stdout)")
     a.add_argument("--matches-out", help="save synth-vs-train matches as JSON")
     a.add_argument("--baseline-matches-out", help="save test-vs-train matches as JSON")
-    a.add_argument("--fid-embeddings", nargs=2, metavar=("REAL", "SYNTH"))
-    a.add_argument("--is-probs", metavar="PROBS")
-    a.add_argument("--is-splits", type=_positive(int), default=10)
 
     m = sub.add_parser("metrics", parents=[common], help="SSIM / MI / FID / IS")
     m.add_argument("--ssim-pairs", nargs=2, metavar=("A", "B"))
@@ -602,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     r.add_argument("--matches", required=True)
     r.add_argument("--baseline")
-    r.add_argument("--rule", type=_rule, default="percentile:99.5")
+    r.add_argument("--rule", type=_rule, default=DEFAULT_RULE)
     r.add_argument("--histogram-bins", type=_positive(int), default=50)
     r.add_argument("--format", choices=["json", "csv"], default="json")
     r.add_argument("--out")

@@ -53,7 +53,6 @@ class ImageRecord:
     height: int
     width: int
     pixels: np.ndarray
-    source: Optional[str] = None
 
     def __post_init__(self):
         if not self.id:
@@ -99,7 +98,6 @@ class VolumeRecord:
     height: int
     width: int
     voxels: np.ndarray
-    source: Optional[str] = None
 
     def __post_init__(self):
         if not self.id:

@@ -32,10 +32,13 @@ from ._rng import SplitMix64, mix64
 from .core import Dataset, ImageRecord
 from .errors import InvalidArgumentError
 from .ingest import atomic_write
-from .metrics import _gaussian_kernel, gaussian_filter
+from .metrics import gaussian_filter, gaussian_kernel
 from .report import FlaggedPair
 
 FRESH_FIELD_SIGMA = 8.0
+# Per-channel intensity mean and std of generate_train_set's images.
+TRAIN_MEAN = 127.0
+TRAIN_STD = 40.0
 
 KINDS = ("copy", "noisy", "shift", "fresh")
 
@@ -114,7 +117,7 @@ def _smooth_fields(rng: SplitMix64, channels: int, height: int, width: int) -> n
     """Zero-padded separable Gaussian blurs of splitmix white noise, one
     field per channel, filtered together by one `gaussian_filter` call."""
     radius = int(np.ceil(3.0 * FRESH_FIELD_SIGMA))
-    kernel = _gaussian_kernel(2 * radius + 1, FRESH_FIELD_SIGMA)
+    kernel = gaussian_kernel(2 * radius + 1, FRESH_FIELD_SIGMA)
     noise = [rng.gaussian(height * width).reshape(height, width) for _ in range(channels)]
     return gaussian_filter(np.stack(noise), kernel)
 
@@ -219,20 +222,19 @@ def generate_train_set(
     height: int,
     width: int,
     seed: int,
-    mean: float = 127.0,
-    std: float = 40.0,
     name: str = "generated-train",
     role: str = "train",
 ) -> Dataset:
-    """Training-like dataset of smooth fields (the harness's null model).
+    """Training-like dataset of smooth fields (the harness's null model),
+    of per-channel mean TRAIN_MEAN and std TRAIN_STD.
 
     Use a seed different from any PlantConfig seed so planted fresh
     images are not replicas of the training images.
     """
     if n < 1:
         raise InvalidArgumentError("n must be positive")
-    means = np.full(channels, float(mean))
-    stds = np.full(channels, float(std))
+    means = np.full(channels, TRAIN_MEAN)
+    stds = np.full(channels, TRAIN_STD)
     run_seed = mix64(seed)
     images = []
     for i in range(n):

@@ -9,6 +9,8 @@ Four formats, all little-endian:
                ndims x u32 dims (C,[D,]H,W) | u8 dtype (0=u8, 1=f32) |
                payload (channel-major) | u32 CRC-32 of payload
         (CRC-32: reflected polynomial 0xEDB88320, i.e. zlib's crc32.)
+        write_ivc stores an entry as u8 when every value is an exact
+        integer in [0, 255], else as f32.
   EMB1  embedding / probability matrix:
           magic "EMB1" | u32 N | u32 dim | N*dim f32 row-major
         optional sidecar "<stem>.ids" with one id per line.
@@ -16,17 +18,17 @@ Four formats, all little-endian:
         path per line relative to the manifest; '#' starts a comment.
 
 Readers reject rather than repair: wrong magic, truncated payloads,
-checksum mismatches and oversized files all raise FormatError naming the
-byte offset. Each image format has one header scan (`_scan_pgm`,
-`_scan_ivc`) that turns a file into entries (id, dims, dtype, payload
-offset; a PGM file is one u8 entry without checksum) without reading a
-payload byte, and all formats share one payload reader, `_entry_values`.
-A manifest's set has one reader, the `read_rows` of its `open_dataset` /
-`open_embedding_set` handle; `load_dataset` / `load_embedding_set` are
-that plus a read of every row, and `read_embeddings` is
-`load_embedding_set` of a one-file manifest. Every writer goes through
-`atomic_write`, so an output file is either its previous version or the
-complete new one, never a prefix.
+checksum mismatches, PGM bytes above maxval and oversized files all raise
+FormatError naming the byte offset. Each image format has one header scan
+(`_scan_pgm`, `_scan_ivc`) that turns a file into entries (id, dims,
+dtype, payload offset; a PGM file is one u8 entry with its maxval and no
+checksum) without reading a payload byte, and all formats share one
+payload reader, `_entry_values`. A manifest's set has one reader, the
+`read_rows` of its `open_dataset` / `open_embedding_set` handle;
+`load_dataset` / `load_embedding_set` are that plus a read of every row,
+and `read_embeddings` is `load_embedding_set` of a one-file manifest.
+Every writer goes through `atomic_write`, so an output file is either its
+previous version or the complete new one, never a prefix.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Dataset, ImageRecord, VolumeRecord, copy_channels
+from .core import ROLES, Dataset, ImageRecord, VolumeRecord, copy_channels
 from .errors import (
     EmptyInputError,
     FormatError,
@@ -147,17 +149,17 @@ class _Entry:
     dtype: int
     offset: int  # first payload byte
     size: int  # payload bytes
-    checksum: bool = True  # a CRC-32 of the payload follows it
+    maxval: Optional[int] = None  # a PGM file's; None: a CRC-32 follows the payload
 
 
 def _entry_values(cur: _Cursor, entry: _Entry, into: bytearray) -> np.ndarray:
-    """One entry's payload (u8 or f32, flat), after its CRC-32 (where it
-    has one) and finiteness checks: a view of into (at least entry.size
-    bytes)."""
+    """One entry's payload (u8 or f32, flat), after its CRC-32 (IVC1),
+    maxval (PGM) and finiteness checks: a view of into (at least
+    entry.size bytes)."""
     what = f"entry {entry.index}"
     cur.seek(entry.offset)
     payload = cur.take_into(into, entry.size, f"{what} payload")
-    if entry.checksum:
+    if entry.maxval is None:
         stored_crc = cur.u32(f"{what} checksum")
         actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
         if stored_crc != actual_crc:
@@ -166,7 +168,14 @@ def _entry_values(cur: _Cursor, entry: _Entry, into: bytearray) -> np.ndarray:
                 f"stored {stored_crc:#010x}, computed {actual_crc:#010x}"
             )
     if entry.dtype == IVC_DTYPE_U8:
-        return np.frombuffer(payload, dtype=np.uint8)
+        values = np.frombuffer(payload, dtype=np.uint8)
+        if entry.maxval is not None and values.max() > entry.maxval:
+            at = int(np.argmax(values > entry.maxval))
+            raise FormatError(
+                f"{cur.path}: byte {values[at]} at offset {entry.offset + at} "
+                f"exceeds maxval {entry.maxval}"
+            )
+        return values
     values = np.frombuffer(payload, dtype="<f4")
     if not np.isfinite(values).all():
         raise FormatError(
@@ -184,7 +193,7 @@ def _read_records(fmt: str, path: Path) -> list[Union[ImageRecord, VolumeRecord]
             values = _entry_values(cur, entry, bytearray(entry.size))
             values = values.astype(np.float32, copy=False)
             kind = ImageRecord if len(entry.dims) == 3 else VolumeRecord
-            records.append(kind(entry.id, *entry.dims, values, source=str(path)))
+            records.append(kind(entry.id, *entry.dims, values))
     return records
 
 
@@ -203,8 +212,9 @@ def read_pgm(path) -> ImageRecord:
 
 def _scan_pgm(cur: _Cursor) -> list[_Entry]:
     """A PGM file's one image, from its header: dims (1, H, W), a u8
-    payload without checksum. Reads the header bytes only; truncation and
-    trailing bytes are found from the file size."""
+    payload of bytes at most maxval, without checksum. Reads the header
+    bytes only; truncation and trailing bytes are found from the file
+    size."""
     path, read = cur.path, cur.stream.read
     pos, byte = 0, read(1)  # byte is the one at pos, b"" past the end
 
@@ -264,7 +274,7 @@ def _scan_pgm(cur: _Cursor) -> list[_Entry]:
             f"{path}: {got - expected} trailing bytes after offset {pos + expected}"
         )
     shape = (1, dims["height"], dims["width"])
-    return [_Entry(0, path.stem, shape, IVC_DTYPE_U8, pos, expected, checksum=False)]
+    return [_Entry(0, path.stem, shape, IVC_DTYPE_U8, pos, expected, dims["maxval"])]
 
 
 def write_pgm(img: ImageRecord, path) -> None:
@@ -349,42 +359,20 @@ def read_ivc(path) -> list[Union[ImageRecord, VolumeRecord]]:
 _SCANNERS = {"pgm": _scan_pgm, "ivc": _scan_ivc}
 
 
-def _entry_payload(values: np.ndarray, dtype: str, rec_id: str) -> tuple[int, bytes]:
-    if dtype == "auto":
-        rounded = np.rint(values)
-        is_u8 = (
-            np.array_equal(rounded, values)
-            and values.size > 0
-            and values.min() >= 0
-            and values.max() <= 255
-        )
-        dtype = "u8" if is_u8 else "f32"
-    if dtype == "u8":
-        rounded = np.rint(values)
-        if not (
-            np.array_equal(rounded, values)
-            and values.min() >= 0
-            and values.max() <= 255
-        ):
-            raise InvalidArgumentError(
-                f"record {rec_id!r}: u8 payload requires exact integers in [0, 255]"
-            )
-        return IVC_DTYPE_U8, rounded.astype(np.uint8).tobytes()
-    if dtype == "f32":
-        return IVC_DTYPE_F32, values.astype("<f4").tobytes()
-    raise InvalidArgumentError(f"unknown IVC dtype {dtype!r}")
+def _entry_payload(values: np.ndarray) -> tuple[int, bytes]:
+    """(dtype code, payload): u8 when every value is an exact integer in
+    [0, 255], else f32."""
+    if np.array_equal(np.rint(values), values) and values.min() >= 0 and values.max() <= 255:
+        return IVC_DTYPE_U8, values.astype(np.uint8).tobytes()
+    return IVC_DTYPE_F32, values.astype("<f4").tobytes()
 
 
-def write_ivc(
-    records: Sequence[Union[ImageRecord, VolumeRecord]],
-    path,
-    dtype: str = "auto",
-) -> None:
+def write_ivc(records: Sequence[Union[ImageRecord, VolumeRecord]], path) -> None:
     """Write records to an IVC1 container readable by read_ivc.
 
-    dtype "auto" stores an entry as u8 when every value is an exact
-    integer in [0, 255], else as f32; round-trips are bit-exact either
-    way because records hold float32 internally.
+    An entry is stored as u8 when every value is an exact integer in
+    [0, 255], else as f32; round-trips are bit-exact either way because
+    records hold float32 internally.
     """
     if not records:
         raise InvalidArgumentError("write_ivc: no records to write")
@@ -397,7 +385,7 @@ def write_ivc(
         id_bytes = rec.id.encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise InvalidArgumentError(f"record id too long: {rec.id[:40]!r}...")
-        code, payload = _entry_payload(values, dtype, rec.id)
+        code, payload = _entry_payload(values)
         chunks.append(struct.pack("<H", len(id_bytes)))
         chunks.append(id_bytes)
         chunks.append(struct.pack("<B", len(dims)))
@@ -489,18 +477,17 @@ def read_embeddings(path) -> EmbeddingSet:
     return load_embedding_set(Manifest(str(path), "", (("emb", path),)))
 
 
-def write_embeddings(emb: EmbeddingSet, path, write_ids: bool = True) -> None:
-    """Write an EMB1 matrix and, with write_ids, its `.ids` sidecar; ids
-    the sidecar cannot hold (blank, or split by a line break) are refused
-    before anything is written."""
+def write_embeddings(emb: EmbeddingSet, path) -> None:
+    """Write an EMB1 matrix and its `.ids` sidecar; ids the sidecar cannot
+    hold (blank, or split by a line break) are refused before anything is
+    written."""
     path = Path(path)
-    for i in emb.ids if write_ids else ():
+    for i in emb.ids:
         if not i.strip() or i.splitlines() != [i]:
             raise InvalidArgumentError(f"id {i!r} cannot be one line of an .ids sidecar")
     header = b"EMB1" + struct.pack("<II", len(emb), emb.dim)
     atomic_write(path, header + emb.rows.astype("<f4").tobytes())
-    if write_ids:
-        atomic_write(path.with_suffix(".ids"), ("\n".join(emb.ids) + "\n").encode("utf-8"))
+    atomic_write(path.with_suffix(".ids"), ("\n".join(emb.ids) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +541,8 @@ def load_manifest(path) -> Manifest:
                 continue
             entries.append((fmt, file))
     role = header.get("role")
-    if role not in ("train", "test", "synthetic"):
-        problems.insert(
-            0, f"role must be train, test or synthetic, got {role!r}"
-        )
+    if role not in ROLES:
+        problems.insert(0, f"role must be one of {', '.join(ROLES)}, got {role!r}")
     if not entries and not problems:
         problems.append("manifest lists no files")
     if problems:
@@ -639,13 +624,12 @@ def _check_members(
         raise ManifestError(f"{name}: no 2-D images")
 
 
-def load_records(manifest: Union[Manifest, str, Path]):
+def load_records(manifest: Union[Manifest, str, Path]) -> list[Union[ImageRecord, VolumeRecord]]:
     """All image/volume records referenced by a manifest, in manifest order."""
-    manifest = _as_manifest(manifest)
     records: list[Union[ImageRecord, VolumeRecord]] = []
-    for fmt, file in _image_files(manifest):
+    for fmt, file in _image_files(_as_manifest(manifest)):
         records.extend(_read_records(fmt, file))
-    return manifest, records
+    return records
 
 
 def load_dataset(manifest: Union[Manifest, str, Path]) -> Dataset:
@@ -659,8 +643,7 @@ def load_dataset(manifest: Union[Manifest, str, Path]) -> Dataset:
     pixels = np.empty((len(images), c, h * w), dtype=np.float32)  # no record shares a row
     images.read_rows(0, len(images), pixels, range(c))
     return Dataset(images.name, images.role, tuple(
-        ImageRecord(i, c, h, w, row, source=str(file))
-        for i, row, (file, _) in zip(images.ids, pixels, images._locations)
+        ImageRecord(i, c, h, w, row) for i, row in zip(images.ids, pixels)
     ))
 
 

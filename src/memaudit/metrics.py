@@ -19,36 +19,28 @@ from .errors import InvalidArgumentError
 from .ingest import EmbeddingSet
 
 
+# SSIM's stabilizers C1 = (0.01 L)^2 and C2 = (0.03 L)^2 of the luminance
+# and contrast terms, for pixel values of dynamic range L = 255.
+SSIM_C1 = (0.01 * 255.0) ** 2
+SSIM_C2 = (0.03 * 255.0) ** 2
+
+
 @dataclass(frozen=True)
 class SsimParams:
-    """Gaussian-window mean-SSIM parameters.
-
-    C1 = (k1*L)^2 and C2 = (k2*L)^2 stabilize the luminance and
-    contrast terms; L is the dynamic range of the pixel values.
-    """
+    """The Gaussian window of mean SSIM: odd size and sigma in pixels."""
 
     window: int = 11
     sigma: float = 1.5
-    dynamic_range: float = 255.0
-    k1: float = 0.01
-    k2: float = 0.03
 
     def __post_init__(self):
         if self.window < 1 or self.window % 2 == 0:
             raise InvalidArgumentError("window must be an odd positive integer")
-        if min(self.sigma, self.dynamic_range, self.k1, self.k2) <= 0:
-            raise InvalidArgumentError("sigma, dynamic_range, k1, k2 must be positive")
-
-    @property
-    def c1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
+        if self.sigma <= 0:
+            raise InvalidArgumentError("sigma must be positive")
 
 
-def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
+def gaussian_kernel(window: int, sigma: float) -> np.ndarray:
+    """Normalized Gaussian of ``window`` taps, centred, of std ``sigma``."""
     half = (window - 1) / 2.0
     x = np.arange(window, dtype=np.float64) - half
     k = np.exp(-(x * x) / (2.0 * sigma * sigma))
@@ -149,16 +141,15 @@ def ssim(a: ImageRecord, b: ImageRecord, params: Optional[SsimParams] = None) ->
         )
     x = a.chw().astype(np.float64)
     y = b.chw().astype(np.float64)
-    kernel = _gaussian_kernel(params.window, params.sigma)
+    kernel = gaussian_kernel(params.window, params.sigma)
     mu_x, mu_y, xx, yy, xy = gaussian_filter(
         np.stack([x, y, x * x, y * y, x * y]), kernel, valid=True
     )
     xx -= mu_x * mu_x
     yy -= mu_y * mu_y
     xy -= mu_x * mu_y
-    c1, c2 = params.c1, params.c2
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * xy + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (xx + yy + c2)
+    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * xy + SSIM_C2)
+    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (xx + yy + SSIM_C2)
     return float(np.mean((num / den).reshape(a.channels, -1).mean(axis=1)))
 
 

@@ -65,7 +65,6 @@ def slice_volume(
                     height=vol.height,
                     width=vol.width,
                     pixels=cdhw[:, d].reshape(-1),
-                    source=vol.source or vol.id,
                 )
             )
     return out
@@ -88,9 +87,7 @@ def zero_pad(img: ImageRecord, target_h: int, target_w: int) -> ImageRecord:
     left = (target_w - img.width) // 2
     out = np.zeros((img.channels, target_h, target_w), dtype=np.float32)
     out[:, top : top + img.height, left : left + img.width] = img.chw()
-    return ImageRecord(
-        img.id, img.channels, target_h, target_w, out.reshape(-1), img.source
-    )
+    return ImageRecord(img.id, img.channels, target_h, target_w, out.reshape(-1))
 
 
 def rescale_intensity(
@@ -116,12 +113,9 @@ def rescale_intensity(
             data[c] = 0.0
     if is_volume:
         return VolumeRecord(
-            rec.id, rec.channels, rec.depth, rec.height, rec.width,
-            data.reshape(-1), rec.source,
+            rec.id, rec.channels, rec.depth, rec.height, rec.width, data.reshape(-1)
         )
-    return ImageRecord(
-        rec.id, rec.channels, rec.height, rec.width, data.reshape(-1), rec.source
-    )
+    return ImageRecord(rec.id, rec.channels, rec.height, rec.width, data.reshape(-1))
 
 
 def remap_labels(
@@ -143,9 +137,7 @@ def remap_labels(
     for c in subset:
         for key, value in mapping.items():
             data[c][np.abs(original[c] - float(key)) <= 1e-6] = float(value)
-    return ImageRecord(
-        img.id, img.channels, img.height, img.width, data.reshape(-1), img.source
-    )
+    return ImageRecord(img.id, img.channels, img.height, img.width, data.reshape(-1))
 
 
 def resize_bilinear(img: ImageRecord, target_h: int, target_w: int) -> ImageRecord:
@@ -180,6 +172,4 @@ def resize_bilinear(img: ImageRecord, target_h: int, target_w: int) -> ImageReco
         top = plane[np.ix_(y0, x0)] * (1 - fx) + plane[np.ix_(y0, x1)] * fx
         bot = plane[np.ix_(y1, x0)] * (1 - fx) + plane[np.ix_(y1, x1)] * fx
         out[c] = top * (1 - fy) + bot * fy
-    return ImageRecord(
-        img.id, img.channels, target_h, target_w, out.reshape(-1), img.source
-    )
+    return ImageRecord(img.id, img.channels, target_h, target_w, out.reshape(-1))

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .correlate import ComparisonPlan, TopKMatches
-from .errors import EmptyInputError, InvalidArgumentError
+from .errors import EmptyInputError, FormatError, InvalidArgumentError
 from .ingest import atomic_write
 
 PERCENTILE_POINTS = (1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0, 99.5)
@@ -232,15 +232,13 @@ def build_audit_report(
     synth_vs_test: Optional[Sequence[TopKMatches]] = None,
     rule: str = DEFAULT_RULE,
     histogram_bins: int = 50,
-    metrics_table: Optional[dict[str, float]] = None,
     sample_ids: Optional[Sequence[str]] = None,
 ) -> AuditReport:
     """Assemble the full report from computed match lists.
 
     ``baseline`` is the test-vs-train match list that defines expected
     similarity without memorization; it is required for percentile rules.
-    The mean top-1 correlation of synth-vs-train is always recorded in
-    the metrics table.
+    The metrics table holds the mean top-1 correlation of synth-vs-train.
     """
     summaries = [summarize(synth_vs_train, "synth-vs-train")]
     baseline_summary = None
@@ -250,8 +248,6 @@ def build_audit_report(
     if synth_vs_test is not None:
         summaries.append(summarize(synth_vs_test, "synth-vs-test"))
     decision = derive_threshold(baseline_summary, rule)
-    table = dict(metrics_table or {})
-    table.setdefault("mean_highest_correlation", summaries[0].mean)
     return AuditReport(
         plan=plan,
         summaries=tuple(summaries),
@@ -261,7 +257,7 @@ def build_audit_report(
         ),
         threshold=decision,
         flagged=flag_memorized(synth_vs_train, decision.value),
-        metrics_table=table,
+        metrics_table={"mean_highest_correlation": summaries[0].mean},
         sample_ids=tuple(sample_ids) if sample_ids is not None else None,
     )
 
@@ -392,16 +388,33 @@ def save_matches(
     atomic_write(path, text.encode("utf-8"))
 
 
+def _loaded_match(m: dict) -> TopKMatches:
+    """One entry of a match-list file, checked: string ids, an int count,
+    a bool flag, and correlations that are finite numbers in [-1, 1]."""
+    query_id = m["query_id"]
+    skipped, valid = m.get("skipped_invalid", 0), m.get("query_valid", True)
+    pairs = tuple((r, c) for r, c in m["matches"])
+    if not (isinstance(query_id, str) and type(skipped) is int and type(valid) is bool):
+        raise ValueError(f"entry {query_id!r}: mistyped query_id, skipped_invalid or query_valid")
+    for r, c in pairs:
+        if not (isinstance(r, str) and type(c) in (int, float) and -1.0 <= c <= 1.0):
+            raise ValueError(
+                f"entry {query_id!r}: match {[r, c]!r} is not [reference id, "
+                "correlation in [-1, 1]]"
+            )
+    return TopKMatches(query_id, pairs, skipped, valid)
+
+
 def load_matches(path) -> tuple[str, Optional[ComparisonPlan], list[TopKMatches]]:
-    data = json.loads(Path(path).read_text("utf-8"))
-    plan = ComparisonPlan(**data["plan"]) if data.get("plan") else None
-    matches = [
-        TopKMatches(
-            query_id=m["query_id"],
-            matches=tuple((r, c) for r, c in m["matches"]),
-            skipped_invalid=m.get("skipped_invalid", 0),
-            query_valid=m.get("query_valid", True),
-        )
-        for m in data["matches"]
-    ]
+    """(label, plan, matches) of a file save_matches wrote. Anything else
+    (bad JSON, a missing or mistyped key, a bad plan, a correlation that
+    is not a finite number in [-1, 1]) raises FormatError naming the file."""
+    try:
+        data = json.loads(Path(path).read_text("utf-8"))
+        matches = [_loaded_match(m) for m in data["matches"]]
+        plan = ComparisonPlan(**data["plan"]) if data.get("plan") else None
+        if plan is not None and any(type(v) is not int for v in asdict(plan).values()):
+            raise ValueError(f"plan {data['plan']!r} holds a count that is not an integer")
+    except (ValueError, KeyError, TypeError, InvalidArgumentError) as exc:
+        raise FormatError(f"{path}: not a match list: {type(exc).__name__}: {exc}") from None
     return data.get("label", ""), plan, matches

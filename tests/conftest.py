@@ -6,7 +6,7 @@ import pytest
 from memaudit.core import Dataset, ImageRecord
 
 
-def image(values, channels=1, height=None, width=None, id="img", source=None):
+def image(values, channels=1, height=None, width=None, id="img"):
     """ImageRecord from a nested or flat value list."""
     arr = np.asarray(values, dtype=np.float32)
     if arr.ndim == 3:
@@ -15,7 +15,7 @@ def image(values, channels=1, height=None, width=None, id="img", source=None):
         channels, (height, width) = 1, arr.shape
     elif height is None:
         height, width = 1, arr.size // channels
-    return ImageRecord(id, channels, height, width, arr.reshape(-1), source)
+    return ImageRecord(id, channels, height, width, arr.reshape(-1))
 
 
 def random_dataset(n, shape, seed, role="train", name="ds", scale=255.0):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -17,7 +18,7 @@ import memaudit.ingest as ingest
 from memaudit._rng import SplitMix64
 from memaudit.cli import ProgressPrinter, run
 from memaudit.core import Dataset, ImageRecord, VolumeRecord
-from memaudit.correlate import max_correlations
+from memaudit.correlate import TopKMatches, max_correlations, plan_audit
 from memaudit.harness import generate_train_set
 from memaudit.ingest import (
     EmbeddingSet,
@@ -30,7 +31,7 @@ from memaudit.ingest import (
     write_manifest,
     write_pgm,
 )
-from memaudit.report import load_matches, load_report
+from memaudit.report import load_matches, load_report, matches_to_dict
 
 from conftest import image, ivc_payload_span
 
@@ -345,6 +346,48 @@ class TestMetricsCommand:
         assert result["fid"] == pytest.approx(0.0, abs=1e-6)
         assert result["inception_score"]["mean"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_fid_and_is_on_random_sets(self, tmp_path):
+        """FID of two different random sets against scipy's sqrtm, and IS
+        in three splits against each split's KL divergences, summed
+        term by term; both within 1e-9 relative."""
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(16)
+        sets = {
+            "a": rng.normal(0, 1, (40, 6)),
+            "b": rng.normal(0.3, 1.5, (50, 6)) @ rng.normal(0, 1, (6, 6)),
+            "p": rng.dirichlet(np.full(5, 0.4), 31),
+        }
+        for name, rows in sets.items():
+            ids = tuple(f"{name}{i}" for i in range(len(rows)))
+            write_embeddings(EmbeddingSet(ids, rows.shape[1], rows), tmp_path / f"{name}.emb")
+            sets[name] = rows.astype(np.float32).astype(np.float64)  # the values the files hold
+        out = tmp_path / "metrics.json"
+        code = run([
+            "metrics", "--fid", str(tmp_path / "a.emb"), str(tmp_path / "b.emb"),
+            "--is", str(tmp_path / "p.emb"), "--splits", "3", "--out", str(out), "--quiet",
+        ])
+        assert code == 0
+        result = json.loads(out.read_text())
+
+        (mu_a, cov_a), (mu_b, cov_b) = (
+            (rows.mean(axis=0), np.cov(rows, rowvar=False)) for rows in (sets["a"], sets["b"])
+        )
+        cross = linalg.sqrtm(cov_a @ cov_b).real
+        want_fid = (
+            np.sum((mu_a - mu_b) ** 2) + np.trace(cov_a) + np.trace(cov_b) - 2 * np.trace(cross)
+        )
+        assert result["fid"] == pytest.approx(want_fid, rel=1e-9)
+
+        scores = []
+        for split in np.array_split(sets["p"], 3):
+            marginal = split.mean(axis=0)
+            kl = [
+                sum(p * math.log(p / q) for p, q in zip(row, marginal) if p > 0) for row in split
+            ]
+            scores.append(math.exp(sum(kl) / len(kl)))
+        assert result["inception_score"]["mean"] == pytest.approx(np.mean(scores), rel=1e-9)
+        assert result["inception_score"]["std"] == pytest.approx(np.std(scores), rel=1e-9)
+
     def test_ssim_and_mi_pairs(self, tmp_path, train_manifest):
         code = run([
             "metrics", "--ssim-pairs", str(train_manifest), str(train_manifest),
@@ -429,8 +472,8 @@ def _split_train(tmp_path, n=24, shape=(1, 12, 12), seed=9100):
     manifests planted from it."""
     train = generate_train_set(n, *shape, seed=seed)
     images = list(train.images)
-    write_ivc(images[: n // 2], tmp_path / "t0.ivc", dtype="f32")
-    write_ivc(images[n // 2 :], tmp_path / "t1.ivc", dtype="f32")
+    write_ivc(images[: n // 2], tmp_path / "t0.ivc")
+    write_ivc(images[n // 2 :], tmp_path / "t1.ivc")
     write_manifest(tmp_path / "train.mf", "train", "train", ["t0.ivc", "t1.ivc"])
     synth_mf, _ = plant_set(tmp_path, tmp_path / "train.mf", seed=21, n=8, p_copy=0.25)
     test_mf, _ = plant_set(tmp_path, tmp_path / "train.mf", seed=22, n=8, name="heldout")
@@ -710,6 +753,81 @@ class TestSampleReadsPicked:
         ]
 
 
+def _set(path, value):
+    """A fault that sets the key at ``path`` of a match-list dict."""
+    def fault(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
+    return fault
+
+
+class TestMalformedMatches:
+    """`report` on a file that is not a match list exits 3 (a data error,
+    never the "flagged" exit 1), names the file and writes no report."""
+
+    FAULTS = {
+        "no-matches-key": lambda d: d["matches"][0].pop("matches"),
+        "matches-null": _set(("matches", 0, "matches"), None),
+        "no-query-id": lambda d: d["matches"][0].pop("query_id"),
+        "no-match-list": lambda d: d.pop("matches"),
+        "match-list-not-a-list": _set(("matches",), 5),
+        "match-not-a-pair": _set(("matches", 0, "matches", 0), ["t0", 0.5, 1]),
+        "nan-correlation": _set(("matches", 0, "matches", 0, 1), float("nan")),
+        "inf-correlation": _set(("matches", 0, "matches", 0, 1), float("inf")),
+        "correlation-above-one": _set(("matches", 1, "matches", 0, 1), 1.5),
+        "correlation-below-minus-one": _set(("matches", 1, "matches", 0, 1), -1.01),
+        "correlation-a-string": _set(("matches", 1, "matches", 0, 1), "0.5"),
+        "reference-id-a-number": _set(("matches", 1, "matches", 0, 0), 7),
+        "query-valid-a-string": _set(("matches", 2, "query_valid"), "yes"),
+        "plan-unknown-key": _set(("plan", "tiles"), 3),
+        "plan-negative-count": _set(("plan", "n_query"), -3),
+        "plan-inconsistent": _set(("plan", "total_comparisons"), 10),
+        "plan-a-string": _set(("plan",), "3x3"),
+        "plan-float-count": _set(("plan", "vector_length"), 16.0),
+        "entry-a-string": _set(("matches", 1), "s1"),
+    }
+
+    @staticmethod
+    def _write(path, fault=None, truncate=False):
+        matches = [TopKMatches(f"s{i}", ((f"t{i}", 0.5), ("t9", 0.25))) for i in range(3)]
+        data = matches_to_dict(matches, "synth-vs-train", plan_audit(3, 10, 16))
+        if fault is not None:
+            fault(data)
+        text = json.dumps(data)  # NaN and Infinity as Python's json writes them
+        path.write_text(text[: len(text) // 2] if truncate else text)
+        return path
+
+    def _report(self, tmp_path, capsys, *files):
+        out = tmp_path / "r.json"
+        argv = ["report", "--matches", str(files[0]), "--rule", "fixed:0.9", "--out", str(out)]
+        if len(files) > 1:
+            argv += ["--baseline", str(files[1])]
+        code = run(argv)
+        assert code == 3
+        assert "bad.json: not a match list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault(self, tmp_path, capsys, fault):
+        self._report(tmp_path, capsys, self._write(tmp_path / "bad.json", self.FAULTS[fault]))
+
+    def test_truncated_json(self, tmp_path, capsys):
+        self._report(tmp_path, capsys, self._write(tmp_path / "bad.json", truncate=True))
+
+    def test_malformed_baseline(self, tmp_path, capsys):
+        good = self._write(tmp_path / "good.json")
+        bad = self._write(tmp_path / "bad.json", self.FAULTS["nan-correlation"])
+        self._report(tmp_path, capsys, good, bad)
+
+    def test_well_formed_file_reads(self, tmp_path):
+        path = self._write(tmp_path / "good.json", _set(("matches", 0, "matches", 0, 1), 1))
+        label, plan, matches = load_matches(path)
+        assert (label, plan) == ("synth-vs-train", plan_audit(3, 10, 16))
+        assert [m.top1 for m in matches] == [("t0", 1.0), ("t1", 0.5), ("t2", 0.5)]
+
+
 class TestReportPlan:
     def test_plan_blocks_are_the_engine_blocks(self, tmp_path, monkeypatch):
         """With --test, the plan counts synthetic queries but records the
@@ -830,7 +948,10 @@ class TestFlagValues:
     PREPROCESS = ["preprocess", "--manifest", "IN", "--out-container", "OUT",
                   "--out-manifest", "OUT"]
     OTHER_CASES = {
-        "audit-is-splits": (AUDIT + ["--is-probs", "IN", "--is-splits", "0"], "--is-splits"),
+        # FID and IS come only from `metrics`; write_ivc picks each entry's dtype.
+        "audit-fid-embeddings": (AUDIT + ["--fid-embeddings", "IN", "IN"], "--fid-embeddings"),
+        "audit-is-probs": (AUDIT + ["--is-probs", "IN"], "--is-probs"),
+        "preprocess-dtype": (PREPROCESS + ["--dtype", "f32"], "--dtype"),
         "metrics-splits": (METRICS + ["--is", "IN", "--splits", "0"], "--splits"),
         "metrics-mi-bins": (METRICS + ["--mi-pairs", "IN", "IN", "--mi-bins", "1"], "--mi-bins"),
         "metrics-ssim-even": (

@@ -70,6 +70,26 @@ class TestPgm:
         with pytest.raises(FormatError, match="maxval.*offset"):
             read_pgm(f)
 
+    def test_payload_byte_above_maxval_rejected(self, tmp_path):
+        f = tmp_path / "v.pgm"
+        f.write_bytes(pgm_bytes(2, 2, [0, 100, 200, 255], maxval=100))
+        write_manifest(tmp_path / "v.mf", "v", "train", ["v.pgm"])
+        handle = open_dataset(tmp_path / "v.mf")  # the header scan reads no payload byte
+        offset = len(pgm_bytes(2, 2, [], maxval=100)) + 2
+        for read in (lambda: read_pgm(f), lambda: handle.read_rows(0, 1, np.empty((1, 1, 4)), [0])):
+            with pytest.raises(FormatError) as exc:
+                read()
+            assert str(exc.value).endswith(f"v.pgm: byte 200 at offset {offset} exceeds maxval 100")
+
+    def test_payload_byte_equal_to_maxval_read(self, tmp_path):
+        f = tmp_path / "e.pgm"
+        f.write_bytes(pgm_bytes(2, 2, [0, 100, 7, 100], maxval=100))
+        write_manifest(tmp_path / "e.mf", "e", "train", ["e.pgm"])
+        out = np.empty((1, 1, 4))
+        open_dataset(tmp_path / "e.mf").read_rows(0, 1, out, [0])
+        np.testing.assert_array_equal(read_pgm(f).pixels, [0, 100, 7, 100])
+        np.testing.assert_array_equal(out.reshape(-1), [0, 100, 7, 100])
+
     def test_trailing_bytes_rejected(self, tmp_path):
         f = tmp_path / "x.pgm"
         f.write_bytes(pgm_bytes(1, 1, [7, 8]))
@@ -293,7 +313,8 @@ class TestEmbeddings:
             write_embeddings(emb, tmp_path / "w.emb")
         assert repr(bad) in str(exc.value)
         assert list(tmp_path.iterdir()) == []
-        write_embeddings(emb, tmp_path / "w.emb", write_ids=False)  # no sidecar, no check
+        write_embeddings(EmbeddingSet(("a", "c"), 2, emb.rows), tmp_path / "w.emb")
+        (tmp_path / "w.ids").unlink()  # without a sidecar, ids are row indices
         assert read_embeddings(tmp_path / "w.emb").ids == ("0", "1")
 
     def test_duplicate_sidecar_id_names_the_file(self, tmp_path):
@@ -441,7 +462,7 @@ def _ivc_train(tmp_path, n_files=2, per_file=4, shape=(3, 4, 5), seed=0):
             ImageRecord(f"im{f}_{i}", *shape, rng.normal(0, 5, int(np.prod(shape))))
             for i in range(per_file)
         ]
-        write_ivc(recs, tmp_path / f"part{f}.ivc", dtype="f32")
+        write_ivc(recs, tmp_path / f"part{f}.ivc")
         files.append(f"part{f}.ivc")
     mf = tmp_path / "train.mf"
     write_manifest(mf, "train", "train", files)
@@ -598,7 +619,7 @@ class TestOneReadPath:
         loaded = load_dataset(tmp_path / "m.mf")
         assert len(loaded) == len(expected) == 3
         for got, want in zip(loaded.images, expected):
-            assert (got.id, got.shape, got.source) == (want.id, want.shape, want.source)
+            assert (got.id, got.shape) == (want.id, want.shape)
             assert got.pixels.dtype == np.float32
             np.testing.assert_array_equal(got.pixels, want.pixels)
         pixels = [img.pixels for img in loaded.images]

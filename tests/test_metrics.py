@@ -8,9 +8,9 @@ from memaudit import metrics
 from memaudit.metrics import (
     GaussianStats,
     SsimParams,
-    _gaussian_kernel,
     fid,
     gaussian_filter,
+    gaussian_kernel,
     gaussian_stats,
     inception_score,
     matrix_sqrt_psd,
@@ -110,18 +110,18 @@ class TestGaussianFilter:
 
     def test_kernel_wider_than_image(self):
         planes = np.random.default_rng(4).standard_normal((8, 8))
-        kernel = _gaussian_kernel(49, 8.0)
+        kernel = gaussian_kernel(49, 8.0)
         assert_close(gaussian_filter(planes, kernel), scipy_filter(planes, kernel))
         assert gaussian_filter(planes, kernel, valid=True).shape == (0, 0)
 
     def test_integer_input_is_filtered_in_float64(self):
         planes = np.arange(12 * 9).reshape(12, 9)
-        kernel = _gaussian_kernel(5, 1.0)
+        kernel = gaussian_kernel(5, 1.0)
         assert_close(gaussian_filter(planes, kernel), scipy_filter(planes * 1.0, kernel))
 
     def test_band_steps_and_groups_give_the_same_values(self, monkeypatch):
         planes = np.random.default_rng(6).standard_normal((3, 2, 45, 37))
-        kernel = _gaussian_kernel(11, 1.5)
+        kernel = gaussian_kernel(11, 1.5)
         want = gaussian_filter(planes, kernel)
         monkeypatch.setattr(metrics, "FILTER_STEP", 7)
         monkeypatch.setattr(metrics, "FILTER_GROUP", 1)
@@ -139,7 +139,7 @@ class TestGaussianFilter:
 def per_channel_ssim(x, y, params=SsimParams()):
     """SSIM as each channel's own five zero-padded scipy filters, cropped
     to the valid region, then averaged over channels."""
-    kernel = _gaussian_kernel(params.window, params.sigma)
+    kernel = gaussian_kernel(params.window, params.sigma)
     r = params.window // 2
     values = []
     for xc, yc in zip(x.astype(np.float64), y.astype(np.float64)):
@@ -149,8 +149,8 @@ def per_channel_ssim(x, y, params=SsimParams()):
         xx = mean(xc * xc) - mu_x * mu_x
         yy = mean(yc * yc) - mu_y * mu_y
         xy = mean(xc * yc) - mu_x * mu_y
-        num = (2.0 * mu_x * mu_y + params.c1) * (2.0 * xy + params.c2)
-        den = (mu_x * mu_x + mu_y * mu_y + params.c1) * (xx + yy + params.c2)
+        num = (2.0 * mu_x * mu_y + metrics.SSIM_C1) * (2.0 * xy + metrics.SSIM_C2)
+        den = (mu_x * mu_x + mu_y * mu_y + metrics.SSIM_C1) * (xx + yy + metrics.SSIM_C2)
         values.append(float(np.mean(num / den)))
     return float(np.mean(values))
 
