@@ -65,7 +65,6 @@ from .report import (
     export_report,
     flag_memorized,
     histogram,
-    load_report,
     summarize,
 )
 
@@ -107,7 +106,6 @@ __all__ = [
     "load_dataset",
     "load_embedding_set",
     "load_manifest",
-    "load_report",
     "matrix_sqrt_psd",
     "max_correlations",
     "mutual_information",

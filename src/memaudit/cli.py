@@ -21,7 +21,7 @@ from typing import Optional
 
 from ._rng import SplitMix64
 from .core import VolumeRecord, resolve_channel_mask
-from .correlate import DEFAULT_BLOCK_BUDGET_MIB, max_correlations, plan_audit
+from .correlate import DEFAULT_BLOCK_BUDGET_MIB, DEFAULT_K, max_correlations, plan_audit
 from .errors import InvalidArgumentError, MemauditError
 from .harness import PlantConfig, plant, save_ground_truth
 from .ingest import (
@@ -36,6 +36,8 @@ from .ingest import (
     write_manifest,
 )
 from .metrics import (
+    DEFAULT_IS_SPLITS,
+    DEFAULT_MI_BINS,
     SsimParams,
     fid,
     gaussian_stats,
@@ -52,13 +54,13 @@ from .preprocess import (
     zero_pad,
 )
 from .report import (
+    DEFAULT_HISTOGRAM_BINS,
     DEFAULT_RULE,
     build_audit_report,
     export_report,
+    format_report,
     load_matches,
     parse_rule,
-    report_to_csv,
-    report_to_dict,
     save_matches,
 )
 
@@ -191,8 +193,6 @@ def _progress(args, label: str):
 
 
 def _cmd_preprocess(args) -> int:
-    manifest = load_manifest(args.manifest)
-    records = load_records(manifest)
     rule = SliceFilterRule(
         min_fraction=args.min_fraction,
         intensity_threshold=args.threshold,
@@ -201,6 +201,8 @@ def _cmd_preprocess(args) -> int:
     remap = _parse_remap(args.remap) if args.remap else None
     rescale_channels = _parse_channels(args.rescale_channels, "--rescale-channels")
     remap_channels = _parse_channels(args.remap_channels, "--remap-channels")
+    manifest = load_manifest(args.manifest)
+    records = load_records(manifest)
     counts = sorted({rec.channels for rec in records})
     for flag, channels in (
         ("--filter-channel", (args.filter_channel,)),
@@ -270,6 +272,7 @@ def _audit(args):
     options of the other kind are usage errors. Every set stays in its
     files and is read once into the engine's float64 buffers (a --sample
     reads only the picked synthetic rows), by one engine call."""
+    channels = _parse_channels(args.channels)
     manifest = load_manifest(args.train)
     embeddings = all(fmt == "emb" for fmt, _ in manifest.entries)
     foreign = {"--channels": args.channels, "--channel-mode": args.channel_mode}
@@ -287,7 +290,7 @@ def _audit(args):
         mask, mode, row_length = None, args.metric, train.dim
     else:
         c, h, w = train.shape
-        mask = _channel_mask("--channels", _parse_channels(args.channels), c)
+        mask = _channel_mask("--channels", channels, c)
         mode, row_length = args.channel_mode, len(mask) * h * w
     synthetic = open_set(args.synthetic)
     sample_ids = None
@@ -319,15 +322,22 @@ def _audit(args):
     return plan, synth_vs_train, baseline, synth_vs_test, sample_ids
 
 
+def _check_baseline(args, baseline, flag: str) -> None:
+    """A percentile --rule takes its threshold from the set flag names."""
+    if parse_rule(args.rule)[0] == "percentile" and not baseline:
+        raise UsageError(
+            f"a percentile --rule needs the baseline set {flag}; "
+            f"use --rule fixed:V to {args.command} without one"
+        )
+
+
 def _emit_report(report, args) -> None:
     """Write the report to --out, or print it to stdout in --format."""
     if args.out:
         export_report(report, args.out, args.format)
         log.info("%s: report written to %s", args.command, args.out)
-    elif args.format == "json":
-        print(json.dumps(report_to_dict(report), indent=2))
     else:
-        print(report_to_csv(report), end="")
+        print(format_report(report, args.format), end="")
 
 
 def _cmd_audit(args) -> int:
@@ -335,11 +345,7 @@ def _cmd_audit(args) -> int:
         raise UsageError("--sample requires an explicit --seed")
     if args.baseline_matches_out and not args.test:
         raise UsageError("--baseline-matches-out needs --test")
-    if parse_rule(args.rule)[0] == "percentile" and not args.test:
-        raise UsageError(
-            "percentile threshold rules need --test as the baseline; "
-            "use --rule fixed:V to audit without one"
-        )
+    _check_baseline(args, args.test, "--test")
 
     plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit(args)
     report = build_audit_report(
@@ -462,8 +468,18 @@ def _cmd_plant(args) -> int:
     return EXIT_OK
 
 
+def _labelled_matches(path, label: str):
+    """The plan and matches of a match file that save_matches wrote
+    under label: a file of the other label is a data error."""
+    found, plan, matches = load_matches(path)
+    if found != label:
+        raise MemauditError(f"{path} holds {found!r} matches, not {label!r}")
+    return plan, matches
+
+
 def _cmd_report(args) -> int:
-    _, plan, synth_matches = load_matches(args.matches)
+    _check_baseline(args, args.baseline, "--baseline")
+    plan, synth_matches = _labelled_matches(args.matches, "synth-vs-train")
     if plan is None:
         raise MemauditError(
             f"{args.matches} has no comparison plan; regenerate it with "
@@ -471,7 +487,7 @@ def _cmd_report(args) -> int:
         )
     baseline = None
     if args.baseline:
-        _, _, baseline = load_matches(args.baseline)
+        _, baseline = _labelled_matches(args.baseline, "test-vs-train")
     report = build_audit_report(
         plan,
         synth_matches,
@@ -514,10 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-container", required=True)
     p.add_argument("--out-manifest", required=True)
     p.add_argument(
-        "--min-fraction", type=_number(float, lambda v: 0 < v <= 1, "in (0, 1]"), default=0.15
+        "--min-fraction", type=_number(float, lambda v: 0 < v <= 1, "in (0, 1]"),
+        default=SliceFilterRule.min_fraction,
     )
-    p.add_argument("--threshold", type=float, default=50.0)
-    p.add_argument("--filter-channel", type=_non_negative(int), default=0)
+    p.add_argument("--threshold", type=float, default=SliceFilterRule.intensity_threshold)
+    p.add_argument("--filter-channel", type=_non_negative(int), default=SliceFilterRule.channel)
     p.add_argument("--pad", nargs=2, type=_positive(int), metavar=("H", "W"))
     p.add_argument("--resize", nargs=2, type=_positive(int), metavar=("H", "W"))
     p.add_argument("--rescale", action="store_true")
@@ -537,14 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="for image manifests (default concat)")
     a.add_argument("--metric", choices=["pearson", "cosine"],
                    help="for embedding manifests (default pearson)")
-    a.add_argument("--k", type=_positive(int), default=5)
+    a.add_argument("--k", type=_positive(int), default=DEFAULT_K)
     a.add_argument("--sample", type=_positive(int), nargs="?", const=1000, default=None,
                    help="audit a random sample of N synthetic images (default N=1000)")
     a.add_argument("--seed", type=int, help="sampling seed (required with --sample)")
     a.add_argument("--block-budget-mib", type=_positive(float), default=DEFAULT_BLOCK_BUDGET_MIB)
     a.add_argument("--rule", type=_rule, default=DEFAULT_RULE,
                    help="'percentile:P' of the baseline or 'fixed:V'")
-    a.add_argument("--histogram-bins", type=_positive(int), default=50)
+    a.add_argument("--histogram-bins", type=_positive(int), default=DEFAULT_HISTOGRAM_BINS)
     a.add_argument("--format", choices=["json", "csv"], default="json")
     a.add_argument("--out", help="report path (default: stdout)")
     a.add_argument("--matches-out", help="save synth-vs-train matches as JSON")
@@ -555,13 +572,15 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--mi-pairs", nargs=2, metavar=("A", "B"))
     m.add_argument("--fid", nargs=2, metavar=("REAL", "SYNTH"))
     m.add_argument("--is", dest="inception", metavar="PROBS")
-    m.add_argument("--splits", dest="is_splits", type=_positive(int), default=10)
-    m.add_argument("--mi-bins", type=_number(int, lambda v: v >= 2, "at least 2"), default=64)
+    m.add_argument("--splits", dest="is_splits", type=_positive(int), default=DEFAULT_IS_SPLITS)
+    m.add_argument(
+        "--mi-bins", type=_number(int, lambda v: v >= 2, "at least 2"), default=DEFAULT_MI_BINS
+    )
     m.add_argument(
         "--ssim-window", type=_number(int, lambda v: v > 0 and v % 2, "odd and positive"),
-        default=11,
+        default=SsimParams.window,
     )
-    m.add_argument("--ssim-sigma", type=_positive(float), default=1.5)
+    m.add_argument("--ssim-sigma", type=_positive(float), default=SsimParams.sigma)
     m.add_argument("--out")
 
     g = sub.add_parser(
@@ -570,11 +589,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument("--train", required=True)
     g.add_argument("--n", type=_positive(int), required=True)
-    g.add_argument("--p-copy", type=_fraction, default=0.0)
-    g.add_argument("--p-noisy", type=_fraction, default=0.0)
-    g.add_argument("--p-shift", type=_fraction, default=0.0)
-    g.add_argument("--sigma", type=_non_negative(float), default=5.0)
-    g.add_argument("--shift", type=_non_negative(int), default=4)
+    g.add_argument("--p-copy", type=_fraction, default=PlantConfig.p_copy)
+    g.add_argument("--p-noisy", type=_fraction, default=PlantConfig.p_noisy)
+    g.add_argument("--p-shift", type=_fraction, default=PlantConfig.p_shift)
+    g.add_argument("--sigma", type=_non_negative(float), default=PlantConfig.noise_sigma)
+    g.add_argument("--shift", type=_non_negative(int), default=PlantConfig.shift_pixels)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True, help="output IVC1 container")
     g.add_argument("--truth", required=True, help="ground-truth JSON path")
@@ -587,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--matches", required=True)
     r.add_argument("--baseline")
     r.add_argument("--rule", type=_rule, default=DEFAULT_RULE)
-    r.add_argument("--histogram-bins", type=_positive(int), default=50)
+    r.add_argument("--histogram-bins", type=_positive(int), default=DEFAULT_HISTOGRAM_BINS)
     r.add_argument("--format", choices=["json", "csv"], default="json")
     r.add_argument("--out")
 

@@ -76,13 +76,6 @@ class ImageRecord:
         """Read-only (C, H, W) view of the pixel data."""
         return self.pixels.reshape(self.channels, self.height, self.width)
 
-    def channel(self, c: int) -> np.ndarray:
-        if not 0 <= c < self.channels:
-            raise InvalidArgumentError(
-                f"image {self.id!r}: channel {c} out of range"
-            )
-        return self.chw()[c]
-
 
 @dataclass(frozen=True)
 class VolumeRecord:

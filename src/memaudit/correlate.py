@@ -44,6 +44,7 @@ from .core import (
 from .errors import InvalidArgumentError, UndefinedCorrelationError
 
 DEFAULT_BLOCK_BUDGET_MIB = 32.0
+DEFAULT_K = 5
 BRUTE_FORCE_LIMIT = 10_000_000
 
 ProgressFn = Callable[[int, int], None]  # (comparisons done, total)
@@ -238,7 +239,7 @@ def max_correlations(
     query,
     reference,
     channel_mask: Optional[Iterable[int]] = None,
-    k: int = 5,
+    k: int = DEFAULT_K,
     mode: Optional[str] = None,
     block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
     progress: Optional[ProgressFn] = None,

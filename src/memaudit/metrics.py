@@ -24,6 +24,9 @@ from .ingest import EmbeddingSet
 SSIM_C1 = (0.01 * 255.0) ** 2
 SSIM_C2 = (0.03 * 255.0) ** 2
 
+DEFAULT_MI_BINS = 64
+DEFAULT_IS_SPLITS = 10
+
 
 @dataclass(frozen=True)
 class SsimParams:
@@ -161,7 +164,7 @@ def _bin_indices(values: np.ndarray, bins: int) -> Optional[np.ndarray]:
     return np.minimum(idx, bins - 1)
 
 
-def mutual_information(a: ImageRecord, b: ImageRecord, bins: int = 64) -> float:
+def mutual_information(a: ImageRecord, b: ImageRecord, bins: int = DEFAULT_MI_BINS) -> float:
     """Mutual information in bits from a joint intensity histogram.
 
     Each image is binned over its own [min, max] range with ``bins``
@@ -272,7 +275,7 @@ def fid(g1: GaussianStats, g2: GaussianStats) -> float:
     return value
 
 
-def inception_score(probs: EmbeddingSet, splits: int = 10) -> tuple[float, float]:
+def inception_score(probs: EmbeddingSet, splits: int = DEFAULT_IS_SPLITS) -> tuple[float, float]:
     """Inception Score from per-sample class-probability rows.
 
     Per split (contiguous, near-equal): IS = exp(mean KL(p(y|x) || mean

@@ -167,8 +167,7 @@ def resize_bilinear(img: ImageRecord, target_h: int, target_w: int) -> ImageReco
     fy = (src_y - y0)[:, None]
     fx = (src_x - x0)[None, :]
     out = np.empty((img.channels, target_h, target_w), dtype=np.float32)
-    for c in range(img.channels):
-        plane = img.channel(c).astype(np.float64)
+    for c, plane in enumerate(img.chw().astype(np.float64)):
         top = plane[np.ix_(y0, x0)] * (1 - fx) + plane[np.ix_(y0, x1)] * fx
         bot = plane[np.ix_(y1, x0)] * (1 - fx) + plane[np.ix_(y1, x1)] * fx
         out[c] = top * (1 - fy) + bot * fy

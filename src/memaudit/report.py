@@ -29,6 +29,7 @@ from .ingest import atomic_write
 PERCENTILE_POINTS = (1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0, 99.5)
 DEFAULT_RULE = "percentile:99.5"
 HISTOGRAM_RANGE = (0.0, 1.0)  # every histogram's bins span it
+DEFAULT_HISTOGRAM_BINS = 50
 
 
 def interpolated_percentile(sorted_values: Sequence[float], p: float) -> float:
@@ -110,8 +111,8 @@ class ThresholdDecision:
 def parse_rule(rule: str) -> tuple[str, float]:
     """Parse "percentile:P" or "fixed:V" into (kind, parameter)."""
     kind, sep, arg = rule.partition(":")
-    if kind == "percentile":
-        p = float(arg) if sep else 99.5
+    if kind == "percentile" and sep:
+        p = float(arg)
         if not 0.0 < p < 100.0:
             raise InvalidArgumentError(f"percentile must be in (0, 100), got {p}")
         return "percentile", p
@@ -175,7 +176,7 @@ class HistogramData:
     overflow: int
 
 
-def histogram(values: Iterable[float], n_bins: int = 50, label: str = "") -> HistogramData:
+def histogram(values: Iterable[float], n_bins: int, label: str = "") -> HistogramData:
     """Bin values into n_bins uniform bins over HISTOGRAM_RANGE [lo, hi].
 
     Bin i covers [lo + i*w, lo + (i+1)*w), except the last bin which also
@@ -211,7 +212,7 @@ class AuditReport:
     histograms: tuple[HistogramData, ...]
     threshold: ThresholdDecision
     flagged: tuple[FlaggedPair, ...]
-    metrics_table: Optional[dict[str, float]] = None
+    metrics_table: dict[str, float]
     sample_ids: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
@@ -231,7 +232,7 @@ def build_audit_report(
     baseline: Optional[Sequence[TopKMatches]] = None,
     synth_vs_test: Optional[Sequence[TopKMatches]] = None,
     rule: str = DEFAULT_RULE,
-    histogram_bins: int = 50,
+    histogram_bins: int = DEFAULT_HISTOGRAM_BINS,
     sample_ids: Optional[Sequence[str]] = None,
 ) -> AuditReport:
     """Assemble the full report from computed match lists.
@@ -267,44 +268,6 @@ def build_audit_report(
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(report: AuditReport) -> dict:
-    return {
-        "plan": asdict(report.plan),
-        "summaries": [asdict(s) for s in report.summaries],
-        "histograms": [asdict(h) for h in report.histograms],
-        "threshold": asdict(report.threshold),
-        "flagged": [asdict(f) for f in report.flagged],
-        "metrics_table": report.metrics_table,
-        "sample_ids": list(report.sample_ids) if report.sample_ids is not None else None,
-    }
-
-
-def report_from_dict(data: dict) -> AuditReport:
-    return AuditReport(
-        plan=ComparisonPlan(**data["plan"]),
-        summaries=tuple(
-            DistributionSummary(
-                label=s["label"], n=s["n"], mean=s["mean"], median=s["median"],
-                min=s["min"], max=s["max"], percentiles=dict(s["percentiles"]),
-                values=tuple(s["values"]),
-            )
-            for s in data["summaries"]
-        ),
-        histograms=tuple(
-            HistogramData(
-                label=h["label"], edges=tuple(h["edges"]),
-                counts=tuple(h["counts"]), underflow=h["underflow"],
-                overflow=h["overflow"],
-            )
-            for h in data["histograms"]
-        ),
-        threshold=ThresholdDecision(**data["threshold"]),
-        flagged=tuple(FlaggedPair(**f) for f in data["flagged"]),
-        metrics_table=data.get("metrics_table"),
-        sample_ids=tuple(data["sample_ids"]) if data.get("sample_ids") is not None else None,
-    )
-
-
 def _f5(x: float) -> str:
     return f"{x:.5f}"
 
@@ -330,11 +293,10 @@ def report_to_csv(report: AuditReport) -> str:
         w.writerow(row)
     w.writerow([])
     w.writerow(["threshold", _f5(report.threshold.value), report.threshold.provenance])
-    if report.metrics_table:
-        w.writerow([])
-        keys = list(report.metrics_table)
-        w.writerow(["metrics"] + keys)
-        w.writerow(["metrics"] + [_f5(report.metrics_table[k]) for k in keys])
+    w.writerow([])
+    keys = list(report.metrics_table)
+    w.writerow(["metrics"] + keys)
+    w.writerow(["metrics"] + [_f5(report.metrics_table[k]) for k in keys])
     w.writerow([])
     w.writerow(["plan", "n_query", "n_reference", "total_comparisons", "vector_length"])
     p = report.plan
@@ -342,19 +304,18 @@ def report_to_csv(report: AuditReport) -> str:
     return out.getvalue()
 
 
-def export_report(report: AuditReport, path, format: str = "json") -> None:
-    """Write a report atomically as JSON (lossless) or CSV (5 decimals)."""
+def format_report(report: AuditReport, format: str) -> str:
+    """A report as JSON (lossless) or CSV (5 decimals) text."""
     if format == "json":
-        text = json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
-    elif format == "csv":
-        text = report_to_csv(report)
-    else:
-        raise InvalidArgumentError(f"unknown report format {format!r}")
-    atomic_write(path, text.encode("utf-8"))
+        return json.dumps(asdict(report), indent=2, allow_nan=False) + "\n"
+    if format == "csv":
+        return report_to_csv(report)
+    raise InvalidArgumentError(f"unknown report format {format!r}")
 
 
-def load_report(path) -> AuditReport:
-    return report_from_dict(json.loads(Path(path).read_text("utf-8")))
+def export_report(report: AuditReport, path, format: str) -> None:
+    """Write format_report(report, format) to path atomically."""
+    atomic_write(path, format_report(report, format).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +323,10 @@ def load_report(path) -> AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def matches_to_dict(
-    matches: Sequence[TopKMatches], label: str, plan: Optional[ComparisonPlan] = None
-) -> dict:
+def matches_to_dict(matches: Sequence[TopKMatches], label: str, plan: ComparisonPlan) -> dict:
     return {
         "label": label,
-        "plan": asdict(plan) if plan is not None else None,
+        "plan": asdict(plan),
         "matches": [
             {
                 "query_id": m.query_id,
@@ -381,8 +340,7 @@ def matches_to_dict(
 
 
 def save_matches(
-    matches: Sequence[TopKMatches], path, label: str,
-    plan: Optional[ComparisonPlan] = None,
+    matches: Sequence[TopKMatches], path, label: str, plan: ComparisonPlan
 ) -> None:
     text = json.dumps(matches_to_dict(matches, label, plan), indent=2) + "\n"
     atomic_write(path, text.encode("utf-8"))

@@ -31,7 +31,8 @@ from memaudit.ingest import (
     write_manifest,
     write_pgm,
 )
-from memaudit.report import load_matches, load_report, matches_to_dict
+from memaudit.preprocess import resize_bilinear
+from memaudit.report import load_matches, matches_to_dict
 
 from conftest import image, ivc_payload_span
 
@@ -105,8 +106,7 @@ class TestExitCodes:
             "--rule", "fixed:0.999", "--out", str(out), "--quiet",
         ])
         assert code == 1
-        report = load_report(out)
-        assert report.flagged
+        assert json.loads(out.read_text("utf-8"))["flagged"]
 
     def test_clean_audit_exits_zero(self, tmp_path, train_manifest):
         synth_mf, _ = plant_set(tmp_path, train_manifest, seed=4, p_copy=0.0)
@@ -132,12 +132,12 @@ class TestAuditEndToEnd:
             "--test", str(test_mf), "--k", "3", "--out", str(out), "--quiet",
         ])
         assert code == 1
-        report = load_report(out)
+        report = json.loads(out.read_text("utf-8"))
         truth = json.loads(truth_path.read_text())
         copies = {e["output_id"] for e in truth if e["kind"] == "copy"}
-        flagged = {f.query_id for f in report.flagged}
+        flagged = {f["query_id"] for f in report["flagged"]}
         assert copies <= flagged
-        assert [s.label for s in report.summaries] == [
+        assert [s["label"] for s in report["summaries"]] == [
             "synth-vs-train", "test-vs-train", "synth-vs-test",
         ]
 
@@ -169,10 +169,10 @@ class TestAuditEndToEnd:
             "--out", str(rebuilt_out), "--quiet",
         ])
         assert code == 1
-        direct = load_report(audit_out)
-        rebuilt = load_report(rebuilt_out)
-        assert direct.flagged == rebuilt.flagged
-        assert direct.summaries[0] == rebuilt.summaries[0]
+        direct = json.loads(audit_out.read_text("utf-8"))
+        rebuilt = json.loads(rebuilt_out.read_text("utf-8"))
+        assert direct["flagged"] == rebuilt["flagged"]
+        assert direct["summaries"][0] == rebuilt["summaries"][0]
 
     def test_sample_ids_recorded(self, tmp_path, train_manifest):
         synth_mf, _ = plant_set(tmp_path, train_manifest, seed=10, n=20)
@@ -182,9 +182,9 @@ class TestAuditEndToEnd:
             "--rule", "fixed:0.99", "--sample", "5", "--seed", "11",
             "--out", str(out), "--quiet",
         ])
-        report = load_report(out)
-        assert report.sample_ids is not None and len(report.sample_ids) == 5
-        assert report.plan.n_query == 5
+        report = json.loads(out.read_text("utf-8"))
+        assert report["sample_ids"] is not None and len(report["sample_ids"]) == 5
+        assert report["plan"]["n_query"] == 5
 
     def test_csv_output(self, tmp_path, train_manifest):
         synth_mf, _ = plant_set(tmp_path, train_manifest, seed=12, p_copy=0.2)
@@ -220,8 +220,8 @@ class TestEmbeddingAudit:
             "--rule", "fixed:0.9999", "--out", str(out), "--quiet",
         ])
         assert code == 1  # the 5 copied rows correlate at 1.0
-        report = load_report(out)
-        assert {f.query_id for f in report.flagged} == {f"s{i}" for i in range(5)}
+        report = json.loads(out.read_text("utf-8"))
+        assert {f["query_id"] for f in report["flagged"]} == {f"s{i}" for i in range(5)}
 
     def test_metric_pearson_is_the_default(self, tmp_path):
         train_mf, synth_mf, test_mf = _emb_sets(tmp_path)
@@ -306,6 +306,20 @@ class TestPreprocessCommand:
         (rec,) = read_ivc(tmp_path / "lo.ivc")
         np.testing.assert_array_equal(rec.chw()[0], np.full((4, 4), 2.0))
         np.testing.assert_array_equal(rec.chw()[1][0], [51, 102, 204, 0])
+
+    def test_resize(self, tmp_path):
+        img = ImageRecord("img", 2, 4, 6, np.arange(48, dtype=np.float32))
+        write_ivc([img], tmp_path / "i.ivc")
+        write_manifest(tmp_path / "i.mf", "img", "train", ["i.ivc"])
+        code = run([
+            "preprocess", "--manifest", str(tmp_path / "i.mf"),
+            "--out-container", str(tmp_path / "io.ivc"),
+            "--out-manifest", str(tmp_path / "io.mf"), "--resize", "8", "3", "--quiet",
+        ])
+        assert code == 0
+        (rec,) = load_dataset(tmp_path / "io.mf").images
+        assert (rec.id, rec.shape) == ("img", (2, 8, 3))
+        np.testing.assert_array_equal(rec.pixels, resize_bilinear(img, 8, 3).pixels)
 
     def test_filter_drops_everything_is_data_error(self, tmp_path):
         vol = VolumeRecord("dark", 1, 2, 10, 10, np.zeros(200, np.float32))
@@ -398,6 +412,17 @@ class TestMetricsCommand:
         result = json.loads((tmp_path / "m.json").read_text())
         assert result["ssim"]["mean"] == pytest.approx(1.0, abs=1e-9)
         assert result["mutual_information"]["mean"] > 0.0
+
+    def test_paired_manifests_of_different_sizes(self, tmp_path, train_manifest, capsys):
+        synth_mf, _ = plant_set(tmp_path, train_manifest, seed=4, n=5)
+        out = tmp_path / "m.json"
+        code = run([
+            "metrics", "--ssim-pairs", str(synth_mf), str(train_manifest),
+            "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert "paired manifests differ in size: 5 vs 30" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_metric_selected_is_usage_error(self):
         assert run(["metrics", "--quiet"]) == 2
@@ -821,11 +846,81 @@ class TestMalformedMatches:
         bad = self._write(tmp_path / "bad.json", self.FAULTS["nan-correlation"])
         self._report(tmp_path, capsys, good, bad)
 
+    def test_no_plan(self, tmp_path, capsys):
+        path = self._write(tmp_path / "bad.json", _set(("plan",), None))
+        out = tmp_path / "r.json"
+        assert run(["report", "--matches", str(path), "--rule", "fixed:0.9", "--out", str(out)]) == 3
+        assert "bad.json has no comparison plan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_well_formed_file_reads(self, tmp_path):
         path = self._write(tmp_path / "good.json", _set(("matches", 0, "matches", 0, 1), 1))
         label, plan, matches = load_matches(path)
         assert (label, plan) == ("synth-vs-train", plan_audit(3, 10, 16))
         assert [m.top1 for m in matches] == [("t0", 1.0), ("t1", 0.5), ("t2", 0.5)]
+
+
+class TestReportCommand:
+    """`report` rebuilds an audit's decision from the match files that
+    --matches-out and --baseline-matches-out saved."""
+
+    @staticmethod
+    def _audit(tmp_path):
+        train_mf, synth_mf, test_mf = _split_train(tmp_path)
+        paths = {name: tmp_path / f"{name}.json" for name in ("audit", "m", "b")}
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--out", str(paths["audit"]),
+            "--matches-out", str(paths["m"]), "--baseline-matches-out", str(paths["b"]),
+            "--quiet",
+        ])
+        assert code == 1
+        return paths
+
+    def test_rebuilds_the_audit_decision(self, tmp_path):
+        paths = self._audit(tmp_path)
+        out = tmp_path / "rebuilt.json"
+        code = run([
+            "report", "--matches", str(paths["m"]), "--baseline", str(paths["b"]),
+            "--rule", "percentile:99.5", "--out", str(out), "--quiet",
+        ])
+        assert code == 1
+        audit = json.loads(paths["audit"].read_text("utf-8"))
+        rebuilt = json.loads(out.read_text("utf-8"))
+        for key in ("plan", "threshold", "flagged", "metrics_table"):
+            assert rebuilt[key] == audit[key], key
+        assert [s["label"] for s in rebuilt["summaries"]] == ["synth-vs-train", "test-vs-train"]
+        assert rebuilt["summaries"] == audit["summaries"][:2]
+        assert rebuilt["histograms"] == audit["histograms"][:2]
+
+    @pytest.mark.parametrize("matches, baseline, wrong, label", [
+        ("b", "m", "b", "test-vs-train"),
+        ("m", "m", "m", "synth-vs-train"),
+    ], ids=["swapped", "synthetic-as-baseline"])
+    def test_match_file_of_the_other_label(self, tmp_path, capsys, matches, baseline, wrong,
+                                           label):
+        paths = self._audit(tmp_path)
+        out = tmp_path / "r.json"
+        code = run([
+            "report", "--matches", str(paths[matches]), "--baseline", str(paths[baseline]),
+            "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert f"{paths[wrong]} holds {label!r} matches" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_equals_out_file(self, tmp_path, capsys, fmt):
+        paths = self._audit(tmp_path)
+        out = tmp_path / f"r.{fmt}"
+        argv = [
+            "report", "--matches", str(paths["m"]), "--baseline", str(paths["b"]),
+            "--format", fmt, "--quiet",
+        ]
+        assert run(argv + ["--out", str(out)]) == 1
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 class TestReportPlan:
@@ -849,11 +944,11 @@ class TestReportPlan:
             "--out", str(out), "--quiet",
         ])
         assert code in (0, 1)
-        plan = load_report(out).plan
-        assert (plan.n_query, plan.n_reference, plan.block_query) == (8, 24, 16)
+        plan = json.loads(out.read_text("utf-8"))["plan"]
+        assert (plan["n_query"], plan["n_reference"], plan["block_query"]) == (8, 24, 16)
         assert len(calls) > 2 and sum(calls) == 24
-        assert set(calls[:-1]) == {plan.block_reference}
-        assert calls[-1] <= plan.block_reference
+        assert set(calls[:-1]) == {plan["block_reference"]}
+        assert calls[-1] <= plan["block_reference"]
 
 
 class TestFlagValues:
@@ -871,6 +966,7 @@ class TestFlagValues:
         "bins-zero": (["--histogram-bins", "0"], "--histogram-bins"),
         "rule-bogus": (["--rule", "bogus"], "--rule"),
         "rule-percentile": (["--rule", "percentile:150"], "--rule"),
+        "rule-percentile-bare": (["--rule", "percentile"], "--rule"),
         "rule-fixed-nan": (["--rule", "fixed:nan"], "--rule"),
         "rule-fixed-inf": (["--rule", "fixed:inf"], "--rule"),
         "rule-fixed-minus-inf": (["--rule", "fixed:-inf"], "--rule"),
@@ -932,6 +1028,8 @@ class TestFlagValues:
         (["--rule", "fixed:nan"], "--rule"),
         (["--rule", "fixed:inf"], "--rule"),
         (["--rule", "fixed:-inf"], "--rule"),
+        (["--rule", "percentile"], "--rule"),
+        ([], "--baseline"),  # the default rule is a percentile rule
     ])
     def test_report(self, tmp_path, capsys, extra, flag):
         out = tmp_path / "r.json"
@@ -951,6 +1049,7 @@ class TestFlagValues:
         # FID and IS come only from `metrics`; write_ivc picks each entry's dtype.
         "audit-fid-embeddings": (AUDIT + ["--fid-embeddings", "IN", "IN"], "--fid-embeddings"),
         "audit-is-probs": (AUDIT + ["--is-probs", "IN"], "--is-probs"),
+        "audit-channels-text": (AUDIT + ["--channels", "0,x"], "--channels"),
         "preprocess-dtype": (PREPROCESS + ["--dtype", "f32"], "--dtype"),
         "metrics-splits": (METRICS + ["--is", "IN", "--splits", "0"], "--splits"),
         "metrics-mi-bins": (METRICS + ["--mi-pairs", "IN", "IN", "--mi-bins", "1"], "--mi-bins"),
@@ -979,6 +1078,11 @@ class TestFlagValues:
         "preprocess-min-fraction": (PREPROCESS + ["--min-fraction", "2"], "--min-fraction"),
         "preprocess-filter-negative": (
             PREPROCESS + ["--filter-channel", "-1"], "--filter-channel"
+        ),
+        "preprocess-remap-pair": (PREPROCESS + ["--remap", "1-2"], "--remap"),
+        "preprocess-remap-text": (PREPROCESS + ["--remap", "1=a"], "--remap"),
+        "preprocess-rescale-channels-text": (
+            PREPROCESS + ["--rescale", "--rescale-channels", "0,x"], "--rescale-channels"
         ),
     }
 
