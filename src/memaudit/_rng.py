@@ -1,8 +1,8 @@
 """Deterministic 64-bit pseudo-random generator.
 
-The harness must reproduce bit-identical ground truth regardless of host,
-library version, or language of a reimplementation, so it cannot depend on
-numpy's generators. This module implements the splitmix64 sequence:
+The harness must reproduce its ground truth from a seed alone, on any
+host, library version or reimplementation, so it cannot depend on numpy's
+generators. This module implements the splitmix64 sequence:
 
     output(n) = mix64((seed + (n + 1) * 0x9E3779B97F4A7C15) mod 2**64)
 
@@ -10,11 +10,18 @@ numpy's generators. This module implements the splitmix64 sequence:
               z ^= z >> 27; z *= 0x94D049BB133111EB
               z ^= z >> 31
 
-Derived values (all documented, all exactly reproducible):
+Derived values:
   * uniform in [0, 1):  (output >> 11) * 2**-53
   * uniform in (0, 1]:  ((output >> 11) + 1) * 2**-53
   * standard normal:    Box-Muller on consecutive (open, half-open) pairs
   * integer below n:    min(n - 1, floor(uniform * n))
+
+Every step of the raw outputs, the uniforms and the integers is exact, so
+`next_u64`, `uniform`, `below` and `sample_without_replacement` give the
+same bits on any host. Normals do not: Box-Muller's log, cos and sin are
+not correctly rounded, and their last bits depend on numpy's SIMD
+dispatch and on the C library (numpy's AVX-512 log loop differs from its
+AVX2 one). They repeat exactly on one host.
 
 Because output(n) depends only on (seed, n), any contiguous run of draws
 can be produced in one vectorized call.
@@ -33,12 +40,13 @@ _TWO_NEG53 = 2.0**-53
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    """mix64 of every element of a uint64 array, in place; returns z."""
+    shifted = np.empty_like(z)
+    for shift, multiplier in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        if multiplier is not None:
+            z *= np.uint64(multiplier)
     return z
 
 
@@ -69,9 +77,10 @@ class SplitMix64:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        state = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        state = np.uint64(self._seed) + idx * np.uint64(_GAMMA)
+        state *= np.uint64(_GAMMA)
+        state += np.uint64(self._seed)
         return _mix64_array(state)
 
     def uniform(self, n: int) -> np.ndarray:
@@ -84,14 +93,30 @@ class SplitMix64:
             raise ValueError("n must be non-negative")
         pairs = (n + 1) // 2
         raw = self.next_u64(2 * pairs)
+        raw >>= np.uint64(11)
+        # Every step runs in place on contiguous arrays, so each value goes
+        # through the same ufunc loops, and gets the same bits, as it would
+        # on fresh arrays.
+        u1, u2 = np.empty((2, pairs))
+        u1[...] = raw[0::2]
+        u2[...] = raw[1::2]
         # u1 in (0, 1] so log(u1) is finite; u2 in [0, 1).
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
+        u1 += 1.0
+        u1 *= _TWO_NEG53
+        u2 *= _TWO_NEG53
+        radius = np.log(u1, out=u1)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        theta = u2
+        theta *= 2.0 * np.pi
         out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(theta)
-        out[1::2] = radius * np.sin(theta)
+        term = np.empty(pairs)
+        np.cos(theta, out=term)
+        term *= radius
+        out[0::2] = term
+        np.sin(theta, out=term)
+        term *= radius
+        out[1::2] = term
         return out[:n]
 
     def below(self, bound: int) -> int:

@@ -477,6 +477,24 @@ def _labelled_matches(path, label: str):
     return plan, matches
 
 
+def _check_same_reference(matches_path, plan, baseline_path, baseline_plan) -> None:
+    """A baseline counts only against the training set its matches were
+    found in: its plan (when it has one) must have the matches' number
+    of reference images and vector length."""
+    if baseline_plan is None:
+        return
+    differ = [
+        f"{field} {getattr(plan, field)} vs {getattr(baseline_plan, field)}"
+        for field in ("n_reference", "vector_length")
+        if getattr(plan, field) != getattr(baseline_plan, field)
+    ]
+    if differ:
+        raise MemauditError(
+            f"{matches_path} and {baseline_path} were audited against different "
+            f"training sets: {', '.join(differ)}"
+        )
+
+
 def _cmd_report(args) -> int:
     _check_baseline(args, args.baseline, "--baseline")
     plan, synth_matches = _labelled_matches(args.matches, "synth-vs-train")
@@ -487,7 +505,8 @@ def _cmd_report(args) -> int:
         )
     baseline = None
     if args.baseline:
-        _, baseline = _labelled_matches(args.baseline, "test-vs-train")
+        baseline_plan, baseline = _labelled_matches(args.baseline, "test-vs-train")
+        _check_same_reference(args.matches, plan, args.baseline, baseline_plan)
     report = build_audit_report(
         plan,
         synth_matches,

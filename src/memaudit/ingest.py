@@ -60,15 +60,19 @@ IVC_DTYPE_U8 = 0
 IVC_DTYPE_F32 = 1
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write via a temp file in the same directory + rename, so no partial
-    file can exist under ``path``; the temp file is removed on failure."""
+def atomic_write(path, data: Union[bytes, Iterable[bytes]]) -> None:
+    """Write ``data`` (bytes-like, or an iterable of bytes-like chunks
+    written in order) via a temp file in the same directory + rename, so
+    no partial file can exist under ``path``; the temp file is removed on
+    failure, including one raised while the chunks are produced."""
     path = Path(path)
+    chunks = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -293,7 +297,7 @@ def write_pgm(img: ImageRecord, path) -> None:
             f"image {img.id!r}: PGM requires integer pixels in [0, 255]"
         )
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    atomic_write(path, header + rounded.astype(np.uint8).tobytes())
+    atomic_write(path, (header, _raw_bytes(rounded, np.uint8)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +363,37 @@ def read_ivc(path) -> list[Union[ImageRecord, VolumeRecord]]:
 _SCANNERS = {"pgm": _scan_pgm, "ivc": _scan_ivc}
 
 
-def _entry_payload(values: np.ndarray) -> tuple[int, bytes]:
+def _raw_bytes(values: np.ndarray, dtype) -> memoryview:
+    """The bytes of values as a C-contiguous array of dtype: a view of
+    values themselves when they already are one, so nothing is copied."""
+    return memoryview(np.ascontiguousarray(values, dtype=dtype)).cast("B")
+
+
+def _entry_payload(values: np.ndarray) -> tuple[int, memoryview]:
     """(dtype code, payload): u8 when every value is an exact integer in
-    [0, 255], else f32."""
+    [0, 255], else f32, a view of values itself when they are <f4."""
     if np.array_equal(np.rint(values), values) and values.min() >= 0 and values.max() <= 255:
-        return IVC_DTYPE_U8, values.astype(np.uint8).tobytes()
-    return IVC_DTYPE_F32, values.astype("<f4").tobytes()
+        return IVC_DTYPE_U8, _raw_bytes(values, np.uint8)
+    return IVC_DTYPE_F32, _raw_bytes(values, "<f4")
+
+
+def _ivc_chunks(records: Sequence[Union[ImageRecord, VolumeRecord]]):
+    """An IVC1 container's bytes in order: the file header, then each
+    entry's header, payload and CRC-32."""
+    yield b"IVC1" + struct.pack("<I", len(records))
+    for rec in records:
+        values = rec.voxels if isinstance(rec, VolumeRecord) else rec.pixels
+        id_bytes = rec.id.encode("utf-8")
+        if len(id_bytes) > 0xFFFF:
+            raise InvalidArgumentError(f"record id too long: {rec.id[:40]!r}...")
+        code, payload = _entry_payload(values)
+        ndims = len(rec.shape)
+        yield (
+            struct.pack("<H", len(id_bytes)) + id_bytes
+            + struct.pack(f"<B{ndims}IB", ndims, *rec.shape, code)
+        )
+        yield payload
+        yield struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
 def write_ivc(records: Sequence[Union[ImageRecord, VolumeRecord]], path) -> None:
@@ -372,28 +401,12 @@ def write_ivc(records: Sequence[Union[ImageRecord, VolumeRecord]], path) -> None
 
     An entry is stored as u8 when every value is an exact integer in
     [0, 255], else as f32; round-trips are bit-exact either way because
-    records hold float32 internally.
+    records hold float32 internally. Entries are streamed to the file
+    one at a time, f32 payloads straight from the records' arrays.
     """
     if not records:
         raise InvalidArgumentError("write_ivc: no records to write")
-    chunks = [b"IVC1", struct.pack("<I", len(records))]
-    for rec in records:
-        if isinstance(rec, VolumeRecord):
-            dims, values = rec.shape, rec.voxels
-        else:
-            dims, values = rec.shape, rec.pixels
-        id_bytes = rec.id.encode("utf-8")
-        if len(id_bytes) > 0xFFFF:
-            raise InvalidArgumentError(f"record id too long: {rec.id[:40]!r}...")
-        code, payload = _entry_payload(values)
-        chunks.append(struct.pack("<H", len(id_bytes)))
-        chunks.append(id_bytes)
-        chunks.append(struct.pack("<B", len(dims)))
-        chunks.append(struct.pack(f"<{len(dims)}I", *dims))
-        chunks.append(struct.pack("<B", code))
-        chunks.append(payload)
-        chunks.append(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-    atomic_write(path, b"".join(chunks))
+    atomic_write(path, _ivc_chunks(records))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +499,7 @@ def write_embeddings(emb: EmbeddingSet, path) -> None:
         if not i.strip() or i.splitlines() != [i]:
             raise InvalidArgumentError(f"id {i!r} cannot be one line of an .ids sidecar")
     header = b"EMB1" + struct.pack("<II", len(emb), emb.dim)
-    atomic_write(path, header + emb.rows.astype("<f4").tobytes())
+    atomic_write(path, (header, _raw_bytes(emb.rows, "<f4")))
     atomic_write(path.with_suffix(".ids"), ("\n".join(emb.ids) + "\n").encode("utf-8"))
 
 

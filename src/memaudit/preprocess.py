@@ -103,7 +103,7 @@ def rescale_intensity(
         range(rec.channels) if channels is None else channels, rec.channels
     )
     is_volume = isinstance(rec, VolumeRecord)
-    data = (rec.cdhw() if is_volume else rec.chw()).astype(np.float32).copy()
+    data = (rec.cdhw() if is_volume else rec.chw()).astype(np.float32)
     for c in subset:
         lo = float(data[c].min())
         hi = float(data[c].max())
@@ -132,7 +132,7 @@ def remap_labels(
     subset = resolve_channel_mask(
         range(img.channels) if channels is None else channels, img.channels
     )
-    data = img.chw().astype(np.float32).copy()
+    data = img.chw().astype(np.float32)
     original = img.chw()
     for c in subset:
         for key, value in mapping.items():

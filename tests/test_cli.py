@@ -19,7 +19,7 @@ from memaudit._rng import SplitMix64
 from memaudit.cli import ProgressPrinter, run
 from memaudit.core import Dataset, ImageRecord, VolumeRecord
 from memaudit.correlate import TopKMatches, max_correlations, plan_audit
-from memaudit.harness import generate_train_set
+from memaudit.harness import PlantConfig, generate_train_set, plant
 from memaudit.ingest import (
     EmbeddingSet,
     load_dataset,
@@ -908,6 +908,51 @@ class TestReportCommand:
         assert code == 3
         assert f"{paths[wrong]} holds {label!r} matches" in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def _audit_against(root, n_train, shape, seed):
+        """Match files of an audit against a fresh train set of n_train
+        images of shape, with planted synthetic and fresh test sets."""
+        root.mkdir()
+        train = generate_train_set(n_train, *shape, seed=seed)
+        sets = {
+            "train": train.images,
+            "synth": plant(train, PlantConfig(n_output=6, p_copy=0.5, seed=seed + 1))[0].images,
+            "test": generate_train_set(6, *shape, seed=seed + 2, name="t", role="test").images,
+        }
+        for name, images in sets.items():
+            write_ivc(list(images), root / f"{name}.ivc")
+            role = {"synth": "synthetic"}.get(name, name)
+            write_manifest(root / f"{name}.mf", name, role, [f"{name}.ivc"])
+        code = run([
+            "audit", "--train", str(root / "train.mf"), "--synthetic", str(root / "synth.mf"),
+            "--test", str(root / "test.mf"), "--matches-out", str(root / "m.json"),
+            "--baseline-matches-out", str(root / "b.json"), "--quiet",
+        ])
+        assert code == 1
+        return root / "m.json", root / "b.json"
+
+    def test_baseline_of_another_training_set(self, tmp_path, capsys):
+        """A baseline saved by an audit against another train set is refused
+        (exit 3, both files and both values named), and nothing is written."""
+        a_matches, a_baseline = self._audit_against(tmp_path / "a", 30, (1, 16, 16), 9500)
+        _, b_baseline = self._audit_against(tmp_path / "b", 50, (1, 20, 20), 9600)
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        code = run([
+            "report", "--matches", str(a_matches), "--baseline", str(b_baseline),
+            "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(a_matches) in err and str(b_baseline) in err
+        assert "n_reference 30 vs 50" in err and "vector_length 256 vs 400" in err
+        assert not out.exists()
+        # The audit's own baseline still passes the check.
+        assert run([
+            "report", "--matches", str(a_matches), "--baseline", str(a_baseline),
+            "--out", str(out), "--quiet",
+        ]) == 1
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_stdout_equals_out_file(self, tmp_path, capsys, fmt):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import memaudit
 from memaudit.correlate import max_correlations
 from memaudit.errors import InvalidArgumentError
 from memaudit.harness import (
@@ -13,6 +19,7 @@ from memaudit.harness import (
     plant,
     save_ground_truth,
 )
+from memaudit.ingest import write_ivc, write_manifest
 from memaudit.report import FlaggedPair, derive_threshold, flag_memorized, summarize
 
 
@@ -226,3 +233,31 @@ class TestThresholdPipeline:
         flags = flag_memorized(matches, decision.value)
         score = evaluate_detector(flags, truth, positive_kinds=("copy",))
         assert score.per_kind_recall["copy"] == 1.0
+
+
+# numpy's AVX-512 log loop gives other last bits than its AVX2 loop, so
+# normals drawn with and without this setting differ.
+LOWER_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def test_truth_identical_across_simd_dispatch(tmp_path, train):
+    """Ids, kinds and sources come from integer draws only, so `plant`'s
+    truth.json has the same bytes whatever numpy's SIMD dispatch."""
+    write_ivc(list(train.images), tmp_path / "train.ivc")
+    write_manifest(tmp_path / "train.mf", "train", "train", ["train.ivc"])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(Path(memaudit.__file__).parents[1])
+    truths = []
+    for name, extra in (("default", {}), ("lower", LOWER_SIMD)):
+        truth = tmp_path / f"{name}.json"
+        subprocess.run([
+            sys.executable, "-m", "memaudit.cli", "plant", "--train", str(tmp_path / "train.mf"),
+            "--n", "20", "--p-copy", "0.2", "--p-noisy", "0.2", "--p-shift", "0.2",
+            "--seed", "5", "--out", str(tmp_path / f"{name}.ivc"), "--truth", str(truth),
+            "--quiet",
+        ], env={**env, **extra}, check=True)
+        truths.append(truth.read_bytes())
+    assert truths[0] == truths[1]
+    assert {e.kind for e in load_ground_truth(tmp_path / "default.json").entries} == {
+        "copy", "noisy", "shift", "fresh",
+    }

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import time
@@ -16,6 +17,7 @@ from memaudit.errors import (
 )
 from memaudit.ingest import (
     EmbeddingSet,
+    atomic_write,
     load_dataset,
     load_embedding_set,
     load_manifest,
@@ -451,6 +453,83 @@ class TestAtomicWrites:
             write(target, 9.0)
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert after == before  # old bytes intact, no temp file left
+
+    def test_chunks_written_in_order(self, tmp_path):
+        chunks = [b"IVC", bytearray(b"1"), memoryview(np.arange(3, dtype=np.uint8))]
+        atomic_write(tmp_path / "a", iter(chunks))
+        assert (tmp_path / "a").read_bytes() == b"IVC1\x00\x01\x02"
+
+    def test_failure_while_chunks_are_made_leaves_nothing(self, tmp_path):
+        def chunks():
+            yield b"partial"
+            raise InvalidArgumentError("no more")
+
+        with pytest.raises(InvalidArgumentError):
+            atomic_write(tmp_path / "a", chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_ivc_failing_on_a_later_record(self, tmp_path, existing):
+        """The id check of a later record fails after earlier entries were
+        streamed: no file is left under the target and no temp file."""
+        target = tmp_path / "out.ivc"
+        if existing:
+            write_ivc([image([1.0, 2.0], id="old")], target)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        records = [image(np.arange(1000.0), id="ok"), image([1.0], id="x" * 0x10000)]
+        with pytest.raises(InvalidArgumentError, match="too long"):
+            write_ivc(records, target)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def _golden_records():
+    """Fixed u8 and f32 records, built without normals, so their files
+    are the same on every host."""
+    return [
+        ImageRecord("u8-image", 3, 4, 5, np.arange(60) * 4 % 256),
+        ImageRecord("f32-image", 2, 3, 7, np.arange(42) / 7.0 - 2.5),
+        VolumeRecord("vol-é", 2, 3, 4, 5, np.arange(120) * 0.5),
+    ]
+
+
+def _golden_embeddings(rows=None):
+    rows = (np.arange(5 * 8) % 11 - 5.0) / 3.0 if rows is None else rows
+    return EmbeddingSet(tuple(f"row{i}" for i in range(5)), 8, rows)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenFiles:
+    """The writers' bytes are pinned: one u8 entry, two f32 entries."""
+
+    def test_write_ivc(self, tmp_path):
+        write_ivc(_golden_records(), tmp_path / "g.ivc")
+        assert _sha256(tmp_path / "g.ivc") == (
+            "3012ddde1b4d80985eaba22b85f5da5491a69208291385c3d56c14fcd04ac4c9"
+        )
+        codes = [(tmp_path / "g.ivc").read_bytes()[off - 1] for off, _ in (
+            ivc_payload_span(tmp_path / "g.ivc", i) for i in range(3)
+        )]
+        assert codes == [0, 1, 1]
+
+    def test_write_embeddings(self, tmp_path):
+        write_embeddings(_golden_embeddings(), tmp_path / "g.emb")
+        assert _sha256(tmp_path / "g.emb") == (
+            "d7a23e3ad248bdbfef00b42f44469391114ac71125f89dc64ea4e0e1b7bfa5e7"
+        )
+        assert _sha256(tmp_path / "g.ids") == (
+            "dc1f19f0b997f5a46ad4782012787d6895dd606d99da826e2884b0c47fa61d74"
+        )
+
+    def test_write_embeddings_of_strided_rows(self, tmp_path):
+        wide = np.zeros((5, 16), dtype=np.float32)
+        wide[:, ::2] = _golden_embeddings().rows
+        write_embeddings(_golden_embeddings(wide[:, ::2]), tmp_path / "g.emb")
+        assert _sha256(tmp_path / "g.emb") == (
+            "d7a23e3ad248bdbfef00b42f44469391114ac71125f89dc64ea4e0e1b7bfa5e7"
+        )
 
 
 def _ivc_train(tmp_path, n_files=2, per_file=4, shape=(3, 4, 5), seed=0):
