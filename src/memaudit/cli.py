@@ -248,7 +248,8 @@ def _cmd_preprocess(args) -> int:
 
 
 class _Picked:
-    """The picked rows of a set, read one by one through its read_rows."""
+    """The picked rows of a set, read one by one through its read_rows;
+    like the set's own, disjoint ranges may be read by threads at once."""
 
     def __init__(self, rows, picks: list[int]):
         self._rows, self._picks = rows, picks

@@ -16,10 +16,15 @@ to the ascending reference id. The first reads the reference once, in
 blocks of rows sized by the block budget, standardized in place in one
 reused buffer; the second takes the test rows from the resident matrix
 in blocks of as many columns. So memory is the resident rows plus one
-block and its temporaries, whatever the reference's size. Parallelism
-is the BLAS library's own threads. Results are bit-identical for
-identical inputs, block budget and BLAS thread count; across block
-budgets they agree within 1e-6.
+block and its temporaries, whatever the reference's size. Every row
+range read (the resident rows, each reference block) is split into
+contiguous ranges, one per CPU this process may run on, which are read
+and standardized on a thread pool: zlib, file reads and numpy's loops
+release the GIL. The dgemm and the merge run on the calling thread only
+after every range is done, so the BLAS library's own threads never share
+the CPUs with the pool. Results are bit-identical for identical inputs,
+block budget, BLAS thread count and CPU count (a row standardizes to the
+same bits in any range); across block budgets they agree within 1e-6.
 
 `brute_force_correlations` is the deliberately naive oracle: per-pair
 scalar Pearson with no shared standardization, used to verify the
@@ -29,6 +34,8 @@ abused.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -116,7 +123,9 @@ def plan_audit(
     in blocks of block_reference rows, as many as fit the budget with
     their per-block temporaries: per row, the float64 row itself (8*N
     bytes) and, per resident query, 17 bytes: a float64 tile entry, a
-    one-byte pass mask and 8 for the merge's partition chunks.
+    one-byte pass mask and 8 for the merge's partition chunks. Outside
+    the budget are the resident queries and the readers' scratch: one
+    payload (or chunk) buffer per worker thread of a file-backed set.
     """
     if n_query < 0 or n_reference < 0:
         raise InvalidArgumentError("counts must be non-negative")
@@ -231,6 +240,45 @@ def _search(queries, n, step, block, k, progress, done, total):
     return best_v, best_r, n_valid
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on: the read side's worker threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _read_standardized(pool, workers, parts, out, read_args, mode):
+    """Read the rows of parts, (set, i0, i1) ranges laid end to end, into
+    out (rows of the sets' row shape) and standardize them in place by
+    mode. The rows are split into contiguous ranges, at most workers and
+    one row each at least; the first is done on this thread and the
+    others on pool. Every range has finished when this returns or raises,
+    and a failure raised is that of the lowest failing range, so of the
+    lowest-index bad row. Returns standardize_rows' (values, valid) for
+    all of out."""
+    n, length = len(out), out.shape[-1]
+    w = max(1, min(workers, n))
+    bounds = [n * j // w for j in range(w + 1)]
+
+    def work(a, b):
+        pos = 0
+        for rows, i0, i1 in parts:
+            lo, hi = max(a, pos), min(b, pos + i1 - i0)
+            if lo < hi:
+                rows.read_rows(i0 + lo - pos, i0 + hi - pos, out[lo:hi], *read_args)
+            pos += i1 - i0
+        return standardize_rows(out[a:b].reshape(b - a, -1, length), mode)[1]
+
+    rest = [pool.submit(work, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    try:
+        valid = [work(bounds[0], bounds[1])]
+    finally:
+        wait(rest)
+    valid += [f.result() for f in rest]
+    return out.reshape(n, -1), np.concatenate(valid)
+
+
 def _kind(rows) -> str:
     return "embeddings" if hasattr(rows, "dim") else "images"
 
@@ -302,32 +350,32 @@ def max_correlations(
     # float64 rows of row_shape, whose segments (channels, or one for an
     # embedding) standardize_rows takes. Query and test are standardized
     # once into one resident matrix; references are read block by block.
+    # Each range read is split among the worker threads of one pool.
     reference_ids = reference.ids
-    nr, length = len(reference_ids), row_shape[-1]
-    q_all = np.empty((sum(len(s) for _, s in sets), *row_shape), dtype=np.float64)
-    q0 = 0
-    for _, s in sets:
-        s.read_rows(0, len(s), q_all[q0 : q0 + len(s)], *read_args)
-        q0 += len(s)
-    q_all, q_valid = standardize_rows(q_all.reshape(len(q_all), -1, length), mode)
-    q_mat = _valid_rows(q_all, q_valid)
-    nq, n = q_mat.shape[0], len(query)
-    ns = int(q_valid[:n].sum())  # q_mat: valid query rows, then valid test rows
-    total = nq * nr + (0 if test is None else ns * (nq - ns))
+    nr, workers = len(reference_ids), _worker_count()
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # threads start on first use
 
-    plan = plan_audit(len(q_all), nr, q_mat.shape[1], block_budget_mib)
-    ranks = _tie_ranks(reference_ids)
-    buffer = np.empty((plan.block_reference, *row_shape), dtype=np.float64)
+        def read(parts, out):
+            return _read_standardized(pool, workers, parts, out, read_args, mode)
 
-    def reference_block(r0, r1):
-        rows = buffer[: r1 - r0]
-        reference.read_rows(r0, r1, rows, *read_args)
-        values, valid = standardize_rows(rows.reshape(r1 - r0, -1, length), mode)
-        return _valid_rows(values, valid), ranks[r0:r1][valid]
+        q_all = np.empty((sum(len(s) for _, s in sets), *row_shape), dtype=np.float64)
+        q_all, q_valid = read([(s, 0, len(s)) for _, s in sets], q_all)
+        q_mat = _valid_rows(q_all, q_valid)
+        nq, n = q_mat.shape[0], len(query)
+        ns = int(q_valid[:n].sum())  # q_mat: valid query rows, then valid test rows
+        total = nq * nr + (0 if test is None else ns * (nq - ns))
 
-    best_v, best_r, n_valid = _search(
-        q_mat, nr, plan.block_reference, reference_block, k, progress, 0, total
-    )
+        plan = plan_audit(len(q_all), nr, q_mat.shape[1], block_budget_mib)
+        ranks = _tie_ranks(reference_ids)
+        buffer = np.empty((plan.block_reference, *row_shape), dtype=np.float64)
+
+        def reference_block(r0, r1):
+            values, valid = read([(reference, r0, r1)], buffer[: r1 - r0])
+            return _valid_rows(values, valid), ranks[r0:r1][valid]
+
+        best_v, best_r, n_valid = _search(
+            q_mat, nr, plan.block_reference, reference_block, k, progress, 0, total
+        )
     if progress is not None and total == 0:
         progress(0, 0)
     found = _matches(

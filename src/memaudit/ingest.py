@@ -34,8 +34,8 @@ previous version or the complete new one, never a prefix.
 from __future__ import annotations
 
 import os
-import secrets
 import struct
+import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -67,7 +67,7 @@ def atomic_write(path, data: Union[bytes, Iterable[bytes]]) -> None:
     failure, including one raised while the chunks are produced."""
     path = Path(path)
     chunks = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -676,6 +676,15 @@ def load_embedding_set(manifest: Union[Manifest, str, Path]) -> EmbeddingSet:
 _READ_CHUNK_BYTES = 1 << 20
 
 
+class _ThreadBuffer(threading.local):
+    """A scratch bytearray of a fixed size for each thread that reads
+    through it, made on the thread's first use, so threads reading
+    disjoint ranges of one set never share one."""
+
+    def __init__(self, size: int):
+        self.bytes = bytearray(size)
+
+
 class DatasetFile:
     """A manifest of 2-D images whose pixels stay in their files.
 
@@ -684,7 +693,8 @@ class DatasetFile:
     shapes and bad headers. read_rows then reads contiguous ranges in
     file order, checking each entry's CRC-32 (PGM files have none) and
     finiteness as it is read. Payloads are read into one buffer per
-    handle, so reading allocates nothing per entry.
+    reading thread, so reading allocates nothing per entry, and threads
+    may read disjoint ranges at once.
     """
 
     def __init__(self, manifest: Manifest):
@@ -698,7 +708,7 @@ class DatasetFile:
         )
         self.ids = tuple(e.id for _, e in self._locations)
         self.shape: tuple[int, int, int] = self._locations[0][1].dims
-        self._payload = bytearray(max(e.size for _, e in self._locations))  # one payload at a time
+        self._payload = _ThreadBuffer(max(e.size for _, e in self._locations))  # a payload per thread
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -708,7 +718,7 @@ class DatasetFile:
         for file, group in groupby(self._locations[i0:i1], key=lambda loc: loc[0]):
             with _file_cursor(file) as cur:
                 for _, entry in group:
-                    yield _entry_values(cur, entry, self._payload)
+                    yield _entry_values(cur, entry, self._payload.bytes)
 
     def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
         """Images i0..i1-1 into out, shape (i1 - i0, len(channels), H*W):
@@ -721,8 +731,8 @@ class EmbeddingSetFile:
 
     Opening reads every header and `.ids` sidecar and rejects bad
     headers, wrong `.ids` counts, duplicate ids and mixed dims; read_rows
-    reads contiguous row ranges, in chunks through one buffer per handle,
-    and checks their finiteness as they are read.
+    reads contiguous row ranges, in chunks through one buffer per reading
+    thread, and checks their finiteness as they are read.
     """
 
     def __init__(self, manifest: Manifest):
@@ -738,7 +748,7 @@ class EmbeddingSetFile:
         self.ids = tuple(m[1] for m in members)
         self.dim: int = members[0][2][0]
         self._step = max(1, _READ_CHUNK_BYTES // (4 * self.dim))  # rows per chunk
-        self._chunk = bytearray(4 * self.dim * min(self._step, len(self.ids)))
+        self._chunk = _ThreadBuffer(4 * self.dim * min(self._step, len(self.ids)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -754,7 +764,7 @@ class EmbeddingSetFile:
                 for r0 in range(lo, hi, step):
                     r1 = min(r0 + step, hi)
                     cur.seek(12 + 4 * dim * (r0 - first))
-                    payload = cur.take_into(self._chunk, 4 * dim * (r1 - r0), "payload")
+                    payload = cur.take_into(self._chunk.bytes, 4 * dim * (r1 - r0), "payload")
                     values = np.frombuffer(payload, dtype="<f4")
                     if not np.isfinite(values).all():
                         raise FormatError(f"{file}: non-finite embedding values")

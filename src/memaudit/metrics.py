@@ -71,16 +71,17 @@ def _band(kernel: np.ndarray, n_out: int) -> np.ndarray:
     return rows.reshape(-1)[: n_out * n_in].reshape(n_out, n_in)
 
 
-def _correlate_rows(x: np.ndarray, band: np.ndarray, valid: bool) -> np.ndarray:
+def _correlate_rows(x: np.ndarray, band: np.ndarray, valid: bool, out=None) -> np.ndarray:
     """Correlate every row of the 2-D array x with the kernel in ``band``,
-    returned transposed: (outputs per row, rows). Inputs outside a row
-    are zeros. Each product with the band makes up to band.shape[0]
-    output rows of the result."""
+    returned transposed: (outputs per row, rows), in out if given (a
+    C-contiguous float64 array of that shape). Inputs outside a row are
+    zeros. Each product with the band makes up to band.shape[0] output
+    rows of the result."""
     step, span = band.shape
     taps, n_in = span - step + 1, x.shape[1]
     offset = 0 if valid else taps // 2
     n_out = n_in - taps + 1 if valid else n_in
-    out = np.empty((n_out, x.shape[0]))
+    out = np.empty((n_out, x.shape[0])) if out is None else out
     for o in range(0, n_out, step):
         m = min(step, n_out - o)
         lo = o - offset  # input column under the band's first column
@@ -117,6 +118,9 @@ def gaussian_filter(planes, kernel: np.ndarray, valid: bool = False) -> np.ndarr
     for g in range(0, len(stack), group):
         part = stack[g : g + group]
         by_col = _correlate_rows(part.reshape(-1, width), band, valid)
+        if len(part) == 1:  # one plane's second product is its output as it is
+            _correlate_rows(by_col.reshape(-1, height), band, valid, flat_out[g])
+            continue
         by_row = _correlate_rows(by_col.reshape(-1, height), band, valid)
         flat_out[g : g + group] = np.moveaxis(
             by_row.reshape(*out.shape[-2:], len(part)), -1, 0

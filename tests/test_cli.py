@@ -14,6 +14,7 @@ import pytest
 
 import memaudit
 import memaudit.cli as cli
+import memaudit.correlate as correlate
 import memaudit.ingest as ingest
 from memaudit._rng import SplitMix64
 from memaudit.cli import ProgressPrinter, run
@@ -516,9 +517,10 @@ def _emb_sets(tmp_path):
     return tmp_path / "train.mf", tmp_path / "synth.mf", tmp_path / "test.mf"
 
 
-def _flip_last(path):
+def _flip_last(path, index=-1):
+    """Flip a payload bit of the last IVC1 entry (or entry ``index``)."""
     blob = bytearray(path.read_bytes())
-    offset, _ = ivc_payload_span(path)
+    offset, _ = ivc_payload_span(path, index)
     blob[offset + 2] ^= 0x40
     path.write_bytes(bytes(blob))
 
@@ -974,14 +976,13 @@ class TestReportPlan:
         blocks the engine reads train in, sized for synthetic + test."""
         train_mf, synth_mf, test_mf = _split_train(tmp_path)
         calls = []
-        read_rows = ingest.DatasetFile.read_rows
+        read = correlate._read_standardized
 
-        def counted(self, i0, i1, out, channels):
-            if self.role == "train":
-                calls.append(i1 - i0)
-            return read_rows(self, i0, i1, out, channels)
+        def counted(pool, workers, parts, *rest):  # one call per engine block
+            calls.extend(i1 - i0 for rows, i0, i1 in parts if rows.role == "train")
+            return read(pool, workers, parts, *rest)
 
-        monkeypatch.setattr(ingest.DatasetFile, "read_rows", counted)
+        monkeypatch.setattr(correlate, "_read_standardized", counted)
         out = tmp_path / "r.json"
         code = run([
             "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
@@ -994,6 +995,83 @@ class TestReportPlan:
         assert len(calls) > 2 and sum(calls) == 24
         assert set(calls[:-1]) == {plan["block_reference"]}
         assert calls[-1] <= plan["block_reference"]
+
+
+def _worker_sets(tmp_path, kind):
+    """Train, synthetic and test manifests: 2x32x32 float images (20 train
+    in two files, 7 synthetic, 5 test) or 8-dim embeddings."""
+    if kind == "emb":
+        return _emb_sets(tmp_path)
+    train = generate_train_set(20, 2, 32, 32, seed=9500)
+    write_ivc(list(train.images[:10]), tmp_path / "t0.ivc")
+    write_ivc(list(train.images[10:]), tmp_path / "t1.ivc")
+    write_manifest(tmp_path / "train.mf", "train", "train", ["t0.ivc", "t1.ivc"])
+    synth_mf, _ = plant_set(tmp_path, tmp_path / "train.mf", seed=31, n=7, p_copy=0.3)
+    test_mf, _ = plant_set(tmp_path, tmp_path / "train.mf", seed=32, n=5, name="heldout")
+    test_mf.write_text(test_mf.read_text().replace("role = synthetic", "role = test"))
+    return tmp_path / "train.mf", synth_mf, test_mf
+
+
+class TestWorkerCounts:
+    """The read side's worker count (forced through correlate's private
+    _worker_count) changes no output byte, at every block budget: 0.05 MiB
+    makes 3-row train blocks of these images, so 1-row worker ranges."""
+
+    @pytest.mark.parametrize("case", [
+        ("ivc", ["--channel-mode", "concat"]),
+        ("ivc", ["--channel-mode", "mean"]),
+        ("ivc", ["--sample", "4", "--seed", "2"]),
+        ("emb", ["--metric", "pearson"]),
+        ("emb", ["--metric", "cosine", "--sample", "3", "--seed", "2"]),
+    ], ids=["concat", "mean", "sample", "embeddings", "embeddings-sample"])
+    def test_outputs_identical_across_worker_counts(self, tmp_path, monkeypatch, case):
+        kind, extra = case
+        train_mf, synth_mf, test_mf = _worker_sets(tmp_path, kind)
+        outputs = {}
+        for budget in ("0.05", "32", "512"):
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(correlate, "_worker_count", lambda: workers)
+                root = tmp_path / f"{budget}-{workers}"
+                root.mkdir()
+                code = run([
+                    "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+                    "--test", str(test_mf), "--block-budget-mib", budget, "--k", "3", *extra,
+                    "--out", str(root / "r.json"), "--matches-out", str(root / "m.json"),
+                    "--baseline-matches-out", str(root / "b.json"), "--quiet",
+                ])
+                assert code in (0, 1)
+                outputs[budget, workers] = [
+                    (root / name).read_bytes() for name in ("r.json", "m.json", "b.json")
+                ]
+            assert outputs[budget, 1] == outputs[budget, 2] == outputs[budget, 3], budget
+        if kind == "ivc":
+            plan = json.loads(outputs["0.05", 1][0])["plan"]
+            assert plan["block_reference"] == 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [(20,), (9, 20)], ids=["last-range", "two-ranges"])
+    def test_lowest_bad_entry_fails_the_audit(self, tmp_path, capsys, monkeypatch, workers, bad):
+        """A train entry that fails its CRC-32 fails the audit with the
+        serial read's message, whatever range holds it; of two, the
+        lower-index one is named. With 3 workers the 24 train rows are read
+        as 0-7, 8-15 and 16-23 (entry 20 in the last range), with 2 as 0-11
+        and 12-23."""
+        monkeypatch.setattr(correlate, "_worker_count", lambda: workers)
+        train_mf, synth_mf, test_mf = _split_train(tmp_path)
+        for index in bad:
+            _flip_last(tmp_path / ("t0.ivc" if index < 12 else "t1.ivc"), index % 12)
+        out = tmp_path / "report.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        first = min(bad)
+        file = "t0.ivc" if first < 12 else "t1.ivc"
+        err = capsys.readouterr().err
+        assert f"{file}: entry {first % 12} ('train_{first:05d}'): checksum mismatch" in err
+        assert err.count("checksum mismatch") == 1
+        assert not out.exists()
 
 
 class TestFlagValues:
@@ -1169,7 +1247,7 @@ assert run(["plant", "--train", train, "--n", "4", "--seed", "3", "--out", out +
             "--truth", out + "/truth.json", "--quiet"]) == 0
 assert run(["metrics", "--ssim-pairs", out + "/synth.mf", train, "--mi-pairs", out + "/synth.mf",
             train, "--out", out + "/metrics.json", "--quiet"]) == 0
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(sorted(m for m in sys.modules if m.startswith("scipy") or m == "secrets"))
 """
 
 
@@ -1193,7 +1271,8 @@ def _plant_and_metrics(tmp_path, name, **env):
 def test_cli_import_loads_no_scipy(tmp_path):
     """The Gaussian filter behind SSIM and the harness's fresh images is
     memaudit's own, so a process that plants fresh images and then runs
-    `metrics --ssim-pairs` never loads scipy."""
+    `metrics --ssim-pairs` never loads scipy; and the atomic writer's
+    temp names do not load `secrets` (nor its hmac and hashlib)."""
     _, modules = _plant_and_metrics(tmp_path, "run")
     assert modules == "[]"
 

@@ -1,3 +1,5 @@
+import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -12,8 +14,9 @@ from memaudit.correlate import (
     max_correlations,
     plan_audit,
 )
-from memaudit.errors import InvalidArgumentError
+from memaudit.errors import FormatError, InvalidArgumentError
 from memaudit.ingest import (
+    DatasetFile,
     EmbeddingSet,
     open_dataset,
     open_embedding_set,
@@ -22,7 +25,7 @@ from memaudit.ingest import (
     write_manifest,
 )
 
-from conftest import image, random_dataset
+from conftest import image, ivc_payload_span, random_dataset
 
 
 class TestPlanAudit:
@@ -649,3 +652,86 @@ class TestStreamingEngine:
                 open_embedding_set(tmp_path / "e.mf"), q, k=2, block_budget_mib=budget
             )
             assert got == max_correlations(ref, q, k=2, block_budget_mib=budget)
+
+
+class TestReadWorkers:
+    """Every range the engine reads is split into contiguous ranges, one
+    per worker thread (the count forced through the private
+    _worker_count); the valid-row packing, GEMMs and merges run on the
+    calling thread once every range has been read."""
+
+    def test_ranges_split_and_searched_after_reads(self, monkeypatch):
+        q = random_dataset(7, (2, 6, 6), 121, role="synthetic", name="q")
+        t = random_dataset(5, (2, 6, 6), 122, role="test", name="t")
+        r = random_dataset(10, (2, 6, 6), 123, name="r")
+        budget = 4.5 * (8 * 72 + 17 * 12) / (1 << 20)  # train blocks of 4, 4 and 2 rows
+        main, lock = threading.get_ident(), threading.Lock()
+        read_rows, valid_rows, merge = Dataset.read_rows, correlate._valid_rows, _merge_block
+        reads, active = [], [0]
+
+        def counted(self, i0, i1, out, channels):
+            with lock:
+                active[0] += 1
+            try:
+                time.sleep(0.002)  # ranges overlap
+                read_rows(self, i0, i1, out, channels)
+            finally:
+                with lock:
+                    active[0] -= 1
+                    reads.append((self.role, i0, i1, threading.get_ident()))
+
+        def after_reads(fn):
+            def checked(*args):
+                assert active[0] == 0 and threading.get_ident() == main
+                return fn(*args)
+            return checked
+
+        monkeypatch.setattr(Dataset, "read_rows", counted)
+        monkeypatch.setattr(correlate, "_valid_rows", after_reads(valid_rows))
+        monkeypatch.setattr(correlate, "_merge_block", after_reads(merge))
+        results = {}
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(correlate, "_worker_count", lambda: workers)
+            reads.clear()
+            results[workers] = max_correlations(q, r, k=3, block_budget_mib=budget, test=t)
+            train = sorted((i0, i1) for role, i0, i1, _ in reads if role == "train")
+            expected = []
+            for r0, n in ((0, 4), (4, 4), (8, 2)):
+                w = min(workers, n)
+                expected += [(r0 + n * j // w, r0 + n * (j + 1) // w) for j in range(w)]
+            assert train == expected
+            threads = {ident for *_, ident in reads}
+            assert main in threads and (len(threads) > 1) == (workers > 1)
+            assert len(threads) <= workers
+        assert results[1] == results[2] == results[3] == results[5]
+
+    def test_failure_raised_after_every_range_is_done(self, tmp_path, monkeypatch):
+        """A bad entry in the first range fails at once, but the engine
+        raises only when the slower ranges have finished writing."""
+        r = random_dataset(12, (1, 8, 8), 124)
+        write_ivc(list(r.images), tmp_path / "r.ivc")
+        write_manifest(tmp_path / "r.mf", "r", "train", ["r.ivc"])
+        blob = bytearray((tmp_path / "r.ivc").read_bytes())
+        offset, _ = ivc_payload_span(tmp_path / "r.ivc", 1)
+        blob[offset] ^= 0x01
+        (tmp_path / "r.ivc").write_bytes(bytes(blob))
+        handle = open_dataset(tmp_path / "r.mf")
+        read_rows, lock, active = DatasetFile.read_rows, threading.Lock(), [0]
+
+        def slow_after_first(self, i0, i1, out, channels):
+            with lock:
+                active[0] += 1
+            try:
+                if i0 >= 4:  # rows 4-7 and 8-11: the other workers' ranges
+                    time.sleep(0.2)
+                read_rows(self, i0, i1, out, channels)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(correlate, "_worker_count", lambda: 3)
+        monkeypatch.setattr(DatasetFile, "read_rows", slow_after_first)
+        q = random_dataset(2, (1, 8, 8), 125, role="synthetic", name="q")
+        with pytest.raises(FormatError, match=r"r.ivc: entry 1 \('ds_0001'\): checksum"):
+            max_correlations(q, handle, k=2)
+        assert active[0] == 0

@@ -1,6 +1,8 @@
 import hashlib
 import os
 import struct
+import sys
+import threading
 import time
 import zlib
 
@@ -601,6 +603,72 @@ class TestFileBackedSets:
         load_embedding_set(tmp_path / "e.mf").read_rows(5, 38, in_memory)
         np.testing.assert_array_equal(out, rows[5:38])
         np.testing.assert_array_equal(in_memory, rows[5:38])
+
+    def test_concurrent_reads_of_disjoint_ranges(self, tmp_path, monkeypatch):
+        """Threads reading disjoint ranges of one handle at once get the
+        rows of one serial read, each through its own payload or chunk
+        buffer."""
+        import memaudit.ingest as ingest
+
+        # entries and chunks of 48 KiB: zlib and file reads release the GIL
+        images = open_dataset(_ivc_train(tmp_path, n_files=3, per_file=5, shape=(3, 64, 64)))
+        rng = np.random.default_rng(5)
+        for name, n in (("a", 23), ("b", 17)):
+            ids = tuple(f"{name}{i}" for i in range(n))
+            rows = rng.normal(0, 1, (n, 4096))
+            write_embeddings(EmbeddingSet(ids, 4096, rows), tmp_path / f"{name}.emb")
+        write_manifest(tmp_path / "e.mf", "e", "train", ["a.emb", "b.emb"])
+        monkeypatch.setattr(ingest, "_READ_CHUNK_BYTES", 3 * 4 * 4096)  # 3 rows per read
+        embeddings = open_embedding_set(tmp_path / "e.mf")
+        buffers, take_into = [], ingest._Cursor.take_into
+
+        def recorded(cur, out, n, what):  # every payload read, with its thread
+            buffers.append((out, threading.get_ident()))
+            return take_into(cur, out, n, what)
+
+        monkeypatch.setattr(ingest._Cursor, "take_into", recorded)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads trade the GIL often
+        try:
+            self._read_at_once(buffers, images, (2, 4096), ((2, 0),))
+            self._read_at_once(buffers, embeddings, (4096,), ())
+        finally:
+            sys.setswitchinterval(switch)
+
+    @staticmethod
+    def _read_at_once(buffers, handle, row_shape, args):
+        """4 threads read a quarter of handle's rows each, at once, 20
+        times over."""
+        serial = np.empty((len(handle), *row_shape))
+        handle.read_rows(0, len(handle), serial, *args)
+        bounds = np.linspace(0, len(handle), 5).astype(int)
+        for _ in range(20):
+            out, errors = np.full_like(serial, np.nan), []
+            start = threading.Barrier(len(bounds) - 1, timeout=30)
+            buffers.clear()
+
+            def read(i0, i1):
+                try:
+                    start.wait()
+                    handle.read_rows(i0, i1, out[i0:i1], *args)
+                except Exception as exc:  # a thread's own exception is not raised here
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=read, args=ends) for ends in zip(bounds, bounds[1:])
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert errors == []
+            np.testing.assert_array_equal(out, serial)
+            readers = {}  # buffers stay referenced, so their ids are distinct
+            for buffer, thread in buffers:
+                readers.setdefault(id(buffer), set()).add(thread)
+            assert len(readers) == len(threads)
+            assert all(len(t) == 1 for t in readers.values())
 
     FAULTS = {
         "volume": (lambda p: write_ivc([make_volume()], p / "part1.ivc"), "3-D volume"),
