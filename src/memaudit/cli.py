@@ -300,12 +300,8 @@ def _audit(args):
         synthetic = _Picked(synthetic, picks)
         sample_ids = list(synthetic.ids)
     test = open_set(args.test) if args.test else None
-    blocks = plan_audit(
-        len(synthetic) + len(test or ()), len(train), row_length, args.block_budget_mib
-    )
-    plan = replace(  # synthetic counts, with the blocks the engine reads for all queries
-        plan_audit(len(synthetic), len(train), row_length, args.block_budget_mib),
-        block_query=blocks.block_query, block_reference=blocks.block_reference,
+    plan = plan_audit(
+        len(synthetic), len(train), row_length, args.block_budget_mib, len(test or ())
     )
     log.info(
         "audit: %d synthetic x %d train = %s comparisons",
@@ -536,6 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between progress lines",
     )
 
+    shown = argparse.ArgumentParser(add_help=False)  # the report that audit and report write
+    shown.add_argument("--rule", type=_rule, default=DEFAULT_RULE,
+                       help="'percentile:P' of the baseline or 'fixed:V'")
+    shown.add_argument("--histogram-bins", type=_positive(int), default=DEFAULT_HISTOGRAM_BINS)
+    shown.add_argument("--format", choices=["json", "csv"], default="json")
+    shown.add_argument("--out", help="report path (default: stdout)")
+
     parser = argparse.ArgumentParser(
         prog="memaudit",
         description="Audit whether synthetic images memorize their training set.",
@@ -563,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--remap-channels", help="e.g. '4' to remap only the annotation channel")
 
     a = sub.add_parser(
-        "audit", parents=[common],
+        "audit", parents=[common, shown],
         help="max-correlation audit of a synthetic set against training data",
     )
     a.add_argument("--train", required=True)
@@ -579,11 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="audit a random sample of N synthetic images (default N=1000)")
     a.add_argument("--seed", type=int, help="sampling seed (required with --sample)")
     a.add_argument("--block-budget-mib", type=_positive(float), default=DEFAULT_BLOCK_BUDGET_MIB)
-    a.add_argument("--rule", type=_rule, default=DEFAULT_RULE,
-                   help="'percentile:P' of the baseline or 'fixed:V'")
-    a.add_argument("--histogram-bins", type=_positive(int), default=DEFAULT_HISTOGRAM_BINS)
-    a.add_argument("--format", choices=["json", "csv"], default="json")
-    a.add_argument("--out", help="report path (default: stdout)")
     a.add_argument("--matches-out", help="save synth-vs-train matches as JSON")
     a.add_argument("--baseline-matches-out", help="save test-vs-train matches as JSON")
 
@@ -620,15 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out-manifest", help="default: container path with .mf suffix")
 
     r = sub.add_parser(
-        "report", parents=[common],
+        "report", parents=[common, shown],
         help="rebuild a report from saved match lists",
     )
     r.add_argument("--matches", required=True)
     r.add_argument("--baseline")
-    r.add_argument("--rule", type=_rule, default=DEFAULT_RULE)
-    r.add_argument("--histogram-bins", type=_positive(int), default=DEFAULT_HISTOGRAM_BINS)
-    r.add_argument("--format", choices=["json", "csv"], default="json")
-    r.add_argument("--out")
 
     return parser
 

@@ -14,6 +14,7 @@ channels of a and b (the engine's standardization).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -28,16 +29,23 @@ VARIANCE_FLOOR = 1e-12
 CHANNEL_MODES = ("concat", "mean")
 
 
-def _as_pixels(values, expected_len: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float32).reshape(-1)
-    if arr.size != expected_len:
-        raise InvalidArgumentError(
-            f"{what}: expected {expected_len} values, got {arr.size}"
-        )
+def _check_record(record, kind: str, field: str) -> None:
+    """The checks of every record ("image" or "volume" kind): a non-empty
+    id, positive dims, and prod(dims) finite values in record.<field>,
+    which is set to them as a read-only flat float32 array."""
+    if not record.id:
+        raise InvalidArgumentError(f"{kind} id must be non-empty")
+    what, dims = f"{kind} {record.id!r}", record.shape
+    if min(dims) < 1:
+        raise InvalidArgumentError(f"{what}: dimensions must be positive")
+    arr = np.asarray(getattr(record, field), dtype=np.float32).reshape(-1)
+    expected = math.prod(dims)  # not np.prod: records are built by the thousand
+    if arr.size != expected:
+        raise InvalidArgumentError(f"{what}: expected {expected} values, got {arr.size}")
     if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{what}: pixel values must be finite")
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(record, field, arr)
 
 
 @dataclass(frozen=True)
@@ -55,18 +63,7 @@ class ImageRecord:
     pixels: np.ndarray
 
     def __post_init__(self):
-        if not self.id:
-            raise InvalidArgumentError("image id must be non-empty")
-        if self.channels < 1 or self.height < 1 or self.width < 1:
-            raise InvalidArgumentError(
-                f"image {self.id!r}: dimensions must be positive"
-            )
-        arr = _as_pixels(
-            self.pixels,
-            self.channels * self.height * self.width,
-            f"image {self.id!r}",
-        )
-        object.__setattr__(self, "pixels", arr)
+        _check_record(self, "image", "pixels")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -93,18 +90,7 @@ class VolumeRecord:
     voxels: np.ndarray
 
     def __post_init__(self):
-        if not self.id:
-            raise InvalidArgumentError("volume id must be non-empty")
-        if min(self.channels, self.depth, self.height, self.width) < 1:
-            raise InvalidArgumentError(
-                f"volume {self.id!r}: dimensions must be positive"
-            )
-        arr = _as_pixels(
-            self.voxels,
-            self.channels * self.depth * self.height * self.width,
-            f"volume {self.id!r}",
-        )
-        object.__setattr__(self, "voxels", arr)
+        _check_record(self, "volume", "voxels")
 
     @property
     def shape(self) -> tuple[int, int, int, int]:

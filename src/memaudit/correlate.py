@@ -34,6 +34,7 @@ abused.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -116,24 +117,27 @@ def plan_audit(
     n_reference: int,
     vector_length: int,
     block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
+    n_test: int = 0,
 ) -> ComparisonPlan:
-    """Exact comparison counts plus the engine's blocking.
+    """Exact comparison counts plus the blocking of max_correlations, which
+    calls this too, so an audit report's plan is the engine's.
 
-    All queries stay resident (block_query = n_query). References stream
-    in blocks of block_reference rows, as many as fit the budget with
-    their per-block temporaries: per row, the float64 row itself (8*N
-    bytes) and, per resident query, 17 bytes: a float64 tile entry, a
-    one-byte pass mask and 8 for the merge's partition chunks. Outside
-    the budget are the resident queries and the readers' scratch: one
-    payload (or chunk) buffer per worker thread of a file-backed set.
+    Queries and test rows stay resident (block_query = n_query + n_test).
+    References stream in blocks of block_reference rows, as many as fit
+    the budget with their per-block temporaries: per row, the float64 row
+    itself (8*N bytes) and, per resident row, 17 bytes: a float64 tile
+    entry, a one-byte pass mask and 8 for the merge's partition chunks.
+    Outside the budget are the resident rows and the readers' scratch:
+    one payload (or chunk) buffer per worker thread of a file-backed set.
     """
-    if n_query < 0 or n_reference < 0:
+    if min(n_query, n_reference, n_test) < 0:
         raise InvalidArgumentError("counts must be non-negative")
     if vector_length < 1:
         raise InvalidArgumentError("vector_length must be positive")
     if block_budget_mib <= 0:
         raise InvalidArgumentError("block budget must be positive")
-    row_bytes = 8 * vector_length + 17 * n_query
+    resident = n_query + n_test
+    row_bytes = 8 * vector_length + 17 * resident
     block = int(block_budget_mib * (1 << 20) // row_bytes)
     total = n_query * n_reference
     return ComparisonPlan(
@@ -141,7 +145,7 @@ def plan_audit(
         n_reference=n_reference,
         total_comparisons=total,
         vector_length=vector_length,
-        block_query=max(1, n_query),
+        block_query=max(1, resident),
         block_reference=max(1, min(block, n_reference)),
         estimated_multiply_adds=total * vector_length,
     )
@@ -345,14 +349,15 @@ def max_correlations(
     mode = modes[0] if mode is None else mode
     if mode not in modes:
         raise InvalidArgumentError(f"unknown {what} {mode!r}")
+    reference_ids, n = reference.ids, len(query)
+    nr, workers = len(reference_ids), _worker_count()
+    plan = plan_audit(n, nr, math.prod(row_shape), block_budget_mib, len(test or ()))
 
     # Every set is read by its own read_rows(i0, i1, out, *read_args) into
     # float64 rows of row_shape, whose segments (channels, or one for an
     # embedding) standardize_rows takes. Query and test are standardized
     # once into one resident matrix; references are read block by block.
     # Each range read is split among the worker threads of one pool.
-    reference_ids = reference.ids
-    nr, workers = len(reference_ids), _worker_count()
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # threads start on first use
 
         def read(parts, out):
@@ -361,11 +366,10 @@ def max_correlations(
         q_all = np.empty((sum(len(s) for _, s in sets), *row_shape), dtype=np.float64)
         q_all, q_valid = read([(s, 0, len(s)) for _, s in sets], q_all)
         q_mat = _valid_rows(q_all, q_valid)
-        nq, n = q_mat.shape[0], len(query)
+        nq = q_mat.shape[0]
         ns = int(q_valid[:n].sum())  # q_mat: valid query rows, then valid test rows
         total = nq * nr + (0 if test is None else ns * (nq - ns))
 
-        plan = plan_audit(len(q_all), nr, q_mat.shape[1], block_budget_mib)
         ranks = _tie_ranks(reference_ids)
         buffer = np.empty((plan.block_reference, *row_shape), dtype=np.float64)
 

@@ -282,22 +282,19 @@ def _scan_pgm(cur: _Cursor) -> list[_Entry]:
 
 
 def write_pgm(img: ImageRecord, path) -> None:
-    """Write a single-channel image whose pixels are exact integers 0-255."""
+    """Write a single-channel image whose pixels are exact integers 0-255 by
+    _entry_payload's one 8-bit test; a near-integer is refused, not rounded."""
     if img.channels != 1:
         raise InvalidArgumentError(
             f"PGM holds one channel; image {img.id!r} has {img.channels}"
         )
-    rounded = np.rint(img.pixels)
-    if not (
-        np.all(np.abs(img.pixels - rounded) < 1e-6)
-        and rounded.min() >= 0
-        and rounded.max() <= 255
-    ):
+    code, payload = _entry_payload(img.pixels)
+    if code != IVC_DTYPE_U8:
         raise InvalidArgumentError(
             f"image {img.id!r}: PGM requires integer pixels in [0, 255]"
         )
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    atomic_write(path, (header, _raw_bytes(rounded, np.uint8)))
+    atomic_write(path, (header, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +516,16 @@ class Manifest:
     entries: tuple[tuple[str, Path], ...]  # (format, absolute path)
 
 
+def _header_field(line: str) -> Optional[tuple[str, str]]:
+    """(key, value) of a manifest header line, "name = ..." or "role: ...",
+    after its comment is cut and it is stripped; None for a file line."""
+    for key in ("name", "role"):
+        rest = line[len(key) :].lstrip()
+        if line.lower().startswith(key) and rest[:1] in ("=", ":"):
+            return key, rest[1:].strip()
+    return None
+
+
 def load_manifest(path) -> Manifest:
     """Parse a manifest and verify every referenced file exists."""
     path = Path(path)
@@ -532,27 +539,22 @@ def load_manifest(path) -> Manifest:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if in_header:
-            for key in ("name", "role"):
-                if line.lower().startswith(key):
-                    rest = line[len(key) :].lstrip()
-                    if rest[:1] in ("=", ":"):
-                        header[key] = rest[1:].strip()
-                        break
-            else:
-                in_header = False
-        if not in_header:
-            file = (path.parent / line).resolve()
-            fmt = _FORMATS.get(file.suffix.lower())
-            if fmt is None:
-                problems.append(
-                    f"line {lineno}: unknown file type {file.suffix!r} ({line})"
-                )
-                continue
-            if not file.is_file():
-                problems.append(f"line {lineno}: missing file {line}")
-                continue
-            entries.append((fmt, file))
+        field = _header_field(line) if in_header else None
+        if field:
+            header[field[0]] = field[1]
+            continue
+        in_header = False
+        file = (path.parent / line).resolve()
+        fmt = _FORMATS.get(file.suffix.lower())
+        if fmt is None:
+            problems.append(
+                f"line {lineno}: unknown file type {file.suffix!r} ({line})"
+            )
+            continue
+        if not file.is_file():
+            problems.append(f"line {lineno}: missing file {line}")
+            continue
+        entries.append((fmt, file))
     role = header.get("role")
     if role not in ROLES:
         problems.insert(0, f"role must be one of {', '.join(ROLES)}, got {role!r}")
@@ -782,7 +784,17 @@ def open_embedding_set(manifest: Union[Manifest, str, Path]) -> EmbeddingSetFile
 
 
 def write_manifest(path, name: str, role: str, files: Iterable[str]) -> None:
-    """Write a manifest referencing ``files`` (paths relative to it)."""
-    lines = [f"name = {name}", f"role = {role}"]
-    lines.extend(str(f) for f in files)
+    """Write a manifest referencing ``files`` (paths relative to it). A
+    role outside ROLES, and a name or path that load_manifest would read
+    back as another value, are refused before anything is written."""
+    if role not in ROLES:
+        raise InvalidArgumentError(f"role must be one of {', '.join(ROLES)}, got {role!r}")
+    files = [str(f) for f in files]
+    for what, value in [("name", name), *(("path", f) for f in files)]:
+        # load_manifest cuts a line at '#', strips it, and skips it when blank
+        if "#" in value or value != value.strip() or value.splitlines() != [value]:
+            raise InvalidArgumentError(f"manifest {what} {value!r} cannot be one manifest line")
+    if files and _header_field(files[0]):
+        raise InvalidArgumentError(f"manifest path {files[0]!r} reads as a header line")
+    lines = [f"name = {name}", f"role = {role}", *files]
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import zlib
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ class TestExitCodes:
         assert run(["frobnicate"]) == 2
 
     def test_workers_flag_is_unknown(self, capsys):
-        # Parallelism is the BLAS library's own threads; there is no pool.
+        # The read side's threads follow the CPU affinity mask; no flag sets them.
         argv = ["audit", "--train", "t.mf", "--synthetic", "s.mf", "--workers", "2"]
         assert run(argv) == 2
         assert "--workers" in capsys.readouterr().err
@@ -265,6 +266,41 @@ class TestPlantCommand:
             ])
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestUnreadableManifestRefused:
+    """preprocess and plant refuse to write a manifest that would read
+    back as another one: a '#' in a path or name would start a comment."""
+
+    def _image_set(self, tmp_path, manifest_name="in.mf"):
+        write_ivc([image(np.arange(16.0).reshape(4, 4), id="a")], tmp_path / "in.ivc")
+        (tmp_path / manifest_name).write_text("role = train\nin.ivc\n", "utf-8")
+        return tmp_path / manifest_name
+
+    @pytest.mark.parametrize("case", ["path", "name"])
+    def test_preprocess(self, tmp_path, capsys, case):
+        manifest = self._image_set(tmp_path, "set#1.mf" if case == "name" else "in.mf")
+        container = tmp_path / ("run#2" if case == "path" else "run") / "out.ivc"
+        container.parent.mkdir()
+        code = run([
+            "preprocess", "--manifest", str(manifest), "--out-container", str(container),
+            "--out-manifest", str(tmp_path / "out.mf"), "--quiet",
+        ])
+        assert code == 3
+        wrong = "'run#2/out.ivc'" if case == "path" else "'set#1-pre'"
+        assert f"manifest {case} {wrong} cannot be one manifest line" in capsys.readouterr().err
+        assert not (tmp_path / "out.mf").exists()
+
+    def test_plant(self, tmp_path, capsys):
+        (tmp_path / "run#2").mkdir()
+        code = run([
+            "plant", "--train", str(self._image_set(tmp_path)), "--n", "2", "--seed", "1",
+            "--out", str(tmp_path / "run#2" / "p.ivc"), "--truth", str(tmp_path / "t.json"),
+            "--out-manifest", str(tmp_path / "p.mf"), "--quiet",
+        ])
+        assert code == 3
+        assert "manifest path 'run#2/p.ivc' cannot be one" in capsys.readouterr().err
+        assert not (tmp_path / "p.mf").exists()
 
 
 class TestPreprocessCommand:
@@ -995,6 +1031,55 @@ class TestReportPlan:
         assert len(calls) > 2 and sum(calls) == 24
         assert set(calls[:-1]) == {plan["block_reference"]}
         assert calls[-1] <= plan["block_reference"]
+
+    @pytest.mark.parametrize("kind", ["ivc", "emb"])
+    @pytest.mark.parametrize("with_test", [False, True], ids=["alone", "test"])
+    @pytest.mark.parametrize("sample", [[], ["--sample", "3", "--seed", "5"]], ids=["all", "sample"])
+    def test_report_plan_is_the_engine_plan(self, tmp_path, monkeypatch, kind, with_test, sample):
+        train_mf, synth_mf, test_mf = (_split_train if kind == "ivc" else _emb_sets)(tmp_path)
+        engine_plans = []
+        plan_audit = correlate.plan_audit
+
+        def captured(*args, **kwargs):
+            engine_plans.append(plan_audit(*args, **kwargs))
+            return engine_plans[-1]
+
+        monkeypatch.setattr(correlate, "plan_audit", captured)
+        out = tmp_path / "r.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            *(["--test", str(test_mf)] if with_test else []), *sample,
+            "--block-budget-mib", "0.005", "--rule", "fixed:0.99", "--out", str(out), "--quiet",
+        ])
+        assert code in (0, 1)
+        assert len(engine_plans) == 1
+        assert json.loads(out.read_text("utf-8"))["plan"] == asdict(engine_plans[0])
+
+
+def test_audit_calls_the_traced_names_once(tmp_path, monkeypatch):
+    """perfbench's tracer wraps cli's own plan_audit and max_correlations
+    names, and reads the engine's query and reference as its first two
+    positional arguments and progress as a keyword: its per-layer tile
+    and multiply-add counts read 0 if the CLI stops calling them so."""
+    train_mf, synth_mf, test_mf = _split_train(tmp_path)
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            if name == "max_correlations":
+                assert len(args) >= 2 and "progress" in kwargs
+            return f(*args, **kwargs)
+        return call
+
+    for name in ("plan_audit", "max_correlations"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    code = run([
+        "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+        "--test", str(test_mf), "--out", str(tmp_path / "r.json"), "--quiet",
+    ])
+    assert code in (0, 1)
+    assert calls == {"plan_audit": 1, "max_correlations": 1}
 
 
 def _worker_sets(tmp_path, kind):

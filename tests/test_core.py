@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from memaudit import core
 from memaudit.core import (
     Dataset,
     ImageRecord,
+    VolumeRecord,
     default_channel_mask,
     pearson,
     resolve_channel_mask,
@@ -49,6 +51,29 @@ class TestImageRecord:
     def test_empty_id_rejected(self):
         with pytest.raises(InvalidArgumentError):
             ImageRecord("", 1, 1, 1, np.zeros(1, np.float32))
+
+
+class TestRecordChecks:
+    """Images and volumes take the same four checks, with one message each."""
+
+    FAULTS = {
+        "empty-id": ("", 2, 4, "{kind} id must be non-empty"),
+        "dimension": ("r", -1, 4, "{kind} 'r': dimensions must be positive"),
+        "value-count": ("r", 2, 3, "{kind} 'r': expected 4 values, got 3"),
+        "non-finite": ("r", 2, 4, "{kind} 'r': pixel values must be finite"),
+    }
+
+    @pytest.mark.parametrize("kind", ["image", "volume"])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_refused_with_message(self, kind, fault):
+        record_id, width, n_values, message = self.FAULTS[fault]
+        values = np.arange(n_values, dtype=np.float32)
+        if fault == "non-finite":
+            values[2] = np.inf
+        dims = (1, 2, width) if kind == "image" else (1, 1, 2, width)
+        record = ImageRecord if kind == "image" else VolumeRecord
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message.format(kind=kind))}$"):
+            record(record_id, *dims, values)
 
 
 class TestDataset:

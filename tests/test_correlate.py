@@ -1,5 +1,6 @@
 import threading
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -60,6 +61,24 @@ class TestPlanAudit:
 
     def test_zero_sizes_allowed(self):
         assert plan_audit(0, 5, 10).total_comparisons == 0
+
+    def test_test_rows_size_the_blocks_only(self):
+        # counts of the queries alone, blocks of queries and test rows as
+        # one resident matrix: the plan an audit with a test set reports
+        for q in (0, 1, 8, 1000):
+            for t in (0, 1, 5, 1000):
+                for r, length in ((3, 1), (24, 144), (23_478, 262_144)):
+                    for budget in (0.005, 1.0, 32.0):
+                        blocks = plan_audit(q + t, r, length, budget)
+                        assert plan_audit(q, r, length, budget, t) == replace(
+                            plan_audit(q, r, length, budget),
+                            block_query=blocks.block_query,
+                            block_reference=blocks.block_reference,
+                        )
+
+    def test_negative_test_count_refused(self):
+        with pytest.raises(InvalidArgumentError, match="^counts must be non-negative$"):
+            plan_audit(3, 5, 10, 32.0, -1)
 
 
 def dataset_of(arrays, name="ds", role="train", prefix="r"):

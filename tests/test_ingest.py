@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 import sys
 import threading
@@ -105,6 +106,17 @@ class TestPgm:
         write_pgm(img, tmp_path / "rt.pgm")
         back = read_pgm(tmp_path / "rt.pgm")
         np.testing.assert_array_equal(back.pixels, img.pixels)
+
+    @pytest.mark.parametrize("value", [1.0000001, 254.9999, -1.0, 256.0, 0.5])
+    def test_write_refuses_what_ivc_stores_as_f32(self, tmp_path, value):
+        # one 8-bit test for both writers: a near-integer is refused, not rounded
+        img = image([value, 2.0], id="q")
+        with pytest.raises(InvalidArgumentError, match=r"^image 'q': PGM requires integer pixels"):
+            write_pgm(img, tmp_path / "q.pgm")
+        assert not (tmp_path / "q.pgm").exists()
+        write_ivc([img], tmp_path / "q.ivc")
+        offset, _ = ivc_payload_span(tmp_path / "q.ivc")
+        assert (tmp_path / "q.ivc").read_bytes()[offset - 1] == 1  # f32
 
     FAULTS = {
         "empty": (b"", "missing magic at offset 0"),
@@ -368,6 +380,23 @@ class TestManifest:
         ds = load_dataset(manifest)
         assert [img.id for img in ds.images] == ["a", "b", "c"]
 
+    UNREADABLE = {  # what load_manifest would make of each value
+        "hash-in-path": (("set", "train", ["run#2/a.ivc"]), "manifest path 'run#2/a.ivc'"),
+        "hash-in-name": (("set#1", "train", ["a.ivc"]), "manifest name 'set#1'"),
+        "padded-path": (("set", "train", [" a.ivc"]), "manifest path ' a.ivc'"),
+        "blank-path": (("set", "train", ["a.ivc", ""]), "manifest path ''"),
+        "two-line-name": (("a\nb", "train", ["a.ivc"]), "manifest name 'a\\nb'"),
+        "header-path": (("set", "train", ["name=a.ivc"]), "manifest path 'name=a.ivc'"),
+        "role": (("set", "validation", ["a.ivc"]), "role must be one of train, test, synthetic"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_write_refuses_what_reads_back_otherwise(self, tmp_path, case):
+        (name, role, files), message = self.UNREADABLE[case]
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}"):
+            write_manifest(tmp_path / "m.mf", name, role, files)
+        assert not (tmp_path / "m.mf").exists()
+
     def test_missing_file_listed(self, tmp_path):
         self.write_pgms(tmp_path, ["a"])
         mf = tmp_path / "m.mf"
@@ -515,6 +544,13 @@ class TestGoldenFiles:
             ivc_payload_span(tmp_path / "g.ivc", i) for i in range(3)
         )]
         assert codes == [0, 1, 1]
+
+    def test_write_pgm(self, tmp_path):
+        values = [0, 1, 2, 3, 64, 127, 128, 129, 200, 253, 254, 255]
+        write_pgm(ImageRecord("p", 1, 3, 4, np.array(values, np.float32)), tmp_path / "p.pgm")
+        assert _sha256(tmp_path / "p.pgm") == (
+            "f5b2e461d24482233e3b070f0553420487ca8b3f4f5bb67e441f924404a442fe"
+        )
 
     def test_write_embeddings(self, tmp_path):
         write_embeddings(_golden_embeddings(), tmp_path / "g.emb")
