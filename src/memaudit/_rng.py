@@ -24,7 +24,9 @@ dispatch and on the C library (numpy's AVX-512 log loop differs from its
 AVX2 one). They repeat exactly on one host.
 
 Because output(n) depends only on (seed, n), any contiguous run of draws
-can be produced in one vectorized call.
+can be produced in one vectorized call. mix64 has one implementation,
+`_mix64_array`, on uint64 arrays; `mix64(value)` runs it on a one-element
+array, which is exact because uint64 arithmetic wraps mod 2**64.
 """
 
 from __future__ import annotations
@@ -57,13 +59,7 @@ def mix64(value: int) -> int:
     streams: raw seeds s and s+1 differ in one bit, mixed seeds differ
     in about half of them.
     """
-    z = value & _MASK
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK
-    z ^= z >> 31
-    return z
+    return int(_mix64_array(np.array([value & _MASK], dtype=np.uint64))[0])
 
 
 class SplitMix64:

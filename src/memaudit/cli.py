@@ -32,6 +32,7 @@ from .ingest import (
     open_dataset,
     open_embedding_set,
     read_embeddings,
+    render_manifest,
     write_ivc,
     write_manifest,
 )
@@ -187,6 +188,19 @@ def _progress(args, label: str):
     return None if args.quiet else ProgressPrinter(label, args.progress_interval)
 
 
+def _write_set(images, container, manifest_path, name: str, role: str, truth=None) -> None:
+    """Write images to an IVC1 container, then truth (a GroundTruth and
+    its path) if given, then a manifest naming the container. The manifest
+    is checked first, so a refused one leaves no file behind."""
+    manifest_path = Path(manifest_path)
+    fields = dict(name=name, role=role, files=[os.path.relpath(container, manifest_path.parent)])
+    render_manifest(**fields)
+    write_ivc(images, container)
+    if truth is not None:
+        save_ground_truth(*truth)
+    write_manifest(manifest_path, **fields)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -234,16 +248,8 @@ def _cmd_preprocess(args) -> int:
     if not out:
         raise MemauditError("preprocess produced no images (filter dropped everything)")
 
-    container = Path(args.out_container)
-    write_ivc(out, container)
-    out_manifest = Path(args.out_manifest)
-    write_manifest(
-        out_manifest,
-        name=f"{manifest.name}-pre",
-        role=manifest.role,
-        files=[os.path.relpath(container, out_manifest.parent)],
-    )
-    log.info("preprocess: wrote %d image(s) to %s", len(out), container)
+    _write_set(out, args.out_container, args.out_manifest, f"{manifest.name}-pre", manifest.role)
+    log.info("preprocess: wrote %d image(s) to %s", len(out), args.out_container)
     return EXIT_OK
 
 
@@ -373,13 +379,14 @@ def _cmd_audit(args) -> int:
 
 
 def _paired_images(paths, loaded: dict):
-    """The two datasets a --*-pairs flag names. ``loaded`` holds every
-    manifest this run has read, by resolved path, so each is read once."""
+    """The images of the two datasets a --*-pairs flag names. ``loaded``
+    holds every manifest this run has read, by resolved path, so each is
+    read once."""
     for path in paths:
         key = Path(path).resolve()
         if key not in loaded:
             loaded[key] = load_dataset(path)
-    a, b = (loaded[Path(path).resolve()] for path in paths)
+    a, b = (loaded[Path(path).resolve()].images for path in paths)
     if len(a) != len(b):
         raise MemauditError(
             f"paired manifests differ in size: {len(a)} vs {len(b)}"
@@ -395,27 +402,16 @@ def _cmd_metrics(args) -> int:
         )
     result: dict = {}
     loaded: dict = {}
-    if args.ssim_pairs:
-        a, b = _paired_images(args.ssim_pairs, loaded)
-        params = SsimParams(window=args.ssim_window, sigma=args.ssim_sigma)
-        values = [
-            {"a": x.id, "b": y.id, "ssim": ssim(x, y, params)}
-            for x, y in zip(a.images, b.images)
-        ]
-        result["ssim"] = {
-            "pairs": values,
-            "mean": sum(v["ssim"] for v in values) / len(values),
-        }
-    if args.mi_pairs:
-        a, b = _paired_images(args.mi_pairs, loaded)
-        values = [
-            {"a": x.id, "b": y.id, "mi_bits": mutual_information(x, y, args.mi_bins)}
-            for x, y in zip(a.images, b.images)
-        ]
-        result["mutual_information"] = {
-            "pairs": values,
-            "mean": sum(v["mi_bits"] for v in values) / len(values),
-        }
+    params = SsimParams(window=args.ssim_window, sigma=args.ssim_sigma)
+    for paths, key, field, score in (
+        (args.ssim_pairs, "ssim", "ssim", lambda x, y: ssim(x, y, params)),
+        (args.mi_pairs, "mutual_information", "mi_bits",
+         lambda x, y: mutual_information(x, y, args.mi_bins)),
+    ):
+        if paths:
+            a, b = _paired_images(paths, loaded)
+            values = [{"a": x.id, "b": y.id, field: score(x, y)} for x, y in zip(a, b)]
+            result[key] = {"pairs": values, "mean": sum(v[field] for v in values) / len(values)}
     if args.fid:
         real, synth = (read_embeddings(p) for p in args.fid)
         result["fid"] = fid(gaussian_stats(real), gaussian_stats(synth))
@@ -445,41 +441,37 @@ def _cmd_plant(args) -> int:
     except InvalidArgumentError as exc:  # each flag is in range, so their sum is over 1
         raise UsageError(f"--p-copy + --p-noisy + --p-shift: {exc}") from None
     dataset, truth = plant(load_dataset(args.train), config)
-    container = Path(args.out)
-    write_ivc(list(dataset.images), container)
-    save_ground_truth(truth, args.truth)
-    manifest_path = Path(args.out_manifest) if args.out_manifest else container.with_suffix(".mf")
-    write_manifest(
-        manifest_path,
-        name=dataset.name,
-        role="synthetic",
-        files=[os.path.relpath(container, manifest_path.parent)],
-    )
+    manifest_path = args.out_manifest or Path(args.out).with_suffix(".mf")
+    _write_set(list(dataset.images), args.out, manifest_path, dataset.name, "synthetic",
+               (truth, args.truth))
     counts = truth.kind_counts()
     log.info(
         "plant: wrote %d image(s) (%s) to %s",
         len(dataset),
         ", ".join(f"{k}={v}" for k, v in counts.items() if v),
-        container,
+        args.out,
     )
     return EXIT_OK
 
 
 def _labelled_matches(path, label: str):
     """The plan and matches of a match file that save_matches wrote
-    under label: a file of the other label is a data error."""
+    under label: a file of the other label, or with no plan, is a data
+    error."""
     found, plan, matches = load_matches(path)
     if found != label:
         raise MemauditError(f"{path} holds {found!r} matches, not {label!r}")
+    if plan is None:
+        raise MemauditError(
+            f"{path} has no comparison plan; regenerate it with 'memaudit audit'"
+        )
     return plan, matches
 
 
 def _check_same_reference(matches_path, plan, baseline_path, baseline_plan) -> None:
     """A baseline counts only against the training set its matches were
-    found in: its plan (when it has one) must have the matches' number
-    of reference images and vector length."""
-    if baseline_plan is None:
-        return
+    found in: its plan must have the matches' number of reference images
+    and vector length."""
     differ = [
         f"{field} {getattr(plan, field)} vs {getattr(baseline_plan, field)}"
         for field in ("n_reference", "vector_length")
@@ -495,11 +487,6 @@ def _check_same_reference(matches_path, plan, baseline_path, baseline_plan) -> N
 def _cmd_report(args) -> int:
     _check_baseline(args, args.baseline, "--baseline")
     plan, synth_matches = _labelled_matches(args.matches, "synth-vs-train")
-    if plan is None:
-        raise MemauditError(
-            f"{args.matches} has no comparison plan; regenerate it with "
-            "'memaudit audit --matches-out'"
-        )
     baseline = None
     if args.baseline:
         baseline_plan, baseline = _labelled_matches(args.baseline, "test-vs-train")
@@ -549,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         "preprocess", parents=[common],
         help="slice volumes, filter, pad, rescale, remap, resize",
     )
+    p.set_defaults(handler=_cmd_preprocess)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-container", required=True)
     p.add_argument("--out-manifest", required=True)
@@ -569,6 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         "audit", parents=[common, shown],
         help="max-correlation audit of a synthetic set against training data",
     )
+    a.set_defaults(handler=_cmd_audit)
     a.add_argument("--train", required=True)
     a.add_argument("--synthetic", required=True)
     a.add_argument("--test", help="held-out set for the baseline distribution")
@@ -586,6 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--baseline-matches-out", help="save test-vs-train matches as JSON")
 
     m = sub.add_parser("metrics", parents=[common], help="SSIM / MI / FID / IS")
+    m.set_defaults(handler=_cmd_metrics)
     m.add_argument("--ssim-pairs", nargs=2, metavar=("A", "B"))
     m.add_argument("--mi-pairs", nargs=2, metavar=("A", "B"))
     m.add_argument("--fid", nargs=2, metavar=("REAL", "SYNTH"))
@@ -605,6 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plant", parents=[common],
         help="generate a synthetic set with planted copies for validation",
     )
+    g.set_defaults(handler=_cmd_plant)
     g.add_argument("--train", required=True)
     g.add_argument("--n", type=_positive(int), required=True)
     g.add_argument("--p-copy", type=_fraction, default=PlantConfig.p_copy)
@@ -621,19 +612,11 @@ def build_parser() -> argparse.ArgumentParser:
         "report", parents=[common, shown],
         help="rebuild a report from saved match lists",
     )
+    r.set_defaults(handler=_cmd_report)
     r.add_argument("--matches", required=True)
     r.add_argument("--baseline")
 
     return parser
-
-
-_COMMANDS = {
-    "preprocess": _cmd_preprocess,
-    "audit": _cmd_audit,
-    "metrics": _cmd_metrics,
-    "plant": _cmd_plant,
-    "report": _cmd_report,
-}
 
 
 def run(argv) -> int:
@@ -645,14 +628,11 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         logging.basicConfig(level=getattr(logging, args.log_level.upper()))
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"memaudit {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemauditError as exc:
-        print(f"memaudit {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (MemauditError, OSError) as exc:
         print(f"memaudit {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

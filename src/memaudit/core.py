@@ -238,6 +238,12 @@ def standardize_rows(
     return values, valid
 
 
+def check_same_shape(a: ImageRecord, b: ImageRecord) -> None:
+    """InvalidArgumentError naming both images unless they have one shape."""
+    if a.shape != b.shape:
+        raise InvalidArgumentError(f"shape mismatch: {a.id!r} {a.shape} vs {b.id!r} {b.shape}")
+
+
 def _pearson_flat(a: np.ndarray, b: np.ndarray) -> float:
     ca = a - a.mean()
     cb = b - b.mean()
@@ -263,10 +269,7 @@ def pearson(
     UndefinedCorrelationError when either input is constant on the mask
     and InvalidArgumentError on shape mismatch.
     """
-    if a.shape != b.shape:
-        raise InvalidArgumentError(
-            f"shape mismatch: {a.id!r} {a.shape} vs {b.id!r} {b.shape}"
-        )
+    check_same_shape(a, b)
     mask = resolve_channel_mask(channel_mask, a.channels)
     sa = _selected(a, mask)
     sb = _selected(b, mask)

@@ -380,8 +380,6 @@ def max_correlations(
         best_v, best_r, n_valid = _search(
             q_mat, nr, plan.block_reference, reference_block, k, progress, 0, total
         )
-    if progress is not None and total == 0:
-        progress(0, 0)
     found = _matches(
         [i for _, s in sets for i in s.ids], q_valid, best_v, best_r, reference_ids, ranks,
         nr - n_valid,

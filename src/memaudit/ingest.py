@@ -783,10 +783,10 @@ def open_embedding_set(manifest: Union[Manifest, str, Path]) -> EmbeddingSetFile
     return EmbeddingSetFile(_as_manifest(manifest))
 
 
-def write_manifest(path, name: str, role: str, files: Iterable[str]) -> None:
-    """Write a manifest referencing ``files`` (paths relative to it). A
-    role outside ROLES, and a name or path that load_manifest would read
-    back as another value, are refused before anything is written."""
+def render_manifest(name: str, role: str, files: Iterable[str]) -> bytes:
+    """The bytes write_manifest writes for a manifest referencing ``files``
+    (paths relative to it). A role outside ROLES, and a name or path that
+    load_manifest would read back as another value, are refused."""
     if role not in ROLES:
         raise InvalidArgumentError(f"role must be one of {', '.join(ROLES)}, got {role!r}")
     files = [str(f) for f in files]
@@ -797,4 +797,9 @@ def write_manifest(path, name: str, role: str, files: Iterable[str]) -> None:
     if files and _header_field(files[0]):
         raise InvalidArgumentError(f"manifest path {files[0]!r} reads as a header line")
     lines = [f"name = {name}", f"role = {role}", *files]
-    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def write_manifest(path, name: str, role: str, files: Iterable[str]) -> None:
+    """Write render_manifest's bytes to path; a refused manifest writes nothing."""
+    atomic_write(path, render_manifest(name, role, files))

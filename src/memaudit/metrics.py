@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ImageRecord
+from .core import ImageRecord, check_same_shape
 from .errors import InvalidArgumentError
 from .ingest import EmbeddingSet
 
@@ -138,10 +138,7 @@ def ssim(a: ImageRecord, b: ImageRecord, params: Optional[SsimParams] = None) ->
     Images smaller than the window are rejected.
     """
     params = params or SsimParams()
-    if a.shape != b.shape:
-        raise InvalidArgumentError(
-            f"shape mismatch: {a.id!r} {a.shape} vs {b.id!r} {b.shape}"
-        )
+    check_same_shape(a, b)
     if a.height < params.window or a.width < params.window:
         raise InvalidArgumentError(
             f"image {a.height}x{a.width} smaller than {params.window}-pixel window"
@@ -175,10 +172,7 @@ def mutual_information(a: ImageRecord, b: ImageRecord, bins: int = DEFAULT_MI_BI
     equal-width bins (maxima land in the last bin); a constant image has
     a single occupied bin, so its MI is 0 by convention.
     """
-    if a.shape != b.shape:
-        raise InvalidArgumentError(
-            f"shape mismatch: {a.id!r} {a.shape} vs {b.id!r} {b.shape}"
-        )
+    check_same_shape(a, b)
     if bins < 2:
         raise InvalidArgumentError("bins must be at least 2")
     ia = _bin_indices(a.pixels.astype(np.float64), bins)

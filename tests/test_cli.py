@@ -74,6 +74,13 @@ class TestExitCodes:
         assert run(argv) == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_os_error_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run(["report", "--matches", str(missing), "--rule", "fixed:0.9"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("memaudit report: [Errno 2] No such file or directory")
+        assert str(missing) in err
+
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         code = run([
             "audit", "--train", str(tmp_path / "no.mf"),
@@ -270,7 +277,8 @@ class TestPlantCommand:
 
 class TestUnreadableManifestRefused:
     """preprocess and plant refuse to write a manifest that would read
-    back as another one: a '#' in a path or name would start a comment."""
+    back as another one: a '#' in a path or name would start a comment.
+    The manifest is checked first, so no container or truth is left."""
 
     def _image_set(self, tmp_path, manifest_name="in.mf"):
         write_ivc([image(np.arange(16.0).reshape(4, 4), id="a")], tmp_path / "in.ivc")
@@ -290,6 +298,7 @@ class TestUnreadableManifestRefused:
         wrong = "'run#2/out.ivc'" if case == "path" else "'set#1-pre'"
         assert f"manifest {case} {wrong} cannot be one manifest line" in capsys.readouterr().err
         assert not (tmp_path / "out.mf").exists()
+        assert list(container.parent.iterdir()) == []
 
     def test_plant(self, tmp_path, capsys):
         (tmp_path / "run#2").mkdir()
@@ -300,7 +309,7 @@ class TestUnreadableManifestRefused:
         ])
         assert code == 3
         assert "manifest path 'run#2/p.ivc' cannot be one" in capsys.readouterr().err
-        assert not (tmp_path / "p.mf").exists()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.ivc", "in.mf", "run#2"]
 
 
 class TestPreprocessCommand:
@@ -847,6 +856,7 @@ class TestMalformedMatches:
         "plan-unknown-key": _set(("plan", "tiles"), 3),
         "plan-negative-count": _set(("plan", "n_query"), -3),
         "plan-inconsistent": _set(("plan", "total_comparisons"), 10),
+        "plan-multiply-adds-inconsistent": _set(("plan", "estimated_multiply_adds"), 479),
         "plan-a-string": _set(("plan",), "3x3"),
         "plan-float-count": _set(("plan", "vector_length"), 16.0),
         "entry-a-string": _set(("matches", 1), "s1"),
@@ -862,14 +872,14 @@ class TestMalformedMatches:
         path.write_text(text[: len(text) // 2] if truncate else text)
         return path
 
-    def _report(self, tmp_path, capsys, *files):
+    def _report(self, tmp_path, capsys, *files, message="bad.json: not a match list"):
         out = tmp_path / "r.json"
         argv = ["report", "--matches", str(files[0]), "--rule", "fixed:0.9", "--out", str(out)]
         if len(files) > 1:
             argv += ["--baseline", str(files[1])]
         code = run(argv)
         assert code == 3
-        assert "bad.json: not a match list" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -885,11 +895,13 @@ class TestMalformedMatches:
         self._report(tmp_path, capsys, good, bad)
 
     def test_no_plan(self, tmp_path, capsys):
-        path = self._write(tmp_path / "bad.json", _set(("plan",), None))
-        out = tmp_path / "r.json"
-        assert run(["report", "--matches", str(path), "--rule", "fixed:0.9", "--out", str(out)]) == 3
-        assert "bad.json has no comparison plan" in capsys.readouterr().err
-        assert not out.exists()
+        """A match file with no plan cannot be checked against the other's
+        training set, so --matches and --baseline both refuse it."""
+        good = self._write(tmp_path / "good.json")
+        for label, files in (("synth-vs-train", []), ("test-vs-train", [good])):
+            bad = self._write(tmp_path / "bad.json", _set(("plan",), None))
+            bad.write_text(bad.read_text().replace("synth-vs-train", label))
+            self._report(tmp_path, capsys, *files, bad, message=f"{bad} has no comparison plan")
 
     def test_well_formed_file_reads(self, tmp_path):
         path = self._write(tmp_path / "good.json", _set(("matches", 0, "matches", 0, 1), 1))
@@ -1369,3 +1381,37 @@ def test_plant_and_metrics_identical_across_blas_threads(tmp_path):
     for name in ("synth.ivc", "truth.json", "metrics.json"):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
     assert json.loads((one / "metrics.json").read_text())["ssim"]["mean"] < 0.9
+
+
+def test_audit_identical_across_blas_threads(tmp_path):
+    """An audit's report and match files have the same bytes at 1 and 2
+    BLAS threads, with many small GEMMs (a tiny budget) or few large ones."""
+    train = generate_train_set(40, 5, 64, 64, seed=9700)
+    sets = {
+        "train": (train.images, "train"),
+        "synth": (plant(train, PlantConfig(n_output=16, p_copy=0.25, seed=9701))[0].images,
+                  "synthetic"),
+        "test": (generate_train_set(12, 5, 64, 64, seed=9702).images, "test"),
+    }
+    for name, (images, role) in sets.items():
+        write_ivc(list(images), tmp_path / f"{name}.ivc")
+        write_manifest(tmp_path / f"{name}.mf", name, role, [f"{name}.ivc"])
+    env = dict(os.environ, PYTHONPATH=str(Path(memaudit.__file__).parents[1]))
+    outputs = {}
+    for budget in ("0.05", "32"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"{budget}-{threads}"
+            out.mkdir()
+            audit = subprocess.run([
+                sys.executable, "-m", "memaudit.cli", "audit",
+                "--train", str(tmp_path / "train.mf"), "--synthetic", str(tmp_path / "synth.mf"),
+                "--test", str(tmp_path / "test.mf"), "--block-budget-mib", budget,
+                "--out", str(out / "report.json"), "--matches-out", str(out / "matches.json"),
+                "--baseline-matches-out", str(out / "baseline.json"), "--quiet",
+            ], env=dict(env, OPENBLAS_NUM_THREADS=threads), timeout=300)
+            assert audit.returncode == 1  # planted copies are flagged
+            outputs[budget, threads] = {
+                name: (out / name).read_bytes()
+                for name in ("report.json", "matches.json", "baseline.json")
+            }
+        assert outputs[budget, "1"] == outputs[budget, "2"], budget

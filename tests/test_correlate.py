@@ -80,6 +80,19 @@ class TestPlanAudit:
         with pytest.raises(InvalidArgumentError, match="^counts must be non-negative$"):
             plan_audit(3, 5, 10, 32.0, -1)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: plan_audit(3, 5, 0), "^vector_length must be positive$"),
+        (lambda: plan_audit(3, 5, 10, 0.0), "^block budget must be positive$"),
+        (lambda: plan_audit(3, 5, 10, -1.0), "^block budget must be positive$"),
+        (
+            lambda: replace(plan_audit(3, 5, 10), estimated_multiply_adds=149),
+            r"^estimated_multiply_adds must be total_comparisons \* vector_length$",
+        ),
+    ], ids=["vector-length", "zero-budget", "negative-budget", "multiply-adds"])
+    def test_refused(self, call, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            call()
+
 
 def dataset_of(arrays, name="ds", role="train", prefix="r"):
     images = tuple(
@@ -107,6 +120,12 @@ class TestBruteForce:
         r = dataset_of([[5, 5, 5], [1, 2, 3]])
         out = brute_force_correlations(q, r)
         assert np.isnan(out[0, 0]) and out[0, 1] == pytest.approx(1.0)
+
+    def test_dimension_mismatch_rejected(self):
+        q = dataset_of([[1, 2, 3]], role="synthetic")
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^dimension mismatch: query \(1, 1, 3\) vs reference \(1, 1, 2\)$"):
+            brute_force_correlations(q, dataset_of([[1, 2]]))
 
     def test_size_guard(self):
         q = random_dataset(4000, (1, 2, 2), 0, role="synthetic")
@@ -274,6 +293,22 @@ class TestMaxCorrelations:
             max_correlations(q, r)
         with pytest.raises(InvalidArgumentError, match="mismatch: test"):
             max_correlations(r, r, test=q)
+
+    def test_k_below_one_rejected(self):
+        q = random_dataset(2, (1, 4, 4), 93, role="synthetic")
+        with pytest.raises(InvalidArgumentError, match="^k must be at least 1$"):
+            max_correlations(q, q, k=0)
+
+    def test_progress_of_constant_queries_is_zero_of_zero(self):
+        """Every query constant: no comparison to make, and progress still
+        reports the search done, once per reference block."""
+        q = dataset_of([[1, 1, 1], [4, 4, 4]], role="synthetic", prefix="q")
+        r = random_dataset(5, (1, 1, 3), 96)
+        seen = []
+        found = max_correlations(q, r, block_budget_mib=1e-4,
+                                 progress=lambda done, total: seen.append((done, total)))
+        assert [m.query_valid for m in found] == [False, False]
+        assert seen == [(0, 0)] * 5
 
     def test_empty_reference_rejected(self):
         q = random_dataset(2, (1, 4, 4), 93, role="synthetic")

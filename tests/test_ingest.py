@@ -870,3 +870,122 @@ class TestOneReadPath:
         with pytest.raises(FormatError) as exc:
             reader(path)
         assert str(exc.value).startswith(f"{path}: {message}")
+
+
+
+def _ivc_header(ndims, dims):
+    """An IVC1 file of one entry 'x', cut after its dims."""
+    return (
+        b"IVC1" + struct.pack("<IH", 1, 1) + b"x"
+        + struct.pack(f"<B{len(dims)}I", ndims, *dims)
+    )
+
+
+def _emb_header(n, dim, magic=b"EMB1"):
+    return magic + struct.pack("<II", n, dim)
+
+
+def _file(directory, name, blob) -> str:
+    (directory / name).write_bytes(blob)
+    return name
+
+
+def _read_back(reader, name, blob):
+    """A call that writes blob to name in a directory and reads it."""
+    return lambda p: reader(p / _file(p, name, blob))
+
+
+def _embeddings(directory, name, ids, dim=1) -> str:
+    rows = np.zeros((len(ids), dim), np.float32)
+    write_embeddings(EmbeddingSet(ids, dim, rows), directory / f"{name}.emb")
+    return f"{name}.emb"
+
+
+class TestRefusals:
+    """Each refusal of a file, an embedding set or a manifest raises its
+    own error with its own message."""
+
+    FILES = {
+        "pgm-channels": (
+            lambda p: write_pgm(image(np.zeros((2, 2, 2))), p / "a.pgm"),
+            InvalidArgumentError, "^PGM holds one channel; image 'img' has 2$",
+        ),
+        "ivc-ndims": (
+            _read_back(read_ivc, "a.ivc", _ivc_header(2, (3, 3))),
+            FormatError, "entry 0: ndims must be 3 or 4, got 2 at offset 11$",
+        ),
+        "ivc-zero-dim": (
+            _read_back(read_ivc, "a.ivc", _ivc_header(3, (1, 0, 2))),
+            FormatError, r"entry 0: zero dimension \[1, 0, 2\]$",
+        ),
+        "ivc-no-records": (
+            lambda p: write_ivc([], p / "a.ivc"),
+            InvalidArgumentError, "^write_ivc: no records to write$",
+        ),
+        "emb-magic": (
+            _read_back(read_embeddings, "a.emb", _emb_header(1, 1, b"EMB2")),
+            FormatError, "bad magic b'EMB2' at offset 0$",
+        ),
+        "emb-dim-zero": (
+            _read_back(read_embeddings, "a.emb", _emb_header(2, 0)),
+            FormatError, "dim must be positive at offset 8$",
+        ),
+        "emb-overflow": (
+            _read_back(read_embeddings, "a.emb", _emb_header(1 << 20, 1 << 21)),
+            FormatError, "dimension overflow, 1048576 x 2097152$",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FILES))
+    def test_files(self, tmp_path, case):
+        call, error, message = self.FILES[case]
+        with pytest.raises(error, match=message):
+            call(tmp_path)
+        if case in ("pgm-channels", "ivc-no-records"):  # writers refuse before writing
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ids, rows, error, message", [
+        (("a",), np.zeros((2, 2)), InvalidArgumentError, "^2 rows but 1 ids$"),
+        ((), np.zeros((0, 2)), EmptyInputError, "^embedding set must be non-empty$"),
+        (("a", "b"), [[0.0], [np.nan]], InvalidArgumentError, "^embedding rows must be finite$"),
+        (("a", "a"), np.zeros((2, 1)), InvalidArgumentError, "^duplicate embedding ids$"),
+    ], ids=["more-rows-than-ids", "no-rows", "non-finite", "duplicate-ids"])
+    def test_embedding_set(self, ids, rows, error, message):
+        with pytest.raises(error, match=message):
+            EmbeddingSet(ids, np.shape(rows)[1], rows)
+
+    # (the files of a manifest "m" of role train, the loader, its message)
+    MANIFESTS = {
+        "unknown-type": (
+            lambda p: [_file(p, "x.txt", b"x")],
+            load_manifest, r"line 3: unknown file type '\.txt' \(x\.txt\)$",
+        ),
+        "no-files": (lambda p: [], load_manifest, ": manifest lists no files$"),
+        "non-emb-in-embeddings": (
+            lambda p: [_embeddings(p, "a", ("a",)), _file(p, "b.ivc", b"")],
+            load_embedding_set, "^m: embedding manifest contains non-EMB1 files: .*b.ivc$",
+        ),
+        "many-duplicates": (
+            lambda p: [_embeddings(p, name, tuple(f"d{i}" for i in range(12))) for name in "ab"],
+            load_embedding_set, "; 2 more duplicate ids$",
+        ),
+        "mixed-dims": (
+            lambda p: [_embeddings(p, "a", ("a",), 2), _embeddings(p, "b", ("b",), 3)],
+            load_embedding_set, r"^m: mixed embedding dims \[2, 3\]$",
+        ),
+        "no-images": (
+            # an IVC1 container may hold no entries; write_ivc never writes one
+            lambda p: [_file(p, "e.ivc", b"IVC1" + bytes(4))],
+            load_dataset, "^m: no 2-D images$",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MANIFESTS))
+    def test_manifests(self, tmp_path, case):
+        files, reader, message = self.MANIFESTS[case]
+        lines = ["name = m", "role = train", *files(tmp_path)]
+        (tmp_path / "m.mf").write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(ManifestError, match=message) as exc:
+            reader(tmp_path / "m.mf")
+        if case == "many-duplicates":
+            assert str(exc.value).count("duplicate id ") == 10
