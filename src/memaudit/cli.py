@@ -78,11 +78,13 @@ class UsageError(Exception):
 
 
 class ProgressPrinter:
-    """Periodic status lines: done/total, rate, ETA."""
+    """Periodic status lines: comparisons done/total, rate in multiply-adds
+    per second (vector_length per comparison), ETA."""
 
-    def __init__(self, label: str, interval: float, stream=None):
+    def __init__(self, label: str, interval: float, vector_length: int, stream=None):
         self.label = label
         self.interval = interval
+        self.vector_length = vector_length
         self.stream = stream if stream is not None else sys.stderr
         self._start = time.monotonic()
         self._last = float("-inf")
@@ -100,16 +102,17 @@ class ProgressPrinter:
         elapsed = max(now - self._start, 1e-9)
         pct = 100.0 * done / total if total else 100.0
         rate = done / elapsed
+        gmac_s = rate * self.vector_length / 1e9
         if finished:
             line = (
                 f"[{self.label}] {done:,}/{total:,} (100.0%) "
-                f"done in {elapsed:.1f}s ({rate / 1e6:.1f}M cmp/s)"
+                f"done in {elapsed:.1f}s ({gmac_s:.2f} GMAC/s)"
             )
         else:
             remaining = (total - done) / rate if rate > 0 else 0.0
             line = (
                 f"[{self.label}] {done:,}/{total:,} ({pct:.1f}%) "
-                f"{rate / 1e6:.1f}M cmp/s ETA {remaining:.0f}s"
+                f"{gmac_s:.2f} GMAC/s ETA {remaining:.0f}s"
             )
         print(line, file=self.stream, flush=True)
 
@@ -182,10 +185,6 @@ def _parse_remap(text: str) -> dict[float, float]:
         except ValueError:
             raise UsageError(f"--remap has a non-numeric pair {piece!r}")
     return mapping
-
-
-def _progress(args, label: str):
-    return None if args.quiet else ProgressPrinter(label, args.progress_interval)
 
 
 def _write_set(images, container, manifest_path, name: str, role: str, truth=None) -> None:
@@ -314,9 +313,12 @@ def _audit(args):
         plan.n_query, plan.n_reference, f"{plan.total_comparisons:,}",
     )
     label = "synth-vs-train" if test is None else "synth+test-vs-train"
+    progress = None if args.quiet else ProgressPrinter(
+        label, args.progress_interval, plan.vector_length
+    )
     found = max_correlations(
         synthetic, train, channel_mask=mask, k=args.k, mode=mode, test=test,
-        block_budget_mib=args.block_budget_mib, progress=_progress(args, label),
+        block_budget_mib=args.block_budget_mib, progress=progress,
     )
     if test is None:
         return plan, found, None, None, sample_ids

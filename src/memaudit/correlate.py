@@ -10,9 +10,9 @@ its own `read_rows` into the engine's float64 buffers: in-memory sets
 The query rows and, given one, the test rows (an audit's synthetic and
 held-out sets) are read and standardized once into one resident matrix.
 Two searches then share one loop over ascending blocks of columns, with
-one dgemm per block merged into each row's carried top-k: only values
-(clamped to [-1, 1]) at or above its k-th best are gathered, and ties go
-to the ascending reference id. The first reads the reference once, in
+one GEMM per block merged into each row's carried top-k: only values
+(clamped to [-1, 1]) at or above its k-th best are kept, and ties go to
+the ascending reference id. The first reads the reference once, in
 blocks of rows sized by the block budget, standardized in place in one
 reused buffer; the second takes the test rows from the resident matrix
 in blocks of as many columns. So memory is the resident rows plus one
@@ -20,11 +20,23 @@ block and its temporaries, whatever the reference's size. Every row
 range read (the resident rows, each reference block) is split into
 contiguous ranges, one per CPU this process may run on, which are read
 and standardized on a thread pool: zlib, file reads and numpy's loops
-release the GIL. The dgemm and the merge run on the calling thread only
+release the GIL. The GEMM and the merge run on the calling thread only
 after every range is done, so the BLAS library's own threads never share
-the CPUs with the pool. Results are bit-identical for identical inputs,
+the CPUs with the pool.
+
+Rows of more than SCREEN_MAX_LENGTH values (images of paper size) take a
+dgemm of the float64 rows, and a value is its tile entry. Shorter rows
+(embeddings, small images) take the float32 screen: the resident matrix
+is cast to float32 once and each block as it comes, and an sgemm gives
+each pair's value within a rigorous band (see _tile). The merge keeps
+the entries within that band of a query's carried k-th best (and of the
+block's own k-th best), and only those are valued exactly: the pairwise
+float64 sum of the two standardized rows' products (_dots), ranked and
+cut as above. Screened values do not depend on the block budget or the
+BLAS library's threads. Results are bit-identical for identical inputs,
 block budget, BLAS thread count and CPU count (a row standardizes to the
-same bits in any range); across block budgets they agree within 1e-6.
+same bits in any range); across block budgets they agree within 1e-6 on
+the dgemm path and bit for bit on the screened one.
 
 `brute_force_correlations` is the deliberately naive oracle: per-pair
 scalar Pearson with no shared standardization, used to verify the
@@ -38,6 +50,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -54,6 +67,8 @@ from .errors import InvalidArgumentError, UndefinedCorrelationError
 DEFAULT_BLOCK_BUDGET_MIB = 32.0
 DEFAULT_K = 5
 BRUTE_FORCE_LIMIT = 10_000_000
+SCREEN_MAX_LENGTH = 1024  # rows no longer than this take the float32 screen
+_DOT_VALUES = 1 << 15  # products per chunk of _dots: two 256 KiB buffers
 
 ProgressFn = Callable[[int, int], None]  # (comparisons done, total)
 
@@ -124,11 +139,17 @@ def plan_audit(
 
     Queries and test rows stay resident (block_query = n_query + n_test).
     References stream in blocks of block_reference rows, as many as fit
-    the budget with their per-block temporaries: per row, the float64 row
-    itself (8*N bytes) and, per resident row, 17 bytes: a float64 tile
-    entry, a one-byte pass mask and 8 for the merge's partition chunks.
-    Outside the budget are the resident rows and the readers' scratch:
-    one payload (or chunk) buffer per worker thread of a file-backed set.
+    the budget with their per-block temporaries. Rows of at most
+    SCREEN_MAX_LENGTH values (the float32 screen) hold, per row, the
+    float64 row and its float32 copy (12*N bytes) and, per resident row,
+    13 bytes: a float32 tile entry, a one-byte pass mask and 8 for the
+    merge's chunks (partitions and the exactly valued entries). Longer
+    rows hold the float64 row (8*N bytes) and, per resident row, 17
+    bytes: a float64 tile entry, the mask and the chunks. Outside the
+    budget are the resident rows (and their float32 copy when screened),
+    the exact valuation's two 256 KiB row buffers and the readers'
+    scratch: one payload (or chunk) buffer per worker thread of a
+    file-backed set.
     """
     if min(n_query, n_reference, n_test) < 0:
         raise InvalidArgumentError("counts must be non-negative")
@@ -137,7 +158,10 @@ def plan_audit(
     if block_budget_mib <= 0:
         raise InvalidArgumentError("block budget must be positive")
     resident = n_query + n_test
-    row_bytes = 8 * vector_length + 17 * resident
+    if vector_length <= SCREEN_MAX_LENGTH:
+        row_bytes = 12 * vector_length + 13 * resident
+    else:
+        row_bytes = 8 * vector_length + 17 * resident
     block = int(block_budget_mib * (1 << 20) // row_bytes)
     total = n_query * n_reference
     return ComparisonPlan(
@@ -164,38 +188,68 @@ def _tie_ranks(ids: Sequence[str]) -> np.ndarray:
     return rank
 
 
-def _merge_block(best_v, best_r, tile, ranks, k):
+def _screen_floor(t, band, dtype):
+    """The least tile entry, of dtype, whose value can clip to at least
+    clip(t) when every entry lies within band of its value: t (at most 1)
+    less band, rounded down; -inf where t is -1 or below, which every
+    value clips to."""
+    lo = np.where(t > -1.0, np.minimum(t, 1.0) - band, -np.inf)
+    floor = lo.astype(dtype)
+    up = floor > lo
+    floor[up] = np.nextafter(floor[up], -np.inf)
+    return floor
+
+
+def _first_k(q, v, r, k):
+    """Positions of the k smallest (-v, r) entries of each row q (entries
+    grouped by ascending q), in that order within each row."""
+    order = np.lexsort((r, -v, q))
+    q = q[order]
+    return order[np.arange(q.size) - np.searchsorted(q, q) < k]
+
+
+def _merge_block(best_v, best_r, ranks, k, tile, band=0.0, exact=None):
     """Merge a block's raw tile (query rows x valid block columns, one rank
     per column) into the carried top-k, by value clipped to [-1, 1]
-    descending, then rank ascending. Only values at or above a row's
-    carried k-th best can enter it. Rows where more than k pass raise it
-    to the block's own k-th largest (np.partition, in chunks of rows), and
-    ties at it are cut to the lowest ranks: at most k values per row stay.
+    descending, then rank ascending. A pair's value is exact(rows,
+    columns), and its tile entry lies within band of it; with no exact,
+    the values are the tile's own entries (band 0). Only entries within
+    band below a row's carried k-th best can enter it. Rows where more
+    than k pass are also cut below the block's own k-th largest entry
+    less twice band (np.partition, in chunks of rows), since the block's
+    k-th best value lies within band of it. Every threshold is rounded
+    down to the tile's dtype. The entries left are valued, and ties at a
+    row's k-th best are cut to the lowest ranks, so at most k values per
+    row reach the final sort.
     """
     nq, m = tile.shape
     kept = best_v.shape[1]
     thr = best_v[:, -1] if kept == k else np.full(nq, -1.0)
-    # clip(x) >= t is x >= t for a clipped t above -1; at -1 every x passes
-    passed = tile >= np.where(thr > -1.0, thr, -np.inf)[:, None]
+    lo = _screen_floor(thr, band, tile.dtype)
+    passed = tile >= lo[:, None]
     busy = np.flatnonzero(passed.sum(axis=1, dtype=np.int32) > k)
+    cand_v = np.hstack([best_v, np.full((nq, k), -np.inf)])
+    cand_r = np.hstack([best_r, np.zeros((nq, k), dtype=np.int64)])
+
+    def enter(hit_q, hit_c, cut):  # hit_q ascending
+        v = np.clip(tile[hit_q, hit_c] if exact is None else exact(hit_q, hit_c), -1.0, 1.0)
+        if cut:
+            first = _first_k(hit_q, v, ranks[hit_c], k)
+            hit_q, hit_c, v = hit_q[first], hit_c[first], v[first]
+        slot = kept + np.arange(hit_q.size) - np.searchsorted(hit_q, hit_q)
+        cand_v[hit_q, slot] = v
+        cand_r[hit_q, slot] = ranks[hit_c]
+
     step = min(64, max(1, nq // 8))  # chunk copies stay within the budget's 8 bytes per query
     for c0 in range(0, busy.size, step):
         rows = busy[c0 : c0 + step]
-        sub = np.clip(tile[rows], -1.0, 1.0)
-        kth = np.partition(sub, m - k, axis=1)[:, [m - k]]
-        keep = sub >= kth
-        tied = np.flatnonzero(keep.sum(axis=1, dtype=np.int32) > k)
-        if tied.size:  # keep the k smallest keys: values above kth, then ties by rank
-            key = np.where(keep[tied], ranks, np.iinfo(np.int64).max)
-            key[sub[tied] > kth[tied]] = -1
-            keep[tied] = key <= np.partition(key, k - 1, axis=1)[:, k - 1, None]
-        passed[rows] = keep
-    hit_q, hit_c = np.divmod(np.flatnonzero(passed), m)
-    slot = kept + np.arange(hit_q.size) - np.searchsorted(hit_q, hit_q)
-    cand_v = np.hstack([best_v, np.full((nq, k), -np.inf)])
-    cand_r = np.hstack([best_r, np.zeros((nq, k), dtype=np.int64)])
-    cand_v[hit_q, slot] = np.clip(tile[hit_q, hit_c], -1.0, 1.0)
-    cand_r[hit_q, slot] = ranks[hit_c]
+        sub = tile[rows]
+        kth = np.partition(sub, m - k, axis=1)[:, m - k].astype(np.float64)
+        cut = np.maximum(lo[rows], _screen_floor(kth - band, band, tile.dtype))
+        hit_q, hit_c = np.divmod(np.flatnonzero(sub >= cut[:, None]), m)
+        enter(rows[hit_q], hit_c, True)
+        passed[rows] = False
+    enter(*np.divmod(np.flatnonzero(passed), m), False)
     order = np.lexsort((cand_r, -cand_v), axis=1)[:, : min(k, kept + m)]
     return np.take_along_axis(cand_v, order, axis=1), np.take_along_axis(cand_r, order, axis=1)
 
@@ -224,21 +278,65 @@ def _matches(query_ids, query_valid, best_v, best_r, reference_ids, ranks, skipp
     ]
 
 
-def _search(queries, n, step, block, k, progress, done, total):
+def _dots(a, b, ia, ib):
+    """a[ia[j]] . b[ib[j]] for every j, each the pairwise sum of its
+    products in row order (np.multiply(...).sum(axis=1)), so a pair's
+    value does not depend on which pairs are valued with it (einsum sums
+    a lone row another way). Pairs go in chunks of at most _DOT_VALUES
+    products, through two buffers reused from chunk to chunk (fresh pages
+    for every chunk cost more than the arithmetic)."""
+    out = np.empty(ia.size)
+    step = max(1, min(ia.size, _DOT_VALUES // a.shape[1]))
+    rows_a, rows_b = np.empty((2, step, a.shape[1]))
+    for j in range(0, ia.size, step):
+        n = min(step, ia.size - j)
+        x, y = rows_a[:n], rows_b[:n]
+        np.take(a, ia[j : j + n], axis=0, out=x, mode="clip")  # "raise" copies to a fresh buffer
+        np.take(b, ib[j : j + n], axis=0, out=y, mode="clip")
+        out[j : j + n] = np.multiply(x, y, out=x).sum(axis=1)
+    return out
+
+
+def _tile(queries, screen, rows, cast):
+    """A block's tile, with _merge_block's band and exact for it. Without
+    screen, a dgemm of the float64 rows, valued by its own entries (band
+    0). With screen (the queries in float32), an sgemm against the rows
+    cast into cast, valued by the float64 rows' _dots. For rows of norm 1
+    and length K, the two casts and a float32 sum in any order put an
+    entry within gamma(K + 2) of the exact product, where gamma(n) =
+    n*u / (1 - n*u) and u = 2**-24 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, (3.5) and Lemma 3.3). band is gamma(K +
+    3): the one more u covers the rows' norms and the float64 values' own
+    rounding, both below 1e-12 at K <= SCREEN_MAX_LENGTH."""
+    if screen is None:
+        return queries @ rows.T, 0.0, None
+    rows32 = cast[: len(rows)]
+    np.copyto(rows32, rows)
+    units = (rows.shape[1] + 3) * 2.0**-24
+    band = units / (1.0 - units)
+    return screen @ rows32.T, band, partial(_dots, queries, rows)
+
+
+def _search(queries, screen, n, step, block, k, progress, done, total):
     """Top-k of every row of queries against n columns, merged block by
     block in ascending order (deterministic merges): block(c0, c1) gives
     the valid standardized rows among columns c0..c1-1 and their ranks.
-    Progress counts done plus the comparisons made so far. Returns the
-    merged (value, rank) arrays and the number of valid columns."""
+    screen is the queries' float32 copy, for the screened tile, or None
+    (see _tile). Progress counts done plus the comparisons made so far.
+    Returns the merged (value, rank) arrays and the number of valid
+    columns."""
     best_v = np.empty((len(queries), 0), dtype=np.float64)
     best_r = np.empty((len(queries), 0), dtype=np.int64)
+    cast = None if screen is None else np.empty((step, queries.shape[1]), dtype=np.float32)
     n_valid = 0
     for c0 in range(0, n, step):
         c1 = min(c0 + step, n)
         rows, ranks = block(c0, c1)
         n_valid += len(rows)
         if len(queries) and len(rows):
-            best_v, best_r = _merge_block(best_v, best_r, queries @ rows.T, ranks, k)
+            best_v, best_r = _merge_block(  # the tile dies with the merge: one at a time
+                best_v, best_r, ranks, k, *_tile(queries, screen, rows, cast)
+            )
         if progress is not None:
             progress(done + len(queries) * c1, total)
     return best_v, best_r, n_valid
@@ -367,6 +465,7 @@ def max_correlations(
         q_all, q_valid = read([(s, 0, len(s)) for _, s in sets], q_all)
         q_mat = _valid_rows(q_all, q_valid)
         nq = q_mat.shape[0]
+        q32 = q_mat.astype(np.float32) if plan.vector_length <= SCREEN_MAX_LENGTH else None
         ns = int(q_valid[:n].sum())  # q_mat: valid query rows, then valid test rows
         total = nq * nr + (0 if test is None else ns * (nq - ns))
 
@@ -378,7 +477,7 @@ def max_correlations(
             return _valid_rows(values, valid), ranks[r0:r1][valid]
 
         best_v, best_r, n_valid = _search(
-            q_mat, nr, plan.block_reference, reference_block, k, progress, 0, total
+            q_mat, q32, nr, plan.block_reference, reference_block, k, progress, 0, total
         )
     found = _matches(
         [i for _, s in sets for i in s.ids], q_valid, best_v, best_r, reference_ids, ranks,
@@ -390,7 +489,7 @@ def max_correlations(
     test_ranks = _tie_ranks(test.ids)
     valid_ranks = test_ranks[q_valid[n:]]
     best_v, best_r, n_valid = _search(  # the test rows, sliced from the resident matrix
-        q_mat[:ns], nq - ns, plan.block_reference,
+        q_mat[:ns], None if q32 is None else q32[:ns], nq - ns, plan.block_reference,
         lambda c0, c1: (q_mat[ns + c0 : ns + c1], valid_ranks[c0:c1]),
         k, progress, nq * nr, total,
     )

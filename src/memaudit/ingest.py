@@ -64,19 +64,27 @@ def atomic_write(path, data: Union[bytes, Iterable[bytes]]) -> None:
     """Write ``data`` (bytes-like, or an iterable of bytes-like chunks
     written in order) via a temp file in the same directory + rename, so
     no partial file can exist under ``path``; the temp file is removed on
-    failure, including one raised while the chunks are produced."""
+    failure, including one raised while the chunks are produced. An OS
+    error in creating, writing or renaming the temp file names ``path``,
+    the file asked for; one of another file (say, a chunk producer's
+    read) keeps its own name."""
     path = Path(path)
     chunks = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                for chunk in chunks:
+                    handle.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        if exc.errno is None or exc.filename not in (None, str(tmp)):
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import zlib
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -312,6 +314,36 @@ class TestUnreadableManifestRefused:
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.ivc", "in.mf", "run#2"]
 
 
+class TestOutputInMissingDirectory:
+    """An output path in a missing directory exits 3 with a message that
+    names the path as typed, not the temp file written first, and leaves
+    no temp file."""
+
+    def _refused(self, tmp_path, capsys, monkeypatch, command, argv, typed):
+        monkeypatch.chdir(tmp_path)
+        assert run([command, *argv, "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"memaudit {command}: [Errno 2] No such file or directory: '{typed}'\n"
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+    def test_plant_truth(self, tmp_path, capsys, monkeypatch, train_manifest):
+        argv = ["--train", str(train_manifest), "--n", "4", "--seed", "1",
+                "--out", "p.ivc", "--truth", "nodir/t.json"]
+        self._refused(tmp_path, capsys, monkeypatch, "plant", argv, "nodir/t.json")
+
+    def test_preprocess_manifest(self, tmp_path, capsys, monkeypatch):
+        write_ivc([image(np.arange(16.0).reshape(4, 4), id="a")], tmp_path / "in.ivc")
+        (tmp_path / "in.mf").write_text("role = train\nin.ivc\n", "utf-8")
+        argv = ["--manifest", "in.mf", "--out-container", "q.ivc", "--out-manifest", "nodir/q.mf"]
+        self._refused(tmp_path, capsys, monkeypatch, "preprocess", argv, "nodir/q.mf")
+
+    def test_audit_report(self, tmp_path, capsys, monkeypatch, train_manifest):
+        synth_mf, _ = plant_set(tmp_path, train_manifest, seed=18, n=4)
+        argv = ["--train", str(train_manifest), "--synthetic", str(synth_mf),
+                "--rule", "fixed:0.99", "--out", "nodir/r.json"]
+        self._refused(tmp_path, capsys, monkeypatch, "audit", argv, "nodir/r.json")
+
+
 class TestPreprocessCommand:
     def test_volume_pipeline(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -497,26 +529,40 @@ class TestMetricsCommand:
 class TestProgressPrinter:
     def test_half_done_line(self):
         stream = io.StringIO()
-        printer = ProgressPrinter("audit", interval=0.0, stream=stream)
+        printer = ProgressPrinter("audit", interval=0.0, vector_length=512, stream=stream)
         printer(11_739_000, 23_478_000)
         assert "(50.0%)" in stream.getvalue()
 
     def test_zero_length_run_single_completion_line(self):
         stream = io.StringIO()
-        printer = ProgressPrinter("audit", interval=10.0, stream=stream)
+        printer = ProgressPrinter("audit", interval=10.0, vector_length=512, stream=stream)
         printer(0, 0)
         lines = [l for l in stream.getvalue().splitlines() if l]
         assert len(lines) == 1 and "100.0%" in lines[0]
 
     def test_final_line_printed_once(self):
         stream = io.StringIO()
-        printer = ProgressPrinter("audit", interval=100.0, stream=stream)
+        printer = ProgressPrinter("audit", interval=100.0, vector_length=512, stream=stream)
         printer(10, 100)   # first line always prints
         printer(50, 100)   # suppressed: interval not reached
         printer(100, 100)  # final line always prints
         printer(100, 100)  # not duplicated
         lines = [l for l in stream.getvalue().splitlines() if l]
         assert len(lines) == 2 and "done" in lines[1]
+
+    def test_rate_in_multiply_adds_at_paper_length(self, monkeypatch):
+        # 512,000 comparisons of N = 262,144 values in 4 s: 33.55 GMAC/s,
+        # where comparisons per second read 0.1M
+        clock = iter([100.0, 102.0, 104.0])
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        stream = io.StringIO()
+        printer = ProgressPrinter("audit", interval=0.0, vector_length=262_144, stream=stream)
+        printer(256_000, 512_000)
+        printer(512_000, 512_000)
+        half, done = stream.getvalue().splitlines()
+        assert half == "[audit] 256,000/512,000 (50.0%) 33.55 GMAC/s ETA 2s"
+        assert done == "[audit] 512,000/512,000 (100.0%) done in 4.0s (33.55 GMAC/s)"
+        assert float(re.search(r"\(([0-9.]+) GMAC/s\)$", done).group(1)) > 0
 
     def test_quiet_suppresses_status(self, tmp_path, train_manifest, capsys):
         synth_mf, _ = plant_set(tmp_path, train_manifest, seed=16)
@@ -1415,3 +1461,44 @@ def test_audit_identical_across_blas_threads(tmp_path):
                 for name in ("report.json", "matches.json", "baseline.json")
             }
         assert outputs[budget, "1"] == outputs[budget, "2"], budget
+
+
+def test_embedding_audit_identical_across_budgets_and_blas_threads(tmp_path):
+    """A screened (float32 sgemm, then exact values) embedding audit writes
+    the same bytes at every block budget and at 1 and 2 BLAS threads: a
+    reported value is the float64 pairwise dot of its two rows. Only the
+    plan's block_reference differs between budgets."""
+    rng = np.random.default_rng(9800)
+    dim = 512
+    train = rng.normal(size=(400, dim)).astype(np.float32)
+    train[200:240] = train[:40] * np.float32(2.0) ** rng.integers(-3, 4, (40, 1))  # exact ties
+    synth = rng.normal(size=(60, dim)).astype(np.float32)
+    synth[:10] = train[rng.choice(400, 10, replace=False)]
+    synth[10:20] = train[rng.choice(400, 10, replace=False)] + 0.3 * rng.normal(size=(10, dim))
+    test = rng.normal(size=(60, dim)).astype(np.float32)
+    for name, role, rows in (("train", "train", train), ("synth", "synthetic", synth),
+                             ("test", "test", test)):
+        ids = tuple(f"{name}{i:03d}" for i in rng.permutation(len(rows)))
+        write_embeddings(EmbeddingSet(ids, dim, rows), tmp_path / f"{name}.emb")
+        write_manifest(tmp_path / f"{name}.mf", name, role, [f"{name}.emb"])
+    env = dict(os.environ, PYTHONPATH=str(Path(memaudit.__file__).parents[1]))
+    outputs, blocks = {}, set()
+    for budget in ("0.05", "1", "32", "512"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"{budget}-{threads}"
+            out.mkdir()
+            audit = subprocess.run([
+                sys.executable, "-m", "memaudit.cli", "audit",
+                "--train", str(tmp_path / "train.mf"), "--synthetic", str(tmp_path / "synth.mf"),
+                "--test", str(tmp_path / "test.mf"), "--block-budget-mib", budget,
+                "--out", str(out / "report.json"), "--matches-out", str(out / "matches.json"),
+                "--quiet",
+            ], env=dict(env, OPENBLAS_NUM_THREADS=threads), timeout=300)
+            assert audit.returncode == 1  # the copies are flagged
+            blocks.add(json.loads((out / "report.json").read_text())["plan"]["block_reference"])
+            outputs[budget, threads] = [
+                re.sub(rb'"block_reference": \d+', b"", (out / name).read_bytes())
+                for name in ("report.json", "matches.json")
+            ]
+    assert len(blocks) == 3  # 6-row, 136-row and whole-set blocks
+    assert len(set(map(tuple, outputs.values()))) == 1

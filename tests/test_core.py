@@ -13,6 +13,7 @@ from memaudit.core import (
     Dataset,
     ImageRecord,
     VolumeRecord,
+    copy_channels,
     default_channel_mask,
     pearson,
     resolve_channel_mask,
@@ -107,6 +108,24 @@ class TestChannelMask:
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidArgumentError):
             resolve_channel_mask([0, 3], 3)
+
+
+class TestCopyChannels:
+    @pytest.mark.parametrize("channels", [
+        (0, 1, 2, 3), (1, 2), (4,), (0, 1, 2, 3, 4), (0, 2), (1, 3, 4), (3, 1),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_rows_equal_the_per_channel_copy(self, channels, dtype):
+        rng = np.random.default_rng(7)
+        flats = [
+            (rng.normal(size=5 * 6 * 7) * 100).astype(dtype) if dtype == np.float32
+            else rng.integers(0, 256, 5 * 6 * 7).astype(dtype)
+            for _ in range(3)
+        ]
+        out = np.full((3, len(channels), 42), np.nan)
+        copy_channels(flats, out, channels)
+        want = np.stack([flat.reshape(5, 42)[list(channels)].astype(np.float64) for flat in flats])
+        assert out.tobytes() == want.tobytes()
 
 
 class TestStandardize:

@@ -1,3 +1,4 @@
+import math
 import threading
 import time
 from dataclasses import replace
@@ -9,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from memaudit import correlate
 from memaudit.core import Dataset, ImageRecord, pearson
+from memaudit.core import standardize_rows
 from memaudit.correlate import (
+    SCREEN_MAX_LENGTH,
     _merge_block,
+    _screen_floor,
     brute_force_correlations,
     max_correlations,
     plan_audit,
@@ -45,16 +49,16 @@ class TestPlanAudit:
         assert plan.estimated_multiply_adds == 10 * 20 * 1024
 
     def test_blocks_fit_budget(self):
-        # All queries stay resident; a reference block (8 bytes per value)
-        # plus its tile, partition indices and tie mask (17 bytes per
-        # query per row) fits the budget, and one more row would not.
+        # All queries stay resident; a reference block plus its tile,
+        # partition chunks and pass mask (_row_bytes per row) fits the
+        # budget, and one more row would not.
         budget = 32 * (1 << 20)
         for nq in (1, 64, 2000, 100_000):
-            for n in (64, 1024, 65536, 262144):
+            for n in (64, SCREEN_MAX_LENGTH, SCREEN_MAX_LENGTH + 1, 4096, 65536, 262144):
                 plan = plan_audit(nq, 1_000_000, n, block_budget_mib=32.0)
                 assert plan.block_query == nq
                 b = plan.block_reference
-                row_bytes = 8 * n + 17 * nq
+                row_bytes = _row_bytes(nq, n)
                 assert b == 1 or b * row_bytes <= budget
                 assert (b + 1) * row_bytes > budget
         assert plan_audit(5, 3, 64).block_reference == 3  # never past the set
@@ -92,6 +96,17 @@ class TestPlanAudit:
     def test_refused(self, call, message):
         with pytest.raises(InvalidArgumentError, match=message):
             call()
+
+
+def _row_bytes(resident, length):
+    """plan_audit's bytes per reference row: rows of at most
+    SCREEN_MAX_LENGTH values (the float32 screen) hold a float64 row and
+    its float32 copy, and per resident row a float32 tile entry, a pass
+    mask byte and 8 bytes of chunks; longer rows hold the float64 row,
+    and a float64 tile entry, the mask and the chunks."""
+    if length <= SCREEN_MAX_LENGTH:
+        return 12 * length + 13 * resident
+    return 8 * length + 17 * resident
 
 
 def dataset_of(arrays, name="ds", role="train", prefix="r"):
@@ -235,7 +250,7 @@ class TestMaxCorrelations:
         r = Dataset("r", "train", tuple(imgs))
         q = random_dataset(3, (1, 5, 5), 46, role="synthetic", name="q")
         whole = max_correlations(q, r, k=9)
-        two_rows = 2 * (8 * 25 + 17 * 3) / (1 << 20)  # budget of 2-row blocks
+        two_rows = 2 * _row_bytes(3, 25) / (1 << 20)  # budget of 2-row blocks
         blocked = max_correlations(q, r, k=9, block_budget_mib=two_rows)
         for a, b in zip(whole, blocked):
             assert a.skipped_invalid == b.skipped_invalid == 3
@@ -430,7 +445,7 @@ def _ids_and_values(matches):
 def _budgets(n_query, dim, k):
     """Block budgets whose reference blocks are narrower than k, wider
     than k, and the whole reference."""
-    row_bytes = 8 * dim + 17 * n_query
+    row_bytes = _row_bytes(n_query, dim)
     budgets = [(rows + 0.5) * row_bytes / (1 << 20) for rows in (max(1, k // 2), 3 * k)]
     assert [plan_audit(n_query, 10**6, dim, b).block_reference for b in budgets] == [
         max(1, k // 2), 3 * k,
@@ -593,7 +608,7 @@ class TestStreamingEngine:
                 best_r = np.empty((4, 0), dtype=np.int64)
                 for c0 in range(0, 30, width):
                     best_v, best_r = _merge_block(
-                        best_v, best_r, tile[:, c0 : c0 + width].copy(), ranks[c0 : c0 + width], k
+                        best_v, best_r, ranks[c0 : c0 + width], k, tile[:, c0 : c0 + width].copy()
                     )
                 assert np.array_equal(best_r, ranks[order])
                 assert np.array_equal(best_v, np.take_along_axis(clipped, order, axis=1))
@@ -620,7 +635,7 @@ class TestStreamingEngine:
     def test_test_keyword_equals_separate_calls(self, kind, mode):
         synth, test, ref, engine = _audit_sets(kind, mode)
         k, n_resident = 4, len(synth) + len(test)
-        row_bytes = 8 * 72 + 17 * n_resident
+        row_bytes = _row_bytes(n_resident, 72)
         narrow = [(rows + 0.5) * row_bytes / (1 << 20) for rows in (1, 3)]
         assert [plan_audit(n_resident, len(ref), 72, b).block_reference for b in narrow] == [1, 3]
         # test blocks of 1 and 3 columns (narrower than k), and of 40 (wider than the test set)
@@ -645,15 +660,15 @@ class TestStreamingEngine:
 
     def test_test_blocks_no_wider_than_reference_blocks(self, monkeypatch):
         synth, test, ref, engine = _audit_sets("embeddings", "pearson")
-        row_bytes = 8 * 72 + 17 * (len(synth) + len(test))
+        row_bytes = _row_bytes(len(synth) + len(test), 72)
         budget = 2.5 * row_bytes / (1 << 20)
         block = plan_audit(len(synth) + len(test), len(ref), 72, budget).block_reference
         assert block == 2
         widths = []
 
-        def merge(best_v, best_r, tile, ranks, k):
+        def merge(best_v, best_r, ranks, k, tile, band, exact):
             widths.append(tile.shape)
-            return _merge_block(best_v, best_r, tile, ranks, k)
+            return _merge_block(best_v, best_r, ranks, k, tile, band, exact)
 
         monkeypatch.setattr(correlate, "_merge_block", merge)
         engine(synth, ref, k=3, block_budget_mib=budget, test=test)
@@ -708,6 +723,118 @@ class TestStreamingEngine:
             assert got == max_correlations(ref, q, k=2, block_budget_mib=budget)
 
 
+def _exact_dots(queries, refs, mode):
+    """Every (query, reference) value of float32 rows as the screened
+    engine reports it: the pairwise sum of the products of the rows
+    standardize_rows makes, clipped to [-1, 1]."""
+    q, r = (standardize_rows(np.asarray(x, np.float64)[:, None], mode)[0] for x in (queries, refs))
+    return np.clip([[np.multiply(a, b).sum() for b in r] for a in q], -1.0, 1.0)
+
+
+class TestFloat32Screen:
+    """Rows of at most SCREEN_MAX_LENGTH values are screened by an sgemm
+    and the entries that can still enter a top-k are valued exactly."""
+
+    def test_near_ties_the_sgemm_misorders(self):
+        # 20 near-copies of each of 3 queries (correlations within 1.1e-9 of
+        # each other, near 1 - 5e-9) at the longest screened length:
+        # float32 products rank them wrongly, the engine must not
+        k, length = 5, SCREEN_MAX_LENGTH
+        side = math.isqrt(length)
+        assert side * side == length
+        rng = np.random.default_rng(116)
+        base = rng.normal(size=(3, length))
+        queries = base.astype(np.float32)
+        refs = np.concatenate([b + 1e-4 * rng.normal(size=(20, length)) for b in base])
+        refs = refs.astype(np.float32)
+        ids = [f"n{i:02d}" for i in rng.permutation(len(refs))]
+        q = Dataset("q", "synthetic", tuple(
+            ImageRecord(f"q{i}", 1, side, side, row) for i, row in enumerate(queries)
+        ))
+        r = Dataset("r", "train", tuple(
+            ImageRecord(i, 1, side, side, row) for i, row in zip(ids, refs)
+        ))
+        exact = _exact_dots(queries, refs, "concat")
+        oracle = brute_force_correlations(q, r)
+        std = [standardize_rows(x.astype(np.float64)[:, None], "concat")[0] for x in (queries, refs)]
+        sgemm = std[0].astype(np.float32) @ std[1].astype(np.float32).T
+
+        def top(values, i):
+            return sorted(range(len(ids)), key=lambda j: (-values[i, j], ids[j]))[:k]
+
+        for i in range(3):
+            assert top(oracle, i) == top(exact, i)
+            assert set(top(sgemm, i)) != set(top(exact, i))  # a true top-k member drops out
+        for budget in (0.05, 0.5, 32.0):
+            got = max_correlations(q, r, k=k, block_budget_mib=budget)
+            for i, match in enumerate(got):
+                assert list(match.matches) == [(ids[j], exact[i, j]) for j in top(exact, i)]
+
+    def test_screened_up_to_the_length_limit(self, monkeypatch):
+        merges = []
+
+        def merge(best_v, best_r, ranks, k, tile, band=0.0, exact=None):
+            merges.append((tile.dtype, band, exact is None))
+            return _merge_block(best_v, best_r, ranks, k, tile, band, exact)
+
+        monkeypatch.setattr(correlate, "_merge_block", merge)
+        rng = np.random.default_rng(117)
+        for dim in (SCREEN_MAX_LENGTH, SCREEN_MAX_LENGTH + 1):
+            merges.clear()
+            ref = EmbeddingSet(tuple(f"r{i}" for i in range(6)), dim,
+                               rng.normal(size=(6, dim)).astype(np.float32))
+            query = EmbeddingSet(("a", "b"), dim, rng.normal(size=(2, dim)).astype(np.float32))
+            got = max_correlations(query, ref, k=3)
+            want = _exact_dots(query.rows, ref.rows, "pearson")
+            for i, match in enumerate(got):
+                values = sorted(want[i], reverse=True)[:3]
+                assert [v for _, v in match.matches] == pytest.approx(values, abs=1e-12)
+            if dim == SCREEN_MAX_LENGTH:
+                units = (dim + 3) * 2.0**-24
+                assert merges == [(np.float32, units / (1 - units), False)]
+            else:
+                assert merges == [(np.float64, 0.0, True)]
+
+    def test_identical_rows_put_k_values_per_row_in_the_final_sort(self, monkeypatch):
+        # 25,000 identical rows, ids shuffled against row order: every
+        # float32 entry ties, so every entry is valued, and the tie cut
+        # after valuing leaves k per row for the final sort in every block
+        k, dim, n = 5, 16, 25_000
+        row = np.arange(dim, dtype=np.float32) % 5
+        ids = tuple(f"d{i:05d}" for i in np.random.default_rng(118).permutation(n))
+        ref = EmbeddingSet(ids, dim, np.tile(row, (n, 1)))
+        query = EmbeddingSet(("p", "q"), dim, np.stack([row, row[::-1]]))
+        lexsort, widths = np.lexsort, []
+
+        def final_sort(keys, axis=-1):
+            if axis == 1:
+                widths.append(keys[0].shape)
+            return lexsort(keys, axis=axis)
+
+        monkeypatch.setattr(np, "lexsort", final_sort)
+        values = _exact_dots(query.rows, row[None], "pearson")[:, 0]
+        for budget in (0.5, 32.0):
+            widths.clear()
+            got = max_correlations(query, ref, k=k, block_budget_mib=budget)
+            for match, value in zip(got, values):
+                assert list(match.matches) == [(f"d{i:05d}", value) for i in range(k)]
+            blocks = -(-n // plan_audit(2, n, dim, budget).block_reference)
+            assert widths == [(2, k)] + [(2, 2 * k)] * (blocks - 1)
+
+    def test_threshold_rounds_down_to_float32(self):
+        rng = np.random.default_rng(119)
+        t = np.concatenate([rng.uniform(-1, 1, 10_000), [-1.0, -0.5, 0.75, 1.0, 1.5]])
+        band = 3e-6
+        floor = _screen_floor(t, band, np.dtype(np.float32))
+        lo = np.minimum(t, 1.0) - band
+        live = t > -1.0
+        assert floor.dtype == np.float32
+        assert np.all(floor[live] <= lo[live])  # never above the float64 threshold
+        assert np.all(np.nextafter(floor[live], np.float32(np.inf)) > lo[live])  # the largest such
+        assert np.all(floor[~live] == -np.inf)
+        assert np.array_equal(_screen_floor(t, 0.0, np.dtype(np.float64))[live], np.minimum(t, 1.0)[live])
+
+
 class TestReadWorkers:
     """Every range the engine reads is split into contiguous ranges, one
     per worker thread (the count forced through the private
@@ -718,7 +845,7 @@ class TestReadWorkers:
         q = random_dataset(7, (2, 6, 6), 121, role="synthetic", name="q")
         t = random_dataset(5, (2, 6, 6), 122, role="test", name="t")
         r = random_dataset(10, (2, 6, 6), 123, name="r")
-        budget = 4.5 * (8 * 72 + 17 * 12) / (1 << 20)  # train blocks of 4, 4 and 2 rows
+        budget = 4.5 * _row_bytes(12, 72) / (1 << 20)  # train blocks of 4, 4 and 2 rows
         main, lock = threading.get_ident(), threading.Lock()
         read_rows, valid_rows, merge = Dataset.read_rows, correlate._valid_rows, _merge_block
         reads, active = [], [0]
