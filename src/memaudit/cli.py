@@ -266,9 +266,9 @@ class _Picked:
     def __len__(self) -> int:
         return len(self._picks)
 
-    def read_rows(self, i0: int, i1: int, out, *channels) -> None:
+    def read_rows(self, i0: int, i1: int, out, channels) -> None:
         for row, i in zip(out, self._picks[i0:i1]):
-            self._rows.read_rows(i, i + 1, row[None], *channels)
+            self._rows.read_rows(i, i + 1, row[None], channels)
 
 
 def _audit(args):
@@ -292,12 +292,9 @@ def _audit(args):
             )
     open_set = open_embedding_set if embeddings else open_dataset
     train = open_set(manifest)
-    if embeddings:
-        mask, mode, row_length = None, args.metric, train.dim
-    else:
-        c, h, w = train.shape
-        mask = _channel_mask("--channels", channels, c)
-        mode, row_length = args.channel_mode, len(mask) * h * w
+    mask = None if embeddings else _channel_mask("--channels", channels, train.shape[0])
+    mode = args.metric or args.channel_mode  # the other kind's is None
+    row_length = (len(mask) if mask else 1) * math.prod(train.shape[1:])
     synthetic = open_set(args.synthetic)
     sample_ids = None
     if args.sample is not None and args.sample < len(synthetic):

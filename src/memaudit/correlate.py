@@ -1,10 +1,11 @@
 """All-pairs correlation engine: every query row against every reference
 row, keeping the top-k per query.
 
-`max_correlations` is its one entry point. Images (their selected
-channels) and embeddings are both row matrices once standardized by
-`core.standardize_rows`, so they take one path. Every set is read by
-its own `read_rows` into the engine's float64 buffers: in-memory sets
+`max_correlations` is its one entry point. Every set is a row source:
+a `shape`, (C, H, W) for images or (1, dim) for embeddings (one-channel
+rows), and `read_rows(i0, i1, out, channels)` into the engine's float64
+buffers. So both kinds take one path, standardized by
+`core.standardize_rows`; the kind only names the modes. In-memory sets
 (`Dataset`, `EmbeddingSet`) copy their rows, file-backed ones
 (`ingest.open_dataset`, `ingest.open_embedding_set`) read their files.
 The query rows and, given one, the test rows (an audit's synthetic and
@@ -155,8 +156,8 @@ def plan_audit(
         raise InvalidArgumentError("counts must be non-negative")
     if vector_length < 1:
         raise InvalidArgumentError("vector_length must be positive")
-    if block_budget_mib <= 0:
-        raise InvalidArgumentError("block budget must be positive")
+    if not 0 < block_budget_mib < math.inf:  # NaN too
+        raise InvalidArgumentError("block budget must be positive and finite")
     resident = n_query + n_test
     if vector_length <= SCREEN_MAX_LENGTH:
         row_bytes = 12 * vector_length + 13 * resident
@@ -350,16 +351,15 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _read_standardized(pool, workers, parts, out, read_args, mode):
+def _read_standardized(pool, workers, parts, out, channels, mode):
     """Read the rows of parts, (set, i0, i1) ranges laid end to end, into
-    out (rows of the sets' row shape) and standardize them in place by
-    mode. The rows are split into contiguous ranges, at most workers and
-    one row each at least; the first is done on this thread and the
-    others on pool. Every range has finished when this returns or raises,
-    and a failure raised is that of the lowest failing range, so of the
-    lowest-index bad row. Returns standardize_rows' (values, valid) for
-    all of out."""
-    n, length = len(out), out.shape[-1]
+    out (n, len(channels), L) and standardize them in place by mode. The
+    rows are split into contiguous ranges, at most workers and one row
+    each at least; the first is done on this thread and the others on
+    pool. Every range has finished when this returns or raises, and a
+    failure raised is that of the lowest failing range, so of the
+    lowest-index bad row. Returns standardize_rows' valid for out."""
+    n = len(out)
     w = max(1, min(workers, n))
     bounds = [n * j // w for j in range(w + 1)]
 
@@ -368,9 +368,9 @@ def _read_standardized(pool, workers, parts, out, read_args, mode):
         for rows, i0, i1 in parts:
             lo, hi = max(a, pos), min(b, pos + i1 - i0)
             if lo < hi:
-                rows.read_rows(i0 + lo - pos, i0 + hi - pos, out[lo:hi], *read_args)
+                rows.read_rows(i0 + lo - pos, i0 + hi - pos, out[lo:hi], channels)
             pos += i1 - i0
-        return standardize_rows(out[a:b].reshape(b - a, -1, length), mode)[1]
+        return standardize_rows(out[a:b], mode)[1]
 
     rest = [pool.submit(work, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
     try:
@@ -378,11 +378,14 @@ def _read_standardized(pool, workers, parts, out, read_args, mode):
     finally:
         wait(rest)
     valid += [f.result() for f in rest]
-    return out.reshape(n, -1), np.concatenate(valid)
+    return np.concatenate(valid)
 
 
-def _kind(rows) -> str:
-    return "embeddings" if hasattr(rows, "dim") else "images"
+# By the rank of a set's shape: what it holds, its modes (default first), their name
+_KINDS = {
+    3: ("images", CHANNEL_MODES, "channel mode"),
+    2: ("embeddings", ("pearson", "cosine"), "embedding metric"),
+}
 
 
 def max_correlations(
@@ -401,11 +404,12 @@ def max_correlations(
 
     query, reference and test are all image sets (Dataset, or DatasetFile
     from open_dataset) or all embedding sets (EmbeddingSet, or
-    EmbeddingSetFile from open_embedding_set). Images correlate their
-    channel_mask channels by mode "concat" (default: one Pearson over all
-    of them) or "mean" (of per-channel correlations). Embeddings take no
-    channel_mask, and mode "pearson" (default) or "cosine" (the dot
-    product of L2-normalized rows). Given a test set, it is searched
+    EmbeddingSetFile from open_embedding_set), and the non-empty ones have
+    one shape. Images correlate their channel_mask channels by mode
+    "concat" (default: one Pearson over all of them) or "mean" (of
+    per-channel correlations). Embeddings take no channel_mask, and mode
+    "pearson" (default) or "cosine" (the dot product of L2-normalized
+    rows); an empty query has no matches. Given a test set, it is searched
     against the reference in the same pass, and the query is then
     searched against it too: the result is (query_vs_reference,
     test_vs_reference, query_vs_test), and every set is read once. Agrees
@@ -417,52 +421,40 @@ def max_correlations(
         raise InvalidArgumentError("k must be at least 1")
     if len(reference) == 0:
         raise InvalidArgumentError("reference dataset is empty")
-    kind = _kind(reference)
+    kind, modes, what = _KINDS[len(reference.shape)]
     sets = [("query", query)] + ([] if test is None else [("test", test)])
     for name, s in sets:
-        if _kind(s) != kind:
+        if len(s) and s.shape != reference.shape:
+            held = _KINDS[len(s.shape)][0]
             raise InvalidArgumentError(
-                f"kind mismatch: {name} holds {_kind(s)} but reference holds {kind}"
+                f"{'dimension' if held == kind else 'kind'} mismatch: {name} {held} {s.shape} "
+                f"vs reference {kind} {reference.shape}"
             )
-    if kind == "embeddings":
-        for name, s in sets:
-            if s.dim != reference.dim:
-                raise InvalidArgumentError(
-                    f"dimension mismatch: {name} dim {s.dim} vs reference {reference.dim}"
-                )
-        if channel_mask is not None:
-            raise InvalidArgumentError("channel_mask applies to images only")
-        modes, what = ("pearson", "cosine"), "embedding metric"
-        row_shape, read_args = (reference.dim,), ()
-    else:
-        for name, s in sets:
-            if len(s) and s.shape != reference.shape:
-                raise InvalidArgumentError(
-                    f"dimension mismatch: {name} {s.shape} vs reference {reference.shape}"
-                )
-        c, h, w = reference.shape
-        mask = list(resolve_channel_mask(channel_mask, c))
-        modes, what = CHANNEL_MODES, "channel mode"
-        row_shape, read_args = (len(mask), h * w), (mask,)
+    if kind == "embeddings" and channel_mask is not None:
+        raise InvalidArgumentError("channel_mask applies to images only")
     mode = modes[0] if mode is None else mode
     if mode not in modes:
         raise InvalidArgumentError(f"unknown {what} {mode!r}")
+    mask = resolve_channel_mask(channel_mask, reference.shape[0])
+    row_shape = (len(mask), math.prod(reference.shape[1:]))
     reference_ids, n = reference.ids, len(query)
     nr, workers = len(reference_ids), _worker_count()
     plan = plan_audit(n, nr, math.prod(row_shape), block_budget_mib, len(test or ()))
+    if n == 0 and test is None:
+        return []
 
-    # Every set is read by its own read_rows(i0, i1, out, *read_args) into
-    # float64 rows of row_shape, whose segments (channels, or one for an
-    # embedding) standardize_rows takes. Query and test are standardized
-    # once into one resident matrix; references are read block by block.
-    # Each range read is split among the worker threads of one pool.
+    # Every set is read by its own read_rows(i0, i1, out, mask) into float64
+    # rows of row_shape, which the GEMM sees as plan.vector_length values.
+    # Query and test are standardized once into one resident matrix, and
+    # references block by block; each read is split among one pool's threads.
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # threads start on first use
 
         def read(parts, out):
-            return _read_standardized(pool, workers, parts, out, read_args, mode)
+            rows = out.reshape(len(out), *row_shape)
+            return _read_standardized(pool, workers, parts, rows, mask, mode)
 
-        q_all = np.empty((sum(len(s) for _, s in sets), *row_shape), dtype=np.float64)
-        q_all, q_valid = read([(s, 0, len(s)) for _, s in sets], q_all)
+        q_all = np.empty((sum(len(s) for _, s in sets), plan.vector_length), dtype=np.float64)
+        q_valid = read([(s, 0, len(s)) for _, s in sets], q_all)
         q_mat = _valid_rows(q_all, q_valid)
         nq = q_mat.shape[0]
         q32 = q_mat.astype(np.float32) if plan.vector_length <= SCREEN_MAX_LENGTH else None
@@ -470,11 +462,11 @@ def max_correlations(
         total = nq * nr + (0 if test is None else ns * (nq - ns))
 
         ranks = _tie_ranks(reference_ids)
-        buffer = np.empty((plan.block_reference, *row_shape), dtype=np.float64)
+        buffer = np.empty((plan.block_reference, plan.vector_length), dtype=np.float64)
 
         def reference_block(r0, r1):
-            values, valid = read([(reference, r0, r1)], buffer[: r1 - r0])
-            return _valid_rows(values, valid), ranks[r0:r1][valid]
+            valid = read([(reference, r0, r1)], buffer[: r1 - r0])
+            return _valid_rows(buffer[: r1 - r0], valid), ranks[r0:r1][valid]
 
         best_v, best_r, n_valid = _search(
             q_mat, q32, nr, plan.block_reference, reference_block, k, progress, 0, total

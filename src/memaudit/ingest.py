@@ -27,6 +27,9 @@ payload reader, `_entry_values`. A manifest's set has one reader, the
 `read_rows` of its `open_dataset` / `open_embedding_set` handle;
 `load_dataset` / `load_embedding_set` are that plus a read of every row,
 and `read_embeddings` is `load_embedding_set` of a one-file manifest.
+Every set, in memory or file-backed, has a `shape`, (C, H, W) for images
+or (1, dim) for embeddings, and `read_rows(i0, i1, out, channels)`, which
+fills out (i1 - i0, len(channels), H*W or dim) with rows i0..i1-1.
 Every writer goes through `atomic_write`, so an output file is either its
 previous version or the complete new one, never a prefix.
 """
@@ -421,7 +424,8 @@ def write_ivc(records: Sequence[Union[ImageRecord, VolumeRecord]], path) -> None
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """Externally produced feature vectors (or class-probability rows)."""
+    """Externally produced feature vectors (or class-probability rows),
+    each a one-channel row: shape is (1, dim)."""
 
     ids: tuple[str, ...]
     dim: int
@@ -431,26 +435,31 @@ class EmbeddingSet:
         if self.dim < 1:
             raise InvalidArgumentError("embedding dim must be positive")
         object.__setattr__(self, "ids", tuple(self.ids))
-        rows = np.asarray(self.rows, dtype=np.float32).reshape(-1, self.dim)
+        rows, n = np.asarray(self.rows, dtype=np.float32), len(self.ids)
+        if rows.size != n * self.dim:
+            raise InvalidArgumentError(
+                f"rows hold {rows.size} values; {n} ids of dim {self.dim} need {n * self.dim}"
+            )
+        rows = rows.reshape(n, self.dim)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        if rows.shape[0] != len(self.ids):
-            raise InvalidArgumentError(
-                f"{rows.shape[0]} rows but {len(self.ids)} ids"
-            )
-        if rows.shape[0] == 0:
+        if n == 0:
             raise EmptyInputError("embedding set must be non-empty")
         if not np.isfinite(rows).all():
             raise InvalidArgumentError("embedding rows must be finite")
-        if len(set(self.ids)) != len(self.ids):
+        if len(set(self.ids)) != n:
             raise InvalidArgumentError("duplicate embedding ids")
 
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    def read_rows(self, i0: int, i1: int, out: np.ndarray) -> None:
-        """Rows i0..i1-1 into out, shape (i1 - i0, dim)."""
-        out[...] = self.rows[i0:i1]
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (1, self.dim)
+
+    def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
+        """Rows i0..i1-1 into out, shape (i1 - i0, len(channels) = 1, dim)."""
+        out[:] = self.rows[i0:i1, None]
 
 
 def _emb_header(cur: _Cursor) -> tuple[int, int]:
@@ -673,8 +682,8 @@ def load_dataset(manifest: Union[Manifest, str, Path]) -> Dataset:
 def load_embedding_set(manifest: Union[Manifest, str, Path]) -> EmbeddingSet:
     """Load a manifest of EMB1 files as one EmbeddingSet (open + read all)."""
     emb = open_embedding_set(manifest)
-    rows = np.empty((len(emb), emb.dim), dtype=np.float32)
-    emb.read_rows(0, len(emb), rows)
+    rows = np.empty((len(emb), 1, emb.dim), dtype=np.float32)
+    emb.read_rows(0, len(emb), rows, (0,))
     return EmbeddingSet(emb.ids, emb.dim, rows)
 
 
@@ -757,14 +766,15 @@ class EmbeddingSetFile:
         _check_members(manifest.name, members, "embedding")
         self.ids = tuple(m[1] for m in members)
         self.dim: int = members[0][2][0]
+        self.shape = (1, self.dim)
         self._step = max(1, _READ_CHUNK_BYTES // (4 * self.dim))  # rows per chunk
         self._chunk = _ThreadBuffer(4 * self.dim * min(self._step, len(self.ids)))
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def read_rows(self, i0: int, i1: int, out: np.ndarray) -> None:
-        """Rows i0..i1-1 into out, shape (i1 - i0, dim)."""
+    def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
+        """Rows i0..i1-1 into out, shape (i1 - i0, len(channels) = 1, dim)."""
         dim, step = self.dim, self._step
         for file, first, n in self._files:
             lo, hi = max(i0, first), min(i1, first + n)
@@ -778,7 +788,7 @@ class EmbeddingSetFile:
                     values = np.frombuffer(payload, dtype="<f4")
                     if not np.isfinite(values).all():
                         raise FormatError(f"{file}: non-finite embedding values")
-                    out[r0 - i0 : r1 - i0] = values.reshape(-1, dim)
+                    out[r0 - i0 : r1 - i0] = values.reshape(r1 - r0, 1, dim)
 
 
 def open_dataset(manifest: Union[Manifest, str, Path]) -> DatasetFile:

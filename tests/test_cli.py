@@ -839,10 +839,10 @@ class TestSampleReadsPicked:
         rows, entries = Counter(), Counter()
         read_rows, ivc_values = handle.read_rows, ingest._entry_values
 
-        def counted_rows(self, i0, i1, out, *channels):
+        def counted_rows(self, i0, i1, out, channels):
             if self.role == "synthetic":
                 rows.update(range(i0, i1))
-            return read_rows(self, i0, i1, out, *channels)
+            return read_rows(self, i0, i1, out, channels)
 
         def counted_values(cur, entry, into):
             if cur.path.name == "synth.ivc":

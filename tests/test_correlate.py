@@ -86,13 +86,16 @@ class TestPlanAudit:
 
     @pytest.mark.parametrize("call, message", [
         (lambda: plan_audit(3, 5, 0), "^vector_length must be positive$"),
-        (lambda: plan_audit(3, 5, 10, 0.0), "^block budget must be positive$"),
-        (lambda: plan_audit(3, 5, 10, -1.0), "^block budget must be positive$"),
+        (lambda: plan_audit(3, 5, 10, 0.0), "^block budget must be positive and finite$"),
+        (lambda: plan_audit(3, 5, 10, -1.0), "^block budget must be positive and finite$"),
+        (lambda: plan_audit(2, 2, 4, math.inf), "^block budget must be positive and finite$"),
+        (lambda: plan_audit(2, 2, 4, math.nan), "^block budget must be positive and finite$"),
         (
             lambda: replace(plan_audit(3, 5, 10), estimated_multiply_adds=149),
             r"^estimated_multiply_adds must be total_comparisons \* vector_length$",
         ),
-    ], ids=["vector-length", "zero-budget", "negative-budget", "multiply-adds"])
+    ], ids=["vector-length", "zero-budget", "negative-budget", "infinite-budget", "nan-budget",
+            "multiply-adds"])
     def test_refused(self, call, message):
         with pytest.raises(InvalidArgumentError, match=message):
             call()
@@ -329,6 +332,23 @@ class TestMaxCorrelations:
         q = random_dataset(2, (1, 4, 4), 93, role="synthetic")
         with pytest.raises(InvalidArgumentError, match="empty"):
             max_correlations(q, Dataset("r", "train", ()))
+
+    def test_empty_query_has_no_matches(self):
+        """An empty query, allowed by Dataset, finds nothing; with a test
+        set, the test rows are still searched."""
+        q = Dataset("e", "synthetic", ())
+        r = random_dataset(4, (1, 2, 2), 97)
+        t = random_dataset(3, (1, 2, 2), 98, role="test", name="t")
+        assert max_correlations(q, r) == []
+        query_vs_r, test_vs_r, query_vs_t = max_correlations(q, r, k=2, test=t)
+        assert query_vs_r == [] and query_vs_t == []
+        assert test_vs_r == max_correlations(t, r, k=2)
+
+    @pytest.mark.parametrize("budget", [math.inf, math.nan, -math.inf])
+    def test_non_finite_budget_refused(self, budget):
+        q = random_dataset(2, (1, 2, 2), 99, role="synthetic")
+        with pytest.raises(InvalidArgumentError, match="^block budget must be positive and finite$"):
+            max_correlations(q, q, block_budget_mib=budget)
 
     def test_progress_reports_monotone_and_complete(self):
         q = random_dataset(7, (1, 6, 6), 94, role="synthetic", name="q")

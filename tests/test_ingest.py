@@ -633,12 +633,12 @@ class TestFileBackedSets:
         monkeypatch.setattr(ingest, "_READ_CHUNK_BYTES", 3 * 4 * 6)  # 3 rows per read
         handle = open_embedding_set(tmp_path / "e.mf")
         assert handle.ids == load_embedding_set(tmp_path / "e.mf").ids
-        assert (handle.dim, len(handle)) == (6, 50)
-        out, in_memory = np.empty((2, 33, 6))
-        handle.read_rows(5, 38, out)
-        load_embedding_set(tmp_path / "e.mf").read_rows(5, 38, in_memory)
-        np.testing.assert_array_equal(out, rows[5:38])
-        np.testing.assert_array_equal(in_memory, rows[5:38])
+        assert (handle.dim, handle.shape, len(handle)) == (6, (1, 6), 50)
+        out, in_memory = np.empty((2, 33, 1, 6))
+        handle.read_rows(5, 38, out, (0,))
+        load_embedding_set(tmp_path / "e.mf").read_rows(5, 38, in_memory, (0,))
+        np.testing.assert_array_equal(out[:, 0], rows[5:38])
+        np.testing.assert_array_equal(in_memory[:, 0], rows[5:38])
 
     def test_concurrent_reads_of_disjoint_ranges(self, tmp_path, monkeypatch):
         """Threads reading disjoint ranges of one handle at once get the
@@ -666,17 +666,17 @@ class TestFileBackedSets:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # threads trade the GIL often
         try:
-            self._read_at_once(buffers, images, (2, 4096), ((2, 0),))
-            self._read_at_once(buffers, embeddings, (4096,), ())
+            self._read_at_once(buffers, images, (2, 0))
+            self._read_at_once(buffers, embeddings, (0,))
         finally:
             sys.setswitchinterval(switch)
 
     @staticmethod
-    def _read_at_once(buffers, handle, row_shape, args):
+    def _read_at_once(buffers, handle, channels):
         """4 threads read a quarter of handle's rows each, at once, 20
         times over."""
-        serial = np.empty((len(handle), *row_shape))
-        handle.read_rows(0, len(handle), serial, *args)
+        serial = np.empty((len(handle), len(channels), 4096))
+        handle.read_rows(0, len(handle), serial, channels)
         bounds = np.linspace(0, len(handle), 5).astype(int)
         for _ in range(20):
             out, errors = np.full_like(serial, np.nan), []
@@ -686,7 +686,7 @@ class TestFileBackedSets:
             def read(i0, i1):
                 try:
                     start.wait()
-                    handle.read_rows(i0, i1, out[i0:i1], *args)
+                    handle.read_rows(i0, i1, out[i0:i1], channels)
                 except Exception as exc:  # a thread's own exception is not raised here
                     errors.append(exc)
 
@@ -945,7 +945,7 @@ class TestRefusals:
             assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("ids, rows, error, message", [
-        (("a",), np.zeros((2, 2)), InvalidArgumentError, "^2 rows but 1 ids$"),
+        (("a",), np.zeros((2, 2)), InvalidArgumentError, "^rows hold 4 values; 1 ids of dim 2 need 2$"),
         ((), np.zeros((0, 2)), EmptyInputError, "^embedding set must be non-empty$"),
         (("a", "b"), [[0.0], [np.nan]], InvalidArgumentError, "^embedding rows must be finite$"),
         (("a", "a"), np.zeros((2, 1)), InvalidArgumentError, "^duplicate embedding ids$"),
@@ -953,6 +953,20 @@ class TestRefusals:
     def test_embedding_set(self, ids, rows, error, message):
         with pytest.raises(error, match=message):
             EmbeddingSet(ids, np.shape(rows)[1], rows)
+
+    @pytest.mark.parametrize("ids, dim, rows, message", [
+        (("a",), 3, np.zeros(4), "^rows hold 4 values; 1 ids of dim 3 need 3$"),
+        (("a", "b"), 3, np.zeros((2, 6)), "^rows hold 12 values; 2 ids of dim 3 need 6$"),
+        (("a", "b"), 3, np.zeros((2, 1, 3)), None),
+        (("a", "b"), 3, np.zeros(6), None),
+    ], ids=["not-a-multiple-of-dim", "rows-of-another-dim", "one-channel-rows", "flat"])
+    def test_embedding_set_size(self, ids, dim, rows, message):
+        """rows must hold len(ids) * dim values, in any shape."""
+        if message is None:
+            assert EmbeddingSet(ids, dim, rows).rows.shape == (len(ids), dim)
+        else:
+            with pytest.raises(InvalidArgumentError, match=message):
+                EmbeddingSet(ids, dim, rows)
 
     # (the files of a manifest "m" of role train, the loader, its message)
     MANIFESTS = {
