@@ -20,12 +20,13 @@ from pathlib import Path
 from typing import Optional
 
 from ._rng import SplitMix64
-from .core import VolumeRecord, resolve_channel_mask
+from .core import VolumeRecord, pool_map, resolve_channel_mask
 from .correlate import DEFAULT_BLOCK_BUDGET_MIB, DEFAULT_K, max_correlations, plan_audit
 from .errors import InvalidArgumentError, MemauditError
 from .harness import PlantConfig, plant, save_ground_truth
 from .ingest import (
     atomic_write,
+    check_writable,
     load_dataset,
     load_manifest,
     load_records,
@@ -190,7 +191,8 @@ def _parse_remap(text: str) -> dict[float, float]:
 def _write_set(images, container, manifest_path, name: str, role: str, truth=None) -> None:
     """Write images to an IVC1 container, then truth (a GroundTruth and
     its path) if given, then a manifest naming the container. The manifest
-    is checked first, so a refused one leaves no file behind."""
+    is checked first, so a refused one leaves no file behind; the commands
+    check_writable every path before their work."""
     manifest_path = Path(manifest_path)
     fields = dict(name=name, role=role, files=[os.path.relpath(container, manifest_path.parent)])
     render_manifest(**fields)
@@ -214,6 +216,8 @@ def _cmd_preprocess(args) -> int:
     remap = _parse_remap(args.remap) if args.remap else None
     rescale_channels = _parse_channels(args.rescale_channels, "--rescale-channels")
     remap_channels = _parse_channels(args.remap_channels, "--remap-channels")
+    for path in (args.out_container, args.out_manifest):
+        check_writable(path)
     manifest = load_manifest(args.manifest)
     records = load_records(manifest)
     counts = sorted({rec.channels for rec in records})
@@ -409,7 +413,8 @@ def _cmd_metrics(args) -> int:
     ):
         if paths:
             a, b = _paired_images(paths, loaded)
-            values = [{"a": x.id, "b": y.id, field: score(x, y)} for x, y in zip(a, b)]
+            scores = pool_map(lambda pair: score(*pair), zip(a, b))  # one pair per task
+            values = [{"a": x.id, "b": y.id, field: v} for x, y, v in zip(a, b, scores)]
             result[key] = {"pairs": values, "mean": sum(v[field] for v in values) / len(values)}
     if args.fid:
         real, synth = (read_embeddings(p) for p in args.fid)
@@ -439,8 +444,10 @@ def _cmd_plant(args) -> int:
         )
     except InvalidArgumentError as exc:  # each flag is in range, so their sum is over 1
         raise UsageError(f"--p-copy + --p-noisy + --p-shift: {exc}") from None
-    dataset, truth = plant(load_dataset(args.train), config)
     manifest_path = args.out_manifest or Path(args.out).with_suffix(".mf")
+    for path in (args.out, args.truth, manifest_path):
+        check_writable(path)
+    dataset, truth = plant(load_dataset(args.train), config)
     _write_set(list(dataset.images), args.out, manifest_path, dataset.name, "synthetic",
                (truth, args.truth))
     counts = truth.kind_counts()

@@ -15,8 +15,10 @@ channels of a and b (the engine's standardization).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +29,27 @@ from .errors import InvalidArgumentError, UndefinedCorrelationError
 VARIANCE_FLOOR = 1e-12
 
 CHANNEL_MODES = ("concat", "mean")
+
+
+def worker_count() -> int:
+    """CPUs this process may run on: the worker threads of every pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def pool_map(fn: Callable, items: Iterable) -> list:
+    """[fn(item) for item in items], on a pool of worker_count() threads,
+    in order; with one worker, on this thread. Each result depends on its
+    item alone, so the list is the same at any CPU count. fn must not call
+    BLAS on products big enough to start the library's own threads (see
+    metrics.BAND_PRODUCT_MACS), so the pool never runs beside them."""
+    workers = worker_count()
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _check_record(record, kind: str, field: str) -> None:

@@ -48,7 +48,6 @@ abused.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
@@ -56,6 +55,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     CHANNEL_MODES,
     Dataset,
@@ -343,14 +343,6 @@ def _search(queries, screen, n, step, block, k, progress, done, total):
     return best_v, best_r, n_valid
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on: the read side's worker threads."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _read_standardized(pool, workers, parts, out, channels, mode):
     """Read the rows of parts, (set, i0, i1) ranges laid end to end, into
     out (n, len(channels), L) and standardize them in place by mode. The
@@ -438,7 +430,7 @@ def max_correlations(
     mask = resolve_channel_mask(channel_mask, reference.shape[0])
     row_shape = (len(mask), math.prod(reference.shape[1:]))
     reference_ids, n = reference.ids, len(query)
-    nr, workers = len(reference_ids), _worker_count()
+    nr, workers = len(reference_ids), core.worker_count()
     plan = plan_audit(n, nr, math.prod(row_shape), block_budget_mib, len(test or ()))
     if n == 0 and test is None:
         return []

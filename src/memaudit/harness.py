@@ -8,6 +8,10 @@ and score precision/recall against the planted ground truth.
 All randomness comes from the documented splitmix64 stream in `_rng`;
 image i uses the derived stream seed mix64(run seed) XOR i, so outputs
 are bit-identical for a given config regardless of generation order.
+So the images of `generate_train_set` and the outputs of `plant` are
+made on a pool of one thread per CPU this process may run on
+(`core.pool_map`) and collected in order: every set and ground truth is
+the same at any CPU count. Each worker holds one image in flight.
 The ground truth (ids, kinds, sources) comes from integer draws only and
 is the same on any host; the pixels of noisy and fresh images come from
 normals, whose last bits depend on numpy's SIMD dispatch and libm.
@@ -17,9 +21,11 @@ and silently plant duplicates. Fresh images are
 zero-padded separable Gaussian blurs (sigma 8 px, radius 24) of white
 noise, moment-matched per channel to the training set: unsmoothed noise
 would be trivially uncorrelated with everything and make baselines
-uninformative. The blur is `metrics.gaussian_filter`, two BLAS products
-with a 49-tap band matrix per axis, applied to all channels of an image
-in one call.
+uninformative. The blur is `metrics.gaussian_filter`, products with a
+49-tap band matrix along each axis, applied to all channels of an image
+in one call. Each product is small enough that the BLAS library runs it
+on the calling worker (metrics.BAND_PRODUCT_MACS), so the pool never
+runs beside the library's own threads.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import SplitMix64, mix64
-from .core import Dataset, ImageRecord
+from .core import Dataset, ImageRecord, pool_map
 from .errors import InvalidArgumentError
 from .ingest import atomic_write
 from .metrics import gaussian_filter, gaussian_kernel
@@ -128,14 +134,19 @@ def _smooth_fields(rng: SplitMix64, channels: int, height: int, width: int) -> n
 
 
 def _channel_moments(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean/std over the whole training set, one pass."""
+    """Per-channel mean/std over the whole training set, one pass: each
+    image's sums on the pool, added up in image order."""
     c, h, w = train.shape
+
+    def sums(img: ImageRecord) -> tuple[np.ndarray, np.ndarray]:
+        chw = img.chw().astype(np.float64)
+        return chw.sum(axis=(1, 2)), (chw * chw).sum(axis=(1, 2))
+
     total = np.zeros(c)
     total_sq = np.zeros(c)
-    for img in train.images:
-        chw = img.chw().astype(np.float64)
-        total += chw.sum(axis=(1, 2))
-        total_sq += (chw * chw).sum(axis=(1, 2))
+    for image_sum, image_sq in pool_map(sums, train.images):
+        total += image_sum
+        total_sq += image_sq
     count = len(train) * h * w
     means = total / count
     variances = np.maximum(total_sq / count - means * means, 0.0)
@@ -195,10 +206,9 @@ def plant(train: Dataset, cfg: PlantConfig) -> tuple[Dataset, GroundTruth]:
 
     width = max(4, len(str(cfg.n_output - 1)))
     run_seed = mix64(cfg.seed)
-    images: list[ImageRecord] = []
-    entries: list[GroundTruthEntry] = []
-    for i, kind in enumerate(kinds):
-        rng = SplitMix64(run_seed ^ i)
+
+    def output(i: int) -> tuple[ImageRecord, GroundTruthEntry]:
+        kind, rng = kinds[i], SplitMix64(run_seed ^ i)
         out_id = f"synth_{i:0{width}d}"
         source_id = ""
         if kind == "fresh":
@@ -218,12 +228,12 @@ def plant(train: Dataset, cfg: PlantConfig) -> tuple[Dataset, GroundTruth]:
                 pixels = _shifted(
                     src.pixels, shape, dy * cfg.shift_pixels, dx * cfg.shift_pixels
                 ).reshape(-1)
-        images.append(
-            ImageRecord(out_id, *shape, np.asarray(pixels, dtype=np.float32))
-        )
-        entries.append(GroundTruthEntry(out_id, kind, source_id))
-    dataset = Dataset(f"planted-{cfg.seed}", "synthetic", tuple(images))
-    return dataset, GroundTruth(tuple(entries))
+        image = ImageRecord(out_id, *shape, np.asarray(pixels, dtype=np.float32))
+        return image, GroundTruthEntry(out_id, kind, source_id)
+
+    images, entries = zip(*pool_map(output, range(len(kinds))))
+    dataset = Dataset(f"planted-{cfg.seed}", "synthetic", images)
+    return dataset, GroundTruth(entries)
 
 
 def generate_train_set(
@@ -246,17 +256,16 @@ def generate_train_set(
     means = np.full(channels, TRAIN_MEAN)
     stds = np.full(channels, TRAIN_STD)
     run_seed = mix64(seed)
-    images = []
-    for i in range(n):
+
+    def image(i: int) -> ImageRecord:
         rng = SplitMix64(run_seed ^ i)
         pixels = _fresh_image(rng, (channels, height, width), means, stds)
-        images.append(
-            ImageRecord(
-                f"train_{i:05d}", channels, height, width,
-                pixels.reshape(-1).astype(np.float32),
-            )
+        return ImageRecord(
+            f"train_{i:05d}", channels, height, width,
+            pixels.reshape(-1).astype(np.float32),
         )
-    return Dataset(name, role, tuple(images))
+
+    return Dataset(name, role, pool_map(image, range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ previous version or the complete new one, never a prefix.
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 import threading
@@ -63,6 +64,27 @@ IVC_DTYPE_U8 = 0
 IVC_DTYPE_F32 = 1
 
 
+def _temp_path(path: Path) -> Path:
+    """A fresh name for the temp file that atomic_write renames to path."""
+    return path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+
+
+def check_writable(path) -> None:
+    """Raise the OSError that atomic_write(path, ...) would meet in
+    creating its temp file (say, a missing or read-only directory) or in
+    renaming it onto a directory, naming ``path`` as given, and leave no
+    file. Commands check every output this way before their work."""
+    name = os.fspath(path)
+    if os.path.isdir(name):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
+    tmp = _temp_path(Path(name))
+    try:
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, name) from exc
+    tmp.unlink()
+
+
 def atomic_write(path, data: Union[bytes, Iterable[bytes]]) -> None:
     """Write ``data`` (bytes-like, or an iterable of bytes-like chunks
     written in order) via a temp file in the same directory + rename, so
@@ -73,7 +95,7 @@ def atomic_write(path, data: Union[bytes, Iterable[bytes]]) -> None:
     read) keeps its own name."""
     path = Path(path)
     chunks = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    tmp = _temp_path(path)
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ImageRecord, check_same_shape
 from .errors import InvalidArgumentError
@@ -52,13 +53,23 @@ def gaussian_kernel(window: int, sigma: float) -> np.ndarray:
 
 # Outputs per band product. A band spans FILTER_STEP + taps - 1 inputs, so
 # it costs (FILTER_STEP + taps - 1) / taps times the multiply-adds of a
-# direct correlation, at GEMM speed. 32 was fastest among 16-128 at sides
-# 64-1024 with 11 and 49 taps (2-core x86-64, OpenBLAS). FILTER_GROUP
-# (256 KiB of float64) caps the values filtered together: 5 planes of
-# 256 x 256 in one group took 2.5 times as long per plane as one plane,
-# because the products no longer fit in cache.
-FILTER_STEP = 32
-FILTER_GROUP = 1 << 15
+# direct correlation, at GEMM speed. A product takes at most
+# BAND_PRODUCT_MACS // (FILTER_STEP * span) input rows, so it makes at most
+# BAND_PRODUCT_MACS multiply-adds, which OpenBLAS runs on the calling thread
+# (its default GEMM_MULTITHREAD_THRESHOLD, 4 x 65,536): the filter never
+# wakes the library's threads, so pools of filtering threads
+# (core.pool_map) never run beside them. With two OpenBLAS 0.3.31 threads
+# on a 2-core x86-64, a 16 x 64 by 64 x 256 product (2.6e5) ran at CPU/wall
+# 1.1 and a 32 x 80 by 80 x 256 one (6.6e5) at 2.0. Within the bound, 16
+# was as fast as 12, 24 or 32 on 5 x 256 x 256 planes at 49 taps, and 8
+# almost twice as slow. FILTER_GROUP (512 KiB of float64) caps the planes
+# filtered together, and so each group's intermediate: with 8 MiB groups a
+# 5 x 256 x 256 call freed 5 MB of temporaries, which the C allocator gave
+# back and page-faulted in again on the next call (7.4-7.9 ms a call
+# against 4.0-4.4 ms).
+FILTER_STEP = 16
+BAND_PRODUCT_MACS = 65_536 * 4
+FILTER_GROUP = 1 << 16
 
 
 def _band(kernel: np.ndarray, n_out: int) -> np.ndarray:
@@ -71,36 +82,57 @@ def _band(kernel: np.ndarray, n_out: int) -> np.ndarray:
     return rows.reshape(-1)[: n_out * n_in].reshape(n_out, n_in)
 
 
-def _correlate_rows(x: np.ndarray, band: np.ndarray, valid: bool, out=None) -> np.ndarray:
-    """Correlate every row of the 2-D array x with the kernel in ``band``,
-    returned transposed: (outputs per row, rows), in out if given (a
-    C-contiguous float64 array of that shape). Inputs outside a row are
-    zeros. Each product with the band makes up to band.shape[0] output
-    rows of the result."""
+def _correlate_rows(x: np.ndarray, band: np.ndarray, valid: bool, out: np.ndarray) -> np.ndarray:
+    """Correlate the rows of every plane of the stack x, (planes, rows,
+    inputs), with the kernel in ``band``, into out, (planes, outputs per
+    row, rows): each plane's result transposed. Inputs outside a row are
+    zeros. Every product with the band makes up to band.shape[0] outputs
+    of at most BAND_PRODUCT_MACS // band.size rows of each plane. The
+    band positions whose inputs all lie inside the rows take one product
+    call for every plane; each edge position takes its own, with the band
+    cut to the inputs inside, so no product sums a term for an outside
+    input."""
     step, span = band.shape
-    taps, n_in = span - step + 1, x.shape[1]
+    taps, (planes, n_rows, n_in), n_out = span - step + 1, x.shape, out.shape[1]
     offset = 0 if valid else taps // 2
-    n_out = n_in - taps + 1 if valid else n_in
-    out = np.empty((n_out, x.shape[0])) if out is None else out
-    for o in range(0, n_out, step):
-        m = min(step, n_out - o)
-        lo = o - offset  # input column under the band's first column
-        a, b = max(lo, 0), min(lo + m + taps - 1, n_in)
-        np.matmul(band[:m, a - lo : b - lo], x[:, a:b].T, out=out[o : o + m])
+    first = -(-offset // step) * step  # the first inner position
+    inner = max(0, min((n_in - span + offset - first) // step + 1, (n_out - first) // step))
+    if inner:
+        windows = sliding_window_view(x, span, axis=2)[:, :, first - offset :: step][:, :, :inner]
+        windows = windows.transpose(0, 2, 3, 1)  # (planes, inner, span, rows)
+        dest = out[:, first : first + inner * step].reshape(planes, inner, step, n_rows)
+    edges = [o for o in range(0, n_out, step) if not first <= o < first + inner * step]
+    chunk = max(1, BAND_PRODUCT_MACS // band.size)
+    for r in range(0, n_rows, chunk):
+        rows = slice(r, r + chunk)
+        if inner:
+            np.matmul(band, windows[..., rows], out=dest[..., rows])
+        for o in edges:
+            m = min(step, n_out - o)
+            lo = o - offset  # input column under the band's first column
+            a, b = max(lo, 0), min(lo + m + taps - 1, n_in)
+            np.matmul(
+                band[:m, a - lo : b - lo], x[:, rows, a:b].transpose(0, 2, 1),
+                out=out[:, o : o + m, rows],
+            )
     return out
 
 
 def gaussian_filter(planes, kernel: np.ndarray, valid: bool = False) -> np.ndarray:
     """Separable correlation of the last two axes of ``planes`` with
-    ``kernel``, as two BLAS products with band matrices: B_h @ P @ B_w.T.
+    ``kernel``, as BLAS products with band matrices: B_h @ P @ B_w.T.
 
     Outside the image the input is zero, and the kernel's centre is tap
     ``taps // 2``. With ``valid`` only the outputs whose window lies
     inside the image are kept, (H - taps + 1) x (W - taps + 1) of them.
-    Leading axes are any stack of planes. One band of FILTER_STEP rows,
-    built once per call, is slid along each axis; each product with it
-    covers that many outputs of a group of planes of at most
-    FILTER_GROUP values, so that a group and its products stay in cache.
+    Leading axes are any stack of planes.
+
+    One band of FILTER_STEP rows, built once per call, is slid along each
+    axis of groups of planes of at most FILTER_GROUP values (one plane at
+    least). Each product with it covers that many outputs and at most
+    BAND_PRODUCT_MACS multiply-adds, so that the BLAS library runs it on
+    the calling thread (for kernels of at most 16,369 taps, whose band
+    fits the bound on one input row).
     """
     planes = np.asarray(planes, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64).reshape(-1)
@@ -117,14 +149,9 @@ def gaussian_filter(planes, kernel: np.ndarray, valid: bool = False) -> np.ndarr
     group = max(1, FILTER_GROUP // (height * width))
     for g in range(0, len(stack), group):
         part = stack[g : g + group]
-        by_col = _correlate_rows(part.reshape(-1, width), band, valid)
-        if len(part) == 1:  # one plane's second product is its output as it is
-            _correlate_rows(by_col.reshape(-1, height), band, valid, flat_out[g])
-            continue
-        by_row = _correlate_rows(by_col.reshape(-1, height), band, valid)
-        flat_out[g : g + group] = np.moveaxis(
-            by_row.reshape(*out.shape[-2:], len(part)), -1, 0
-        )
+        by_col = np.empty((len(part), out.shape[-1], height))
+        _correlate_rows(part, band, valid, by_col)
+        _correlate_rows(by_col, band, valid, flat_out[g : g + group])
     return out
 
 

@@ -87,12 +87,12 @@ def summarize(matches: Sequence[TopKMatches], label: str) -> DistributionSummary
             f"{label}: no valid matches to summarize (all queries constant "
             "or reference empty)"
         )
-    arr = np.asarray(values, dtype=np.float64)
+    mid = len(values) // 2  # np.median's value, without its numpy.ma import
     return DistributionSummary(
         label=label,
         n=len(values),
-        mean=float(arr.mean()),
-        median=float(np.median(arr)),
+        mean=float(np.asarray(values, dtype=np.float64).mean()),
+        median=values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2,
         min=values[0],
         max=values[-1],
         percentiles={

@@ -17,6 +17,7 @@ import pytest
 
 import memaudit
 import memaudit.cli as cli
+import memaudit.core as core
 import memaudit.correlate as correlate
 import memaudit.ingest as ingest
 from memaudit._rng import SplitMix64
@@ -317,25 +318,55 @@ class TestUnreadableManifestRefused:
 class TestOutputInMissingDirectory:
     """An output path in a missing directory exits 3 with a message that
     names the path as typed, not the temp file written first, and leaves
-    no temp file."""
+    no file. `plant` and `preprocess` check every output path before the
+    harness or the preprocessing runs."""
 
     def _refused(self, tmp_path, capsys, monkeypatch, command, argv, typed):
         monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
         assert run([command, *argv, "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err == f"memaudit {command}: [Errno 2] No such file or directory: '{typed}'\n"
-        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+        assert sorted(tmp_path.rglob("*")) == before
 
-    def test_plant_truth(self, tmp_path, capsys, monkeypatch, train_manifest):
+    @staticmethod
+    def _no_work(monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} ran before its outputs were checked")
+
+        monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("flag", ["--out", "--truth", "--out-manifest"])
+    def test_plant(self, tmp_path, capsys, monkeypatch, train_manifest, flag):
+        outputs = {"--out": "p.ivc", "--truth": "t.json", "--out-manifest": "p.mf"}
+        outputs[flag] = "nodir/" + outputs[flag]
+        argv = ["--train", str(train_manifest), "--n", "4", "--seed", "1"]
+        self._no_work(monkeypatch, "plant")
+        self._refused(tmp_path, capsys, monkeypatch, "plant",
+                      argv + [x for pair in outputs.items() for x in pair], outputs[flag])
+
+    def test_plant_default_manifest(self, tmp_path, capsys, monkeypatch, train_manifest):
+        """Without --out-manifest the manifest goes next to the container."""
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "p.mf").mkdir()  # a directory where the manifest would go
         argv = ["--train", str(train_manifest), "--n", "4", "--seed", "1",
-                "--out", "p.ivc", "--truth", "nodir/t.json"]
-        self._refused(tmp_path, capsys, monkeypatch, "plant", argv, "nodir/t.json")
+                "--out", "out/p.ivc", "--truth", "t.json"]
+        self._no_work(monkeypatch, "plant")
+        monkeypatch.chdir(tmp_path)
+        assert run(["plant", *argv, "--quiet"]) == 3
+        assert capsys.readouterr().err == "memaudit plant: [Errno 21] Is a directory: 'out/p.mf'\n"
+        assert sorted(p.name for p in (tmp_path / "out").rglob("*")) == ["p.mf"]
 
-    def test_preprocess_manifest(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("flag", ["--out-container", "--out-manifest"])
+    def test_preprocess(self, tmp_path, capsys, monkeypatch, flag):
         write_ivc([image(np.arange(16.0).reshape(4, 4), id="a")], tmp_path / "in.ivc")
         (tmp_path / "in.mf").write_text("role = train\nin.ivc\n", "utf-8")
-        argv = ["--manifest", "in.mf", "--out-container", "q.ivc", "--out-manifest", "nodir/q.mf"]
-        self._refused(tmp_path, capsys, monkeypatch, "preprocess", argv, "nodir/q.mf")
+        outputs = {"--out-container": "q.ivc", "--out-manifest": "q.mf"}
+        outputs[flag] = "nodir/" + outputs[flag]
+        self._no_work(monkeypatch, "load_records")
+        self._refused(tmp_path, capsys, monkeypatch, "preprocess",
+                      ["--manifest", "in.mf", *[x for pair in outputs.items() for x in pair]],
+                      outputs[flag])
 
     def test_audit_report(self, tmp_path, capsys, monkeypatch, train_manifest):
         synth_mf, _ = plant_set(tmp_path, train_manifest, seed=18, n=4)
@@ -524,6 +555,25 @@ class TestMetricsCommand:
         assert loads == {"synth.mf": 1, "train.mf": 1}
         result = json.loads((tmp_path / "m.json").read_text())
         assert len(result["ssim"]["pairs"]) == len(result["mutual_information"]["pairs"]) == 30
+
+    def test_json_identical_at_one_and_three_workers(self, tmp_path, train_manifest, monkeypatch):
+        """SSIM and MI pairs are scored on a pool of core.worker_count()
+        threads and collected in order: the same bytes at any count."""
+        synth_mf, _ = plant_set(tmp_path, train_manifest, seed=5, n=30, p_copy=0.2)
+        pairs = [str(synth_mf), str(train_manifest)]
+        outputs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(core, "worker_count", lambda: workers)
+            out = tmp_path / f"m{workers}.json"
+            code = run([
+                "metrics", "--ssim-pairs", *pairs, "--mi-pairs", *pairs,
+                "--out", str(out), "--quiet",
+            ])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        ssim = [v["ssim"] for v in json.loads(outputs[0])["ssim"]["pairs"]]
+        assert len(set(ssim)) > 1 and min(ssim) < 0.9
 
 
 class TestProgressPrinter:
@@ -1156,8 +1206,8 @@ def _worker_sets(tmp_path, kind):
 
 
 class TestWorkerCounts:
-    """The read side's worker count (forced through correlate's private
-    _worker_count) changes no output byte, at every block budget: 0.05 MiB
+    """The read side's worker count (forced through core.worker_count)
+    changes no output byte, at every block budget: 0.05 MiB
     makes 3-row train blocks of these images, so 1-row worker ranges."""
 
     @pytest.mark.parametrize("case", [
@@ -1173,7 +1223,7 @@ class TestWorkerCounts:
         outputs = {}
         for budget in ("0.05", "32", "512"):
             for workers in (1, 2, 3):
-                monkeypatch.setattr(correlate, "_worker_count", lambda: workers)
+                monkeypatch.setattr(core, "worker_count", lambda: workers)
                 root = tmp_path / f"{budget}-{workers}"
                 root.mkdir()
                 code = run([
@@ -1199,7 +1249,7 @@ class TestWorkerCounts:
         lower-index one is named. With 3 workers the 24 train rows are read
         as 0-7, 8-15 and 16-23 (entry 20 in the last range), with 2 as 0-11
         and 12-23."""
-        monkeypatch.setattr(correlate, "_worker_count", lambda: workers)
+        monkeypatch.setattr(core, "worker_count", lambda: workers)
         train_mf, synth_mf, test_mf = _split_train(tmp_path)
         for index in bad:
             _flip_last(tmp_path / ("t0.ivc" if index < 12 else "t1.ivc"), index % 12)
@@ -1418,6 +1468,21 @@ def test_cli_import_loads_no_scipy(tmp_path):
     temp names do not load `secrets` (nor its hmac and hashlib)."""
     _, modules = _plant_and_metrics(tmp_path, "run")
     assert modules == "[]"
+
+
+def test_audit_leaves_numpy_ma_unloaded(tmp_path, train_manifest):
+    """The report's median comes from its sorted values, not np.median,
+    whose first call imports numpy.ma (about 10 ms of every audit)."""
+    synth_mf, _ = plant_set(tmp_path, train_manifest, seed=6, n=4, p_copy=0.5)
+    child = "import sys\nfrom memaudit.cli import run\nrun(sys.argv[1:])\nprint('numpy.ma' in sys.modules)"
+    result = subprocess.run([
+        sys.executable, "-c", child, "audit", "--train", str(train_manifest),
+        "--synthetic", str(synth_mf), "--test", str(synth_mf), "--rule", "fixed:0.99",
+        "--out", str(tmp_path / "r.json"), "--quiet",
+    ], env=dict(os.environ, PYTHONPATH=str(Path(memaudit.__file__).parents[1])),
+        capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
+    assert json.loads((tmp_path / "r.json").read_text())["summaries"][0]["median"] > 0
 
 
 def test_plant_and_metrics_identical_across_blas_threads(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memaudit import correlate
+from memaudit import core, correlate
 from memaudit.core import Dataset, ImageRecord, pearson
 from memaudit.core import standardize_rows
 from memaudit.correlate import (
@@ -857,9 +857,9 @@ class TestFloat32Screen:
 
 class TestReadWorkers:
     """Every range the engine reads is split into contiguous ranges, one
-    per worker thread (the count forced through the private
-    _worker_count); the valid-row packing, GEMMs and merges run on the
-    calling thread once every range has been read."""
+    per worker thread (the count forced through core.worker_count); the
+    valid-row packing, GEMMs and merges run on the calling thread once
+    every range has been read."""
 
     def test_ranges_split_and_searched_after_reads(self, monkeypatch):
         q = random_dataset(7, (2, 6, 6), 121, role="synthetic", name="q")
@@ -892,7 +892,7 @@ class TestReadWorkers:
         monkeypatch.setattr(correlate, "_merge_block", after_reads(merge))
         results = {}
         for workers in (1, 2, 3, 5):
-            monkeypatch.setattr(correlate, "_worker_count", lambda: workers)
+            monkeypatch.setattr(core, "worker_count", lambda: workers)
             reads.clear()
             results[workers] = max_correlations(q, r, k=3, block_budget_mib=budget, test=t)
             train = sorted((i0, i1) for role, i0, i1, _ in reads if role == "train")
@@ -930,7 +930,7 @@ class TestReadWorkers:
                 with lock:
                     active[0] -= 1
 
-        monkeypatch.setattr(correlate, "_worker_count", lambda: 3)
+        monkeypatch.setattr(core, "worker_count", lambda: 3)
         monkeypatch.setattr(DatasetFile, "read_rows", slow_after_first)
         q = random_dataset(2, (1, 8, 8), 125, role="synthetic", name="q")
         with pytest.raises(FormatError, match=r"r.ivc: entry 1 \('ds_0001'\): checksum"):

@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import memaudit
+import memaudit.harness as harness
+from memaudit import core
 from memaudit.correlate import max_correlations
 from memaudit.errors import InvalidArgumentError
 from memaudit.harness import (
@@ -233,6 +236,35 @@ class TestThresholdPipeline:
         flags = flag_memorized(matches, decision.value)
         score = evaluate_detector(flags, truth, positive_kinds=("copy",))
         assert score.per_kind_recall["copy"] == 1.0
+
+
+class TestWorkerPool:
+    """generate_train_set and plant make their images on a pool of
+    core.worker_count() threads and collect them in order: the records
+    and the truth are the same at any count."""
+
+    def test_records_identical_at_one_and_three_workers(self, monkeypatch):
+        threads, fresh_image = {}, harness._fresh_image
+
+        def counted(*args):
+            threads.setdefault(core.worker_count(), set()).add(threading.get_ident())
+            return fresh_image(*args)
+
+        monkeypatch.setattr(harness, "_fresh_image", counted)
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(core, "worker_count", lambda: workers)
+            train = generate_train_set(6, 2, 40, 40, seed=1200)
+            synth, truth = plant(train, PlantConfig(
+                n_output=12, p_copy=0.25, p_noisy=0.25, p_shift=0.25, seed=1201,
+            ))
+            images = train.images + synth.images
+            runs.append(([(i.id, i.shape, i.pixels.tobytes()) for i in images], truth))
+        assert runs[0] == runs[1]
+        assert runs[0][1].kind_counts() == {"copy": 3, "noisy": 3, "shift": 3, "fresh": 3}
+        main = threading.get_ident()
+        assert threads[1] == {main}  # one worker: on the calling thread
+        assert main not in threads[3]  # three: on the pool's threads
 
 
 # numpy's AVX-512 log loop gives other last bits than its AVX2 loop, so

@@ -127,6 +127,29 @@ class TestGaussianFilter:
         monkeypatch.setattr(metrics, "FILTER_GROUP", 1)
         assert_close(gaussian_filter(planes, kernel), want)
 
+    @pytest.mark.parametrize("shape, taps, valid", [
+        ((5, 256, 256), 49, False),  # the harness's fresh images
+        ((5, 5, 64, 64), 11, True),  # SSIM's stack for a pair of 5x64x64 images
+        ((1, 1024, 1024), 49, False),
+    ], ids=["harness", "ssim", "wide-plane"])
+    def test_band_products_within_bound(self, monkeypatch, shape, taps, valid):
+        """Every band product makes at most BAND_PRODUCT_MACS multiply-adds,
+        OpenBLAS's bound for running a GEMM on the calling thread."""
+        planes = np.random.default_rng(taps).standard_normal(shape)
+        kernel = gaussian_kernel(taps, taps / 6.0)
+        want = gaussian_filter(planes, kernel, valid=valid)
+        sizes, matmul = [], np.matmul
+
+        def counted(a, b, out):
+            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(metrics.np, "matmul", counted)
+        got = gaussian_filter(planes, kernel, valid=valid)
+        assert metrics.BAND_PRODUCT_MACS <= 65_536 * 4
+        assert sizes and max(sizes) <= metrics.BAND_PRODUCT_MACS
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("planes, kernel", [
         (np.zeros(5), np.ones(3)),
         (np.zeros((5, 5)), np.ones(0)),

@@ -51,6 +51,14 @@ class TestSummarize:
                 np.percentile(values, p), abs=1e-12
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 137, 1000])
+    def test_median_equals_numpy_bit_for_bit(self, n):
+        """The median is the middle sorted value, or the mean of the two
+        middle ones for even n: np.median's value, to the bit."""
+        values = np.random.default_rng(n).uniform(-1, 1, n)
+        median = summarize(matches_from_top1(values), "np").median
+        assert np.float64(median).tobytes() == np.median(values).tobytes()
+
     def test_ordering_invariant(self):
         s = summarize(matches_from_top1([0.9, 0.1, 0.5]), "ord")
         ps = [s.percentiles[str(float(p))] for p in (1, 5, 25, 50, 75, 95, 99, 99.5)]
