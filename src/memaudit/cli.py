@@ -188,6 +188,14 @@ def _parse_remap(text: str) -> dict[float, float]:
     return mapping
 
 
+def _check_outputs(*outputs) -> None:
+    """check_writable every (flag, path) output given (path not None),
+    before the command's work, so a bad one wastes none of it."""
+    for flag, path in outputs:
+        if path is not None:
+            check_writable(path, flag)
+
+
 def _write_set(images, container, manifest_path, name: str, role: str, truth=None) -> None:
     """Write images to an IVC1 container, then truth (a GroundTruth and
     its path) if given, then a manifest naming the container. The manifest
@@ -216,8 +224,7 @@ def _cmd_preprocess(args) -> int:
     remap = _parse_remap(args.remap) if args.remap else None
     rescale_channels = _parse_channels(args.rescale_channels, "--rescale-channels")
     remap_channels = _parse_channels(args.remap_channels, "--remap-channels")
-    for path in (args.out_container, args.out_manifest):
-        check_writable(path)
+    _check_outputs(("--out-container", args.out_container), ("--out-manifest", args.out_manifest))
     manifest = load_manifest(args.manifest)
     records = load_records(manifest)
     counts = sorted({rec.channels for rec in records})
@@ -258,7 +265,8 @@ def _cmd_preprocess(args) -> int:
 
 class _Picked:
     """The picked rows of a set, read one by one through its read_rows;
-    like the set's own, disjoint ranges may be read by threads at once."""
+    like the set's own, disjoint ranges may be read by threads at once.
+    The engine reads only its reference in panels, never picked rows."""
 
     def __init__(self, rows, picks: list[int]):
         self._rows, self._picks = rows, picks
@@ -298,7 +306,8 @@ def _audit(args):
     train = open_set(manifest)
     mask = None if embeddings else _channel_mask("--channels", channels, train.shape[0])
     mode = args.metric or args.channel_mode  # the other kind's is None
-    row_length = (len(mask) if mask else 1) * math.prod(train.shape[1:])
+    segments = len(mask) if mask else 1
+    row_length = segments * math.prod(train.shape[1:])
     synthetic = open_set(args.synthetic)
     sample_ids = None
     if args.sample is not None and args.sample < len(synthetic):
@@ -307,7 +316,8 @@ def _audit(args):
         sample_ids = list(synthetic.ids)
     test = open_set(args.test) if args.test else None
     plan = plan_audit(
-        len(synthetic), len(train), row_length, args.block_budget_mib, len(test or ())
+        len(synthetic), len(train), row_length, args.block_budget_mib, len(test or ()),
+        channels=segments,
     )
     log.info(
         "audit: %d synthetic x %d train = %s comparisons",
@@ -352,6 +362,10 @@ def _cmd_audit(args) -> int:
     if args.baseline_matches_out and not args.test:
         raise UsageError("--baseline-matches-out needs --test")
     _check_baseline(args, args.test, "--test")
+    _check_outputs(
+        ("--out", args.out), ("--matches-out", args.matches_out),
+        ("--baseline-matches-out", args.baseline_matches_out),
+    )
 
     plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit(args)
     report = build_audit_report(
@@ -403,6 +417,7 @@ def _cmd_metrics(args) -> int:
         raise UsageError(
             "nothing to do: pass --ssim-pairs, --mi-pairs, --fid or --is"
         )
+    _check_outputs(("--out", args.out))
     result: dict = {}
     loaded: dict = {}
     params = SsimParams(window=args.ssim_window, sigma=args.ssim_sigma)
@@ -444,9 +459,11 @@ def _cmd_plant(args) -> int:
         )
     except InvalidArgumentError as exc:  # each flag is in range, so their sum is over 1
         raise UsageError(f"--p-copy + --p-noisy + --p-shift: {exc}") from None
-    manifest_path = args.out_manifest or Path(args.out).with_suffix(".mf")
-    for path in (args.out, args.truth, manifest_path):
-        check_writable(path)
+    _check_outputs(("--out", args.out), ("--truth", args.truth))
+    manifest_path = args.out_manifest
+    if manifest_path is None:
+        manifest_path = Path(args.out).with_suffix(".mf")
+    _check_outputs(("--out-manifest", manifest_path))
     dataset, truth = plant(load_dataset(args.train), config)
     _write_set(list(dataset.images), args.out, manifest_path, dataset.name, "synthetic",
                (truth, args.truth))
@@ -492,6 +509,7 @@ def _check_same_reference(matches_path, plan, baseline_path, baseline_plan) -> N
 
 def _cmd_report(args) -> int:
     _check_baseline(args, args.baseline, "--baseline")
+    _check_outputs(("--out", args.out))
     plan, synth_matches = _labelled_matches(args.matches, "synth-vs-train")
     baseline = None
     if args.baseline:

@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -170,10 +170,27 @@ class Dataset:
             raise InvalidArgumentError(f"dataset {self.name!r} is empty")
         return self.images[0].shape
 
+    def read_panels(
+        self, i0: int, i1: int, out: np.ndarray, panels: Sequence[Sequence[int]]
+    ) -> Iterator[None]:
+        """Images i0..i1-1 into out one panel (a sequence of channels) at a
+        time: for each panel, out (i1 - i0, len(panel), H*W) is filled with
+        those channels of each image, in order, and the generator yields.
+        The in-memory case of ingest.DatasetFile.read_panels."""
+        for panel in panels:
+            copy_channels((img.pixels for img in self.images[i0:i1]), out, panel)
+            yield
+
     def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
         """Images i0..i1-1 into out, shape (i1 - i0, len(channels), H*W):
-        the given channels of each image, in order."""
-        copy_channels((img.pixels for img in self.images[i0:i1]), out, channels)
+        the given channels of each image, in order (one panel)."""
+        exhaust(self.read_panels(i0, i1, out, [channels]))
+
+
+def exhaust(reader: Iterator) -> None:
+    """Run a panel reader to its end, where it raises any fault it found."""
+    for _ in reader:
+        pass
 
 
 def copy_channels(
@@ -245,9 +262,7 @@ def standardize_rows(
         raise InvalidArgumentError(f"unknown standardization mode {mode!r}")
     if mode != "cosine":
         parts -= parts.mean(axis=2, keepdims=True)
-    # einsum sums a lone row another way (other bits): give it a twin
-    pair = parts if parts.shape[0] * parts.shape[1] > 1 else np.concatenate([parts, parts])
-    sq = np.einsum("nsl,nsl->ns", pair, pair)[:n]
+    sq = _squares(parts)
     if mode == "cosine":
         ok = sq >= 1e-24
     else:
@@ -259,6 +274,36 @@ def standardize_rows(
     values = parts.reshape(n, segments * length)
     values[~valid] = 0.0
     return values, valid
+
+
+def _squares(parts: np.ndarray) -> np.ndarray:
+    """Sum of squares of every segment of parts (n, segments, L), by
+    einsum; einsum sums a lone row another way (other bits), so a lone
+    row gets a twin and a row's sum never depends on the rows beside it."""
+    pair = parts if parts.shape[0] * parts.shape[1] > 1 else np.concatenate([parts, parts])
+    return np.einsum("nsl,nsl->ns", pair, pair)[: parts.shape[0]]
+
+
+def standardize_panel(
+    panel: np.ndarray, mode: str, segments: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standardize one segment (channel) of a block of image rows, panel
+    (n, L), on its own and in place: the panel counterpart of
+    standardize_rows for rows read a channel at a time. Each row is
+    centered by its own mean; under "mean" it is then scaled to norm
+    1/sqrt(segments), as standardize_rows scales every segment. Returns
+    (means, squares, ok): each row's mean, its sum of squares once
+    centered, and whether its variance reaches VARIANCE_FLOOR. A row's
+    bits do not depend on the rows beside it."""
+    if mode not in CHANNEL_MODES:
+        raise InvalidArgumentError(f"unknown channel mode {mode!r}")
+    means = panel.mean(axis=1)
+    panel -= means[:, None]
+    sq = _squares(panel[:, None])[:, 0]
+    ok = sq / panel.shape[1] >= VARIANCE_FLOOR
+    if mode == "mean":
+        panel /= (np.sqrt(np.where(ok, sq, 1.0)) * math.sqrt(segments))[:, None]
+    return means, sq, ok
 
 
 def check_same_shape(a: ImageRecord, b: ImageRecord) -> None:

@@ -15,15 +15,27 @@ one GEMM per block merged into each row's carried top-k: only values
 (clamped to [-1, 1]) at or above its k-th best are kept, and ties go to
 the ascending reference id. The first reads the reference once, in
 blocks of rows sized by the block budget, standardized in place in one
-reused buffer; the second takes the test rows from the resident matrix
-in blocks of as many columns. So memory is the resident rows plus one
-block and its temporaries, whatever the reference's size. Every row
-range read (the resident rows, each reference block) is split into
-contiguous ranges, one per CPU this process may run on, which are read
-and standardized on a thread pool: zlib, file reads and numpy's loops
-release the GIL. The GEMM and the merge run on the calling thread only
-after every range is done, so the BLAS library's own threads never share
-the CPUs with the pool.
+reused buffer; the second takes the test rows from the resident matrix,
+so its blocks cost only their tile and are as wide as the budget holds
+tiles. So memory is the resident rows plus one block and its
+temporaries, whatever the reference's size. Every row range read (the
+resident rows, each reference block) is split into contiguous ranges,
+one per CPU this process may run on, which are read and standardized on
+a thread pool: zlib, file reads and numpy's loops release the GIL. The
+GEMM and the merge run on the calling thread only after every range is
+done, so the BLAS library's own threads never share the CPUs with the
+pool.
+
+Where a block of whole image rows would be narrower than the dgemm
+needs (GEMM_KNEE_COLUMNS, see plan_audit), reference blocks are read in
+panels, one masked channel at a time (read_panels), so the same budget
+holds C times as many rows. Each panel is standardized on its own
+(core.standardize_panel), and the block's tile is the sum of one dgemm
+per panel against a strided view of the queries' columns of that
+channel; under "concat" a per-channel mean correction and the row's
+norm then finish it (see _panel_blocks). The readers keep a running
+CRC-32 per entry and raise the lowest bad entry's fault after the last
+panel, before the merge.
 
 Rows of more than SCREEN_MAX_LENGTH values (images of paper size) take a
 dgemm of the float64 rows, and a value is its tile entry. Shorter rows
@@ -35,9 +47,10 @@ block's own k-th best), and only those are valued exactly: the pairwise
 float64 sum of the two standardized rows' products (_dots), ranked and
 cut as above. Screened values do not depend on the block budget or the
 BLAS library's threads. Results are bit-identical for identical inputs,
-block budget, BLAS thread count and CPU count (a row standardizes to the
-same bits in any range); across block budgets they agree within 1e-6 on
-the dgemm path and bit for bit on the screened one.
+block budget, BLAS thread count and CPU count (a row or panel
+standardizes to the same bits in any range); across block budgets they
+agree within 1e-6 on the dgemm path, with or without panels, and bit for
+bit on the screened one.
 
 `brute_force_correlations` is the deliberately naive oracle: per-pair
 scalar Pearson with no shared standardization, used to verify the
@@ -58,9 +71,11 @@ import numpy as np
 from . import core
 from .core import (
     CHANNEL_MODES,
+    VARIANCE_FLOOR,
     Dataset,
     pearson,
     resolve_channel_mask,
+    standardize_panel,
     standardize_rows,
 )
 from .errors import InvalidArgumentError, UndefinedCorrelationError
@@ -69,6 +84,13 @@ DEFAULT_BLOCK_BUDGET_MIB = 32.0
 DEFAULT_K = 5
 BRUTE_FORCE_LIMIT = 10_000_000
 SCREEN_MAX_LENGTH = 1024  # rows no longer than this take the float32 screen
+# The narrowest reference block at which the dgemm runs near its rate: 64
+# resident rows x 65,536 values ran at 2.6 GMAC/s on 15 columns, 18 on 64
+GEMM_KNEE_COLUMNS = 64
+# Block bytes per resident row and reference row, beside the rows: a float32
+# (screen) or float64 tile entry, a pass mask byte and 8 for the merge's
+# chunks; in panels, 8 more for one panel's product
+_SCREEN_ENTRY, _DGEMM_ENTRY, _PANEL_ENTRY = 13, 17, 25
 _DOT_VALUES = 1 << 15  # products per chunk of _dots: two 256 KiB buffers
 
 ProgressFn = Callable[[int, int], None]  # (comparisons done, total)
@@ -128,12 +150,32 @@ class TopKMatches:
         return self.matches[0] if self.matches else None
 
 
+def _blocking(
+    resident: int, n_reference: int, vector_length: int, channels: int, budget_mib: float
+) -> tuple[int, bool]:
+    """(rows per reference block, whether blocks are read in panels): see
+    plan_audit."""
+    budget = budget_mib * (1 << 20)
+    if vector_length <= SCREEN_MAX_LENGTH:
+        return int(budget // (12 * vector_length + _SCREEN_ENTRY * resident)), False
+    block = int(budget // (8 * vector_length + _DGEMM_ENTRY * resident))
+    if channels > 1 and block < min(n_reference, GEMM_KNEE_COLUMNS):
+        length = vector_length // channels
+        ones = 8 * length + 16 * resident  # the row of ones and its two product entries
+        panel = int((budget - ones) // (8 * length + 16 * channels + _PANEL_ENTRY * resident))
+        if panel > block:
+            return panel, True
+    return block, False
+
+
 def plan_audit(
     n_query: int,
     n_reference: int,
     vector_length: int,
     block_budget_mib: float = DEFAULT_BLOCK_BUDGET_MIB,
     n_test: int = 0,
+    *,
+    channels: int = 1,
 ) -> ComparisonPlan:
     """Exact comparison counts plus the blocking of max_correlations, which
     calls this too, so an audit report's plan is the engine's.
@@ -146,24 +188,33 @@ def plan_audit(
     13 bytes: a float32 tile entry, a one-byte pass mask and 8 for the
     merge's chunks (partitions and the exactly valued entries). Longer
     rows hold the float64 row (8*N bytes) and, per resident row, 17
-    bytes: a float64 tile entry, the mask and the chunks. Outside the
-    budget are the resident rows (and their float32 copy when screened),
-    the exact valuation's two 256 KiB row buffers and the readers'
-    scratch: one payload (or chunk) buffer per worker thread of a
-    file-backed set.
+    bytes: a float64 tile entry, the mask and the chunks.
+
+    A longer row made of channels > 1 equal channels (the masked channels
+    of an image) is read one channel, a panel, at a time when a block of
+    whole rows would hold fewer than min(n_reference,
+    GEMM_KNEE_COLUMNS) rows, and a block of panels holds more: the dgemm
+    runs far below its rate on narrower blocks. A panel row holds its
+    float64 channel (8*N/channels bytes), its channel means and sums of
+    squares (16 bytes a channel) and, per resident row, 25 bytes: the
+    accumulated tile entry, the entry of one panel's product, the mask
+    and the chunks. One more one-channel row, of ones, and its tile and
+    product entries are counted once per block. Outside the budget are
+    the resident rows (and their float32 copy when screened, or their
+    per-channel sums when in panels), the exact valuation's two 256 KiB
+    row buffers and the readers' scratch: one payload (or chunk) buffer
+    per worker thread of a file-backed set.
     """
     if min(n_query, n_reference, n_test) < 0:
         raise InvalidArgumentError("counts must be non-negative")
     if vector_length < 1:
         raise InvalidArgumentError("vector_length must be positive")
+    if channels < 1 or vector_length % channels:
+        raise InvalidArgumentError("channels must be positive and divide vector_length")
     if not 0 < block_budget_mib < math.inf:  # NaN too
         raise InvalidArgumentError("block budget must be positive and finite")
     resident = n_query + n_test
-    if vector_length <= SCREEN_MAX_LENGTH:
-        row_bytes = 12 * vector_length + 13 * resident
-    else:
-        row_bytes = 8 * vector_length + 17 * resident
-    block = int(block_budget_mib * (1 << 20) // row_bytes)
+    block, _ = _blocking(resident, n_reference, vector_length, channels, block_budget_mib)
     total = n_query * n_reference
     return ComparisonPlan(
         n_query=n_query,
@@ -298,62 +349,73 @@ def _dots(a, b, ia, ib):
     return out
 
 
-def _tile(queries, screen, rows, cast):
+def _tile(queries, screen, rows, rows32):
     """A block's tile, with _merge_block's band and exact for it. Without
     screen, a dgemm of the float64 rows, valued by its own entries (band
-    0). With screen (the queries in float32), an sgemm against the rows
-    cast into cast, valued by the float64 rows' _dots. For rows of norm 1
-    and length K, the two casts and a float32 sum in any order put an
-    entry within gamma(K + 2) of the exact product, where gamma(n) =
+    0). With screen (the queries in float32), an sgemm against rows32,
+    the rows in float32, valued by the float64 rows' _dots. For rows of
+    norm 1 and length K, the two casts and a float32 sum in any order put
+    an entry within gamma(K + 2) of the exact product, where gamma(n) =
     n*u / (1 - n*u) and u = 2**-24 (Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, (3.5) and Lemma 3.3). band is gamma(K +
     3): the one more u covers the rows' norms and the float64 values' own
     rounding, both below 1e-12 at K <= SCREEN_MAX_LENGTH."""
     if screen is None:
         return queries @ rows.T, 0.0, None
-    rows32 = cast[: len(rows)]
-    np.copyto(rows32, rows)
     units = (rows.shape[1] + 3) * 2.0**-24
     band = units / (1.0 - units)
     return screen @ rows32.T, band, partial(_dots, queries, rows)
 
 
-def _search(queries, screen, n, step, block, k, progress, done, total):
-    """Top-k of every row of queries against n columns, merged block by
-    block in ascending order (deterministic merges): block(c0, c1) gives
-    the valid standardized rows among columns c0..c1-1 and their ranks.
-    screen is the queries' float32 copy, for the screened tile, or None
-    (see _tile). Progress counts done plus the comparisons made so far.
-    Returns the merged (value, rank) arrays and the number of valid
-    columns."""
-    best_v = np.empty((len(queries), 0), dtype=np.float64)
-    best_r = np.empty((len(queries), 0), dtype=np.int64)
-    cast = None if screen is None else np.empty((step, queries.shape[1]), dtype=np.float32)
+def _search(n_queries, n, step, block, k, progress, done, total):
+    """Top-k of n_queries rows against n columns, merged block by block in
+    ascending order (deterministic merges): block(c0, c1) gives the ranks
+    of the valid columns among c0..c1-1 and a function that makes their
+    tile, with its band and exact (see _tile and _merge_block), called
+    only when there are queries. Progress counts done plus the
+    comparisons made so far. Returns the merged (value, rank) arrays and
+    the number of valid columns."""
+    best_v = np.empty((n_queries, 0), dtype=np.float64)
+    best_r = np.empty((n_queries, 0), dtype=np.int64)
     n_valid = 0
     for c0 in range(0, n, step):
         c1 = min(c0 + step, n)
-        rows, ranks = block(c0, c1)
-        n_valid += len(rows)
-        if len(queries) and len(rows):
+        ranks, tile = block(c0, c1)
+        n_valid += len(ranks)
+        if n_queries and len(ranks):
             best_v, best_r = _merge_block(  # the tile dies with the merge: one at a time
-                best_v, best_r, ranks, k, *_tile(queries, screen, rows, cast)
+                best_v, best_r, ranks, k, *tile()
             )
         if progress is not None:
-            progress(done + len(queries) * c1, total)
+            progress(done + n_queries * c1, total)
     return best_v, best_r, n_valid
+
+
+def _ranges(n, workers):
+    """0..n-1 split into contiguous (a, b) ranges, at most workers and one
+    row each at least (one empty range for n = 0)."""
+    w = max(1, min(workers, n))
+    bounds = [n * j // w for j in range(w + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _on_ranges(pool, ranges, work):
+    """[work(a, b) for (a, b) in ranges]: the first on this thread, the
+    others on pool. Every call has finished when this returns or raises,
+    and a failure raised is that of the lowest failing range."""
+    rest = [pool.submit(work, a, b) for a, b in ranges[1:]]
+    try:
+        first = work(*ranges[0])
+    finally:
+        wait(rest)
+    return [first] + [f.result() for f in rest]
 
 
 def _read_standardized(pool, workers, parts, out, channels, mode):
     """Read the rows of parts, (set, i0, i1) ranges laid end to end, into
-    out (n, len(channels), L) and standardize them in place by mode. The
-    rows are split into contiguous ranges, at most workers and one row
-    each at least; the first is done on this thread and the others on
-    pool. Every range has finished when this returns or raises, and a
-    failure raised is that of the lowest failing range, so of the
+    out (n, len(channels), L) and standardize them in place by mode, on
+    _on_ranges of workers ranges, so a failure raised is that of the
     lowest-index bad row. Returns standardize_rows' valid for out."""
-    n = len(out)
-    w = max(1, min(workers, n))
-    bounds = [n * j // w for j in range(w + 1)]
 
     def work(a, b):
         pos = 0
@@ -364,13 +426,78 @@ def _read_standardized(pool, workers, parts, out, channels, mode):
             pos += i1 - i0
         return standardize_rows(out[a:b], mode)[1]
 
-    rest = [pool.submit(work, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
-    try:
-        valid = [work(bounds[0], bounds[1])]
-    finally:
-        wait(rest)
-    valid += [f.result() for f in rest]
-    return np.concatenate(valid)
+    return np.concatenate(_on_ranges(pool, _ranges(len(out), workers), work))
+
+
+def _panel_blocks(pool, workers, reference, channels, mode, queries, step, ranks):
+    """block(r0, r1) of _search for reference rows read in panels, one
+    channel at a time, into one reused buffer of step one-channel rows.
+
+    Each panel is read by reference.read_panels on _on_ranges of workers
+    ranges and standardized on its own (core.standardize_panel), then its
+    dgemm against the queries' columns of that channel (a strided view,
+    not a copy) is added to the block's tile. After the last panel the
+    readers finish, so the lowest-index bad row raises before any merge.
+    Under "mean" every panel is a segment of the standardized row, so the
+    tile is done. Under "concat" panel c was centered by its own mean
+    mu_c, not the row's mean mu; the queries are centered, so adding
+    S_c(q) * (mu_c - mu) over the channels, where S_c(q) is the sum of a
+    query's channel c, gives each entry's dot with the centered row. Its
+    squared norm is the sum of the panels' squares plus L * sum_c (mu_c -
+    mu)**2, which also decides validity as standardize_rows' would; each
+    column is divided by its square root. S_c(q) comes from each panel's
+    dgemm too, as its product with a row of ones after the block's rows,
+    so no pass of its own reads the resident matrix."""
+    nq, segments = len(queries), len(channels)
+    length = queries.shape[1] // segments
+    ones = int(mode == "concat")  # a row of ones after the block's rows: S_c(q) in the dgemm
+    rows = np.empty((step + ones, length))
+    tile_buf, product_buf = np.empty((2, nq * (step + ones)))
+    moments = np.empty((2, segments, step))  # each panel's means and squares
+    ok = np.empty((segments, step), dtype=bool)
+    sums = np.empty((nq, segments))
+
+    def block(r0, r1):
+        m = r1 - r0
+        width = m + ones
+        tile = tile_buf[: nq * width].reshape(nq, width)  # contiguous: matmul writes in place
+        product = product_buf[: nq * width].reshape(nq, width)
+        rows[m:width] = 1.0
+        ranges = _ranges(m, workers)
+        readers = {
+            a: reference.read_panels(r0 + a, r0 + b, rows[a:b, None], [(c,) for c in channels])
+            for a, b in ranges
+        }
+        for p in range(segments):
+
+            def work(a, b, p=p):
+                next(readers[a])
+                moments[0, p, a:b], moments[1, p, a:b], ok[p, a:b] = standardize_panel(
+                    rows[a:b], mode, segments
+                )
+
+            _on_ranges(pool, ranges, work)
+            panel = queries[:, p * length : (p + 1) * length]
+            np.matmul(panel, rows[:width].T, out=product if p else tile)
+            if ones:
+                sums[:, p] = (product if p else tile)[:, m]
+            if p:
+                tile += product
+        _on_ranges(pool, ranges, lambda a, b: next(readers[a], None))  # faults raise here
+        tile, product = tile[:, :m], product[:, :m]
+        if mode == "mean":
+            valid = ok[:, :m].all(axis=0)
+        else:
+            means, squares = moments[:, :, :m]
+            shift = means - means.mean(axis=0)
+            tile += np.matmul(sums, shift, out=product)
+            norm = squares.sum(axis=0) + length * (shift * shift).sum(axis=0)
+            valid = norm / (segments * length) >= VARIANCE_FLOOR
+            tile /= np.sqrt(np.where(valid, norm, 1.0))
+        tile = _valid_rows(tile.T, valid).T
+        return ranks[r0:r1][valid], lambda: (tile, 0.0, None)
+
+    return block
 
 
 # By the rank of a set's shape: what it holds, its modes (default first), their name
@@ -429,14 +556,18 @@ def max_correlations(
         raise InvalidArgumentError(f"unknown {what} {mode!r}")
     mask = resolve_channel_mask(channel_mask, reference.shape[0])
     row_shape = (len(mask), math.prod(reference.shape[1:]))
-    reference_ids, n = reference.ids, len(query)
+    reference_ids, n, n_test = reference.ids, len(query), len(test or ())
     nr, workers = len(reference_ids), core.worker_count()
-    plan = plan_audit(n, nr, math.prod(row_shape), block_budget_mib, len(test or ()))
+    plan = plan_audit(
+        n, nr, math.prod(row_shape), block_budget_mib, n_test, channels=len(mask)
+    )
     if n == 0 and test is None:
         return []
+    _, panels = _blocking(n + n_test, nr, plan.vector_length, len(mask), block_budget_mib)
 
     # Every set is read by its own read_rows(i0, i1, out, mask) into float64
-    # rows of row_shape, which the GEMM sees as plan.vector_length values.
+    # rows of row_shape, which the GEMM sees as plan.vector_length values;
+    # or, for reference blocks in panels, by read_panels a channel at a time.
     # Query and test are standardized once into one resident matrix, and
     # references block by block; each read is split among one pool's threads.
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # threads start on first use
@@ -445,23 +576,36 @@ def max_correlations(
             rows = out.reshape(len(out), *row_shape)
             return _read_standardized(pool, workers, parts, rows, mask, mode)
 
-        q_all = np.empty((sum(len(s) for _, s in sets), plan.vector_length), dtype=np.float64)
+        q_all = np.empty((n + n_test, plan.vector_length), dtype=np.float64)
         q_valid = read([(s, 0, len(s)) for _, s in sets], q_all)
         q_mat = _valid_rows(q_all, q_valid)
         nq = q_mat.shape[0]
         q32 = q_mat.astype(np.float32) if plan.vector_length <= SCREEN_MAX_LENGTH else None
         ns = int(q_valid[:n].sum())  # q_mat: valid query rows, then valid test rows
         total = nq * nr + (0 if test is None else ns * (nq - ns))
-
         ranks = _tie_ranks(reference_ids)
-        buffer = np.empty((plan.block_reference, plan.vector_length), dtype=np.float64)
+        step = plan.block_reference
 
-        def reference_block(r0, r1):
-            valid = read([(reference, r0, r1)], buffer[: r1 - r0])
-            return _valid_rows(buffer[: r1 - r0], valid), ranks[r0:r1][valid]
+        if panels:
+            reference_block = _panel_blocks(pool, workers, reference, mask, mode, q_mat, step, ranks)
+        else:
+            buffer = np.empty((step, plan.vector_length), dtype=np.float64)
+            cast = None if q32 is None else np.empty(buffer.shape, dtype=np.float32)
+
+            def reference_block(r0, r1):
+                valid = read([(reference, r0, r1)], buffer[: r1 - r0])
+                rows = _valid_rows(buffer[: r1 - r0], valid)
+
+                def tile():
+                    if cast is None:
+                        return _tile(q_mat, None, rows, None)
+                    np.copyto(cast[: len(rows)], rows)
+                    return _tile(q_mat, q32, rows, cast[: len(rows)])
+
+                return ranks[r0:r1][valid], tile
 
         best_v, best_r, n_valid = _search(
-            q_mat, q32, nr, plan.block_reference, reference_block, k, progress, 0, total
+            nq, nr, step, reference_block, k, progress, 0, total
         )
     found = _matches(
         [i for _, s in sets for i in s.ids], q_valid, best_v, best_r, reference_ids, ranks,
@@ -470,11 +614,19 @@ def max_correlations(
     if test is None:
         return found
 
+    # The test rows are sliced from the resident matrix (and its float32
+    # copy), so a block of them costs only its tile: as many columns as
+    # the budget holds tile entries of the ns query rows.
     test_ranks = _tie_ranks(test.ids)
     valid_ranks = test_ranks[q_valid[n:]]
-    best_v, best_r, n_valid = _search(  # the test rows, sliced from the resident matrix
-        q_mat[:ns], None if q32 is None else q32[:ns], nq - ns, plan.block_reference,
-        lambda c0, c1: (q_mat[ns + c0 : ns + c1], valid_ranks[c0:c1]),
+    entry = _SCREEN_ENTRY if q32 is not None else _DGEMM_ENTRY
+    width = max(1, int(block_budget_mib * (1 << 20) // (entry * max(1, ns))))
+    best_v, best_r, n_valid = _search(
+        ns, nq - ns, width,
+        lambda c0, c1: (valid_ranks[c0:c1], partial(
+            _tile, q_mat[:ns], None if q32 is None else q32[:ns], q_mat[ns + c0 : ns + c1],
+            None if q32 is None else q32[ns + c0 : ns + c1],
+        )),
         k, progress, nq * nr, total,
     )
     return found[:n], found[n:], _matches(

@@ -23,8 +23,12 @@ FormatError naming the byte offset. Each image format has one header scan
 (`_scan_pgm`, `_scan_ivc`) that turns a file into entries (id, dims,
 dtype, payload offset; a PGM file is one u8 entry with its maxval and no
 checksum) without reading a payload byte, and all formats share one
-payload reader, `_entry_values`. A manifest's set has one reader, the
-`read_rows` of its `open_dataset` / `open_embedding_set` handle;
+payload reader: `_payload_chunk` reads and checks a run of payload
+bytes and `_check_crc` the checksum, whole entries at once in
+`_entry_values` or a panel of channels at a time, with a running CRC-32,
+in `DatasetFile.read_panels`. A manifest's set has one reader, the
+`read_rows` of its `open_dataset` / `open_embedding_set` handle (for
+images, the one-panel case of `read_panels`);
 `load_dataset` / `load_embedding_set` are that plus a read of every row,
 and `read_embeddings` is `load_embedding_set` of a one-file manifest.
 Every set, in memory or file-backed, has a `shape`, (C, H, W) for images
@@ -45,11 +49,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ROLES, Dataset, ImageRecord, VolumeRecord, copy_channels
+from .core import ROLES, Dataset, ImageRecord, VolumeRecord, copy_channels, exhaust
 from .errors import (
     EmptyInputError,
     FormatError,
@@ -62,6 +66,7 @@ MAX_DIM_PRODUCT = 1 << 40  # refuse absurd headers before allocating
 
 IVC_DTYPE_U8 = 0
 IVC_DTYPE_F32 = 1
+_DTYPES = {IVC_DTYPE_U8: np.uint8, IVC_DTYPE_F32: np.dtype("<f4")}
 
 
 def _temp_path(path: Path) -> Path:
@@ -69,12 +74,20 @@ def _temp_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
 
 
-def check_writable(path) -> None:
-    """Raise the OSError that atomic_write(path, ...) would meet in
-    creating its temp file (say, a missing or read-only directory) or in
-    renaming it onto a directory, naming ``path`` as given, and leave no
-    file. Commands check every output this way before their work."""
+def _refuse_empty(name: str, what: str) -> None:
+    if not name:  # Path("") is the current directory
+        raise InvalidArgumentError(f"{what}: the path is empty")
+
+
+def check_writable(path, what: str = "output path") -> None:
+    """Raise the error that atomic_write(path, ...) would meet: for an
+    empty path, one naming ``what`` (say, the flag that gave it); else
+    the OSError of creating its temp file (say, in a missing or read-only
+    directory) or of renaming it onto a directory, naming ``path`` as
+    given. Leaves no file. Commands check every output this way before
+    their work."""
     name = os.fspath(path)
+    _refuse_empty(name, what)
     if os.path.isdir(name):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
     tmp = _temp_path(Path(name))
@@ -92,7 +105,8 @@ def atomic_write(path, data: Union[bytes, Iterable[bytes]]) -> None:
     failure, including one raised while the chunks are produced. An OS
     error in creating, writing or renaming the temp file names ``path``,
     the file asked for; one of another file (say, a chunk producer's
-    read) keeps its own name."""
+    read) keeps its own name. An empty path is refused."""
+    _refuse_empty(os.fspath(path), "output path")
     path = Path(path)
     chunks = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
     tmp = _temp_path(path)
@@ -189,36 +203,59 @@ class _Entry:
     maxval: Optional[int] = None  # a PGM file's; None: a CRC-32 follows the payload
 
 
+def _payload_chunk(
+    cur: _Cursor, entry: _Entry, into: bytearray, start: int, stop: int
+) -> tuple[memoryview, Optional[FormatError]]:
+    """Payload bytes start..stop-1 of entry, read into the front of into,
+    and the error their values raise (non-finite f32 values, a PGM byte
+    above maxval), or None. A short read raises; from start 0, with the
+    message of a whole-payload read."""
+    what = f"entry {entry.index}"
+    cur.seek(entry.offset + start)
+    if start == 0:  # the whole payload must be there
+        cur._need(entry.size, f"{what} payload", cur.size - cur.pos)
+    chunk = cur.take_into(into, stop - start, f"{what} payload")
+    if entry.dtype == IVC_DTYPE_U8:
+        if entry.maxval is not None:
+            values = np.frombuffer(chunk, dtype=np.uint8)
+            if values.max() > entry.maxval:
+                at = int(np.argmax(values > entry.maxval))
+                return chunk, FormatError(
+                    f"{cur.path}: byte {values[at]} at offset {entry.offset + start + at} "
+                    f"exceeds maxval {entry.maxval}"
+                )
+    elif not np.isfinite(np.frombuffer(chunk, dtype="<f4")).all():
+        return chunk, FormatError(
+            f"{cur.path}: {what} ({entry.id!r}): non-finite payload values"
+        )
+    return chunk, None
+
+
+def _check_crc(cur: _Cursor, entry: _Entry, crc: int) -> None:
+    """Read entry's stored CRC-32 (IVC1; a PGM entry has none) and raise
+    unless it is crc, the running CRC-32 of its whole payload."""
+    if entry.maxval is not None:
+        return
+    what = f"entry {entry.index}"
+    cur.seek(entry.offset + entry.size)
+    stored_crc = cur.u32(f"{what} checksum")
+    if stored_crc != crc & 0xFFFFFFFF:
+        raise FormatError(
+            f"{cur.path}: {what} ({entry.id!r}): checksum mismatch: "
+            f"stored {stored_crc:#010x}, computed {crc & 0xFFFFFFFF:#010x}"
+        )
+
+
 def _entry_values(cur: _Cursor, entry: _Entry, into: bytearray) -> np.ndarray:
     """One entry's payload (u8 or f32, flat), after its CRC-32 (IVC1),
     maxval (PGM) and finiteness checks: a view of into (at least
-    entry.size bytes)."""
-    what = f"entry {entry.index}"
-    cur.seek(entry.offset)
-    payload = cur.take_into(into, entry.size, f"{what} payload")
-    if entry.maxval is None:
-        stored_crc = cur.u32(f"{what} checksum")
-        actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
-        if stored_crc != actual_crc:
-            raise FormatError(
-                f"{cur.path}: {what} ({entry.id!r}): checksum mismatch: "
-                f"stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-            )
-    if entry.dtype == IVC_DTYPE_U8:
-        values = np.frombuffer(payload, dtype=np.uint8)
-        if entry.maxval is not None and values.max() > entry.maxval:
-            at = int(np.argmax(values > entry.maxval))
-            raise FormatError(
-                f"{cur.path}: byte {values[at]} at offset {entry.offset + at} "
-                f"exceeds maxval {entry.maxval}"
-            )
-        return values
-    values = np.frombuffer(payload, dtype="<f4")
-    if not np.isfinite(values).all():
-        raise FormatError(
-            f"{cur.path}: {what} ({entry.id!r}): non-finite payload values"
-        )
-    return values
+    entry.size bytes): the whole-entry read whose faults
+    DatasetFile.read_panels raises in the same order."""
+    payload, fault = _payload_chunk(cur, entry, into, 0, entry.size)
+    _check_crc(cur, entry, zlib.crc32(payload))
+    if fault is not None:
+        raise fault
+    return np.frombuffer(payload, dtype=_DTYPES[entry.dtype])
 
 
 def _read_records(fmt: str, path: Path) -> list[Union[ImageRecord, VolumeRecord]]:
@@ -731,11 +768,13 @@ class DatasetFile:
 
     Opening scans every header, so name, role, ids, shape and len come
     without reading payloads; it rejects volumes, duplicate ids, mixed
-    shapes and bad headers. read_rows then reads contiguous ranges in
-    file order, checking each entry's CRC-32 (PGM files have none) and
-    finiteness as it is read. Payloads are read into one buffer per
-    reading thread, so reading allocates nothing per entry, and threads
-    may read disjoint ranges at once.
+    shapes and bad headers. read_panels then reads a contiguous range in
+    file order one panel (a run of channels) at a time, each payload byte
+    once, with a running CRC-32 per entry (PGM files have none) and a
+    finiteness check as it is read; read_rows is its one-panel case.
+    Payloads are read through one buffer per reading thread, so reading
+    allocates nothing per entry, and threads may read disjoint ranges at
+    once.
     """
 
     def __init__(self, manifest: Manifest):
@@ -754,17 +793,61 @@ class DatasetFile:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _payloads(self, i0: int, i1: int):
-        """Flat pixel values of images i0..i1-1, one at a time."""
-        for file, group in groupby(self._locations[i0:i1], key=lambda loc: loc[0]):
-            with _file_cursor(file) as cur:
-                for _, entry in group:
-                    yield _entry_values(cur, entry, self._payload.bytes)
+    def read_panels(
+        self, i0: int, i1: int, out: np.ndarray, panels: Sequence[Sequence[int]]
+    ) -> Iterator[None]:
+        """Images i0..i1-1 into out one panel at a time: panels are
+        sequences of channels, each past every channel of the one before;
+        for each, out (i1 - i0, len(panel), H*W) is filled with those
+        channels of each image, in order, and the generator yields.
+
+        Each payload is read once, in file order, as far as a panel needs
+        (the channels between panels too), with a running CRC-32 of every
+        byte read; the last panel reads the rest of it and its checksum.
+        When the generator is resumed after the last panel, the
+        lowest-index entry at fault raises what a whole-entry read
+        (_entry_values) raises: of a short read, a CRC-32 mismatch, or
+        non-finite values (a byte above maxval in PGM), the first. An
+        entry at fault reads as zeros.
+        """
+        c = self.shape[0]
+        locations = self._locations[i0:i1]
+        done = [0] * len(locations)  # channels read
+        crcs = [0] * len(locations)
+        faults: list[Optional[FormatError]] = [None] * len(locations)
+        broken = [False] * len(locations)  # a short read or a bad checksum: read no more
+        for i, panel in enumerate(panels):
+            stop = c if i == len(panels) - 1 else max(panel) + 1
+            todo = [j for j in range(len(locations)) if not broken[j]]
+            for file, group in groupby(todo, key=lambda j: locations[j][0]):
+                with _file_cursor(file) as cur:
+                    for j in group:
+                        entry = locations[j][1]
+                        start, end = entry.size * done[j] // c, entry.size * stop // c
+                        try:
+                            chunk, fault = _payload_chunk(cur, entry, self._payload.bytes, start, end)
+                            crcs[j] = zlib.crc32(chunk, crcs[j])
+                            faults[j] = faults[j] or fault
+                            if stop == c:
+                                _check_crc(cur, entry, crcs[j])
+                        except FormatError as exc:  # it comes before any value fault
+                            faults[j], broken[j] = exc, True
+                        if faults[j] is None:
+                            values = np.frombuffer(chunk, dtype=_DTYPES[entry.dtype])
+                            copy_channels([values], out[j : j + 1], [ch - done[j] for ch in panel])
+                        done[j] = stop
+            for j in range(len(locations)):
+                if faults[j] is not None:
+                    out[j] = 0.0
+            yield
+        for fault in faults:
+            if fault is not None:
+                raise fault
 
     def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
         """Images i0..i1-1 into out, shape (i1 - i0, len(channels), H*W):
-        the given channels of each image, in order."""
-        copy_channels(self._payloads(i0, i1), out, channels)
+        the given channels of each image, in order (one panel)."""
+        exhaust(self.read_panels(i0, i1, out, [channels]))
 
 
 class EmbeddingSetFile:

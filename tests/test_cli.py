@@ -25,8 +25,11 @@ from memaudit.cli import ProgressPrinter, run
 from memaudit.core import Dataset, ImageRecord, VolumeRecord
 from memaudit.correlate import TopKMatches, max_correlations, plan_audit
 from memaudit.harness import PlantConfig, generate_train_set, plant
+from memaudit.errors import InvalidArgumentError
 from memaudit.ingest import (
     EmbeddingSet,
+    atomic_write,
+    check_writable,
     load_dataset,
     load_embedding_set,
     load_manifest,
@@ -373,6 +376,70 @@ class TestOutputInMissingDirectory:
         argv = ["--train", str(train_manifest), "--synthetic", str(synth_mf),
                 "--rule", "fixed:0.99", "--out", "nodir/r.json"]
         self._refused(tmp_path, capsys, monkeypatch, "audit", argv, "nodir/r.json")
+
+    @pytest.mark.parametrize("flag", ["--out", "--matches-out", "--baseline-matches-out"])
+    def test_audit(self, tmp_path, capsys, monkeypatch, train_manifest, flag):
+        """Each output is checked before the search: no engine call, and
+        no other output left."""
+        synth_mf, _ = plant_set(tmp_path, train_manifest, seed=18, n=4)
+        test_mf, _ = plant_set(tmp_path, train_manifest, seed=19, n=4, name="heldout")
+        outputs = {"--out": "r.json", "--matches-out": "m.json", "--baseline-matches-out": "b.json"}
+        outputs[flag] = "nodir/" + outputs[flag]
+        argv = ["--train", str(train_manifest), "--synthetic", str(synth_mf), "--test",
+                str(test_mf), "--rule", "fixed:0.99", *[x for pair in outputs.items() for x in pair]]
+        self._no_work(monkeypatch, "max_correlations")
+        self._refused(tmp_path, capsys, monkeypatch, "audit", argv, outputs[flag])
+
+    def test_metrics(self, tmp_path, capsys, monkeypatch, train_manifest):
+        argv = ["--ssim-pairs", str(train_manifest), str(train_manifest), "--out", "nodir/x.json"]
+        self._no_work(monkeypatch, "load_dataset")
+        self._refused(tmp_path, capsys, monkeypatch, "metrics", argv, "nodir/x.json")
+
+    def test_report(self, tmp_path, capsys, monkeypatch):
+        matches = tmp_path / "m.json"
+        matches.write_text("{}", "utf-8")  # never read: the output is checked first
+        self._no_work(monkeypatch, "load_matches")
+        self._refused(tmp_path, capsys, monkeypatch, "report",
+                      ["--matches", "m.json", "--rule", "fixed:0.9", "--out", "nodir/r.json"],
+                      "nodir/r.json")
+
+
+class TestEmptyOutputPath:
+    """An empty output path exits 3 with a message naming its flag, no
+    traceback and no file, before any work."""
+
+    def _refused(self, tmp_path, capsys, monkeypatch, command, argv, flag, work):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before its outputs were checked")
+
+        monkeypatch.setattr(cli, work, refuse)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert run([command, *argv, "--quiet"]) == 3
+        assert capsys.readouterr().err == f"memaudit {command}: {flag}: the path is empty\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--truth", "--out-manifest"])
+    def test_plant(self, tmp_path, capsys, monkeypatch, train_manifest, flag):
+        outputs = {"--out": "p.ivc", "--truth": "t.json", "--out-manifest": "p.mf", flag: ""}
+        argv = ["--train", str(train_manifest), "--n", "3", "--seed", "1",
+                *[x for pair in outputs.items() for x in pair]]
+        self._refused(tmp_path, capsys, monkeypatch, "plant", argv, flag, "plant")
+
+    @pytest.mark.parametrize("flag", ["--out-container", "--out-manifest"])
+    def test_preprocess(self, tmp_path, capsys, monkeypatch, flag):
+        write_ivc([image(np.arange(16.0).reshape(4, 4), id="a")], tmp_path / "in.ivc")
+        (tmp_path / "in.mf").write_text("role = train\nin.ivc\n", "utf-8")
+        outputs = {"--out-container": "q.ivc", "--out-manifest": "q.mf", flag: ""}
+        argv = ["--manifest", "in.mf", *[x for pair in outputs.items() for x in pair]]
+        self._refused(tmp_path, capsys, monkeypatch, "preprocess", argv, flag, "load_records")
+
+    def test_writers_refuse_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for call in (lambda: atomic_write("", b"x"), lambda: check_writable("")):
+            with pytest.raises(InvalidArgumentError, match="^output path: the path is empty$"):
+                call()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPreprocessCommand:
@@ -741,24 +808,41 @@ class TestStreamedTrainRejections:
         assert not out.exists()
 
 
+def _count_payloads(monkeypatch) -> Counter:
+    """A Counter, by (file name, entry index), of the entry payloads the
+    readers read whole: each byte once, in order, then its checksum."""
+    entries, spans = Counter(), Counter()
+    chunk, check = ingest._payload_chunk, ingest._check_crc
+
+    def counted_chunk(cur, entry, into, start, stop):
+        assert start == spans[cur.path, entry.index]  # no byte skipped or read twice
+        spans[cur.path, entry.index] = stop
+        return chunk(cur, entry, into, start, stop)
+
+    def counted_check(cur, entry, crc):
+        assert spans.pop((cur.path, entry.index)) == entry.size
+        entries[cur.path.name, entry.index] += 1
+        return check(cur, entry, crc)
+
+    monkeypatch.setattr(ingest, "_payload_chunk", counted_chunk)
+    monkeypatch.setattr(ingest, "_check_crc", counted_check)
+    return entries
+
+
 class TestOnePassOverTrain:
     def test_each_train_entry_read_once(self, tmp_path, monkeypatch, capsys):
         """One engine call per audit: every train, synthetic and test row
         and IVC1 entry is read exactly once, with and without --sample."""
         train_mf, synth_mf, test_mf = _split_train(tmp_path)
-        rows, entries = Counter(), Counter()
-        read_rows, ivc_values = ingest.DatasetFile.read_rows, ingest._entry_values
+        rows = Counter()
+        read_rows = ingest.DatasetFile.read_rows
 
         def counted_rows(self, i0, i1, out, channels):
             rows.update((self.role, i) for i in range(i0, i1))
             return read_rows(self, i0, i1, out, channels)
 
-        def counted_values(cur, entry, into=None):
-            entries[cur.path.name, entry.index] += 1
-            return ivc_values(cur, entry, into)
-
         monkeypatch.setattr(ingest.DatasetFile, "read_rows", counted_rows)
-        monkeypatch.setattr(ingest, "_entry_values", counted_values)
+        entries = _count_payloads(monkeypatch)
         for sample in (None, 3):
             rows.clear()
             entries.clear()
@@ -840,15 +924,9 @@ class TestPgmReadOnce:
             write_ivc(images, ivc_dir / f"{role}.ivc")
             write_manifest(ivc_dir / f"{role}.mf", role, role, [f"{role}.ivc"])
         header = len(b"P5\n10 12\n255\n")
-        consumed, entries = {}, Counter()
-        entry_values = ingest._entry_values
-
-        def counted_values(cur, entry, into):
-            entries[cur.path.name, entry.index] += 1
-            return entry_values(cur, entry, into)
-
+        consumed = {}
         monkeypatch.setattr(ingest, "open", lambda f, mode: _Consumed(f, consumed), raising=False)
-        monkeypatch.setattr(ingest, "_entry_values", counted_values)
+        entries = _count_payloads(monkeypatch)
         for role, images in sets.items():
             handle = ingest.open_dataset(tmp_path / "pgm" / f"{role}.mf")
             assert handle.ids == tuple(img.id for img in images)
@@ -886,21 +964,16 @@ class TestSampleReadsPicked:
             handle, load, engine = ingest.EmbeddingSetFile, load_embedding_set, max_correlations
         synth = load(synth_mf)
         picks = SplitMix64(4).sample_without_replacement(len(synth), 3)
-        rows, entries = Counter(), Counter()
-        read_rows, ivc_values = handle.read_rows, ingest._entry_values
+        rows = Counter()
+        read_rows = handle.read_rows
 
         def counted_rows(self, i0, i1, out, channels):
             if self.role == "synthetic":
                 rows.update(range(i0, i1))
             return read_rows(self, i0, i1, out, channels)
 
-        def counted_values(cur, entry, into):
-            if cur.path.name == "synth.ivc":
-                entries[entry.index] += 1
-            return ivc_values(cur, entry, into)
-
         monkeypatch.setattr(handle, "read_rows", counted_rows)
-        monkeypatch.setattr(ingest, "_entry_values", counted_values)
+        payloads = _count_payloads(monkeypatch)
         matches_out = tmp_path / "m.json"
         code = run([
             "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
@@ -909,6 +982,7 @@ class TestSampleReadsPicked:
         ])
         assert code in (0, 1)
         assert rows == Counter(picks)
+        entries = Counter({i: n for (name, i), n in payloads.items() if name == "synth.ivc"})
         assert entries == (Counter(picks) if kind == "ivc" else Counter())
         if kind == "ivc":
             picked = Dataset("s", "synthetic", tuple(synth.images[i] for i in picks))
@@ -1191,11 +1265,12 @@ def test_audit_calls_the_traced_names_once(tmp_path, monkeypatch):
 
 
 def _worker_sets(tmp_path, kind):
-    """Train, synthetic and test manifests: 2x32x32 float images (20 train
-    in two files, 7 synthetic, 5 test) or 8-dim embeddings."""
+    """Train, synthetic and test manifests: 2x32x32 ("ivc") or 5x32x32
+    ("ivc5", channels 0-3 masked) float images (20 train in two files, 7
+    synthetic, 5 test) or 8-dim embeddings."""
     if kind == "emb":
         return _emb_sets(tmp_path)
-    train = generate_train_set(20, 2, 32, 32, seed=9500)
+    train = generate_train_set(20, 5 if kind == "ivc5" else 2, 32, 32, seed=9500)
     write_ivc(list(train.images[:10]), tmp_path / "t0.ivc")
     write_ivc(list(train.images[10:]), tmp_path / "t1.ivc")
     write_manifest(tmp_path / "train.mf", "train", "train", ["t0.ivc", "t1.ivc"])
@@ -1207,8 +1282,10 @@ def _worker_sets(tmp_path, kind):
 
 class TestWorkerCounts:
     """The read side's worker count (forced through core.worker_count)
-    changes no output byte, at every block budget: 0.05 MiB
-    makes 3-row train blocks of these images, so 1-row worker ranges."""
+    changes no output byte, at every block budget: 0.05 MiB reads the
+    train blocks of these images in panels, 5 one-channel rows a block
+    (1- and 2-row worker ranges at 3 workers), and the embeddings' in
+    1-row worker ranges."""
 
     @pytest.mark.parametrize("case", [
         ("ivc", ["--channel-mode", "concat"]),
@@ -1216,7 +1293,10 @@ class TestWorkerCounts:
         ("ivc", ["--sample", "4", "--seed", "2"]),
         ("emb", ["--metric", "pearson"]),
         ("emb", ["--metric", "cosine", "--sample", "3", "--seed", "2"]),
-    ], ids=["concat", "mean", "sample", "embeddings", "embeddings-sample"])
+        ("ivc5", ["--channel-mode", "concat"]),
+        ("ivc5", ["--channel-mode", "mean"]),
+    ], ids=["concat", "mean", "sample", "embeddings", "embeddings-sample", "panels-concat",
+            "panels-mean"])
     def test_outputs_identical_across_worker_counts(self, tmp_path, monkeypatch, case):
         kind, extra = case
         train_mf, synth_mf, test_mf = _worker_sets(tmp_path, kind)
@@ -1237,9 +1317,9 @@ class TestWorkerCounts:
                     (root / name).read_bytes() for name in ("r.json", "m.json", "b.json")
                 ]
             assert outputs[budget, 1] == outputs[budget, 2] == outputs[budget, 3], budget
-        if kind == "ivc":
+        if kind != "emb":
             plan = json.loads(outputs["0.05", 1][0])["plan"]
-            assert plan["block_reference"] == 3
+            assert plan["block_reference"] == 5
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("bad", [(20,), (9, 20)], ids=["last-range", "two-ranges"])
@@ -1260,6 +1340,37 @@ class TestWorkerCounts:
         ])
         assert code == 3
         first = min(bad)
+        file = "t0.ivc" if first < 12 else "t1.ivc"
+        err = capsys.readouterr().err
+        assert f"{file}: entry {first % 12} ('train_{first:05d}'): checksum mismatch" in err
+        assert err.count("checksum mismatch") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [((20, 0),), ((20, 4),), ((9, 4), (20, 0)), ((9, 0), (20, 4))],
+                             ids=["masked", "unmasked", "unmasked-first", "masked-first"])
+    def test_lowest_bad_entry_fails_the_audit_in_panels(
+        self, tmp_path, capsys, monkeypatch, workers, bad
+    ):
+        """The same with 5x32x32 train images read in panels (channels 0-3,
+        5 rows a block at 0.05 MiB): a flipped byte in masked channel 0 or
+        in unmasked channel 4, which no panel holds, fails its entry's
+        running CRC-32, and of two, the lower-index entry is named."""
+        monkeypatch.setattr(core, "worker_count", lambda: workers)
+        train_mf, synth_mf, test_mf = _split_train(tmp_path, shape=(5, 32, 32))
+        for index, channel in bad:
+            path = tmp_path / ("t0.ivc" if index < 12 else "t1.ivc")
+            offset, size = ivc_payload_span(path, index % 12)
+            blob = bytearray(path.read_bytes())
+            blob[offset + channel * size // 5 + 2] ^= 0x40
+            path.write_bytes(bytes(blob))
+        out = tmp_path / "report.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--block-budget-mib", "0.05", "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        first = min(index for index, _ in bad)
         file = "t0.ivc" if first < 12 else "t1.ivc"
         err = capsys.readouterr().err
         assert f"{file}: entry {first % 12} ('train_{first:05d}'): checksum mismatch" in err

@@ -1,6 +1,9 @@
 import math
+import struct
 import threading
 import time
+import warnings
+import zlib
 from dataclasses import replace
 from functools import partial
 
@@ -12,7 +15,9 @@ from memaudit import core, correlate
 from memaudit.core import Dataset, ImageRecord, pearson
 from memaudit.core import standardize_rows
 from memaudit.correlate import (
+    GEMM_KNEE_COLUMNS,
     SCREEN_MAX_LENGTH,
+    _blocking,
     _merge_block,
     _screen_floor,
     brute_force_correlations,
@@ -51,17 +56,33 @@ class TestPlanAudit:
     def test_blocks_fit_budget(self):
         # All queries stay resident; a reference block plus its tile,
         # partition chunks and pass mask (_row_bytes per row) fits the
-        # budget, and one more row would not.
+        # budget, and one more row would not. Rows of 4 channels go in
+        # one-channel panels where those hold the wider block, below
+        # GEMM_KNEE_COLUMNS rows of whole rows.
         budget = 32 * (1 << 20)
         for nq in (1, 64, 2000, 100_000):
-            for n in (64, SCREEN_MAX_LENGTH, SCREEN_MAX_LENGTH + 1, 4096, 65536, 262144):
-                plan = plan_audit(nq, 1_000_000, n, block_budget_mib=32.0)
-                assert plan.block_query == nq
-                b = plan.block_reference
-                row_bytes = _row_bytes(nq, n)
-                assert b == 1 or b * row_bytes <= budget
-                assert (b + 1) * row_bytes > budget
+            for n in (64, SCREEN_MAX_LENGTH, SCREEN_MAX_LENGTH + 1, SCREEN_MAX_LENGTH + 4,
+                      4096, 65536, 262144):
+                for channels in (1, 4):
+                    if n % channels:
+                        continue
+                    plan = plan_audit(nq, 1_000_000, n, block_budget_mib=32.0, channels=channels)
+                    assert plan.block_query == nq
+                    b = plan.block_reference
+                    row_bytes = _row_bytes(nq, n, channels, budget)
+                    ones = 0 if row_bytes == _row_bytes(nq, n) else _ones_bytes(nq, n, channels)
+                    assert b == 1 or ones + b * row_bytes <= budget
+                    assert ones + (b + 1) * row_bytes > budget
         assert plan_audit(5, 3, 64).block_reference == 3  # never past the set
+
+    def test_panels_at_paper_geometry(self):
+        """4 masked 256x256 channels against 64 resident rows: 15 whole
+        rows fit 32 MiB, 62 one-channel rows and the row of ones do (one
+        channel of that length is never split); a set of 10 rows has its
+        whole-row block."""
+        assert plan_audit(32, 64, 4 * 65536, 32.0, 32).block_reference == 15
+        assert plan_audit(32, 64, 4 * 65536, 32.0, 32, channels=4).block_reference == 62
+        assert plan_audit(32, 10, 4 * 65536, 32.0, 32, channels=4).block_reference == 10
 
     def test_zero_sizes_allowed(self):
         assert plan_audit(0, 5, 10).total_comparisons == 0
@@ -101,15 +122,28 @@ class TestPlanAudit:
             call()
 
 
-def _row_bytes(resident, length):
+def _row_bytes(resident, length, channels=1, budget=None):
     """plan_audit's bytes per reference row: rows of at most
     SCREEN_MAX_LENGTH values (the float32 screen) hold a float64 row and
     its float32 copy, and per resident row a float32 tile entry, a pass
     mask byte and 8 bytes of chunks; longer rows hold the float64 row,
-    and a float64 tile entry, the mask and the chunks."""
+    and a float64 tile entry, the mask and the chunks. In panels (given
+    channels and budget), a row holds one float64 channel and its
+    channel moments (16 bytes a channel), and per resident row the tile
+    entry, one panel's product entry, the mask and the chunks; a block
+    also holds a channel row of ones and its two entries (_ones_bytes)."""
     if length <= SCREEN_MAX_LENGTH:
         return 12 * length + 13 * resident
-    return 8 * length + 17 * resident
+    whole = 8 * length + 17 * resident
+    panel = 8 * length // channels + 16 * channels + 25 * resident
+    ones = _ones_bytes(resident, length, channels)
+    if channels > 1 and budget // whole < GEMM_KNEE_COLUMNS and (budget - ones) // panel > budget // whole:
+        return panel
+    return whole
+
+
+def _ones_bytes(resident, length, channels):
+    return 8 * length // channels + 16 * resident
 
 
 def dataset_of(arrays, name="ds", role="train", prefix="r"):
@@ -658,8 +692,10 @@ class TestStreamingEngine:
         row_bytes = _row_bytes(n_resident, 72)
         narrow = [(rows + 0.5) * row_bytes / (1 << 20) for rows in (1, 3)]
         assert [plan_audit(n_resident, len(ref), 72, b).block_reference for b in narrow] == [1, 3]
-        # test blocks of 1 and 3 columns (narrower than k), and of 40 (wider than the test set)
-        for budget in (*narrow, 32.0):
+        # test blocks of 1 and 3 columns (narrower than k: 13 bytes for each
+        # of the 6 valid synthetic rows per column), and wider than the test set
+        thin = [(columns + 0.5) * 13 * 6 / (1 << 20) for columns in (1, 3)]
+        for budget in (*narrow, *thin, 32.0):
             got = engine(synth, ref, k=k, block_budget_mib=budget, test=test)
             apart = [
                 engine(synth, ref, k=k, block_budget_mib=budget),
@@ -678,12 +714,14 @@ class TestStreamingEngine:
                 dupes = [r for r, _ in m.matches if r in ("t1", "t3", "t4")]
                 assert dupes == sorted(dupes)
 
-    def test_test_blocks_no_wider_than_reference_blocks(self, monkeypatch):
+    def test_test_blocks_sized_by_their_tile(self, monkeypatch):
+        """The test rows are slices of the resident matrix, so a block of
+        them costs its tile alone (13 bytes an entry when screened): the
+        budget of 2-row train blocks holds every test column at once, and
+        one of 2.5 test columns makes 1-row train blocks and 2-column test
+        blocks."""
         synth, test, ref, engine = _audit_sets("embeddings", "pearson")
         row_bytes = _row_bytes(len(synth) + len(test), 72)
-        budget = 2.5 * row_bytes / (1 << 20)
-        block = plan_audit(len(synth) + len(test), len(ref), 72, budget).block_reference
-        assert block == 2
         widths = []
 
         def merge(best_v, best_r, ranks, k, tile, band, exact):
@@ -691,10 +729,15 @@ class TestStreamingEngine:
             return _merge_block(best_v, best_r, ranks, k, tile, band, exact)
 
         monkeypatch.setattr(correlate, "_merge_block", merge)
-        engine(synth, ref, k=3, block_budget_mib=budget, test=test)
-        # 6 valid synthetic rows x 5 valid test rows after 20 train blocks of 11 rows
-        assert widths[:20] == [(11, 2)] * 20
-        assert widths[20:] == [(6, 2), (6, 2), (6, 1)]
+        # 6 valid synthetic rows x 5 valid test rows after 40 train rows
+        cases = ((2.5 * row_bytes, 2, [5]), (2.5 * 13 * 6, 1, [2, 2, 1]))
+        for budget_bytes, train_rows, test_widths in cases:
+            budget = budget_bytes / (1 << 20)
+            block = plan_audit(len(synth) + len(test), len(ref), 72, budget).block_reference
+            assert block == train_rows
+            widths.clear()
+            engine(synth, ref, k=3, block_budget_mib=budget, test=test)
+            assert widths == [(11, block)] * (40 // block) + [(6, w) for w in test_widths]
 
     def test_file_backed_reference_equals_in_memory(self, tmp_path):
         q = random_dataset(6, (5, 6, 6), 104, role="synthetic", name="q")
@@ -936,3 +979,95 @@ class TestReadWorkers:
         with pytest.raises(FormatError, match=r"r.ivc: entry 1 \('ds_0001'\): checksum"):
             max_correlations(q, handle, k=2)
         assert active[0] == 0
+
+
+PANEL_BUDGET = 0.1  # MiB: 11 one-channel rows a block of 5x32x32 images, 3 whole rows
+
+
+def _panel_sets(tmp_path=None):
+    """5x32x32 images (channels 0-3 masked): 6 queries and 30 references
+    of noise around 100. Query q000 is 2 * r003 + 1; reference r005's
+    channel means step by 1 against a within-channel spread of 1e-4, and
+    r007's masked channel 2 is constant (invalid under "mean" only).
+    Given tmp_path, the references are also written to an IVC1 file, and
+    (queries, in-memory references, file-backed references) come back."""
+    rng = np.random.default_rng(131)
+    ref = rng.normal(100, 10, (30, 5, 1024)).astype(np.float32)
+    ref[5] = np.arange(5, dtype=np.float32)[:, None] + rng.normal(0, 1e-4, (5, 1024))
+    ref[7, 2] = 7.0
+    query = rng.normal(100, 10, (6, 5, 1024)).astype(np.float32)
+    query[0] = 2 * ref[3] + 1
+    q, r = (
+        Dataset(name, role, tuple(
+            ImageRecord(f"{name}{i:03d}", 5, 32, 32, row.reshape(-1)) for i, row in enumerate(rows)
+        ))
+        for name, role, rows in (("q", "synthetic", query), ("r", "train", ref))
+    )
+    if tmp_path is None:
+        return q, r
+    write_ivc(list(r.images), tmp_path / "r.ivc")
+    write_manifest(tmp_path / "r.mf", "r", "train", ["r.ivc"])
+    return q, r, open_dataset(tmp_path / "r.mf")
+
+
+class TestPanels:
+    """Reference blocks read one masked channel at a time agree with
+    whole rows and the oracle, and fail as a whole-entry read does."""
+
+    def test_budget_forces_panels(self):
+        q, r = _panel_sets()
+        assert _blocking(len(q), len(r), 4 * 1024, 4, PANEL_BUDGET) == (11, True)
+        assert _blocking(len(q), len(r), 4 * 1024, 4, 32.0) == (1020, False)
+
+    @pytest.mark.parametrize("mode", ["concat", "mean"])
+    @pytest.mark.parametrize("backed", ["memory", "file"])
+    def test_equal_to_whole_rows_and_oracle(self, tmp_path, mode, backed):
+        q, r, handle = _panel_sets(tmp_path)
+        ref = handle if backed == "file" else r
+        whole = max_correlations(q, r, k=len(r), mode=mode)
+        panels = max_correlations(q, ref, k=len(r), mode=mode, block_budget_mib=PANEL_BUDGET)
+        oracle = brute_force_correlations(q, r, mode=mode)
+        for i, (a, b) in enumerate(zip(whole, panels)):
+            assert [rid for rid, _ in a.matches] == [rid for rid, _ in b.matches]
+            assert (a.skipped_invalid, a.query_valid) == (b.skipped_invalid, b.query_valid)
+            for rid, value in b.matches:
+                assert value == pytest.approx(oracle[i, int(rid[1:])], abs=1e-6)
+        ids = {rid for rid, _ in panels[1].matches}
+        assert "r005" in ids and ("r007" in ids) == (mode == "concat")
+        assert panels[1].skipped_invalid == (mode == "mean")
+        assert panels[0].top1 == ("r003", pytest.approx(1.0, abs=1e-12))
+
+    def test_infinite_value_with_valid_crc(self, tmp_path):
+        """A non-finite value under a recomputed, valid CRC-32 fails with
+        the non-finite message, and no arithmetic warning comes first."""
+        q, _, _ = _panel_sets(tmp_path)
+        offset, size = ivc_payload_span(tmp_path / "r.ivc", 4)
+        blob = bytearray((tmp_path / "r.ivc").read_bytes())
+        struct.pack_into("<f", blob, offset + size // 5 + 8, float("inf"))  # channel 1
+        struct.pack_into("<I", blob, offset + size, zlib.crc32(blob[offset : offset + size]))
+        (tmp_path / "r.ivc").write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=r"entry 4 \('r004'\): non-finite payload values"):
+                max_correlations(q, open_dataset(tmp_path / "r.mf"), block_budget_mib=PANEL_BUDGET)
+
+    def test_bad_crc_below_truncated_row(self, tmp_path):
+        """A CRC-32 mismatch, known only once the whole entry is read, is
+        raised for its entry before a short read of a higher one in the
+        same block (the file shrank after it was opened)."""
+        q, _, _ = _panel_sets(tmp_path)
+        path = tmp_path / "r.ivc"
+        offset, size = ivc_payload_span(path, 2)
+        blob = bytearray(path.read_bytes())
+        blob[offset + 4 * size // 5 + 1] ^= 0x10  # unmasked channel 4
+        path.write_bytes(bytes(blob))
+        cut, _ = ivc_payload_span(path, 9)
+        for flipped, message in ((True, r"entry 2 \('r002'\): checksum mismatch"),
+                                 (False, "truncated entry 9 payload")):
+            if not flipped:
+                blob[offset + 4 * size // 5 + 1] ^= 0x10
+                path.write_bytes(bytes(blob))
+            handle = open_dataset(tmp_path / "r.mf")
+            path.write_bytes(bytes(blob[: cut + 100]))
+            with pytest.raises(FormatError, match=message):
+                max_correlations(q, handle, block_budget_mib=PANEL_BUDGET)

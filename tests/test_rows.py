@@ -1,8 +1,10 @@
 """Every row source (in-memory and file-backed sets of both kinds, and the
 CLI's picked rows) has one interface: `shape`, (C, H, W) for images and
 (1, dim) for embeddings, and `read_rows(i0, i1, out, channels)`, which
-fills out with rows i0..i1-1 of the given channels. Each is checked
-against a plain numpy array of its rows."""
+fills out with rows i0..i1-1 of the given channels; image sets also have
+`read_panels(i0, i1, out, panels)`, which fills out one panel of
+channels at a time (the engine reads only its reference so). Each is checked against a plain numpy array of its
+rows."""
 
 import numpy as np
 import pytest
@@ -75,3 +77,12 @@ def test_row_source(tmp_path, name):
             out = np.full((i1 - i0, len(channels), rows.shape[2]), np.nan)
             source.read_rows(i0, i1, out, channels)
             np.testing.assert_array_equal(out, rows[i0:i1][:, list(channels)])
+    if make is _images and not picked:  # image sets also read a panel of channels at a time
+        for panels in ([(0,), (1,), (2,)], [(0,), (2,)], [(1,)]):
+            for i0, i1 in ((0, len(rows)), (2, 3), (3, 3)):
+                out = np.full((i1 - i0, 1, rows.shape[2]), np.nan)
+                reader = source.read_panels(i0, i1, out, panels)
+                for panel in panels:
+                    next(reader)
+                    np.testing.assert_array_equal(out, rows[i0:i1][:, list(panel)])
+                assert next(reader, "done") == "done"
