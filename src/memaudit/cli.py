@@ -2,7 +2,8 @@
 
 Exit codes are part of the interface so CI pipelines can gate on them:
 0 success, 1 audit completed and flagged memorization, 2 usage error,
-3 I/O / format / data error. Every output is written atomically; two
+3 I/O / format / data error. A command reserves its outputs before its
+work, and they commit together or not at all (ingest.OutputSet); two
 runs with identical inputs and seeds produce byte-identical reports.
 """
 
@@ -25,15 +26,14 @@ from .correlate import DEFAULT_BLOCK_BUDGET_MIB, DEFAULT_K, max_correlations, pl
 from .errors import InvalidArgumentError, MemauditError
 from .harness import PlantConfig, plant, save_ground_truth
 from .ingest import (
+    OutputSet,
     atomic_write,
-    check_writable,
     load_dataset,
     load_manifest,
     load_records,
     open_dataset,
     open_embedding_set,
     read_embeddings,
-    render_manifest,
     write_ivc,
     write_manifest,
 )
@@ -188,26 +188,10 @@ def _parse_remap(text: str) -> dict[float, float]:
     return mapping
 
 
-def _check_outputs(*outputs) -> None:
-    """check_writable every (flag, path) output given (path not None),
-    before the command's work, so a bad one wastes none of it."""
-    for flag, path in outputs:
-        if path is not None:
-            check_writable(path, flag)
-
-
-def _write_set(images, container, manifest_path, name: str, role: str, truth=None) -> None:
-    """Write images to an IVC1 container, then truth (a GroundTruth and
-    its path) if given, then a manifest naming the container. The manifest
-    is checked first, so a refused one leaves no file behind; the commands
-    check_writable every path before their work."""
-    manifest_path = Path(manifest_path)
-    fields = dict(name=name, role=role, files=[os.path.relpath(container, manifest_path.parent)])
-    render_manifest(**fields)
+def _write_set(images, container, manifest_path, name: str, role: str) -> None:
+    """Write images to an IVC1 container and a manifest naming it."""
     write_ivc(images, container)
-    if truth is not None:
-        save_ground_truth(*truth)
-    write_manifest(manifest_path, **fields)
+    write_manifest(manifest_path, name, role, [os.path.relpath(container, Path(manifest_path).parent)])
 
 
 # ---------------------------------------------------------------------------
@@ -224,41 +208,40 @@ def _cmd_preprocess(args) -> int:
     remap = _parse_remap(args.remap) if args.remap else None
     rescale_channels = _parse_channels(args.rescale_channels, "--rescale-channels")
     remap_channels = _parse_channels(args.remap_channels, "--remap-channels")
-    _check_outputs(("--out-container", args.out_container), ("--out-manifest", args.out_manifest))
-    manifest = load_manifest(args.manifest)
-    records = load_records(manifest)
-    counts = sorted({rec.channels for rec in records})
-    for flag, channels in (
-        ("--filter-channel", (args.filter_channel,)),
-        ("--rescale-channels", rescale_channels),
-        ("--remap-channels", remap_channels),
-    ):
-        for count in counts:
-            _channel_mask(flag, channels, count)
+    with OutputSet(("--out-container", args.out_container), ("--out-manifest", args.out_manifest)):
+        manifest = load_manifest(args.manifest)
+        records = load_records(manifest)
+        counts = sorted({rec.channels for rec in records})
+        for flag, channels in (
+            ("--filter-channel", (args.filter_channel,)),
+            ("--rescale-channels", rescale_channels),
+            ("--remap-channels", remap_channels),
+        ):
+            for count in counts:
+                _channel_mask(flag, channels, count)
 
-    images = []
-    for rec in records:
-        if isinstance(rec, VolumeRecord):
-            images.extend(slice_volume(rec, rule))
-        else:
-            images.append(rec)
-    log.info("preprocess: %d record(s) -> %d slice(s)", len(records), len(images))
+        images = []
+        for rec in records:
+            if isinstance(rec, VolumeRecord):
+                images.extend(slice_volume(rec, rule))
+            else:
+                images.append(rec)
+        log.info("preprocess: %d record(s) -> %d slice(s)", len(records), len(images))
 
-    out = []
-    for img in images:
-        if args.pad:
-            img = zero_pad(img, args.pad[0], args.pad[1])
-        if args.rescale:
-            img = rescale_intensity(img, channels=rescale_channels)
-        if remap:
-            img = remap_labels(img, remap, channels=remap_channels)
-        if args.resize:
-            img = resize_bilinear(img, args.resize[0], args.resize[1])
-        out.append(img)
-    if not out:
-        raise MemauditError("preprocess produced no images (filter dropped everything)")
-
-    _write_set(out, args.out_container, args.out_manifest, f"{manifest.name}-pre", manifest.role)
+        out = []
+        for img in images:
+            if args.pad:
+                img = zero_pad(img, args.pad[0], args.pad[1])
+            if args.rescale:
+                img = rescale_intensity(img, channels=rescale_channels)
+            if remap:
+                img = remap_labels(img, remap, channels=remap_channels)
+            if args.resize:
+                img = resize_bilinear(img, args.resize[0], args.resize[1])
+            out.append(img)
+        if not out:
+            raise MemauditError("preprocess produced no images (filter dropped everything)")
+        _write_set(out, args.out_container, args.out_manifest, f"{manifest.name}-pre", manifest.role)
     log.info("preprocess: wrote %d image(s) to %s", len(out), args.out_container)
     return EXIT_OK
 
@@ -362,28 +345,20 @@ def _cmd_audit(args) -> int:
     if args.baseline_matches_out and not args.test:
         raise UsageError("--baseline-matches-out needs --test")
     _check_baseline(args, args.test, "--test")
-    _check_outputs(
-        ("--out", args.out), ("--matches-out", args.matches_out),
-        ("--baseline-matches-out", args.baseline_matches_out),
-    )
-
-    plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit(args)
-    report = build_audit_report(
-        plan,
-        synth_vs_train,
-        baseline=baseline,
-        synth_vs_test=synth_vs_test,
-        rule=args.rule,
-        histogram_bins=args.histogram_bins,
-        sample_ids=sample_ids,
-    )
-
-    if args.matches_out:
-        save_matches(synth_vs_train, args.matches_out, "synth-vs-train", plan)
-    if args.baseline_matches_out:
-        save_matches(baseline, args.baseline_matches_out, "test-vs-train", plan)
-
-    _emit_report(report, args)
+    with OutputSet(
+        ("--matches-out", args.matches_out),
+        ("--baseline-matches-out", args.baseline_matches_out), ("--out", args.out),
+    ):
+        plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit(args)
+        report = build_audit_report(
+            plan, synth_vs_train, baseline=baseline, synth_vs_test=synth_vs_test,
+            rule=args.rule, histogram_bins=args.histogram_bins, sample_ids=sample_ids,
+        )
+        if args.matches_out:
+            save_matches(synth_vs_train, args.matches_out, "synth-vs-train", plan)
+        if args.baseline_matches_out:
+            save_matches(baseline, args.baseline_matches_out, "test-vs-train", plan)
+        _emit_report(report, args)
 
     if not args.quiet:
         print(
@@ -417,63 +392,51 @@ def _cmd_metrics(args) -> int:
         raise UsageError(
             "nothing to do: pass --ssim-pairs, --mi-pairs, --fid or --is"
         )
-    _check_outputs(("--out", args.out))
     result: dict = {}
     loaded: dict = {}
     params = SsimParams(window=args.ssim_window, sigma=args.ssim_sigma)
-    for paths, key, field, score in (
-        (args.ssim_pairs, "ssim", "ssim", lambda x, y: ssim(x, y, params)),
-        (args.mi_pairs, "mutual_information", "mi_bits",
-         lambda x, y: mutual_information(x, y, args.mi_bins)),
-    ):
-        if paths:
-            a, b = _paired_images(paths, loaded)
-            scores = pool_map(lambda pair: score(*pair), zip(a, b))  # one pair per task
-            values = [{"a": x.id, "b": y.id, field: v} for x, y, v in zip(a, b, scores)]
-            result[key] = {"pairs": values, "mean": sum(v[field] for v in values) / len(values)}
-    if args.fid:
-        real, synth = (read_embeddings(p) for p in args.fid)
-        result["fid"] = fid(gaussian_stats(real), gaussian_stats(synth))
-    if args.inception:
-        mean, std = inception_score(read_embeddings(args.inception), args.is_splits)
-        result["inception_score"] = {"mean": mean, "std": std}
-
-    text = json.dumps(result, indent=2) + "\n"
-    if args.out:
-        atomic_write(args.out, text.encode("utf-8"))
-    else:
-        print(text, end="")
+    with OutputSet(("--out", args.out)):
+        for paths, key, field, score in (
+            (args.ssim_pairs, "ssim", "ssim", lambda x, y: ssim(x, y, params)),
+            (args.mi_pairs, "mutual_information", "mi_bits",
+             lambda x, y: mutual_information(x, y, args.mi_bins)),
+        ):
+            if paths:
+                a, b = _paired_images(paths, loaded)
+                scores = pool_map(lambda pair: score(*pair), zip(a, b))  # one pair per task
+                values = [{"a": x.id, "b": y.id, field: v} for x, y, v in zip(a, b, scores)]
+                result[key] = {"pairs": values, "mean": sum(v[field] for v in values) / len(values)}
+        if args.fid:
+            real, synth = (read_embeddings(p) for p in args.fid)
+            result["fid"] = fid(gaussian_stats(real), gaussian_stats(synth))
+        if args.inception:
+            mean, std = inception_score(read_embeddings(args.inception), args.is_splits)
+            result["inception_score"] = {"mean": mean, "std": std}
+        text = json.dumps(result, indent=2) + "\n"
+        if args.out:
+            atomic_write(args.out, text.encode("utf-8"))
+        else:
+            print(text, end="")
     return EXIT_OK
 
 
 def _cmd_plant(args) -> int:
     try:
         config = PlantConfig(
-            n_output=args.n,
-            p_copy=args.p_copy,
-            p_noisy=args.p_noisy,
-            p_shift=args.p_shift,
-            noise_sigma=args.sigma,
-            shift_pixels=args.shift,
-            seed=args.seed,
+            n_output=args.n, p_copy=args.p_copy, p_noisy=args.p_noisy, p_shift=args.p_shift,
+            noise_sigma=args.sigma, shift_pixels=args.shift, seed=args.seed,
         )
     except InvalidArgumentError as exc:  # each flag is in range, so their sum is over 1
         raise UsageError(f"--p-copy + --p-noisy + --p-shift: {exc}") from None
-    _check_outputs(("--out", args.out), ("--truth", args.truth))
     manifest_path = args.out_manifest
-    if manifest_path is None:
-        manifest_path = Path(args.out).with_suffix(".mf")
-    _check_outputs(("--out-manifest", manifest_path))
-    dataset, truth = plant(load_dataset(args.train), config)
-    _write_set(list(dataset.images), args.out, manifest_path, dataset.name, "synthetic",
-               (truth, args.truth))
-    counts = truth.kind_counts()
-    log.info(
-        "plant: wrote %d image(s) (%s) to %s",
-        len(dataset),
-        ", ".join(f"{k}={v}" for k, v in counts.items() if v),
-        args.out,
-    )
+    if manifest_path is None:  # the container's path with .mf for its suffix
+        manifest_path = Path(args.out).parent / (Path(args.out).stem + ".mf")
+    with OutputSet(("--out", args.out), ("--truth", args.truth), ("--out-manifest", manifest_path)):
+        dataset, truth = plant(load_dataset(args.train), config)
+        save_ground_truth(truth, args.truth)
+        _write_set(list(dataset.images), args.out, manifest_path, dataset.name, "synthetic")
+    counts = ", ".join(f"{k}={v}" for k, v in truth.kind_counts().items() if v)
+    log.info("plant: wrote %d image(s) (%s) to %s", len(dataset), counts, args.out)
     return EXIT_OK
 
 
@@ -509,20 +472,17 @@ def _check_same_reference(matches_path, plan, baseline_path, baseline_plan) -> N
 
 def _cmd_report(args) -> int:
     _check_baseline(args, args.baseline, "--baseline")
-    _check_outputs(("--out", args.out))
-    plan, synth_matches = _labelled_matches(args.matches, "synth-vs-train")
-    baseline = None
-    if args.baseline:
-        baseline_plan, baseline = _labelled_matches(args.baseline, "test-vs-train")
-        _check_same_reference(args.matches, plan, args.baseline, baseline_plan)
-    report = build_audit_report(
-        plan,
-        synth_matches,
-        baseline=baseline,
-        rule=args.rule,
-        histogram_bins=args.histogram_bins,
-    )
-    _emit_report(report, args)
+    with OutputSet(("--out", args.out)):
+        plan, synth_matches = _labelled_matches(args.matches, "synth-vs-train")
+        baseline = None
+        if args.baseline:
+            baseline_plan, baseline = _labelled_matches(args.baseline, "test-vs-train")
+            _check_same_reference(args.matches, plan, args.baseline, baseline_plan)
+        report = build_audit_report(
+            plan, synth_matches, baseline=baseline, rule=args.rule,
+            histogram_bins=args.histogram_bins,
+        )
+        _emit_report(report, args)
     return EXIT_FLAGGED if report.flagged else EXIT_OK
 
 

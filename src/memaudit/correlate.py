@@ -85,7 +85,11 @@ DEFAULT_K = 5
 BRUTE_FORCE_LIMIT = 10_000_000
 SCREEN_MAX_LENGTH = 1024  # rows no longer than this take the float32 screen
 # The narrowest reference block at which the dgemm runs near its rate: 64
-# resident rows x 65,536 values ran at 2.6 GMAC/s on 15 columns, 18 on 64
+# resident rows x 65,536 values ran at 2.6 GMAC/s on 15 columns, 18 on 64.
+# Wider blocks stay whole rows: panels at every width slowed a CLI audit of
+# 828 train, 100 synthetic and 138 test 5x64x64 images (248-row blocks, or
+# one 828-row panel block) from 0.664 to 0.694 s and 0.669 to 0.705 s (medians
+# of two batches of 12 alternating pairs, 2 cores; whole rows won 9 and 10)
 GEMM_KNEE_COLUMNS = 64
 # Block bytes per resident row and reference row, beside the rows: a float32
 # (screen) or float64 tile entry, a pass mask byte and 8 for the merge's

@@ -35,7 +35,9 @@ Every set, in memory or file-backed, has a `shape`, (C, H, W) for images
 or (1, dim) for embeddings, and `read_rows(i0, i1, out, channels)`, which
 fills out (i1 - i0, len(channels), H*W or dim) with rows i0..i1-1.
 Every writer goes through `atomic_write`, so an output file is either its
-previous version or the complete new one, never a prefix.
+previous version or the complete new one, never a prefix. An `OutputSet`
+reserves a temp file for each of a command's outputs before its work;
+the writers fill them, and all are renamed together, or none.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import struct
 import threading
 import zlib
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
@@ -69,61 +72,91 @@ IVC_DTYPE_F32 = 1
 _DTYPES = {IVC_DTYPE_U8: np.uint8, IVC_DTYPE_F32: np.dtype("<f4")}
 
 
-def _temp_path(path: Path) -> Path:
-    """A fresh name for the temp file that atomic_write renames to path."""
-    return path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-
-
-def _refuse_empty(name: str, what: str) -> None:
-    if not name:  # Path("") is the current directory
-        raise InvalidArgumentError(f"{what}: the path is empty")
-
-
-def check_writable(path, what: str = "output path") -> None:
-    """Raise the error that atomic_write(path, ...) would meet: for an
-    empty path, one naming ``what`` (say, the flag that gave it); else
-    the OSError of creating its temp file (say, in a missing or read-only
-    directory) or of renaming it onto a directory, naming ``path`` as
-    given. Leaves no file. Commands check every output this way before
-    their work."""
-    name = os.fspath(path)
-    _refuse_empty(name, what)
-    if os.path.isdir(name):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
-    tmp = _temp_path(Path(name))
+@contextmanager
+def _naming(name: str, tmp: Path):
+    """An OS error of tmp, or of no file (say, a full disk), names name,
+    the path asked for; one of another file keeps its own name."""
     try:
-        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        yield
     except OSError as exc:
+        if exc.errno is None or exc.filename not in (None, str(tmp)):
+            raise
         raise type(exc)(exc.errno, exc.strerror, name) from exc
-    tmp.unlink()
+
+
+_OPEN_SET: ContextVar[Optional["OutputSet"]] = ContextVar("output_set", default=None)
+
+
+class OutputSet:
+    """A command's outputs, committed together: ``with OutputSet((what,
+    path), ...)`` (a None path is no output). Entering reserves a temp file
+    next to each before any work; an empty path (named by what, say its
+    flag), two outputs at one file, a directory at the path or a temp file
+    that cannot be made (say, in a missing directory) raise, naming the
+    path as given. In the block, atomic_write of a reserved path fills its
+    temp file; leaving it renames each written temp file onto its path in
+    order, or on an error removes them all, so every output is as it was."""
+
+    def __init__(self, *outputs):
+        self._outputs = [(what, os.fspath(path)) for what, path in outputs if path is not None]
+        self._temps: dict[str, tuple[str, str, Path]] = {}  # realpath: (what, path, temp)
+        self._written: set[str] = set()
+
+    def __enter__(self) -> "OutputSet":
+        self._token = _OPEN_SET.set(self)
+        try:
+            for what, name in self._outputs:
+                if not name:  # Path("") is the current directory
+                    raise InvalidArgumentError(f"{what}: the path is empty")
+                key = os.path.realpath(name)
+                if key in self._temps:
+                    first, given, _ = self._temps[key]
+                    raise InvalidArgumentError(f"{first} {given!r} and {what} {name!r} name one file")
+                if os.path.isdir(name):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
+                tmp = Path(name).with_name(f".{Path(name).name}.{os.urandom(4).hex()}.tmp")
+                with _naming(name, tmp):
+                    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                self._temps[key] = (what, name, tmp)
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, None)
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _OPEN_SET.reset(self._token)
+        try:
+            for key, (_, name, tmp) in self._temps.items():
+                if exc_type is None and key in self._written:
+                    with _naming(name, tmp):
+                        os.replace(tmp, name)
+        finally:
+            for _, _, tmp in self._temps.values():
+                tmp.unlink(missing_ok=True)  # gone once renamed
+
+    def _fill(self, key: str, chunks: Iterable[bytes]) -> None:
+        _, name, tmp = self._temps[key]
+        self._written.discard(key)  # until the whole of data is in
+        with _naming(name, tmp), os.fdopen(os.open(tmp, os.O_WRONLY | os.O_TRUNC), "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        self._written.add(key)
 
 
 def atomic_write(path, data: Union[bytes, Iterable[bytes]]) -> None:
     """Write ``data`` (bytes-like, or an iterable of bytes-like chunks
-    written in order) via a temp file in the same directory + rename, so
-    no partial file can exist under ``path``; the temp file is removed on
-    failure, including one raised while the chunks are produced. An OS
-    error in creating, writing or renaming the temp file names ``path``,
-    the file asked for; one of another file (say, a chunk producer's
-    read) keeps its own name. An empty path is refused."""
-    _refuse_empty(os.fspath(path), "output path")
-    path = Path(path)
+    written in order) to ``path`` as a one-output OutputSet; or, when the
+    innermost open set reserved ``path``, to its temp file, committed with
+    that set. A failure, including one raised while the chunks are made,
+    leaves no temp file; an OS error in writing or renaming names
+    ``path``, one of another file (say, a chunk producer's read) its own."""
     chunks = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
-    tmp = _temp_path(path)
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                for chunk in chunks:
-                    handle.write(chunk)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        if exc.errno is None or exc.filename not in (None, str(tmp)):
-            raise
-        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+    key, outputs = os.path.realpath(path), _OPEN_SET.get()
+    if outputs is not None and key in outputs._temps:
+        outputs._fill(key, chunks)
+        return
+    with OutputSet(("output path", path)) as outputs:
+        outputs._fill(key, chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +597,17 @@ def read_embeddings(path) -> EmbeddingSet:
 
 
 def write_embeddings(emb: EmbeddingSet, path) -> None:
-    """Write an EMB1 matrix and its `.ids` sidecar; ids the sidecar cannot
-    hold (blank, or split by a line break) are refused before anything is
-    written."""
+    """Write an EMB1 matrix and its `.ids` sidecar, committed together;
+    ids the sidecar cannot hold (blank, or split by a line break) are
+    refused before anything is written."""
     path = Path(path)
     for i in emb.ids:
         if not i.strip() or i.splitlines() != [i]:
             raise InvalidArgumentError(f"id {i!r} cannot be one line of an .ids sidecar")
     header = b"EMB1" + struct.pack("<II", len(emb), emb.dim)
-    atomic_write(path, (header, _raw_bytes(emb.rows, "<f4")))
-    atomic_write(path.with_suffix(".ids"), ("\n".join(emb.ids) + "\n").encode("utf-8"))
+    with OutputSet(("output path", path), ("output path", path.with_suffix(".ids"))):
+        atomic_write(path, (header, _raw_bytes(emb.rows, "<f4")))
+        atomic_write(path.with_suffix(".ids"), ("\n".join(emb.ids) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

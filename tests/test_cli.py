@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -28,8 +29,8 @@ from memaudit.harness import PlantConfig, generate_train_set, plant
 from memaudit.errors import InvalidArgumentError
 from memaudit.ingest import (
     EmbeddingSet,
+    OutputSet,
     atomic_write,
-    check_writable,
     load_dataset,
     load_embedding_set,
     load_manifest,
@@ -436,10 +437,106 @@ class TestEmptyOutputPath:
 
     def test_writers_refuse_it(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        for call in (lambda: atomic_write("", b"x"), lambda: check_writable("")):
+        for call in (lambda: atomic_write("", b"x"), OutputSet(("output path", "")).__enter__):
             with pytest.raises(InvalidArgumentError, match="^output path: the path is empty$"):
                 call()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputsCommitTogether:
+    """A command's outputs commit together: when a later output fails
+    (its chunk producer runs out of disk after an earlier output's bytes
+    were written), the command exits 3 naming the path as typed, and every
+    output keeps its previous bytes, with no temp file left. Two outputs
+    at one file are refused before any work."""
+
+    def _full_disk(self, tmp_path, capsys, monkeypatch, command, argv, earlier, later, typed):
+        """Run command with cli's writer of the later output (its path the
+        argument at later[1]) running out of disk after its first chunk,
+        once each writer named in earlier has run."""
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(cli, name)
+            return lambda *args, **kwargs: (calls.update([name]), real(*args, **kwargs))[1]
+
+        def write(*args, **kwargs):
+            def chunks():
+                yield b"partial"
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            assert calls == earlier
+            atomic_write(args[later[1]], chunks())
+
+        for name in earlier:
+            monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setattr(cli, later[0], write)
+        monkeypatch.chdir(tmp_path)
+        state = lambda: {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        before = state()
+        assert run([command, *argv, "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            f"memaudit {command}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{typed}'\n"
+        )
+        assert state() == before
+
+    @staticmethod
+    def _old(tmp_path, *names):
+        for name in names:
+            (tmp_path / name).write_bytes(f"old {name}\n".encode())
+
+    def test_preprocess(self, tmp_path, capsys, monkeypatch):
+        write_ivc([image(np.arange(16.0).reshape(4, 4), id="a")], tmp_path / "in.ivc")
+        (tmp_path / "in.mf").write_text("role = train\nin.ivc\n", "utf-8")
+        self._old(tmp_path, "q.ivc", "q.mf")
+        argv = ["--manifest", "in.mf", "--out-container", "q.ivc", "--out-manifest", "q.mf"]
+        self._full_disk(tmp_path, capsys, monkeypatch, "preprocess", argv,
+                        Counter(write_ivc=1), ("write_manifest", 0), "q.mf")
+
+    def test_plant(self, tmp_path, capsys, monkeypatch, train_manifest):
+        self._old(tmp_path, "p.ivc", "t.json", "p.mf")
+        argv = ["--train", str(train_manifest), "--n", "4", "--seed", "1",
+                "--out", "p.ivc", "--truth", "t.json"]
+        self._full_disk(tmp_path, capsys, monkeypatch, "plant", argv,
+                        Counter(write_ivc=1, save_ground_truth=1), ("write_manifest", 0), "p.mf")
+
+    def test_audit(self, tmp_path, capsys, monkeypatch, train_manifest):
+        synth_mf, _ = plant_set(tmp_path, train_manifest, seed=18, n=4)
+        test_mf, _ = plant_set(tmp_path, train_manifest, seed=19, n=4, name="heldout")
+        self._old(tmp_path, "m.json", "b.json", "r.json")
+        argv = ["--train", str(train_manifest), "--synthetic", str(synth_mf), "--test", str(test_mf),
+                "--rule", "fixed:0.99", "--matches-out", "m.json", "--baseline-matches-out", "b.json",
+                "--out", "./r.json"]
+        self._full_disk(tmp_path, capsys, monkeypatch, "audit", argv,
+                        Counter(save_matches=2), ("export_report", 1), "./r.json")
+
+    def _one_file(self, tmp_path, capsys, monkeypatch, command, argv, work, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before its outputs were reserved")
+
+        monkeypatch.setattr(cli, work, refuse)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert run([command, *argv, "--quiet"]) == 3
+        assert capsys.readouterr().err == f"memaudit {command}: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_plant_container_at_the_default_manifest(self, tmp_path, capsys, monkeypatch,
+                                                     train_manifest):
+        """Without --out-manifest the manifest is the container's path
+        with .mf for its suffix: a container named s.mf is that file."""
+        argv = ["--train", str(train_manifest), "--n", "4", "--seed", "1",
+                "--out", "s.mf", "--truth", "t.json"]
+        self._one_file(tmp_path, capsys, monkeypatch, "plant", argv, "plant",
+                       "--out 's.mf' and --out-manifest 's.mf' name one file")
+
+    def test_audit_report_and_matches_at_one_file(self, tmp_path, capsys, monkeypatch,
+                                                  train_manifest):
+        synth_mf, _ = plant_set(tmp_path, train_manifest, seed=18, n=4)
+        argv = ["--train", str(train_manifest), "--synthetic", str(synth_mf),
+                "--rule", "fixed:0.99", "--out", "r.json", "--matches-out", "./r.json"]
+        self._one_file(tmp_path, capsys, monkeypatch, "audit", argv, "max_correlations",
+                       "--matches-out './r.json' and --out 'r.json' name one file")
 
 
 class TestPreprocessCommand:
@@ -1262,6 +1359,41 @@ def test_audit_calls_the_traced_names_once(tmp_path, monkeypatch):
     ])
     assert code in (0, 1)
     assert calls == {"plan_audit": 1, "max_correlations": 1}
+
+
+def test_commands_call_the_traced_writer_names_once_per_output(tmp_path, monkeypatch):
+    """perfbench's tracer times cli's own writer names (write_ivc,
+    write_manifest, save_ground_truth, save_matches, export_report): its
+    write and export times miss any output that a command writes another
+    way. Each command calls each of them once per output."""
+    train_mf, synth_mf, test_mf = _split_train(tmp_path)
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for name in ("write_ivc", "write_manifest", "save_ground_truth", "save_matches",
+                 "export_report"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    runs = {
+        "audit": (["--train", str(train_mf), "--synthetic", str(synth_mf), "--test", str(test_mf),
+                   "--matches-out", str(tmp_path / "m.json"),
+                   "--baseline-matches-out", str(tmp_path / "b.json"),
+                   "--out", str(tmp_path / "r.json")], {"save_matches": 2, "export_report": 1}),
+        "plant": (["--train", str(train_mf), "--n", "4", "--seed", "5",
+                   "--out", str(tmp_path / "p.ivc"), "--truth", str(tmp_path / "p.json")],
+                  {"write_ivc": 1, "save_ground_truth": 1, "write_manifest": 1}),
+        "preprocess": (["--manifest", str(train_mf), "--out-container", str(tmp_path / "q.ivc"),
+                        "--out-manifest", str(tmp_path / "q.mf")],
+                       {"write_ivc": 1, "write_manifest": 1}),
+    }
+    for command, (argv, expected) in runs.items():
+        calls.clear()
+        assert run([command, *argv, "--quiet"]) in (0, 1)
+        assert calls == expected, command
 
 
 def _worker_sets(tmp_path, kind):

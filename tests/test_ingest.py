@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import re
@@ -10,6 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
+import memaudit.ingest as ingest
 from memaudit.core import ImageRecord, VolumeRecord
 from memaudit.errors import (
     EmptyInputError,
@@ -484,6 +486,30 @@ class TestAtomicWrites:
             write(target, 9.0)
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert after == before  # old bytes intact, no temp file left
+
+    def test_embeddings_and_ids_commit_together(self, tmp_path, monkeypatch):
+        """The .emb file and its .ids sidecar are one output set: when the
+        sidecar's write runs out of disk, the previous pair is left, not a
+        new matrix beside the old ids, which would read back as wrong ids
+        whenever the row count is unchanged."""
+        target = tmp_path / "out.emb"
+        write_embeddings(EmbeddingSet(("a", "b"), 2, np.eye(2, dtype=np.float32)), target)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real = ingest.atomic_write
+
+        def full_disk(path, data):
+            def chunks():
+                yield b"c\n"
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            real(path, chunks() if str(path).endswith(".ids") else data)
+
+        monkeypatch.setattr(ingest, "atomic_write", full_disk)
+        new = EmbeddingSet(("c", "d"), 2, 2 * np.eye(2, dtype=np.float32))
+        with pytest.raises(OSError) as raised:
+            write_embeddings(new, target)
+        assert (raised.value.errno, raised.value.filename) == (errno.ENOSPC, str(tmp_path / "out.ids"))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_chunks_written_in_order(self, tmp_path):
         chunks = [b"IVC", bytearray(b"1"), memoryview(np.arange(3, dtype=np.uint8))]
