@@ -456,9 +456,11 @@ class TestOutputsCommitTogether:
         once each writer named in earlier has run."""
         calls = Counter()
 
-        def counted(name):
-            real = getattr(cli, name)
-            return lambda *args, **kwargs: (calls.update([name]), real(*args, **kwargs))[1]
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return call
 
         def write(*args, **kwargs):
             def chunks():
@@ -469,7 +471,7 @@ class TestOutputsCommitTogether:
             atomic_write(args[later[1]], chunks())
 
         for name in earlier:
-            monkeypatch.setattr(cli, name, counted(name))
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
         monkeypatch.setattr(cli, later[0], write)
         monkeypatch.chdir(tmp_path)
         state = lambda: {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
