@@ -20,6 +20,13 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
+# OpenBLAS's idle threads spin for up to 2**28 cycles (about 0.1 s) after
+# each product, on the CPUs where the audit's read pool runs next; 2**4
+# makes them sleep at once. It takes effect only when set before numpy
+# loads OpenBLAS, so here, above the imports that load numpy (the package
+# itself loads none); a value the caller set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from ._rng import SplitMix64
 from .core import VolumeRecord, pool_map, resolve_channel_mask
 from .correlate import DEFAULT_BLOCK_BUDGET_MIB, DEFAULT_K, max_correlations, plan_audit

@@ -23,8 +23,13 @@ resident rows, each reference block) is split into contiguous ranges,
 one per CPU this process may run on, which are read and standardized on
 a thread pool: zlib, file reads and numpy's loops release the GIL. The
 GEMM and the merge run on the calling thread only after every range is
-done, so the BLAS library's own threads never share the CPUs with the
-pool.
+done, and no worker calls BLAS. But after each product OpenBLAS's own
+threads spin for up to about 0.1 s by default, beside the pool's next
+reads; the command line (memaudit.cli) sets OPENBLAS_THREAD_TIMEOUT to 4
+before numpy loads, unless the caller set it, so they sleep at once. On
+the benchmark's three workloads (2 CPUs) that cut an audit's CPU time by
+25-29%, and paper-mri's audit time by 8%. A library caller that loaded
+numpy first keeps its BLAS library's setting.
 
 Where a block of whole image rows would be narrower than the dgemm
 needs (GEMM_KNEE_COLUMNS, see plan_audit), reference blocks are read in
@@ -440,8 +445,11 @@ def _panel_blocks(pool, workers, reference, channels, mode, queries, step, ranks
     Each panel is read by reference.read_panels on _on_ranges of workers
     ranges and standardized on its own (core.standardize_panel), then its
     dgemm against the queries' columns of that channel (a strided view,
-    not a copy) is added to the block's tile. After the last panel the
-    readers finish, so the lowest-index bad row raises before any merge.
+    not a copy) is added to the block's tile. The tile is reference-major,
+    a row per block row: at 65,536 values that dgemm ran 1.17-1.31x faster
+    than queries x rows, at 64 to 2,000 resident rows. The merge reads its
+    transpose. After the last panel the readers finish, so the lowest-index
+    bad row raises before any merge.
     Under "mean" every panel is a segment of the standardized row, so the
     tile is done. Under "concat" panel c was centered by its own mean
     mu_c, not the row's mean mu; the queries are centered, so adding
@@ -449,7 +457,7 @@ def _panel_blocks(pool, workers, reference, channels, mode, queries, step, ranks
     query's channel c, gives each entry's dot with the centered row. Its
     squared norm is the sum of the panels' squares plus L * sum_c (mu_c -
     mu)**2, which also decides validity as standardize_rows' would; each
-    column is divided by its square root. S_c(q) comes from each panel's
+    tile row is divided by its square root. S_c(q) comes from each panel's
     dgemm too, as its product with a row of ones after the block's rows,
     so no pass of its own reads the resident matrix."""
     nq, segments = len(queries), len(channels)
@@ -459,13 +467,13 @@ def _panel_blocks(pool, workers, reference, channels, mode, queries, step, ranks
     tile_buf, product_buf = np.empty((2, nq * (step + ones)))
     moments = np.empty((2, segments, step))  # each panel's means and squares
     ok = np.empty((segments, step), dtype=bool)
-    sums = np.empty((nq, segments))
+    sums = np.empty((segments, nq))
 
     def block(r0, r1):
         m = r1 - r0
         width = m + ones
-        tile = tile_buf[: nq * width].reshape(nq, width)  # contiguous: matmul writes in place
-        product = product_buf[: nq * width].reshape(nq, width)
+        tile = tile_buf[: nq * width].reshape(width, nq)  # contiguous: matmul writes in place
+        product = product_buf[: nq * width].reshape(width, nq)
         rows[m:width] = 1.0
         ranges = _ranges(m, workers)
         readers = {
@@ -482,24 +490,24 @@ def _panel_blocks(pool, workers, reference, channels, mode, queries, step, ranks
 
             _on_ranges(pool, ranges, work)
             panel = queries[:, p * length : (p + 1) * length]
-            np.matmul(panel, rows[:width].T, out=product if p else tile)
+            np.matmul(rows[:width], panel.T, out=product if p else tile)
             if ones:
-                sums[:, p] = (product if p else tile)[:, m]
+                sums[p] = (product if p else tile)[m]
             if p:
                 tile += product
         _on_ranges(pool, ranges, lambda a, b: next(readers[a], None))  # faults raise here
-        tile, product = tile[:, :m], product[:, :m]
+        tile, product = tile[:m], product[:m]
         if mode == "mean":
             valid = ok[:, :m].all(axis=0)
         else:
             means, squares = moments[:, :, :m]
             shift = means - means.mean(axis=0)
-            tile += np.matmul(sums, shift, out=product)
+            tile += np.matmul(shift.T, sums, out=product)
             norm = squares.sum(axis=0) + length * (shift * shift).sum(axis=0)
             valid = norm / (segments * length) >= VARIANCE_FLOOR
-            tile /= np.sqrt(np.where(valid, norm, 1.0))
-        tile = _valid_rows(tile.T, valid).T
-        return ranks[r0:r1][valid], lambda: (tile, 0.0, None)
+            tile /= np.sqrt(np.where(valid, norm, 1.0))[:, None]
+        tile = _valid_rows(tile, valid)
+        return ranks[r0:r1][valid], lambda: (tile.T, 0.0, None)
 
     return block
 

@@ -600,6 +600,8 @@ def write_embeddings(emb: EmbeddingSet, path) -> None:
     """Write an EMB1 matrix and its `.ids` sidecar, committed together;
     ids the sidecar cannot hold (blank, or split by a line break) are
     refused before anything is written."""
+    if not os.fspath(path):  # Path("") is the current directory, which has no sidecar name
+        raise InvalidArgumentError("output path: the path is empty")
     path = Path(path)
     for i in emb.ids:
         if not i.strip() or i.splitlines() != [i]:

@@ -487,6 +487,15 @@ class TestAtomicWrites:
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert after == before  # old bytes intact, no temp file left
 
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_empty_path_refused(self, tmp_path, monkeypatch, kind):
+        """An empty path is refused before anything is written, the .emb
+        writer's before it names its .ids sidecar."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InvalidArgumentError, match="^output path: the path is empty$"):
+            self.WRITERS[kind]("", 1.0)
+        assert list(tmp_path.iterdir()) == []
+
     def test_embeddings_and_ids_commit_together(self, tmp_path, monkeypatch):
         """The .emb file and its .ids sidecar are one output set: when the
         sidecar's write runs out of disk, the previous pair is left, not a
