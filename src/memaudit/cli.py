@@ -256,14 +256,13 @@ def _cmd_preprocess(args) -> int:
 class _Picked:
     """The picked rows of a set, read one by one through its read_rows;
     like the set's own, disjoint ranges may be read by threads at once.
-    The engine reads only its reference in panels, never picked rows."""
+    It has no read_panels: the engine reads only its reference in panels,
+    never picked rows."""
 
     def __init__(self, rows, picks: list[int]):
         self._rows, self._picks = rows, picks
+        self.name, self.role, self.shape = rows.name, rows.role, rows.shape
         self.ids = tuple(rows.ids[i] for i in picks)
-
-    def __getattr__(self, name):
-        return getattr(self._rows, name)
 
     def __len__(self) -> int:
         return len(self._picks)

@@ -238,8 +238,9 @@ def _selected(img: ImageRecord, mask: tuple[int, ...]) -> np.ndarray:
 def standardize_rows(
     rows: np.ndarray, mode: str = "concat"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Standardize a float64 block of rows for dot-product correlation;
-    the engine's one standardizer. Works in place: the contents of rows
+    """Standardize a float64 block of rows for dot-product correlation:
+    the engine's standardizer of whole rows (standardize_panel is that of
+    rows read a channel at a time). Works in place: the contents of rows
     are overwritten.
 
     rows has shape (n, segments, L): an image's selected channels are its

@@ -212,7 +212,7 @@ def plan_audit(
     the resident rows (and their float32 copy when screened, or their
     per-channel sums when in panels), the exact valuation's two 256 KiB
     row buffers and the readers' scratch: one payload (or chunk) buffer
-    per worker thread of a file-backed set.
+    per range of a file-backed set being read, freed when its read returns.
     """
     if min(n_query, n_reference, n_test) < 0:
         raise InvalidArgumentError("counts must be non-negative")

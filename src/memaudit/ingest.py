@@ -22,13 +22,14 @@ checksum mismatches, PGM bytes above maxval and oversized files all raise
 FormatError naming the byte offset. Each image format has one header scan
 (`_scan_pgm`, `_scan_ivc`) that turns a file into entries (id, dims,
 dtype, payload offset; a PGM file is one u8 entry with its maxval and no
-checksum) without reading a payload byte, and all formats share one
-payload reader: `_payload_chunk` reads and checks a run of payload
-bytes and `_check_crc` the checksum, whole entries at once in
-`_entry_values` or a panel of channels at a time, with a running CRC-32,
-in `DatasetFile.read_panels`. A manifest's set has one reader, the
-`read_rows` of its `open_dataset` / `open_embedding_set` handle (for
-images, the one-panel case of `read_panels`);
+checksum) without reading a payload byte, and both share one entry
+reader, `_read_panels`: it reads a panel of channels at a time with a
+running CRC-32, `_payload_chunk` reading and checking each run of
+payload bytes and `_check_crc` the checksum. `DatasetFile.read_panels`
+calls it; `read_ivc`, `read_pgm` and `DatasetFile.read_rows` are its
+one-panel case. EMB1 rows have their own chunked read,
+`EmbeddingSetFile.read_rows`. A manifest's set has one reader, the
+`read_rows` of its `open_dataset` / `open_embedding_set` handle;
 `load_dataset` / `load_embedding_set` are that plus a read of every row,
 and `read_embeddings` is `load_embedding_set` of a one-file manifest.
 Every set, in memory or file-backed, has a `shape`, (C, H, W) for images
@@ -43,9 +44,9 @@ the writers fill them, and all are renamed together, or none.
 from __future__ import annotations
 
 import errno
+import math
 import os
 import struct
-import threading
 import zlib
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -188,7 +189,7 @@ class _Cursor:
         self.pos += n
         return out
 
-    def take_into(self, out: bytearray, n: int, what: str) -> memoryview:
+    def take_into(self, out: np.ndarray, n: int, what: str) -> memoryview:
         """The next n bytes, read into the front of out (no allocation)."""
         self._need(n, what, self.size - self.pos)
         view = memoryview(out)[:n]
@@ -237,7 +238,7 @@ class _Entry:
 
 
 def _payload_chunk(
-    cur: _Cursor, entry: _Entry, into: bytearray, start: int, stop: int
+    cur: _Cursor, entry: _Entry, into: np.ndarray, start: int, stop: int
 ) -> tuple[memoryview, Optional[FormatError]]:
     """Payload bytes start..stop-1 of entry, read into the front of into,
     and the error their values raise (non-finite f32 values, a PGM byte
@@ -279,28 +280,74 @@ def _check_crc(cur: _Cursor, entry: _Entry, crc: int) -> None:
         )
 
 
-def _entry_values(cur: _Cursor, entry: _Entry, into: bytearray) -> np.ndarray:
-    """One entry's payload (u8 or f32, flat), after its CRC-32 (IVC1),
-    maxval (PGM) and finiteness checks: a view of into (at least
-    entry.size bytes): the whole-entry read whose faults
-    DatasetFile.read_panels raises in the same order."""
-    payload, fault = _payload_chunk(cur, entry, into, 0, entry.size)
-    _check_crc(cur, entry, zlib.crc32(payload))
-    if fault is not None:
-        raise fault
-    return np.frombuffer(payload, dtype=_DTYPES[entry.dtype])
+def _read_panels(
+    locations: Sequence[tuple[Path, _Entry]], out: np.ndarray, panels: Sequence[Sequence[int]]
+) -> Iterator[None]:
+    """The entries at locations, (file, entry) pairs in file order, into
+    out one panel at a time: panels are sequences of channels, each past
+    every channel of the one before; for each, out (len(locations),
+    len(panel), values per channel) is filled with those channels of each
+    entry, in order, and the generator yields.
+
+    Each payload is read once, in file order, as far as a panel needs
+    (the channels between panels too), with a running CRC-32 of every
+    byte read; the last panel reads the rest of it and its checksum.
+    When the generator is resumed after the last panel, the
+    lowest-index entry at fault raises: of a short read, a CRC-32
+    mismatch, or non-finite values (a byte above maxval in PGM), the
+    first. An entry at fault reads as zeros. Payload bytes pass through
+    one scratch buffer of the call's own, so calls share nothing and
+    threads may read disjoint entries at once.
+    """
+    done = [0] * len(locations)  # channels read
+    crcs = [0] * len(locations)
+    faults: list[Optional[FormatError]] = [None] * len(locations)
+    broken = [False] * len(locations)  # a short read or a bad checksum: read no more
+    scratch = np.empty(max((e.size for _, e in locations), default=0), np.uint8)
+    for i, panel in enumerate(panels):
+        last = i == len(panels) - 1
+        todo = [j for j in range(len(locations)) if not broken[j]]
+        for file, group in groupby(todo, key=lambda j: locations[j][0]):
+            with _file_cursor(file) as cur:
+                for j in group:
+                    entry = locations[j][1]
+                    c = entry.dims[0]
+                    stop = c if last else max(panel) + 1
+                    start, end = entry.size * done[j] // c, entry.size * stop // c
+                    try:
+                        chunk, fault = _payload_chunk(cur, entry, scratch, start, end)
+                        crcs[j] = zlib.crc32(chunk, crcs[j])
+                        faults[j] = faults[j] or fault
+                        if stop == c:
+                            _check_crc(cur, entry, crcs[j])
+                    except FormatError as exc:  # it comes before any value fault
+                        faults[j], broken[j] = exc, True
+                    if faults[j] is None:
+                        values = np.frombuffer(chunk, dtype=_DTYPES[entry.dtype])
+                        copy_channels([values], out[j : j + 1], [ch - done[j] for ch in panel])
+                    done[j] = stop
+        for j in range(len(locations)):
+            if faults[j] is not None:
+                out[j] = 0.0
+        yield
+    for fault in faults:
+        if fault is not None:
+            raise fault
 
 
 def _read_records(fmt: str, path: Path) -> list[Union[ImageRecord, VolumeRecord]]:
     """Every record of one PGM or IVC1 file, in file order: the header
-    scan, then each payload read and checked."""
-    records: list[Union[ImageRecord, VolumeRecord]] = []
+    scan, then each entry read and checked as one panel of all its
+    channels."""
     with _file_cursor(path) as cur:
-        for entry in _SCANNERS[fmt](cur):
-            values = _entry_values(cur, entry, bytearray(entry.size))
-            values = values.astype(np.float32, copy=False)
-            kind = ImageRecord if len(entry.dims) == 3 else VolumeRecord
-            records.append(kind(entry.id, *entry.dims, values))
+        entries = _SCANNERS[fmt](cur)
+    records: list[Union[ImageRecord, VolumeRecord]] = []
+    for entry in entries:
+        c = entry.dims[0]
+        values = np.empty((1, c, math.prod(entry.dims[1:])), dtype=np.float32)
+        exhaust(_read_panels([(path, entry)], values, [range(c)]))
+        kind = ImageRecord if len(entry.dims) == 3 else VolumeRecord
+        records.append(kind(entry.id, *entry.dims, values))
     return records
 
 
@@ -790,15 +837,6 @@ def load_embedding_set(manifest: Union[Manifest, str, Path]) -> EmbeddingSet:
 _READ_CHUNK_BYTES = 1 << 20
 
 
-class _ThreadBuffer(threading.local):
-    """A scratch bytearray of a fixed size for each thread that reads
-    through it, made on the thread's first use, so threads reading
-    disjoint ranges of one set never share one."""
-
-    def __init__(self, size: int):
-        self.bytes = bytearray(size)
-
-
 class DatasetFile:
     """A manifest of 2-D images whose pixels stay in their files.
 
@@ -808,9 +846,9 @@ class DatasetFile:
     file order one panel (a run of channels) at a time, each payload byte
     once, with a running CRC-32 per entry (PGM files have none) and a
     finiteness check as it is read; read_rows is its one-panel case.
-    Payloads are read through one buffer per reading thread, so reading
-    allocates nothing per entry, and threads may read disjoint ranges at
-    once.
+    Each read owns one scratch buffer, so the handle holds nothing
+    between reads, reading allocates nothing per entry, and threads may
+    read disjoint ranges at once.
     """
 
     def __init__(self, manifest: Manifest):
@@ -824,7 +862,6 @@ class DatasetFile:
         )
         self.ids = tuple(e.id for _, e in self._locations)
         self.shape: tuple[int, int, int] = self._locations[0][1].dims
-        self._payload = _ThreadBuffer(max(e.size for _, e in self._locations))  # a payload per thread
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -832,53 +869,9 @@ class DatasetFile:
     def read_panels(
         self, i0: int, i1: int, out: np.ndarray, panels: Sequence[Sequence[int]]
     ) -> Iterator[None]:
-        """Images i0..i1-1 into out one panel at a time: panels are
-        sequences of channels, each past every channel of the one before;
-        for each, out (i1 - i0, len(panel), H*W) is filled with those
-        channels of each image, in order, and the generator yields.
-
-        Each payload is read once, in file order, as far as a panel needs
-        (the channels between panels too), with a running CRC-32 of every
-        byte read; the last panel reads the rest of it and its checksum.
-        When the generator is resumed after the last panel, the
-        lowest-index entry at fault raises what a whole-entry read
-        (_entry_values) raises: of a short read, a CRC-32 mismatch, or
-        non-finite values (a byte above maxval in PGM), the first. An
-        entry at fault reads as zeros.
-        """
-        c = self.shape[0]
-        locations = self._locations[i0:i1]
-        done = [0] * len(locations)  # channels read
-        crcs = [0] * len(locations)
-        faults: list[Optional[FormatError]] = [None] * len(locations)
-        broken = [False] * len(locations)  # a short read or a bad checksum: read no more
-        for i, panel in enumerate(panels):
-            stop = c if i == len(panels) - 1 else max(panel) + 1
-            todo = [j for j in range(len(locations)) if not broken[j]]
-            for file, group in groupby(todo, key=lambda j: locations[j][0]):
-                with _file_cursor(file) as cur:
-                    for j in group:
-                        entry = locations[j][1]
-                        start, end = entry.size * done[j] // c, entry.size * stop // c
-                        try:
-                            chunk, fault = _payload_chunk(cur, entry, self._payload.bytes, start, end)
-                            crcs[j] = zlib.crc32(chunk, crcs[j])
-                            faults[j] = faults[j] or fault
-                            if stop == c:
-                                _check_crc(cur, entry, crcs[j])
-                        except FormatError as exc:  # it comes before any value fault
-                            faults[j], broken[j] = exc, True
-                        if faults[j] is None:
-                            values = np.frombuffer(chunk, dtype=_DTYPES[entry.dtype])
-                            copy_channels([values], out[j : j + 1], [ch - done[j] for ch in panel])
-                        done[j] = stop
-            for j in range(len(locations)):
-                if faults[j] is not None:
-                    out[j] = 0.0
-            yield
-        for fault in faults:
-            if fault is not None:
-                raise fault
+        """Images i0..i1-1 into out (i1 - i0, len(panel), H*W) one panel
+        at a time: _read_panels of their entries."""
+        return _read_panels(self._locations[i0:i1], out, panels)
 
     def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
         """Images i0..i1-1 into out, shape (i1 - i0, len(channels), H*W):
@@ -891,8 +884,8 @@ class EmbeddingSetFile:
 
     Opening reads every header and `.ids` sidecar and rejects bad
     headers, wrong `.ids` counts, duplicate ids and mixed dims; read_rows
-    reads contiguous row ranges, in chunks through one buffer per reading
-    thread, and checks their finiteness as they are read.
+    reads contiguous row ranges, in chunks through one scratch buffer of
+    its own, and checks their finiteness as they are read.
     """
 
     def __init__(self, manifest: Manifest):
@@ -909,7 +902,6 @@ class EmbeddingSetFile:
         self.dim: int = members[0][2][0]
         self.shape = (1, self.dim)
         self._step = max(1, _READ_CHUNK_BYTES // (4 * self.dim))  # rows per chunk
-        self._chunk = _ThreadBuffer(4 * self.dim * min(self._step, len(self.ids)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -917,6 +909,7 @@ class EmbeddingSetFile:
     def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
         """Rows i0..i1-1 into out, shape (i1 - i0, len(channels) = 1, dim)."""
         dim, step = self.dim, self._step
+        scratch = np.empty(4 * dim * min(step, i1 - i0), np.uint8)
         for file, first, n in self._files:
             lo, hi = max(i0, first), min(i1, first + n)
             if lo >= hi:
@@ -925,7 +918,7 @@ class EmbeddingSetFile:
                 for r0 in range(lo, hi, step):
                     r1 = min(r0 + step, hi)
                     cur.seek(12 + 4 * dim * (r0 - first))
-                    payload = cur.take_into(self._chunk.bytes, 4 * dim * (r1 - r0), "payload")
+                    payload = cur.take_into(scratch, 4 * dim * (r1 - r0), "payload")
                     values = np.frombuffer(payload, dtype="<f4")
                     if not np.isfinite(values).all():
                         raise FormatError(f"{file}: non-finite embedding values")

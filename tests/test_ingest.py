@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import memaudit.ingest as ingest
-from memaudit.core import ImageRecord, VolumeRecord
+from memaudit.core import ImageRecord, VolumeRecord, exhaust
 from memaudit.errors import (
     EmptyInputError,
     FormatError,
@@ -26,6 +26,7 @@ from memaudit.ingest import (
     load_dataset,
     load_embedding_set,
     load_manifest,
+    load_records,
     open_dataset,
     open_embedding_set,
     read_embeddings,
@@ -775,23 +776,67 @@ class TestFileBackedSets:
 
     @pytest.mark.parametrize("fault, message", [
         ("flip", "checksum mismatch"), ("nan", "non-finite payload values"),
+        ("maxval", "exceeds maxval 200"),
     ])
     def test_payload_faults_found_when_read(self, tmp_path, fault, message):
-        mf = _ivc_train(tmp_path)
-        path = tmp_path / "part1.ivc"
-        entry = bytearray(read_ivc(path)[3].pixels.astype("<f4").tobytes())
-        if fault == "flip":
-            entry[5] ^= 0x10
+        """A payload fault that no header shows is found when the entry is
+        read, and every entry reader raises it with the same message."""
+        if fault == "maxval":
+            for i in range(4):
+                payload = [i] * 20 if i < 3 else [7] * 6 + [250] + [7] * 13
+                (tmp_path / f"p{i}.pgm").write_bytes(pgm_bytes(5, 4, payload, maxval=200))
+            mf, path, read_file = tmp_path / "train.mf", tmp_path / "p3.pgm", read_pgm
+            write_manifest(mf, "train", "train", [f"p{i}.pgm" for i in range(4)])
+            message = f"p3.pgm: byte 250 at offset 17 {message}"
         else:
-            entry[4:8] = struct.pack("<f", float("nan"))
-        _set_entry_payload(path, 3, bytes(entry), fix_crc=fault == "nan")
+            mf, path, read_file = _ivc_train(tmp_path), tmp_path / "part1.ivc", read_ivc
+            entry = bytearray(read_ivc(path)[3].pixels.astype("<f4").tobytes())
+            if fault == "flip":
+                entry[5] ^= 0x10
+            else:
+                entry[4:8] = struct.pack("<f", float("nan"))
+            _set_entry_payload(path, 3, bytes(entry), fix_crc=fault == "nan")
+            message = f"part1.ivc: entry 3 \\('im1_3'\\): {message}"
         handle = open_dataset(mf)  # headers are intact
-        out = np.empty((8, 3, 20))
-        handle.read_rows(0, 7, out, (0, 1, 2))  # the damaged entry is row 7
-        with pytest.raises(FormatError, match=f"part1.ivc: entry 3 \\('im1_3'\\): {message}"):
-            handle.read_rows(7, 8, out, (0, 1, 2))
-        with pytest.raises(FormatError, match=message):
-            load_dataset(mf)
+        n, (c, h, w) = len(handle), handle.shape
+        out = np.empty((n, c, h * w))
+        handle.read_rows(0, n - 1, out, range(c))  # the damaged entry is the last row
+        panels = [(0,), (c - 1,)] if c > 1 else [(0,)]  # PGM has one channel: one panel
+        readers = {
+            "file": lambda: read_file(path),
+            "load_records": lambda: load_records(mf),
+            "load_dataset": lambda: load_dataset(mf),
+            "read_rows": lambda: handle.read_rows(0, n, out, range(c)),
+            "read_panels": lambda: exhaust(handle.read_panels(0, n, out[:, :1], panels)),
+        }
+        messages = {}
+        for name, read in readers.items():
+            with pytest.raises(FormatError, match=message) as exc:
+                read()
+            messages[name] = str(exc.value)
+        assert len(set(messages.values())) == 1, messages
+
+    def test_handles_hold_no_scratch(self, tmp_path, monkeypatch):
+        """Two reads on one thread read through two scratch buffers: each
+        read owns its own, so a handle keeps none alive between reads."""
+        images = open_dataset(_ivc_train(tmp_path))
+        emb = EmbeddingSet(("a", "b"), 3, np.arange(6, dtype=np.float32))
+        write_embeddings(emb, tmp_path / "e.emb")
+        write_manifest(tmp_path / "e.mf", "e", "train", ["e.emb"])
+        embeddings = open_embedding_set(tmp_path / "e.mf")
+        buffers, take_into = [], ingest._Cursor.take_into
+
+        def recorded(cur, out, n, what):
+            buffers.append(out)  # kept referenced, so no id is reused
+            return take_into(cur, out, n, what)
+
+        monkeypatch.setattr(ingest._Cursor, "take_into", recorded)
+        for handle in (images, embeddings):
+            c, length = handle.shape[0], int(np.prod(handle.shape[1:]))
+            buffers.clear()
+            for _ in range(2):
+                handle.read_rows(0, 1, np.empty((1, c, length)), range(c))
+            assert len(buffers) == 2 and buffers[0] is not buffers[1]
 
     def test_wrong_ids_sidecar_count(self, tmp_path):
         emb = EmbeddingSet(("a", "b"), 2, np.eye(2, dtype=np.float32))

@@ -3,8 +3,8 @@ CLI's picked rows) has one interface: `shape`, (C, H, W) for images and
 (1, dim) for embeddings, and `read_rows(i0, i1, out, channels)`, which
 fills out with rows i0..i1-1 of the given channels; image sets also have
 `read_panels(i0, i1, out, panels)`, which fills out one panel of
-channels at a time (the engine reads only its reference so). Each is checked against a plain numpy array of its
-rows."""
+channels at a time (the engine reads only its reference so; picked rows
+have none). Each is checked against a plain numpy array of its rows."""
 
 import numpy as np
 import pytest
@@ -86,3 +86,13 @@ def test_row_source(tmp_path, name):
                     next(reader)
                     np.testing.assert_array_equal(out, rows[i0:i1][:, list(panel)])
                 assert next(reader, "done") == "done"
+
+
+def test_picked_rows_have_no_panel_reader(tmp_path):
+    """A picked set has the shape, name and role of its set, but no
+    read_panels: the set's own would read its rows i0..i1-1, not the
+    picked ones."""
+    _, handle, _ = _images(tmp_path, np.random.default_rng(11))
+    picked = _Picked(handle, PICKS)
+    assert (picked.name, picked.role, picked.shape) == (handle.name, handle.role, handle.shape)
+    assert not hasattr(picked, "read_panels")
