@@ -4,58 +4,48 @@ row, keeping the top-k per query.
 `max_correlations` is its one entry point. Every set is a row source:
 a `shape`, (C, H, W) for images or (1, dim) for embeddings (one-channel
 rows), and `read_rows(i0, i1, out, channels)` into the engine's float64
-buffers. So both kinds take one path, standardized by
-`core.standardize_rows`; the kind only names the modes. In-memory sets
-(`Dataset`, `EmbeddingSet`) copy their rows, file-backed ones
-(`ingest.open_dataset`, `ingest.open_embedding_set`) read their files.
-The query rows and, given one, the test rows (an audit's synthetic and
-held-out sets) are read and standardized once into one resident matrix.
-Two searches then share one loop over ascending blocks of columns, with
-one GEMM per block merged into each row's carried top-k: only values
-(clamped to [-1, 1]) at or above its k-th best are kept, and ties go to
-the ascending reference id. The first reads the reference once, in
-blocks of rows sized by the block budget, standardized in place in one
+buffers, so both kinds take one path; the kind only names the modes.
+In-memory sets (`Dataset`, `EmbeddingSet`) copy their rows, file-backed
+ones (`ingest.open_dataset`, `ingest.open_embedding_set`) read their
+files. The query rows and, given one, the test rows (an audit's
+synthetic and held-out sets) are read and standardized once into one
+resident matrix. Two searches then share one loop over ascending blocks
+of columns, with one GEMM per block merged into each row's carried
+top-k: only values (clamped to [-1, 1]) at or above its k-th best are
+kept, and ties go to the ascending reference id. The first reads the
+reference once, in blocks of rows sized by the block budget, into one
 reused buffer; the second takes the test rows from the resident matrix,
 so its blocks cost only their tile and are as wide as the budget holds
 tiles. So memory is the resident rows plus one block and its
-temporaries, whatever the reference's size. Every row range read (the
-resident rows, each reference block) is split into contiguous ranges,
-one per CPU this process may run on, which are read and standardized on
-a thread pool: zlib, file reads and numpy's loops release the GIL. The
-GEMM and the merge run on the calling thread only after every range is
-done, and no worker calls BLAS. But after each product OpenBLAS's own
-threads spin for up to about 0.1 s by default, beside the pool's next
-reads; the command line (memaudit.cli) sets OPENBLAS_THREAD_TIMEOUT to 4
-before numpy loads, unless the caller set it, so they sleep at once. On
-the benchmark's three workloads (2 CPUs) that cut an audit's CPU time by
-25-29%, and paper-mri's audit time by 8%. A library caller that loaded
-numpy first keeps its BLAS library's setting.
+temporaries, whatever the reference's size.
 
-Where a block of whole image rows would be narrower than the dgemm
-needs (GEMM_KNEE_COLUMNS, see plan_audit), reference blocks are read in
-panels, one masked channel at a time (read_panels), so the same budget
-holds C times as many rows. Each panel is standardized on its own
-(core.standardize_panel), and the block's tile is the sum of one dgemm
-per panel against a strided view of the queries' columns of that
-channel; under "concat" a per-channel mean correction and the row's
-norm then finish it (see _panel_blocks). The readers keep a running
-CRC-32 per entry and raise the lowest bad entry's fault after the last
-panel, before the merge.
+Every read (the resident rows, each reference block) goes through one
+builder, _read_chunks: rows are read as a list of channel chunks, each
+chunk standardized in place as it lands, on a thread pool of contiguous
+row ranges, one per CPU this process may run on (zlib, file reads and
+numpy's loops release the GIL). A whole row is the one-chunk case, read
+by read_rows and standardized by core.standardize_rows. Where a block of
+whole image rows would be narrower than the dgemm needs
+(GEMM_KNEE_COLUMNS, see plan_audit), reference blocks take one chunk per
+masked channel instead (panels, read by read_panels, standardized by
+core.standardize_panel), so the same budget holds C times as many rows,
+and each chunk's dgemm is added to the block's tile as it comes. One
+finish step per path then makes the block's values (_reference_blocks).
+Every read has finished before any merge, so the lowest-index bad row
+raises first, and no worker calls BLAS (the command line has OpenBLAS's
+idle threads sleep at once, rather than spin beside the pool's next
+reads: see memaudit.cli).
 
-Rows of more than SCREEN_MAX_LENGTH values (images of paper size) take a
-dgemm of the float64 rows, and a value is its tile entry. Shorter rows
-(embeddings, small images) take the float32 screen: the resident matrix
-is cast to float32 once and each block as it comes, and an sgemm gives
-each pair's value within a rigorous band (see _tile). The merge keeps
-the entries within that band of a query's carried k-th best (and of the
-block's own k-th best), and only those are valued exactly: the pairwise
-float64 sum of the two standardized rows' products (_dots), ranked and
-cut as above. Screened values do not depend on the block budget or the
-BLAS library's threads. Results are bit-identical for identical inputs,
-block budget, BLAS thread count and CPU count (a row or panel
-standardizes to the same bits in any range); across block budgets they
-agree within 1e-6 on the dgemm path, with or without panels, and bit for
-bit on the screened one.
+Whole rows of more than SCREEN_MAX_LENGTH values (images of paper size)
+take a dgemm of the float64 rows, and a value is its tile entry. Shorter
+rows (embeddings, small images) take the float32 screen (_tile): an
+sgemm gives each pair's value within a rigorous band, and only the
+entries the merge keeps within that band are valued exactly (_dots).
+Results are bit-identical for identical inputs, block budget, BLAS
+thread count and CPU count (a row or panel standardizes to the same bits
+in any range). Across block budgets they agree within 1e-6 on the dgemm
+path, with or without panels, and bit for bit on the screened one,
+whose values depend on neither the budget nor the BLAS threads.
 
 `brute_force_correlations` is the deliberately naive oracle: per-pair
 scalar Pearson with no shared standardization, used to verify the
@@ -69,6 +59,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -78,6 +69,7 @@ from .core import (
     CHANNEL_MODES,
     VARIANCE_FLOOR,
     Dataset,
+    exhaust,
     pearson,
     resolve_channel_mask,
     standardize_panel,
@@ -107,7 +99,10 @@ ProgressFn = Callable[[int, int], None]  # (comparisons done, total)
 
 @dataclass(frozen=True)
 class ComparisonPlan:
-    """Size and tiling of one all-pairs audit."""
+    """Size and tiling of one all-pairs audit. total_comparisons and
+    estimated_multiply_adds count query x reference pairs only
+    (total_comparisons = n_query * n_reference): the test rows' search of
+    the reference and the query-vs-test search are made but not counted."""
 
     n_query: int
     n_reference: int
@@ -187,7 +182,10 @@ def plan_audit(
     channels: int = 1,
 ) -> ComparisonPlan:
     """Exact comparison counts plus the blocking of max_correlations, which
-    calls this too, so an audit report's plan is the engine's.
+    calls this too, so an audit report's plan is the engine's. The counts
+    are of query x reference pairs only (total_comparisons = n_query *
+    n_reference); the test rows are searched, and the queries against
+    them, but neither search is counted.
 
     Queries and test rows stay resident (block_query = n_query + n_test).
     References stream in blocks of block_reference rows, as many as fit
@@ -197,22 +195,19 @@ def plan_audit(
     13 bytes: a float32 tile entry, a one-byte pass mask and 8 for the
     merge's chunks (partitions and the exactly valued entries). Longer
     rows hold the float64 row (8*N bytes) and, per resident row, 17
-    bytes: a float64 tile entry, the mask and the chunks.
-
-    A longer row made of channels > 1 equal channels (the masked channels
-    of an image) is read one channel, a panel, at a time when a block of
-    whole rows would hold fewer than min(n_reference,
-    GEMM_KNEE_COLUMNS) rows, and a block of panels holds more: the dgemm
-    runs far below its rate on narrower blocks. A panel row holds its
-    float64 channel (8*N/channels bytes), its channel means and sums of
-    squares (16 bytes a channel) and, per resident row, 25 bytes: the
-    accumulated tile entry, the entry of one panel's product, the mask
-    and the chunks. One more one-channel row, of ones, and its tile and
-    product entries are counted once per block. Outside the budget are
-    the resident rows (and their float32 copy when screened, or their
-    per-channel sums when in panels), the exact valuation's two 256 KiB
-    row buffers and the readers' scratch: one payload (or chunk) buffer
-    per range of a file-backed set being read, freed when its read returns.
+    bytes: a float64 tile entry, the mask and the chunks. A row of
+    channels > 1 equal channels (an image's masked channels) is read a
+    channel, a panel, at a time when a block of whole rows would hold
+    fewer than min(n_reference, GEMM_KNEE_COLUMNS) rows, and a block of
+    panels more: the dgemm runs far below its rate on narrower blocks. A
+    panel row holds its float64 channel (8*N/channels bytes), its channel
+    means and sums of squares (16 bytes a channel) and, per resident row,
+    25 bytes: the accumulated tile entry, one panel's product entry, the
+    mask and the chunks; a row of ones and its two entries count once per
+    block. Outside the budget are the resident rows (and their float32
+    copy, or per-channel sums in panels), the exact valuation's two 256
+    KiB row buffers and one read scratch buffer per range of a file-backed
+    set being read, freed when its read returns.
     """
     if min(n_query, n_reference, n_test) < 0:
         raise InvalidArgumentError("counts must be non-negative")
@@ -420,87 +415,118 @@ def _on_ranges(pool, ranges, work):
     return [first] + [f.result() for f in rest]
 
 
-def _read_standardized(pool, workers, parts, out, channels, mode):
+def _read_chunks(pool, workers, parts, out, chunks, mode, each=None):
     """Read the rows of parts, (set, i0, i1) ranges laid end to end, into
-    out (n, len(channels), L) and standardize them in place by mode, on
-    _on_ranges of workers ranges, so a failure raised is that of the
-    lowest-index bad row. Returns standardize_rows' valid for out."""
+    out (n, len(chunk), L) one chunk of channels at a time, each
+    standardized in place, on _on_ranges of workers ranges. One chunk, the
+    masked channels (whole rows), is read by each set's read_rows and
+    standardized by standardize_rows: returns its valid (n,). Several, one
+    channel each (panels), are read by read_panels and each standardized
+    on its own by standardize_panel; each(p) runs on this thread once
+    chunk p is in out. Returns their means, squares and ok, each (chunks,
+    n). Every read has finished when this returns or raises, and a failure
+    raised is that of the lowest-index bad row."""
+    panels = len(chunks) > 1
 
-    def work(a, b):
-        pos = 0
+    def read(rows, i0, i1, dst):
+        if panels:
+            yield from rows.read_panels(i0, i1, dst, chunks)
+        else:
+            rows.read_rows(i0, i1, dst, chunks[0])
+            yield
+
+    def reader(a, b):  # rows a..b-1 of parts: a chunk on each next(), then the faults
+        found, pos = [], 0
         for rows, i0, i1 in parts:
             lo, hi = max(a, pos), min(b, pos + i1 - i0)
             if lo < hi:
-                rows.read_rows(i0 + lo - pos, i0 + hi - pos, out[lo:hi], channels)
+                found.append(read(rows, i0 + lo - pos, i0 + hi - pos, out[lo:hi]))
             pos += i1 - i0
-        return standardize_rows(out[a:b], mode)[1]
+        return zip_longest(*found)
 
-    return np.concatenate(_on_ranges(pool, _ranges(len(out), workers), work))
+    ranges = _ranges(len(out), workers)
+    readers = {a: reader(a, b) for a, b in ranges}
+
+    def work(a, b):
+        next(readers[a], None)
+        if panels:
+            return standardize_panel(out[a:b, 0], mode, len(chunks))
+        return (standardize_rows(out[a:b], mode)[1],)
+
+    stats = []
+    for p in range(len(chunks)):
+        stats.append([np.concatenate(s) for s in zip(*_on_ranges(pool, ranges, work))])
+        if each is not None:
+            each(p)
+    _on_ranges(pool, ranges, lambda a, b: exhaust(readers[a]))  # faults raise here
+    return [np.stack(s) for s in zip(*stats)] if panels else stats[0][0]
 
 
-def _panel_blocks(pool, workers, reference, channels, mode, queries, step, ranks):
-    """block(r0, r1) of _search for reference rows read in panels, one
-    channel at a time, into one reused buffer of step one-channel rows.
+def _reference_blocks(pool, workers, reference, chunks, mode, queries, screen, step, ranks):
+    """block(r0, r1) of _search: reference rows r0..r1-1 read as chunks by
+    _read_chunks into one reused buffer of step rows, then finished.
 
-    Each panel is read by reference.read_panels on _on_ranges of workers
-    ranges and standardized on its own (core.standardize_panel), then its
-    dgemm against the queries' columns of that channel (a strided view,
-    not a copy) is added to the block's tile. The tile is reference-major,
-    a row per block row: at 65,536 values that dgemm ran 1.17-1.31x faster
-    than queries x rows, at 64 to 2,000 resident rows. The merge reads its
-    transpose. After the last panel the readers finish, so the lowest-index
-    bad row raises before any merge.
-    Under "mean" every panel is a segment of the standardized row, so the
-    tile is done. Under "concat" panel c was centered by its own mean
-    mu_c, not the row's mean mu; the queries are centered, so adding
-    S_c(q) * (mu_c - mu) over the channels, where S_c(q) is the sum of a
-    query's channel c, gives each entry's dot with the centered row. Its
-    squared norm is the sum of the panels' squares plus L * sum_c (mu_c -
-    mu)**2, which also decides validity as standardize_rows' would; each
-    tile row is divided by its square root. S_c(q) comes from each panel's
-    dgemm too, as its product with a row of ones after the block's rows,
-    so no pass of its own reads the resident matrix."""
-    nq, segments = len(queries), len(channels)
-    length = queries.shape[1] // segments
-    ones = int(mode == "concat")  # a row of ones after the block's rows: S_c(q) in the dgemm
-    rows = np.empty((step + ones, length))
-    tile_buf, product_buf = np.empty((2, nq * (step + ones)))
-    moments = np.empty((2, segments, step))  # each panel's means and squares
-    ok = np.empty((segments, step), dtype=bool)
-    sums = np.empty((segments, nq))
+    Whole rows (one chunk) are done once standardized: _tile makes their
+    tile when the merge calls for it, and given screen (the queries in
+    float32) casts each block into one reused float32 buffer.
+
+    In panels (a chunk per masked channel) each chunk's dgemm against the
+    queries' columns of its channel (a strided view, not a copy) is added
+    to the block's tile as the chunk lands. The tile is reference-major, a
+    row per block row (at 65,536 values that dgemm ran 1.17-1.31x faster
+    than queries x rows, at 64 to 2,000 resident rows); the merge reads its
+    transpose. Under "mean" a panel is a segment of the standardized row,
+    so the tile is done. Under "concat" panel c was centered by its own
+    mean mu_c, not the row's mean mu; the queries are centered, so adding
+    S_c(q) * (mu_c - mu) over the channels, S_c(q) the sum of a query's
+    channel c, gives each entry's dot with the centered row. Its squared
+    norm, the panels' squares plus L * sum_c (mu_c - mu)**2, decides
+    validity as standardize_rows' would and divides the tile row. S_c(q)
+    is each panel's product with a row of ones after the block's rows, so
+    no pass of its own reads the resident matrix."""
+    nq, segments = len(queries), len(chunks)
+    length = queries.shape[1] // sum(map(len, chunks))  # values per channel
+    ones = int(segments > 1 and mode == "concat")  # the row of ones: S_c(q) in the dgemm
+    rows = np.empty((step + ones, len(chunks[0]), length))
+    if segments == 1:
+        cast = None if screen is None else np.empty((step, queries.shape[1]), np.float32)
+    else:
+        tile_buf, product_buf = np.empty((2, nq * (step + ones)))
+        sums = np.empty((segments, nq))
 
     def block(r0, r1):
         m = r1 - r0
+        read = partial(_read_chunks, pool, workers, [(reference, r0, r1)], rows[:m], chunks, mode)
+        if segments == 1:
+            valid = read()
+            kept = _valid_rows(rows[:m].reshape(m, -1), valid)
+
+            def tile():
+                if cast is None:
+                    return _tile(queries, None, kept, None)
+                np.copyto(cast[: len(kept)], kept)
+                return _tile(queries, screen, kept, cast[: len(kept)])
+
+            return ranks[r0:r1][valid], tile
+
         width = m + ones
         tile = tile_buf[: nq * width].reshape(width, nq)  # contiguous: matmul writes in place
         product = product_buf[: nq * width].reshape(width, nq)
         rows[m:width] = 1.0
-        ranges = _ranges(m, workers)
-        readers = {
-            a: reference.read_panels(r0 + a, r0 + b, rows[a:b, None], [(c,) for c in channels])
-            for a, b in ranges
-        }
-        for p in range(segments):
 
-            def work(a, b, p=p):
-                next(readers[a])
-                moments[0, p, a:b], moments[1, p, a:b], ok[p, a:b] = standardize_panel(
-                    rows[a:b], mode, segments
-                )
-
-            _on_ranges(pool, ranges, work)
+        def accumulate(p):
             panel = queries[:, p * length : (p + 1) * length]
-            np.matmul(rows[:width], panel.T, out=product if p else tile)
+            np.matmul(rows[:width, 0], panel.T, out=product if p else tile)
             if ones:
                 sums[p] = (product if p else tile)[m]
             if p:
-                tile += product
-        _on_ranges(pool, ranges, lambda a, b: next(readers[a], None))  # faults raise here
+                np.add(tile, product, out=tile)
+
+        means, squares, ok = read(accumulate)
         tile, product = tile[:m], product[:m]
         if mode == "mean":
-            valid = ok[:, :m].all(axis=0)
+            valid = ok.all(axis=0)
         else:
-            means, squares = moments[:, :, :m]
             shift = means - means.mean(axis=0)
             tile += np.matmul(shift.T, sums, out=product)
             norm = squares.sum(axis=0) + length * (shift * shift).sum(axis=0)
@@ -570,55 +596,26 @@ def max_correlations(
     row_shape = (len(mask), math.prod(reference.shape[1:]))
     reference_ids, n, n_test = reference.ids, len(query), len(test or ())
     nr, workers = len(reference_ids), core.worker_count()
-    plan = plan_audit(
-        n, nr, math.prod(row_shape), block_budget_mib, n_test, channels=len(mask)
-    )
+    plan = plan_audit(n, nr, math.prod(row_shape), block_budget_mib, n_test, channels=len(mask))
     if n == 0 and test is None:
         return []
     _, panels = _blocking(n + n_test, nr, plan.vector_length, len(mask), block_budget_mib)
+    chunks = [(c,) for c in mask] if panels else [mask]  # references' chunks: panels or whole rows
 
-    # Every set is read by its own read_rows(i0, i1, out, mask) into float64
-    # rows of row_shape, which the GEMM sees as plan.vector_length values;
-    # or, for reference blocks in panels, by read_panels a channel at a time.
-    # Query and test are standardized once into one resident matrix, and
-    # references block by block; each read is split among one pool's threads.
+    # Query and test are read once into one resident matrix, the reference
+    # block by block; every read is split among one pool's threads.
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # threads start on first use
-
-        def read(parts, out):
-            rows = out.reshape(len(out), *row_shape)
-            return _read_standardized(pool, workers, parts, rows, mask, mode)
-
-        q_all = np.empty((n + n_test, plan.vector_length), dtype=np.float64)
-        q_valid = read([(s, 0, len(s)) for _, s in sets], q_all)
-        q_mat = _valid_rows(q_all, q_valid)
+        q_all = np.empty((n + n_test, *row_shape), dtype=np.float64)
+        q_valid = _read_chunks(pool, workers, [(s, 0, len(s)) for _, s in sets], q_all, [mask], mode)
+        q_mat = _valid_rows(q_all.reshape(n + n_test, plan.vector_length), q_valid)
         nq = q_mat.shape[0]
         q32 = q_mat.astype(np.float32) if plan.vector_length <= SCREEN_MAX_LENGTH else None
         ns = int(q_valid[:n].sum())  # q_mat: valid query rows, then valid test rows
         total = nq * nr + (0 if test is None else ns * (nq - ns))
         ranks = _tie_ranks(reference_ids)
         step = plan.block_reference
-
-        if panels:
-            reference_block = _panel_blocks(pool, workers, reference, mask, mode, q_mat, step, ranks)
-        else:
-            buffer = np.empty((step, plan.vector_length), dtype=np.float64)
-            cast = None if q32 is None else np.empty(buffer.shape, dtype=np.float32)
-
-            def reference_block(r0, r1):
-                valid = read([(reference, r0, r1)], buffer[: r1 - r0])
-                rows = _valid_rows(buffer[: r1 - r0], valid)
-
-                def tile():
-                    if cast is None:
-                        return _tile(q_mat, None, rows, None)
-                    np.copyto(cast[: len(rows)], rows)
-                    return _tile(q_mat, q32, rows, cast[: len(rows)])
-
-                return ranks[r0:r1][valid], tile
-
-        best_v, best_r, n_valid = _search(
-            nq, nr, step, reference_block, k, progress, 0, total
-        )
+        block = _reference_blocks(pool, workers, reference, chunks, mode, q_mat, q32, step, ranks)
+        best_v, best_r, n_valid = _search(nq, nr, step, block, k, progress, 0, total)
     found = _matches(
         [i for _, s in sets for i in s.ids], q_valid, best_v, best_r, reference_ids, ranks,
         nr - n_valid,

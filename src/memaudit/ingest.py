@@ -337,17 +337,18 @@ def _read_panels(
 
 def _read_records(fmt: str, path: Path) -> list[Union[ImageRecord, VolumeRecord]]:
     """Every record of one PGM or IVC1 file, in file order: the header
-    scan, then each entry read and checked as one panel of all its
-    channels."""
+    scan, then each run of entries of equal dims read and checked by one
+    _read_panels call, as one panel of all their channels, into one
+    float32 array that their records view."""
     with _file_cursor(path) as cur:
         entries = _SCANNERS[fmt](cur)
     records: list[Union[ImageRecord, VolumeRecord]] = []
-    for entry in entries:
-        c = entry.dims[0]
-        values = np.empty((1, c, math.prod(entry.dims[1:])), dtype=np.float32)
-        exhaust(_read_panels([(path, entry)], values, [range(c)]))
-        kind = ImageRecord if len(entry.dims) == 3 else VolumeRecord
-        records.append(kind(entry.id, *entry.dims, values))
+    for dims, run in groupby(entries, key=lambda entry: entry.dims):
+        run = list(run)
+        values = np.empty((len(run), dims[0], math.prod(dims[1:])), dtype=np.float32)
+        exhaust(_read_panels([(path, entry) for entry in run], values, [range(dims[0])]))
+        kind = ImageRecord if len(dims) == 3 else VolumeRecord
+        records.extend(kind(entry.id, *dims, row) for entry, row in zip(run, values))
     return records
 
 

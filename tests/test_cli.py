@@ -1293,13 +1293,13 @@ class TestReportPlan:
         blocks the engine reads train in, sized for synthetic + test."""
         train_mf, synth_mf, test_mf = _split_train(tmp_path)
         calls = []
-        read = correlate._read_standardized
+        read = correlate._read_chunks
 
         def counted(pool, workers, parts, *rest):  # one call per engine block
             calls.extend(i1 - i0 for rows, i0, i1 in parts if rows.role == "train")
             return read(pool, workers, parts, *rest)
 
-        monkeypatch.setattr(correlate, "_read_standardized", counted)
+        monkeypatch.setattr(correlate, "_read_chunks", counted)
         out = tmp_path / "r.json"
         code = run([
             "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),

@@ -254,18 +254,27 @@ class TestMaxCorrelations:
             assert len(match.matches) == 4
 
     def test_deterministic_across_runs_and_budgets(self):
+        """Screened rows (images and embeddings) are valued exactly, so
+        every block budget gives the same matches bit for bit."""
         q = random_dataset(17, (1, 12, 12), 51, role="synthetic", name="q")
         r = random_dataset(33, (1, 12, 12), 52, name="r")
-        first, again = (
-            max_correlations(q, r, k=4, block_budget_mib=0.02) for _ in range(2)
+        rng = np.random.default_rng(53)
+        q_emb, r_emb = (
+            EmbeddingSet(tuple(f"{name}{i}" for i in range(n)), 48,
+                         rng.normal(0, 1, (n, 48)).astype(np.float32))
+            for name, n in (("q", 17), ("r", 200))
         )
-        assert first == again  # same budget: bit-identical, not merely close
-        for budget in (0.25, 32.0):
-            other = max_correlations(q, r, k=4, block_budget_mib=budget)
-            for a, b in zip(first, other):
-                assert [m[0] for m in a.matches] == [m[0] for m in b.matches]
-                for (_, x), (_, y) in zip(a.matches, b.matches):
-                    assert abs(x - y) <= 1e-6
+        for query, reference in ((q, r), (q_emb, r_emb)):
+            length = math.prod(reference.shape)
+            assert length <= SCREEN_MAX_LENGTH
+            plan = plan_audit(len(query), len(reference), length, 0.02)
+            assert plan.block_reference < len(reference) / 3  # several blocks
+            first, again = (
+                max_correlations(query, reference, k=4, block_budget_mib=0.02) for _ in range(2)
+            )
+            assert first == again
+            for budget in (0.25, 32.0):
+                assert max_correlations(query, reference, k=4, block_budget_mib=budget) == first
 
     def test_mean_mode_constant_channel_is_invalid(self):
         r = random_dataset(4, (3, 4, 4), 44)

@@ -185,6 +185,34 @@ class TestIvc:
         assert back.shape == (5, 24, 24)
         np.testing.assert_array_equal(back.pixels, rec.pixels)
 
+    def test_each_run_of_equal_dims_read_once(self, tmp_path, monkeypatch):
+        """read_ivc opens the file once for its headers and once per run of
+        entries of equal dims, whatever the entry count or dtypes."""
+        rng = np.random.default_rng(5)
+        images = [
+            ImageRecord(f"i{j}", 2, 3, 4, rng.integers(0, 256, 24).astype(np.float32)
+                        if j % 2 else rng.normal(0, 1, 24).astype(np.float32))
+            for j in range(9)
+        ]
+        opened, file_cursor = [], ingest._file_cursor
+
+        def counted(file):
+            opened.append(file)
+            return file_cursor(file)
+
+        monkeypatch.setattr(ingest, "_file_cursor", counted)
+        vol = make_volume()
+        for records, opens in ((images, 2), (images[:4] + [vol] + images[4:], 4)):
+            write_ivc(records, tmp_path / "a.ivc")
+            opened.clear()
+            back = read_ivc(tmp_path / "a.ivc")
+            assert len(opened) == opens
+            assert [r.id for r in back] == [r.id for r in records]
+            for got, rec in zip(back, records):
+                assert got.shape == rec.shape
+                field = "pixels" if isinstance(rec, ImageRecord) else "voxels"
+                np.testing.assert_array_equal(getattr(got, field), getattr(rec, field))
+
     def test_volume_round_trip(self, tmp_path):
         vol = make_volume()
         write_ivc([vol], tmp_path / "v.ivc")
