@@ -21,20 +21,21 @@ temporaries, whatever the reference's size.
 
 Every read (the resident rows, each reference block) goes through one
 builder, _read_chunks: rows are read as a list of channel chunks, each
-chunk standardized in place as it lands, on a thread pool of contiguous
-row ranges, one per CPU this process may run on (zlib, file reads and
-numpy's loops release the GIL). A whole row is the one-chunk case, read
-by read_rows and standardized by core.standardize_rows. Where a block of
-whole image rows would be narrower than the dgemm needs
-(GEMM_KNEE_COLUMNS, see plan_audit), reference blocks take one chunk per
-masked channel instead (panels, read by read_panels, standardized by
-core.standardize_panel), so the same budget holds C times as many rows,
-and each chunk's dgemm is added to the block's tile as it comes. One
-finish step per path then makes the block's values (_reference_blocks).
-Every read has finished before any merge, so the lowest-index bad row
-raises first, and no worker calls BLAS (the command line has OpenBLAS's
-idle threads sleep at once, rather than spin beside the pool's next
-reads: see memaudit.cli).
+chunk standardized in place as it lands, in one pass of a thread pool
+over contiguous row ranges, one per CPU this process may run on (zlib,
+file reads and numpy's loops release the GIL). A whole row is the
+one-chunk case, read by read_rows and standardized by
+core.standardize_rows. Where a block of whole image rows would be
+narrower than the dgemm needs (GEMM_KNEE_COLUMNS, see plan_audit),
+reference blocks take one chunk per masked channel instead (panels, read
+by one read_panels generator per range, whose faults raise in the last
+chunk's pass, and standardized by core.standardize_panel), so the same
+budget holds C times as many rows, and each chunk's dgemm is added to
+the block's tile as it comes. One finish step per path then makes the
+block's values (_reference_blocks). Every read has finished before any
+merge, so the lowest-index bad row raises first, and no worker calls
+BLAS (the command line has OpenBLAS's idle threads sleep at once, rather
+than spin beside the pool's next reads: see memaudit.cli).
 
 Whole rows of more than SCREEN_MAX_LENGTH values (images of paper size)
 take a dgemm of the float64 rows, and a value is its tile entry. Shorter
@@ -59,7 +60,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
-from itertools import zip_longest
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -418,48 +418,47 @@ def _on_ranges(pool, ranges, work):
 def _read_chunks(pool, workers, parts, out, chunks, mode, each=None):
     """Read the rows of parts, (set, i0, i1) ranges laid end to end, into
     out (n, len(chunk), L) one chunk of channels at a time, each
-    standardized in place, on _on_ranges of workers ranges. One chunk, the
-    masked channels (whole rows), is read by each set's read_rows and
-    standardized by standardize_rows: returns its valid (n,). Several, one
-    channel each (panels), are read by read_panels and each standardized
-    on its own by standardize_panel; each(p) runs on this thread once
-    chunk p is in out. Returns their means, squares and ok, each (chunks,
-    n). Every read has finished when this returns or raises, and a failure
-    raised is that of the lowest-index bad row."""
-    panels = len(chunks) > 1
-
-    def read(rows, i0, i1, dst):
-        if panels:
-            yield from rows.read_panels(i0, i1, dst, chunks)
-        else:
-            rows.read_rows(i0, i1, dst, chunks[0])
-            yield
-
-    def reader(a, b):  # rows a..b-1 of parts: a chunk on each next(), then the faults
-        found, pos = [], 0
-        for rows, i0, i1 in parts:
-            lo, hi = max(a, pos), min(b, pos + i1 - i0)
-            if lo < hi:
-                found.append(read(rows, i0 + lo - pos, i0 + hi - pos, out[lo:hi]))
-            pos += i1 - i0
-        return zip_longest(*found)
-
+    standardized in place, in one _on_ranges pass of workers ranges per
+    chunk. One chunk, the masked channels (whole rows), is read by each
+    set's read_rows and standardized by standardize_rows: returns its
+    valid (n,). Several, one channel each (panels, of parts' one set), are
+    read by one read_panels generator per range, a chunk a pass, and each
+    standardized on its own by standardize_panel; each(p) runs on this
+    thread once chunk p is in out. The last pass runs each generator to
+    its end, where its faults raise. Returns their means, squares and ok,
+    each (chunks, n). Every read has finished when this returns or raises,
+    and a failure raised is that of the lowest-index bad row."""
     ranges = _ranges(len(out), workers)
-    readers = {a: reader(a, b) for a, b in ranges}
+    if len(chunks) == 1:
 
-    def work(a, b):
-        next(readers[a], None)
-        if panels:
-            return standardize_panel(out[a:b, 0], mode, len(chunks))
-        return (standardize_rows(out[a:b], mode)[1],)
+        def work(a, b):  # rows a..b-1 of parts
+            pos = 0
+            for rows, i0, i1 in parts:
+                lo, hi = max(a, pos), min(b, pos + i1 - i0)
+                if lo < hi:
+                    rows.read_rows(i0 + lo - pos, i0 + hi - pos, out[lo:hi], chunks[0])
+                pos += i1 - i0
+            return standardize_rows(out[a:b], mode)[1]
+
+        return np.concatenate(_on_ranges(pool, ranges, work))
+
+    [(rows, i0, _)] = parts
+    readers = {a: rows.read_panels(i0 + a, i0 + b, out[a:b], chunks) for a, b in ranges}
+
+    def panel(p, a, b):
+        next(readers[a])
+        result = standardize_panel(out[a:b, 0], mode, len(chunks))
+        if p == len(chunks) - 1:  # run before standardizing, it cost paper-mri 1 MiB of peak RSS
+            exhaust(readers[a])
+        return result
 
     stats = []
     for p in range(len(chunks)):
-        stats.append([np.concatenate(s) for s in zip(*_on_ranges(pool, ranges, work))])
+        found = _on_ranges(pool, ranges, partial(panel, p))
+        stats.append([np.concatenate(s) for s in zip(*found)])
         if each is not None:
             each(p)
-    _on_ranges(pool, ranges, lambda a, b: exhaust(readers[a]))  # faults raise here
-    return [np.stack(s) for s in zip(*stats)] if panels else stats[0][0]
+    return [np.stack(s) for s in zip(*stats)]
 
 
 def _reference_blocks(pool, workers, reference, chunks, mode, queries, screen, step, ranks):

@@ -63,6 +63,7 @@ from .errors import (
     FormatError,
     InvalidArgumentError,
     ManifestError,
+    MemauditError,
     UnsupportedVersionError,
 )
 
@@ -470,7 +471,13 @@ def _scan_ivc(cur: _Cursor) -> list[_Entry]:
     for i in range(count):
         what = f"entry {i}"
         id_len = cur.u16(f"{what} id length")
-        entry_id = cur.take(id_len, f"{what} id").decode("utf-8")
+        if id_len == 0:
+            raise FormatError(f"{path}: {what}: empty id at offset {cur.pos - 2}")
+        try:
+            entry_id = cur.take(id_len, f"{what} id").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at = cur.pos - id_len + exc.start
+            raise FormatError(f"{path}: {what}: id is not UTF-8 at offset {at}") from None
         ndims = cur.u8(f"{what} ndims")
         if ndims not in (3, 4):
             raise FormatError(
@@ -626,12 +633,20 @@ def _emb_header(cur: _Cursor) -> tuple[int, int]:
     return n, dim
 
 
+def _utf8_text(path: Path, error: type[MemauditError]) -> str:
+    """The text of a UTF-8 file; other bytes raise error naming the file."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at offset {exc.start}") from None
+
+
 def _emb_ids(path: Path, n: int) -> tuple[str, ...]:
     """Ids from the sidecar, or row indices as text without one."""
     sidecar = path.with_suffix(".ids")
     if not sidecar.exists():
         return tuple(str(i) for i in range(n))
-    ids = [ln for ln in sidecar.read_text("utf-8").splitlines() if ln.strip()]
+    ids = [ln for ln in _utf8_text(sidecar, FormatError).splitlines() if ln.strip()]
     if len(ids) != n:
         raise FormatError(f"{sidecar}: {len(ids)} ids for {n} rows in {path.name}")
     return tuple(ids)
@@ -695,7 +710,7 @@ def load_manifest(path) -> Manifest:
     entries: list[tuple[str, Path]] = []
     problems: list[str] = []
     in_header = True
-    for lineno, raw in enumerate(path.read_text("utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_utf8_text(path, ManifestError).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -48,6 +48,13 @@ def ivc_payload_span(path, index=-1):
     return spans[index]
 
 
+def set_first_ivc_id(path, raw: bytes):
+    """Give the first entry of an IVC1 file the id bytes ``raw``."""
+    blob = path.read_bytes()
+    old = struct.unpack_from("<H", blob, 8)[0]
+    path.write_bytes(blob[:8] + struct.pack("<H", len(raw)) + raw + blob[10 + old :])
+
+
 @pytest.fixture
 def tiny_image():
     return image([1.0, 2.0, 3.0], id="tiny")

@@ -43,7 +43,7 @@ from memaudit.ingest import (
 from memaudit.preprocess import resize_bilinear
 from memaudit.report import load_matches, matches_to_dict
 
-from conftest import image, ivc_payload_span
+from conftest import image, ivc_payload_span, set_first_ivc_id
 
 
 @pytest.fixture()
@@ -860,6 +860,15 @@ class TestStreamedTrainRejections:
             lambda p: write_ivc([read_ivc(p.with_name("t0.ivc"))[3]], p),
             "duplicate id 'train_00003' in t1.ivc (first seen in t0.ivc)",
         ),
+        "id-not-utf8": (
+            lambda p: set_first_ivc_id(p, b"train_\xff0012"),
+            "t1.ivc: entry 0: id is not UTF-8 at offset 16",
+        ),
+        "empty-id": (lambda p: set_first_ivc_id(p, b""), "t1.ivc: entry 0: empty id at offset 8"),
+        "manifest-not-utf8": (
+            lambda p: (p.parent / "train.mf").write_bytes(b"# caf\xe9\n"),
+            "train.mf: not UTF-8 text at offset 5",
+        ),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -904,6 +913,18 @@ class TestStreamedTrainRejections:
         ])
         assert code == 3
         assert "train.ids: 2 ids for 30 rows in train.emb" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_embedding_ids_sidecar_not_utf8(self, tmp_path, capsys):
+        train_mf, synth_mf, test_mf = _emb_sets(tmp_path)
+        (tmp_path / "train.ids").write_bytes(b"\xc3(\n" * 30)
+        out = tmp_path / "report.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        assert "train.ids: not UTF-8 text at offset 0" in capsys.readouterr().err
         assert not out.exists()
 
 

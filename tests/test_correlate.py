@@ -4,6 +4,7 @@ import threading
 import time
 import warnings
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -988,6 +989,77 @@ class TestReadWorkers:
         with pytest.raises(FormatError, match=r"r.ivc: entry 1 \('ds_0001'\): checksum"):
             max_correlations(q, handle, k=2)
         assert active[0] == 0
+
+    def test_panel_failure_raised_after_every_range_is_done(self, tmp_path, monkeypatch):
+        """The same in panels, whose faults raise in the last chunk's pass:
+        a bad CRC-32 of entry 1 (first block 0-10 read as 0-2, 3-6 and
+        7-10) fails the first range, but the engine raises only when the
+        slower ranges' readers have run to their end."""
+        q, _, handle = _panel_sets(tmp_path)
+        _flip_entry_byte(tmp_path / "r.ivc", 1, at_crc=True)
+        read_panels, lock, active = DatasetFile.read_panels, threading.Lock(), [0]
+
+        def slow_after_first(self, i0, i1, out, panels):
+            with lock:
+                active[0] += 1
+            try:
+                yield from read_panels(self, i0, i1, out, panels)
+                if i0 >= 3:  # the other workers' ranges
+                    time.sleep(0.2)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(core, "worker_count", lambda: 3)
+        monkeypatch.setattr(DatasetFile, "read_panels", slow_after_first)
+        with pytest.raises(FormatError, match=r"r.ivc: entry 1 \('r001'\): checksum"):
+            max_correlations(q, handle, block_budget_mib=PANEL_BUDGET)
+        assert active[0] == 0
+
+    def test_range_across_two_sets_names_the_lower_fault(self, tmp_path, monkeypatch):
+        """The resident rows, 7 synthetic then 5 test, are read as 0-3,
+        4-7 and 8-11 by 3 workers: the middle range ends the synthetic
+        rows and starts the test rows. With a bad entry in each set inside
+        it, the synthetic one, the lower resident row, is named."""
+        handles = {}
+        for name, role, n, bad in (("q", "synthetic", 7, 5), ("t", "test", 5, 0)):
+            images = random_dataset(n, (1, 8, 8), 126 + n, role=role, name=name).images
+            write_ivc(list(images), tmp_path / f"{name}.ivc")
+            write_manifest(tmp_path / f"{name}.mf", name, role, [f"{name}.ivc"])
+            _flip_entry_byte(tmp_path / f"{name}.ivc", bad)
+            handles[name] = open_dataset(tmp_path / f"{name}.mf")
+        monkeypatch.setattr(core, "worker_count", lambda: 3)
+        r = random_dataset(4, (1, 8, 8), 129)
+        with pytest.raises(FormatError, match=r"q.ivc: entry 5 \('q_0005'\): checksum"):
+            max_correlations(handles["q"], r, k=2, test=handles["t"])
+
+    def test_one_pool_pass_per_chunk(self, tmp_path, monkeypatch):
+        """_read_chunks reads a chunk in one _on_ranges pass: a panel block
+        of C channels in C passes, whole rows (from two sets) in one."""
+        q, _, handle = _panel_sets(tmp_path)
+        passes, on_ranges = [], correlate._on_ranges
+
+        def counted(pool, ranges, work):
+            passes.append(len(ranges))
+            return on_ranges(pool, ranges, work)
+
+        monkeypatch.setattr(correlate, "_on_ranges", counted)
+        whole, panels = [(0, 1, 2, 3)], [(0,), (1,), (2,), (3,)]
+        with ThreadPoolExecutor(2) as pool:
+            for parts, chunks in (([(q, 0, 6), (handle, 0, 5)], whole), ([(handle, 4, 15)], panels)):
+                passes.clear()
+                out = np.empty((11, len(chunks[0]), 1024))
+                correlate._read_chunks(pool, 3, parts, out, chunks, "concat")
+                assert passes == [3] * len(chunks)
+
+
+def _flip_entry_byte(path, index, at_crc=False):
+    """Flip a bit of entry index's first payload byte of an IVC1 file, or
+    of its stored CRC-32."""
+    offset, size = ivc_payload_span(path, index)
+    blob = bytearray(path.read_bytes())
+    blob[offset + size * at_crc] ^= 0x01
+    path.write_bytes(bytes(blob))
 
 
 PANEL_BUDGET = 0.1  # MiB: 11 one-channel rows a block of 5x32x32 images, 3 whole rows

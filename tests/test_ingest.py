@@ -38,7 +38,7 @@ from memaudit.ingest import (
     write_pgm,
 )
 
-from conftest import image, ivc_payload_span
+from conftest import image, ivc_payload_span, set_first_ivc_id
 
 
 def pgm_bytes(width, height, payload, maxval=255, magic=b"P5"):
@@ -789,6 +789,14 @@ class TestFileBackedSets:
             "1 trailing bytes",
         ),
         "magic": (lambda p: (p / "part1.ivc").write_bytes(b"NOPE" + bytes(8)), "bad magic"),
+        "id-not-utf8": (
+            lambda p: set_first_ivc_id(p / "part1.ivc", b"im\xff1_0"),
+            "part1.ivc: entry 0: id is not UTF-8 at offset 12$",
+        ),
+        "empty-id": (
+            lambda p: set_first_ivc_id(p / "part1.ivc", b""),
+            "part1.ivc: entry 0: empty id at offset 8$",
+        ),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -1009,6 +1017,13 @@ def _embeddings(directory, name, ids, dim=1) -> str:
     return f"{name}.emb"
 
 
+def _read_bad_sidecar(directory):
+    """read_embeddings of a set whose .ids sidecar is not UTF-8 text."""
+    name = _embeddings(directory, "a", ("x", "y"))
+    _file(directory, "a.ids", b"x\n\xfe\n")
+    return read_embeddings(directory / name)
+
+
 class TestRefusals:
     """Each refusal of a file, an embedding set or a manifest raises its
     own error with its own message."""
@@ -1041,6 +1056,14 @@ class TestRefusals:
         "emb-overflow": (
             _read_back(read_embeddings, "a.emb", _emb_header(1 << 20, 1 << 21)),
             FormatError, "dimension overflow, 1048576 x 2097152$",
+        ),
+        "emb-ids-not-utf8": (
+            _read_bad_sidecar,
+            FormatError, r"a\.ids: not UTF-8 text at offset 2$",
+        ),
+        "manifest-not-utf8": (
+            _read_back(load_manifest, "a.mf", b"name = \xe9t\xe9\nrole = train\n"),
+            ManifestError, r"a\.mf: not UTF-8 text at offset 7$",
         ),
     }
 
