@@ -42,14 +42,19 @@ def worker_count() -> int:
 def pool_map(fn: Callable, items: Iterable) -> list:
     """[fn(item) for item in items], on a pool of worker_count() threads,
     in order; with one worker, on this thread. Each result depends on its
-    item alone, so the list is the same at any CPU count. fn must not call
-    BLAS on products big enough to start the library's own threads (see
-    metrics.BAND_PRODUCT_MACS), so the pool never runs beside them."""
+    item alone, so the list is the same at any CPU count. If calls fail,
+    the failure raised is that of the lowest-index failing item; on the
+    pool, only once every call has run to its end (the pool's exit waits
+    for them all, where Executor.map would drop those not yet started).
+    fn must not call BLAS on products big enough to start the library's
+    own threads (see metrics.BAND_PRODUCT_MACS), so the pool never runs
+    beside them."""
     workers = worker_count()
     if workers == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, items))
+        calls = [pool.submit(fn, item) for item in items]
+    return [call.result() for call in calls]
 
 
 def _check_record(record, kind: str, field: str) -> None:

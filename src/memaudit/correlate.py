@@ -21,21 +21,21 @@ temporaries, whatever the reference's size.
 
 Every read (the resident rows, each reference block) goes through one
 builder, _read_chunks: rows are read as a list of channel chunks, each
-chunk standardized in place as it lands, in one pass of a thread pool
-over contiguous row ranges, one per CPU this process may run on (zlib,
-file reads and numpy's loops release the GIL). A whole row is the
-one-chunk case, read by read_rows and standardized by
-core.standardize_rows. Where a block of whole image rows would be
-narrower than the dgemm needs (GEMM_KNEE_COLUMNS, see plan_audit),
-reference blocks take one chunk per masked channel instead (panels, read
-by one read_panels generator per range, whose faults raise in the last
-chunk's pass, and standardized by core.standardize_panel), so the same
-budget holds C times as many rows, and each chunk's dgemm is added to
-the block's tile as it comes. One finish step per path then makes the
+chunk standardized in place as it lands, in one core.pool_map pass (the
+package's one worker pool) over contiguous row ranges, one per CPU this
+process may run on (zlib, file reads and numpy's loops release the
+GIL). A whole row is the one-chunk case, read by read_rows and
+standardized by core.standardize_rows. Where a block of whole image
+rows would be narrower than the dgemm needs (GEMM_KNEE_COLUMNS, see
+plan_audit), reference blocks take one chunk per masked channel instead
+(panels, read by one read_panels generator per range, whose faults
+raise in the last chunk's pass, and standardized by
+core.standardize_panel), so the same budget holds C times as many rows,
+and each chunk's dgemm is added to the block's tile as it comes. One finish step per path then makes the
 block's values (_reference_blocks). Every read has finished before any
 merge, so the lowest-index bad row raises first, and no worker calls
 BLAS (the command line has OpenBLAS's idle threads sleep at once, rather
-than spin beside the pool's next reads: see memaudit.cli).
+than spin beside the next pass's reads: see memaudit.cli).
 
 Whole rows of more than SCREEN_MAX_LENGTH values (images of paper size)
 take a dgemm of the float64 rows, and a value is its tile entry. Shorter
@@ -57,7 +57,6 @@ abused.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
@@ -403,36 +402,25 @@ def _ranges(n, workers):
     return list(zip(bounds, bounds[1:]))
 
 
-def _on_ranges(pool, ranges, work):
-    """[work(a, b) for (a, b) in ranges]: the first on this thread, the
-    others on pool. Every call has finished when this returns or raises,
-    and a failure raised is that of the lowest failing range."""
-    rest = [pool.submit(work, a, b) for a, b in ranges[1:]]
-    try:
-        first = work(*ranges[0])
-    finally:
-        wait(rest)
-    return [first] + [f.result() for f in rest]
-
-
-def _read_chunks(pool, workers, parts, out, chunks, mode, each=None):
+def _read_chunks(parts, out, chunks, mode, each=None):
     """Read the rows of parts, (set, i0, i1) ranges laid end to end, into
     out (n, len(chunk), L) one chunk of channels at a time, each
-    standardized in place, in one _on_ranges pass of workers ranges per
-    chunk. One chunk, the masked channels (whole rows), is read by each
-    set's read_rows and standardized by standardize_rows: returns its
-    valid (n,). Several, one channel each (panels, of parts' one set), are
+    standardized in place, in one core.pool_map pass per chunk over
+    contiguous ranges, one per worker. One chunk, the masked channels
+    (whole rows), is read by each set's read_rows and standardized by
+    standardize_rows: returns its valid (n,). Several, one channel each (panels, of parts' one set), are
     read by one read_panels generator per range, a chunk a pass, and each
     standardized on its own by standardize_panel; each(p) runs on this
     thread once chunk p is in out. The last pass runs each generator to
     its end, where its faults raise. Returns their means, squares and ok,
     each (chunks, n). Every read has finished when this returns or raises,
-    and a failure raised is that of the lowest-index bad row."""
-    ranges = _ranges(len(out), workers)
+    and a failure raised is that of the lowest-index bad row (pool_map's
+    failure rule)."""
+    ranges = _ranges(len(out), core.worker_count())
     if len(chunks) == 1:
 
-        def work(a, b):  # rows a..b-1 of parts
-            pos = 0
+        def work(span):  # rows a..b-1 of parts
+            (a, b), pos = span, 0
             for rows, i0, i1 in parts:
                 lo, hi = max(a, pos), min(b, pos + i1 - i0)
                 if lo < hi:
@@ -440,12 +428,13 @@ def _read_chunks(pool, workers, parts, out, chunks, mode, each=None):
                 pos += i1 - i0
             return standardize_rows(out[a:b], mode)[1]
 
-        return np.concatenate(_on_ranges(pool, ranges, work))
+        return np.concatenate(core.pool_map(work, ranges))
 
     [(rows, i0, _)] = parts
     readers = {a: rows.read_panels(i0 + a, i0 + b, out[a:b], chunks) for a, b in ranges}
 
-    def panel(p, a, b):
+    def panel(p, span):
+        a, b = span
         next(readers[a])
         result = standardize_panel(out[a:b, 0], mode, len(chunks))
         if p == len(chunks) - 1:  # run before standardizing, it cost paper-mri 1 MiB of peak RSS
@@ -454,14 +443,14 @@ def _read_chunks(pool, workers, parts, out, chunks, mode, each=None):
 
     stats = []
     for p in range(len(chunks)):
-        found = _on_ranges(pool, ranges, partial(panel, p))
+        found = core.pool_map(partial(panel, p), ranges)
         stats.append([np.concatenate(s) for s in zip(*found)])
         if each is not None:
             each(p)
     return [np.stack(s) for s in zip(*stats)]
 
 
-def _reference_blocks(pool, workers, reference, chunks, mode, queries, screen, step, ranks):
+def _reference_blocks(reference, chunks, mode, queries, screen, step, ranks):
     """block(r0, r1) of _search: reference rows r0..r1-1 read as chunks by
     _read_chunks into one reused buffer of step rows, then finished.
 
@@ -495,7 +484,7 @@ def _reference_blocks(pool, workers, reference, chunks, mode, queries, screen, s
 
     def block(r0, r1):
         m = r1 - r0
-        read = partial(_read_chunks, pool, workers, [(reference, r0, r1)], rows[:m], chunks, mode)
+        read = partial(_read_chunks, [(reference, r0, r1)], rows[:m], chunks, mode)
         if segments == 1:
             valid = read()
             kept = _valid_rows(rows[:m].reshape(m, -1), valid)
@@ -594,7 +583,7 @@ def max_correlations(
     mask = resolve_channel_mask(channel_mask, reference.shape[0])
     row_shape = (len(mask), math.prod(reference.shape[1:]))
     reference_ids, n, n_test = reference.ids, len(query), len(test or ())
-    nr, workers = len(reference_ids), core.worker_count()
+    nr = len(reference_ids)
     plan = plan_audit(n, nr, math.prod(row_shape), block_budget_mib, n_test, channels=len(mask))
     if n == 0 and test is None:
         return []
@@ -602,19 +591,18 @@ def max_correlations(
     chunks = [(c,) for c in mask] if panels else [mask]  # references' chunks: panels or whole rows
 
     # Query and test are read once into one resident matrix, the reference
-    # block by block; every read is split among one pool's threads.
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # threads start on first use
-        q_all = np.empty((n + n_test, *row_shape), dtype=np.float64)
-        q_valid = _read_chunks(pool, workers, [(s, 0, len(s)) for _, s in sets], q_all, [mask], mode)
-        q_mat = _valid_rows(q_all.reshape(n + n_test, plan.vector_length), q_valid)
-        nq = q_mat.shape[0]
-        q32 = q_mat.astype(np.float32) if plan.vector_length <= SCREEN_MAX_LENGTH else None
-        ns = int(q_valid[:n].sum())  # q_mat: valid query rows, then valid test rows
-        total = nq * nr + (0 if test is None else ns * (nq - ns))
-        ranks = _tie_ranks(reference_ids)
-        step = plan.block_reference
-        block = _reference_blocks(pool, workers, reference, chunks, mode, q_mat, q32, step, ranks)
-        best_v, best_r, n_valid = _search(nq, nr, step, block, k, progress, 0, total)
+    # block by block.
+    q_all = np.empty((n + n_test, *row_shape), dtype=np.float64)
+    q_valid = _read_chunks([(s, 0, len(s)) for _, s in sets], q_all, [mask], mode)
+    q_mat = _valid_rows(q_all.reshape(n + n_test, plan.vector_length), q_valid)
+    nq = q_mat.shape[0]
+    q32 = q_mat.astype(np.float32) if plan.vector_length <= SCREEN_MAX_LENGTH else None
+    ns = int(q_valid[:n].sum())  # q_mat: valid query rows, then valid test rows
+    total = nq * nr + (0 if test is None else ns * (nq - ns))
+    ranks = _tie_ranks(reference_ids)
+    step = plan.block_reference
+    block = _reference_blocks(reference, chunks, mode, q_mat, q32, step, ranks)
+    best_v, best_r, n_valid = _search(nq, nr, step, block, k, progress, 0, total)
     found = _matches(
         [i for _, s in sets for i in s.ids], q_valid, best_v, best_r, reference_ids, ranks,
         nr - n_valid,

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._rng import SplitMix64, mix64
 from .core import Dataset, ImageRecord, pool_map
-from .errors import InvalidArgumentError
+from .errors import FormatError, InvalidArgumentError
 from .ingest import atomic_write
 from .metrics import gaussian_filter, gaussian_kernel
 from .report import FlaggedPair
@@ -353,5 +353,18 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    data = json.loads(Path(path).read_text("utf-8"))
-    return GroundTruth(tuple(GroundTruthEntry(**e) for e in data))
+    """The ground truth of a file save_ground_truth wrote. Anything else
+    (bad UTF-8 or JSON, not a list, an entry that is not an object of the
+    three string fields, a kind not in KINDS) raises FormatError naming
+    the file."""
+    try:
+        data = json.loads(Path(path).read_text("utf-8"))
+        if not isinstance(data, list):
+            raise ValueError(f"a {type(data).__name__}, not a list of entries")
+        entries = tuple(GroundTruthEntry(**e) for e in data)
+        for e in entries:
+            if not all(isinstance(v, str) for v in asdict(e).values()) or e.kind not in KINDS:
+                raise ValueError(f"entry {asdict(e)!r}: fields must be strings, kind one of {KINDS}")
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"{path}: not a ground truth: {type(exc).__name__}: {exc}") from None
+    return GroundTruth(entries)

@@ -901,7 +901,9 @@ class EmbeddingSetFile:
     Opening reads every header and `.ids` sidecar and rejects bad
     headers, wrong `.ids` counts, duplicate ids and mixed dims; read_rows
     reads contiguous row ranges, in chunks through one scratch buffer of
-    its own, and checks their finiteness as they are read.
+    its own, and checks their finiteness as they are read: a fault names
+    the file, the first bad row's index in it, its id and the byte offset
+    of its first non-finite value.
     """
 
     def __init__(self, manifest: Manifest):
@@ -936,8 +938,15 @@ class EmbeddingSetFile:
                     cur.seek(12 + 4 * dim * (r0 - first))
                     payload = cur.take_into(scratch, 4 * dim * (r1 - r0), "payload")
                     values = np.frombuffer(payload, dtype="<f4")
-                    if not np.isfinite(values).all():
-                        raise FormatError(f"{file}: non-finite embedding values")
+                    finite = np.isfinite(values)
+                    if not finite.all():  # the range's first bad row in this file
+                        at = int(np.argmin(finite))
+                        row = r0 - first + at // dim
+                        raise FormatError(
+                            f"{file}: non-finite embedding values in row {row} "
+                            f"({self.ids[first + row]!r}) at offset "
+                            f"{12 + 4 * (dim * (r0 - first) + at)}"
+                        )
                     out[r0 - i0 : r1 - i0] = values.reshape(r1 - r0, 1, dim)
 
 

@@ -110,14 +110,16 @@ class ThresholdDecision:
 
 def parse_rule(rule: str) -> tuple[str, float]:
     """Parse "percentile:P" or "fixed:V" into (kind, parameter)."""
-    kind, sep, arg = rule.partition(":")
-    if kind == "percentile" and sep:
-        p = float(arg)
-        if not 0.0 < p < 100.0:
-            raise InvalidArgumentError(f"percentile must be in (0, 100), got {p}")
-        return "percentile", p
-    if kind == "fixed" and sep:
+    kind, _, arg = rule.partition(":")
+    try:
         value = float(arg)
+    except ValueError:  # no number, or no ":" (arg is "")
+        kind = None
+    if kind == "percentile":
+        if not 0.0 < value < 100.0:
+            raise InvalidArgumentError(f"percentile must be in (0, 100), got {value}")
+        return "percentile", value
+    if kind == "fixed":
         if not math.isfinite(value):
             raise InvalidArgumentError(f"fixed threshold must be finite, got {value}")
         return "fixed", value

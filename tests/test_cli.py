@@ -1316,9 +1316,9 @@ class TestReportPlan:
         calls = []
         read = correlate._read_chunks
 
-        def counted(pool, workers, parts, *rest):  # one call per engine block
+        def counted(parts, *rest):  # one call per engine block
             calls.extend(i1 - i0 for rows, i0, i1 in parts if rows.role == "train")
-            return read(pool, workers, parts, *rest)
+            return read(parts, *rest)
 
         monkeypatch.setattr(correlate, "_read_chunks", counted)
         out = tmp_path / "r.json"
@@ -1501,6 +1501,28 @@ class TestWorkerCounts:
         assert err.count("checksum mismatch") == 1
         assert not out.exists()
 
+    def test_lowest_non_finite_embedding_fails_the_audit(self, tmp_path, capsys, monkeypatch):
+        """Two non-finite train rows, 12 and 25, in the middle and last of
+        the 3 workers' ranges (0-9, 10-19, 20-29): the audit exits 3 and
+        names the lower row, its id and its value's byte offset."""
+        monkeypatch.setattr(core, "worker_count", lambda: 3)
+        train_mf, synth_mf, test_mf = _emb_sets(tmp_path)
+        blob = bytearray((tmp_path / "train.emb").read_bytes())
+        for row, value in ((25, 3), (12, 5)):  # dim 8, after a 12-byte header
+            struct.pack_into("<f", blob, 12 + 4 * (8 * row + value), float("nan"))
+        (tmp_path / "train.emb").write_bytes(bytes(blob))
+        out = tmp_path / "report.json"
+        code = run([
+            "audit", "--train", str(train_mf), "--synthetic", str(synth_mf),
+            "--test", str(test_mf), "--out", str(out), "--quiet",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        offset = 12 + 4 * (8 * 12 + 5)
+        assert f"train.emb: non-finite embedding values in row 12 ('train12') at offset {offset}" in err
+        assert err.count("non-finite") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("bad", [((20, 0),), ((20, 4),), ((9, 4), (20, 0)), ((9, 0), (20, 4))],
                              ids=["masked", "unmasked", "unmasked-first", "masked-first"])
@@ -1603,6 +1625,12 @@ class TestFlagValues:
         assert code == 2
         assert "--baseline-matches-out" in capsys.readouterr().err
         assert not out.exists() and not matches.exists()
+
+    def test_rule_without_a_number(self, tmp_path, capsys):
+        code = run(["report", "--matches", str(tmp_path / "m.json"), "--rule", "percentile:abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--rule: rule must be 'percentile:P' or 'fixed:V', got 'percentile:abc'" in err
 
     @pytest.mark.parametrize("extra, flag", [
         (["--histogram-bins", "0"], "--histogram-bins"),

@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -253,3 +255,51 @@ class TestPearson:
             for c in range(3)
         ]
         assert pearson(a, b, mode="mean") == pytest.approx(np.mean(per_channel), abs=1e-12)
+
+
+class TestPoolMap:
+    """core.pool_map, the package's one worker pool (the count forced
+    through core.worker_count): results in item order, one worker on the
+    calling thread, and a failure raised only once every call has run."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_results_in_order(self, monkeypatch, workers):
+        threads = set()
+
+        def square(i):
+            time.sleep(0.001 * (5 - i))  # later items finish first
+            threads.add(threading.get_ident())
+            return i * i
+
+        monkeypatch.setattr(core, "worker_count", lambda: workers)
+        assert core.pool_map(square, range(6)) == [i * i for i in range(6)]
+        main = threading.get_ident()
+        if workers == 1:
+            assert threads == {main}
+        else:
+            assert main not in threads
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_lowest_failure_raised_after_every_call(self, monkeypatch, workers):
+        """Items 0 and 1 return at once, item 2 fails after 0.01 s and
+        item 5 at once, the others take 0.05 s: item 2's error is raised,
+        and on the pool only when all 8 calls have run (item 7 is still
+        queued when item 2 fails); one worker stops at item 2."""
+        lock, started, finished = threading.Lock(), set(), set()
+
+        def call(i):
+            with lock:
+                started.add(i)
+            try:
+                if i in (2, 5):
+                    time.sleep(0.01 * (i == 2))
+                    raise ValueError(f"item {i}")
+                time.sleep(0.05 * (i > 1))
+            finally:
+                with lock:
+                    finished.add(i)
+
+        monkeypatch.setattr(core, "worker_count", lambda: workers)
+        with pytest.raises(ValueError, match="^item 2$"):
+            core.pool_map(call, range(8))
+        assert started == finished == set(range(3 if workers == 1 else 8))

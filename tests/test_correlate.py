@@ -4,7 +4,6 @@ import threading
 import time
 import warnings
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -921,11 +920,12 @@ class TestReadWorkers:
         budget = 4.5 * _row_bytes(12, 72) / (1 << 20)  # train blocks of 4, 4 and 2 rows
         main, lock = threading.get_ident(), threading.Lock()
         read_rows, valid_rows, merge = Dataset.read_rows, correlate._valid_rows, _merge_block
-        reads, active = [], [0]
+        reads, active, peak = [], [0], [0]
 
         def counted(self, i0, i1, out, channels):
             with lock:
                 active[0] += 1
+                peak[0] = max(peak[0], active[0])
             try:
                 time.sleep(0.002)  # ranges overlap
                 read_rows(self, i0, i1, out, channels)
@@ -947,6 +947,7 @@ class TestReadWorkers:
         for workers in (1, 2, 3, 5):
             monkeypatch.setattr(core, "worker_count", lambda: workers)
             reads.clear()
+            peak[0] = 0
             results[workers] = max_correlations(q, r, k=3, block_budget_mib=budget, test=t)
             train = sorted((i0, i1) for role, i0, i1, _ in reads if role == "train")
             expected = []
@@ -955,8 +956,10 @@ class TestReadWorkers:
                 expected += [(r0 + n * j // w, r0 + n * (j + 1) // w) for j in range(w)]
             assert train == expected
             threads = {ident for *_, ident in reads}
-            assert main in threads and (len(threads) > 1) == (workers > 1)
-            assert len(threads) <= workers
+            if workers == 1:  # pool_map runs one worker on this thread
+                assert threads == {main}
+            else:  # on the pool's threads, never more than workers at once
+                assert main not in threads and peak[0] <= workers
         assert results[1] == results[2] == results[3] == results[5]
 
     def test_failure_raised_after_every_range_is_done(self, tmp_path, monkeypatch):
@@ -1034,23 +1037,41 @@ class TestReadWorkers:
             max_correlations(handles["q"], r, k=2, test=handles["t"])
 
     def test_one_pool_pass_per_chunk(self, tmp_path, monkeypatch):
-        """_read_chunks reads a chunk in one _on_ranges pass: a panel block
-        of C channels in C passes, whole rows (from two sets) in one."""
+        """_read_chunks reads a chunk in one core.pool_map pass: a panel
+        block of C channels in C passes, whole rows (from two sets) in one."""
         q, _, handle = _panel_sets(tmp_path)
-        passes, on_ranges = [], correlate._on_ranges
+        passes, pool_map = [], core.pool_map
 
-        def counted(pool, ranges, work):
+        def counted(fn, ranges):
             passes.append(len(ranges))
-            return on_ranges(pool, ranges, work)
+            return pool_map(fn, ranges)
 
-        monkeypatch.setattr(correlate, "_on_ranges", counted)
+        monkeypatch.setattr(core, "pool_map", counted)
+        monkeypatch.setattr(core, "worker_count", lambda: 3)
         whole, panels = [(0, 1, 2, 3)], [(0,), (1,), (2,), (3,)]
-        with ThreadPoolExecutor(2) as pool:
-            for parts, chunks in (([(q, 0, 6), (handle, 0, 5)], whole), ([(handle, 4, 15)], panels)):
-                passes.clear()
-                out = np.empty((11, len(chunks[0]), 1024))
-                correlate._read_chunks(pool, 3, parts, out, chunks, "concat")
-                assert passes == [3] * len(chunks)
+        for parts, chunks in (([(q, 0, 6), (handle, 0, 5)], whole), ([(handle, 4, 15)], panels)):
+            passes.clear()
+            out = np.empty((11, len(chunks[0]), 1024))
+            correlate._read_chunks(parts, out, chunks, "concat")
+            assert passes == [3] * len(chunks)
+
+    @pytest.mark.parametrize("panels", [False, True], ids=["whole", "panels"])
+    @pytest.mark.parametrize("bad", [False, True], ids=["ok", "bad"])
+    def test_no_thread_outlives_the_audit(self, tmp_path, monkeypatch, panels, bad):
+        """Every pass's threads have ended when max_correlations returns,
+        or raises on a bad entry, in whole rows and in panels."""
+        q, _, handle = _panel_sets(tmp_path)
+        if bad:
+            _flip_entry_byte(tmp_path / "r.ivc", 20)
+        monkeypatch.setattr(core, "worker_count", lambda: 3)
+        budget = PANEL_BUDGET if panels else correlate.DEFAULT_BLOCK_BUDGET_MIB
+        before = threading.active_count()
+        if bad:
+            with pytest.raises(FormatError, match=r"r.ivc: entry 20 \('r020'\): checksum"):
+                max_correlations(q, handle, block_budget_mib=budget)
+        else:
+            max_correlations(q, handle, block_budget_mib=budget)
+        assert threading.active_count() == before
 
 
 def _flip_entry_byte(path, index, at_crc=False):

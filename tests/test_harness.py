@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ import memaudit
 import memaudit.harness as harness
 from memaudit import core
 from memaudit.correlate import max_correlations
-from memaudit.errors import InvalidArgumentError
+from memaudit.errors import FormatError, InvalidArgumentError
 from memaudit.harness import (
     GroundTruth,
     GroundTruthEntry,
@@ -166,6 +167,18 @@ class TestGroundTruthFiles:
         _, truth = plant(train, PlantConfig(n_output=9, p_copy=0.3, seed=37))
         save_ground_truth(truth, tmp_path / "t.json")
         assert load_ground_truth(tmp_path / "t.json") == truth
+
+    @pytest.mark.parametrize("blob", [
+        b"\xff", b'[{"x": 1}]', b'["a"]', b"[", b"{}",
+        b'[{"output_id": "s0", "kind": "zzz", "source_id": ""}]',
+        b'[{"output_id": 7, "kind": "fresh", "source_id": ""}]',
+    ], ids=["not-utf8", "unknown-field", "not-an-object", "bad-json", "not-a-list",
+            "unknown-kind", "mistyped-id"])
+    def test_bad_file_refused(self, tmp_path, blob):
+        path = tmp_path / "t.json"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not a ground truth: "):
+            load_ground_truth(path)
 
 
 def truth_of(kinds_sources):

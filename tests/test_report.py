@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -107,8 +108,10 @@ class TestThreshold:
             derive_threshold(None, "percentile:99.5")
 
     def test_bad_rule_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            derive_threshold(None, "median")
+        for rule in ("median", "percentile:abc", "fixed:", "percentile:", "fixed:0.9x"):
+            message = f"^rule must be 'percentile:P' or 'fixed:V', got {re.escape(repr(rule))}$"
+            with pytest.raises(InvalidArgumentError, match=message):
+                derive_threshold(None, rule)
 
 
 class TestFlagging:
