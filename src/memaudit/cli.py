@@ -30,7 +30,7 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 from ._rng import SplitMix64
 from .core import VolumeRecord, pool_map, resolve_channel_mask
 from .correlate import DEFAULT_BLOCK_BUDGET_MIB, DEFAULT_K, max_correlations, plan_audit
-from .errors import InvalidArgumentError, MemauditError
+from .errors import InvalidArgumentError, ManifestError, MemauditError
 from .harness import PlantConfig, plant, save_ground_truth
 from .ingest import (
     OutputSet,
@@ -272,24 +272,30 @@ class _Picked:
             self._rows.read_rows(i, i + 1, row[None], channels)
 
 
+def _holds(manifest) -> str:
+    """What a manifest's files hold: "embeddings" if all are EMB1."""
+    return "embeddings" if all(fmt == "emb" for fmt, _ in manifest.entries) else "images"
+
+
 def _audit(args):
     """Compare synthetic with train and, given --test, test with train and
     synthetic with test. Images and embeddings share every step; the
     manifest kind only picks the reader and the engine's options, and
-    options of the other kind are usage errors. Every set stays in its
+    options of the other kind are usage errors (a --synthetic or --test
+    manifest of the other kind, a data error). Every set stays in its
     files and is read once into the engine's float64 buffers (a --sample
     reads only the picked synthetic rows), by one engine call."""
     channels = _parse_channels(args.channels)
     manifest = load_manifest(args.train)
-    embeddings = all(fmt == "emb" for fmt, _ in manifest.entries)
+    kind = _holds(manifest)
+    embeddings = kind == "embeddings"
     foreign = {"--channels": args.channels, "--channel-mode": args.channel_mode}
     if not embeddings:
         foreign = {"--metric": args.metric}
     for flag, value in foreign.items():
         if value is not None:
             raise UsageError(
-                f"{flag} does not apply to --train {args.train}, which holds "
-                f"{'embeddings' if embeddings else 'images'}"
+                f"{flag} does not apply to --train {args.train}, which holds {kind}"
             )
     open_set = open_embedding_set if embeddings else open_dataset
     train = open_set(manifest)
@@ -297,13 +303,22 @@ def _audit(args):
     mode = args.metric or args.channel_mode  # the other kind's is None
     segments = len(mask) if mask else 1
     row_length = segments * math.prod(train.shape[1:])
-    synthetic = open_set(args.synthetic)
+
+    def open_like(flag, path):  # a set of --train's kind
+        other = load_manifest(path)
+        if _holds(other) != kind:
+            raise ManifestError(
+                f"{flag} {path} holds {_holds(other)}, but --train {args.train} holds {kind}"
+            )
+        return open_set(other)
+
+    synthetic = open_like("--synthetic", args.synthetic)
     sample_ids = None
     if args.sample is not None and args.sample < len(synthetic):
         picks = SplitMix64(args.seed).sample_without_replacement(len(synthetic), args.sample)
         synthetic = _Picked(synthetic, picks)
         sample_ids = list(synthetic.ids)
-    test = open_set(args.test) if args.test else None
+    test = open_like("--test", args.test) if args.test else None
     plan = plan_audit(
         len(synthetic), len(train), row_length, args.block_budget_mib, len(test or ()),
         channels=segments,

@@ -189,13 +189,7 @@ class Dataset:
     def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
         """Images i0..i1-1 into out, shape (i1 - i0, len(channels), H*W):
         the given channels of each image, in order (one panel)."""
-        exhaust(self.read_panels(i0, i1, out, [channels]))
-
-
-def exhaust(reader: Iterator) -> None:
-    """Run a panel reader to its end, where it raises any fault it found."""
-    for _ in reader:
-        pass
+        next(self.read_panels(i0, i1, out, [channels]))
 
 
 def copy_channels(
@@ -240,24 +234,46 @@ def _selected(img: ImageRecord, mask: tuple[int, ...]) -> np.ndarray:
     return np.stack([chw[c] for c in mask]).reshape(len(mask), -1).astype(np.float64)
 
 
+def center_rows(parts: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Center every segment of a float64 block parts (n, segments, L) in
+    place by its own mean ("cosine" rows are not centered): the one
+    centering kernel of the engine's reads, whole rows and panels alike.
+    Returns (means, squares, ok), each (n, segments): the means taken
+    (zeros under "cosine"), the sums of squares once centered, and
+    whether a segment is valid: its population variance reaches
+    VARIANCE_FLOOR or, under "cosine", its squared norm 1e-24. Squares
+    are summed by einsum, which sums a lone segment another way (other
+    bits), so a lone segment is summed beside a view of itself, not a
+    copy: a row's bits never depend on the rows beside it."""
+    if mode == "cosine":
+        means = np.zeros(parts.shape[:2])
+    else:
+        means = parts.mean(axis=2)
+        parts -= means[:, :, None]
+    n, segments, length = parts.shape
+    pair = parts if n * segments > 1 else np.broadcast_to(parts, (2, 1, length))
+    squares = np.einsum("nsl,nsl->ns", pair, pair)[:n]
+    ok = squares >= 1e-24 if mode == "cosine" else squares / length >= VARIANCE_FLOOR
+    return means, squares, ok
+
+
 def standardize_rows(
     rows: np.ndarray, mode: str = "concat"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Standardize a float64 block of rows for dot-product correlation:
-    the engine's standardizer of whole rows (standardize_panel is that of
-    rows read a channel at a time). Works in place: the contents of rows
-    are overwritten.
+    """Standardize a float64 block of whole rows for dot-product
+    correlation, in place: the contents of rows are overwritten.
 
     rows has shape (n, segments, L): an image's selected channels are its
     segments, an embedding row is a single segment. "concat" and
     "pearson" center and L2-normalize each row as one vector; "mean"
     centers and normalizes every segment, then scales by
     1/sqrt(segments), so dot products average per-segment correlations;
-    "cosine" only normalizes. Returns (values, valid): values is the
-    block viewed as (n, segments * L) with invalid rows zeroed. A row is
-    invalid when a centered vector has population variance below
-    VARIANCE_FLOOR (for "mean", any constant segment) or, for "cosine",
-    when its squared norm is below 1e-24.
+    "cosine" only normalizes. Centering and validity are center_rows'.
+    Returns (values, valid): values is the block viewed as (n, segments *
+    L) with invalid rows zeroed. A row is invalid when a centered vector
+    has population variance below VARIANCE_FLOOR (for "mean", any
+    constant segment) or, for "cosine", when its squared norm is below
+    1e-24.
     """
     n, segments, length = rows.shape
     if mode == "mean":
@@ -266,13 +282,7 @@ def standardize_rows(
         parts = rows.reshape(n, 1, segments * length)
     else:
         raise InvalidArgumentError(f"unknown standardization mode {mode!r}")
-    if mode != "cosine":
-        parts -= parts.mean(axis=2, keepdims=True)
-    sq = _squares(parts)
-    if mode == "cosine":
-        ok = sq >= 1e-24
-    else:
-        ok = sq / parts.shape[2] >= VARIANCE_FLOOR
+    _, sq, ok = center_rows(parts, mode)
     parts /= np.sqrt(np.where(ok, sq, 1.0))[:, :, None]
     if mode == "mean":
         parts *= 1.0 / np.sqrt(segments)
@@ -280,36 +290,6 @@ def standardize_rows(
     values = parts.reshape(n, segments * length)
     values[~valid] = 0.0
     return values, valid
-
-
-def _squares(parts: np.ndarray) -> np.ndarray:
-    """Sum of squares of every segment of parts (n, segments, L), by
-    einsum; einsum sums a lone row another way (other bits), so a lone
-    row gets a twin and a row's sum never depends on the rows beside it."""
-    pair = parts if parts.shape[0] * parts.shape[1] > 1 else np.concatenate([parts, parts])
-    return np.einsum("nsl,nsl->ns", pair, pair)[: parts.shape[0]]
-
-
-def standardize_panel(
-    panel: np.ndarray, mode: str, segments: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standardize one segment (channel) of a block of image rows, panel
-    (n, L), on its own and in place: the panel counterpart of
-    standardize_rows for rows read a channel at a time. Each row is
-    centered by its own mean; under "mean" it is then scaled to norm
-    1/sqrt(segments), as standardize_rows scales every segment. Returns
-    (means, squares, ok): each row's mean, its sum of squares once
-    centered, and whether its variance reaches VARIANCE_FLOOR. A row's
-    bits do not depend on the rows beside it."""
-    if mode not in CHANNEL_MODES:
-        raise InvalidArgumentError(f"unknown channel mode {mode!r}")
-    means = panel.mean(axis=1)
-    panel -= means[:, None]
-    sq = _squares(panel[:, None])[:, 0]
-    ok = sq / panel.shape[1] >= VARIANCE_FLOOR
-    if mode == "mean":
-        panel /= (np.sqrt(np.where(ok, sq, 1.0)) * math.sqrt(segments))[:, None]
-    return means, sq, ok
 
 
 def check_same_shape(a: ImageRecord, b: ImageRecord) -> None:

@@ -28,14 +28,15 @@ GIL). A whole row is the one-chunk case, read by read_rows and
 standardized by core.standardize_rows. Where a block of whole image
 rows would be narrower than the dgemm needs (GEMM_KNEE_COLUMNS, see
 plan_audit), reference blocks take one chunk per masked channel instead
-(panels, read by one read_panels generator per range, whose faults
-raise in the last chunk's pass, and standardized by
-core.standardize_panel), so the same budget holds C times as many rows,
-and each chunk's dgemm is added to the block's tile as it comes. One finish step per path then makes the
-block's values (_reference_blocks). Every read has finished before any
-merge, so the lowest-index bad row raises first, and no worker calls
-BLAS (the command line has OpenBLAS's idle threads sleep at once, rather
-than spin beside the next pass's reads: see memaudit.cli).
+(panels, read by one read_panels generator per range, resumed once a
+chunk, whose last chunk raises its faults), so the same budget holds C
+times as many rows, and each chunk's dgemm is added to the block's
+tile as it comes. Both center with one kernel, core.center_rows. One
+finish step per path then makes the block's values
+(_reference_blocks). Every read has finished before any merge, so the
+lowest-index bad row raises first, and no worker calls BLAS (the
+command line has OpenBLAS's idle threads sleep at once, rather than
+spin beside the next pass's reads: see memaudit.cli).
 
 Whole rows of more than SCREEN_MAX_LENGTH values (images of paper size)
 take a dgemm of the float64 rows, and a value is its tile entry. Shorter
@@ -68,10 +69,9 @@ from .core import (
     CHANNEL_MODES,
     VARIANCE_FLOOR,
     Dataset,
-    exhaust,
+    center_rows,
     pearson,
     resolve_channel_mask,
-    standardize_panel,
     standardize_rows,
 )
 from .errors import InvalidArgumentError, UndefinedCorrelationError
@@ -408,12 +408,13 @@ def _read_chunks(parts, out, chunks, mode, each=None):
     standardized in place, in one core.pool_map pass per chunk over
     contiguous ranges, one per worker. One chunk, the masked channels
     (whole rows), is read by each set's read_rows and standardized by
-    standardize_rows: returns its valid (n,). Several, one channel each (panels, of parts' one set), are
-    read by one read_panels generator per range, a chunk a pass, and each
-    standardized on its own by standardize_panel; each(p) runs on this
-    thread once chunk p is in out. The last pass runs each generator to
-    its end, where its faults raise. Returns their means, squares and ok,
-    each (chunks, n). Every read has finished when this returns or raises,
+    standardize_rows: returns its valid (n,). Several, one channel each
+    (panels, of parts' one set), are read by one read_panels generator
+    per range, one next() a pass (the last raises the range's faults),
+    and each centered on its own by center_rows, then under "mean"
+    divided by its norm times sqrt(chunks); each(p) runs on this thread
+    once chunk p is in out. Returns their means, squares and ok, each
+    (chunks, n). Every read has finished when this returns or raises,
     and a failure raised is that of the lowest-index bad row (pool_map's
     failure rule)."""
     ranges = _ranges(len(out), core.worker_count())
@@ -433,17 +434,17 @@ def _read_chunks(parts, out, chunks, mode, each=None):
     [(rows, i0, _)] = parts
     readers = {a: rows.read_panels(i0 + a, i0 + b, out[a:b], chunks) for a, b in ranges}
 
-    def panel(p, span):
+    def panel(span):
         a, b = span
         next(readers[a])
-        result = standardize_panel(out[a:b, 0], mode, len(chunks))
-        if p == len(chunks) - 1:  # run before standardizing, it cost paper-mri 1 MiB of peak RSS
-            exhaust(readers[a])
-        return result
+        means, squares, ok = center_rows(out[a:b], mode)
+        if mode == "mean":
+            out[a:b] /= (np.sqrt(np.where(ok, squares, 1.0)) * math.sqrt(len(chunks)))[:, :, None]
+        return means[:, 0], squares[:, 0], ok[:, 0]
 
     stats = []
     for p in range(len(chunks)):
-        found = core.pool_map(partial(panel, p), ranges)
+        found = core.pool_map(panel, ranges)
         stats.append([np.concatenate(s) for s in zip(*found)])
         if each is not None:
             each(p)

@@ -25,10 +25,12 @@ dtype, payload offset; a PGM file is one u8 entry with its maxval and no
 checksum) without reading a payload byte, and both share one entry
 reader, `_read_panels`: it reads a panel of channels at a time with a
 running CRC-32, `_payload_chunk` reading and checking each run of
-payload bytes and `_check_crc` the checksum. `DatasetFile.read_panels`
-calls it; `read_ivc`, `read_pgm` and `DatasetFile.read_rows` are its
-one-panel case. EMB1 rows have their own chunked read,
-`EmbeddingSetFile.read_rows`. A manifest's set has one reader, the
+payload bytes and `_check_crc` the checksum. Its protocol is one
+next() per panel: each panel but the last yields, and the last raises
+the read's lowest-index fault instead, if it found one.
+`DatasetFile.read_panels` calls it; `read_ivc`, `read_pgm` and
+`DatasetFile.read_rows` are its one-panel case, a single next(). EMB1
+rows have their own chunked read, `EmbeddingSetFile.read_rows`. A manifest's set has one reader, the
 `read_rows` of its `open_dataset` / `open_embedding_set` handle;
 `load_dataset` / `load_embedding_set` are that plus a read of every row,
 and `read_embeddings` is `load_embedding_set` of a one-file manifest.
@@ -57,7 +59,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ROLES, Dataset, ImageRecord, VolumeRecord, copy_channels, exhaust
+from .core import ROLES, Dataset, ImageRecord, VolumeRecord, copy_channels
 from .errors import (
     EmptyInputError,
     FormatError,
@@ -293,12 +295,13 @@ def _read_panels(
     Each payload is read once, in file order, as far as a panel needs
     (the channels between panels too), with a running CRC-32 of every
     byte read; the last panel reads the rest of it and its checksum.
-    When the generator is resumed after the last panel, the
-    lowest-index entry at fault raises: of a short read, a CRC-32
+    The last panel, in place of its yield, raises the fault of the
+    lowest-index entry at fault, if any: of a short read, a CRC-32
     mismatch, or non-finite values (a byte above maxval in PGM), the
-    first. An entry at fault reads as zeros. Payload bytes pass through
-    one scratch buffer of the call's own, so calls share nothing and
-    threads may read disjoint entries at once.
+    first. So next() once per panel is the whole protocol. An entry at
+    fault reads as zeros. Payload bytes pass through one scratch buffer
+    of the call's own, so calls share nothing and threads may read
+    disjoint entries at once.
     """
     done = [0] * len(locations)  # channels read
     crcs = [0] * len(locations)
@@ -330,10 +333,9 @@ def _read_panels(
         for j in range(len(locations)):
             if faults[j] is not None:
                 out[j] = 0.0
+        if last and any(faults):
+            raise next(filter(None, faults))
         yield
-    for fault in faults:
-        if fault is not None:
-            raise fault
 
 
 def _read_records(fmt: str, path: Path) -> list[Union[ImageRecord, VolumeRecord]]:
@@ -347,7 +349,7 @@ def _read_records(fmt: str, path: Path) -> list[Union[ImageRecord, VolumeRecord]
     for dims, run in groupby(entries, key=lambda entry: entry.dims):
         run = list(run)
         values = np.empty((len(run), dims[0], math.prod(dims[1:])), dtype=np.float32)
-        exhaust(_read_panels([(path, entry) for entry in run], values, [range(dims[0])]))
+        next(_read_panels([(path, entry) for entry in run], values, [range(dims[0])]))
         kind = ImageRecord if len(dims) == 3 else VolumeRecord
         records.extend(kind(entry.id, *dims, row) for entry, row in zip(run, values))
     return records
@@ -750,8 +752,8 @@ def _image_files(manifest: Manifest):
     for fmt, file in manifest.entries:
         if fmt == "emb":
             raise ManifestError(
-                f"{manifest.name}: {file} is an embedding file; "
-                "load it with load_embedding_set"
+                f"{manifest.name}: {file} is an EMB1 embedding file, not an image "
+                "file (PGM or IVC1)"
             )
         yield fmt, file
 
@@ -892,7 +894,7 @@ class DatasetFile:
     def read_rows(self, i0: int, i1: int, out: np.ndarray, channels: Sequence[int]) -> None:
         """Images i0..i1-1 into out, shape (i1 - i0, len(channels), H*W):
         the given channels of each image, in order (one panel)."""
-        exhaust(self.read_panels(i0, i1, out, [channels]))
+        next(self.read_panels(i0, i1, out, [channels]))
 
 
 class EmbeddingSetFile:

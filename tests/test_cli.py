@@ -251,6 +251,46 @@ class TestEmbeddingAudit:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+class TestManifestOfTheOtherKind:
+    """A manifest of embeddings where images are read, or of images where
+    an audit of embeddings reads them, is a data error that says what the
+    files hold and what was expected."""
+
+    IMAGES_READ = "e: .*e.emb is an EMB1 embedding file, not an image file \\(PGM or IVC1\\)"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["preprocess", "--manifest", "{e}", "--out-container", "{out}/p.ivc",
+          "--out-manifest", "{out}/p.mf"], IMAGES_READ),
+        (["plant", "--train", "{e}", "--n", "2", "--seed", "1", "--out", "{out}/s.ivc",
+          "--truth", "{out}/t.json"], IMAGES_READ),
+        (["metrics", "--ssim-pairs", "{e}", "{e}"], IMAGES_READ),
+        (["audit", "--train", "{images}", "--synthetic", "{e}"],
+         "--synthetic .*e.mf holds embeddings, but --train .*train.mf holds images"),
+        (["audit", "--train", "{e}", "--synthetic", "{images}"],
+         "--synthetic .*train.mf holds images, but --train .*e.mf holds embeddings"),
+        (["audit", "--train", "{images}", "--synthetic", "{images}", "--test", "{e}"],
+         "--test .*e.mf holds embeddings, but --train .*train.mf holds images"),
+    ], ids=["preprocess", "plant", "metrics", "audit-synthetic-embeddings",
+            "audit-synthetic-images", "audit-test-embeddings"])
+    def test_refused(self, tmp_path, capsys, argv, message):
+        images, _, _ = _split_train(tmp_path)
+        write_embeddings(
+            EmbeddingSet(("a", "b"), 3, np.arange(6, dtype=np.float32)), tmp_path / "e.emb"
+        )
+        write_manifest(tmp_path / "e.mf", "e", "synthetic", ["e.emb"])
+        out = tmp_path / "out"
+        out.mkdir()
+        names = dict(e=tmp_path / "e.mf", images=images, out=out)
+        argv = [arg.format(**names) for arg in argv]
+        if argv[0] == "audit":
+            argv += ["--rule", "fixed:0.9", "--out", str(out / "r.json")]
+        assert run([*argv, "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert "load_" not in err
+        assert not list(out.iterdir())
+
+
 class TestPlantCommand:
     def test_outputs_and_manifest(self, tmp_path, train_manifest):
         out = tmp_path / "p.ivc"

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,23 @@ class TestStandardize:
             one, ok = standardize_rows(x[i : i + 1].copy(), mode)
             assert ok[0] == valid[i]
             assert np.array_equal(one[0], whole[i])
+
+    def test_lone_row_standardized_without_a_copy(self):
+        # A lone row is summed beside a view of itself, not a 4 MiB copy,
+        # and keeps the bits it has inside a block.
+        x = np.random.default_rng(14).normal(3, 2, (3, 4, 65536))
+        for mode in ("concat", "mean", "pearson", "cosine"):
+            whole, valid = standardize_rows(x.copy(), mode)
+            row = x[1:2].copy()
+            tracemalloc.start()
+            try:
+                one, ok = standardize_rows(row, mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (mode, peak)
+            assert ok[0] == valid[1]
+            assert one[0].tobytes() == whole[1].tobytes(), mode
 
     def test_same_bits_at_one_and_two_blas_threads(self):
         probe = (

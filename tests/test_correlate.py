@@ -1,7 +1,9 @@
+import hashlib
 import math
 import struct
 import threading
 import time
+import tracemalloc
 import warnings
 import zlib
 from dataclasses import replace
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memaudit import core, correlate
-from memaudit.core import Dataset, ImageRecord, pearson
+from memaudit.core import CHANNEL_MODES, Dataset, ImageRecord, pearson
 from memaudit.core import standardize_rows
 from memaudit.correlate import (
     GEMM_KNEE_COLUMNS,
@@ -994,30 +996,32 @@ class TestReadWorkers:
         assert active[0] == 0
 
     def test_panel_failure_raised_after_every_range_is_done(self, tmp_path, monkeypatch):
-        """The same in panels, whose faults raise in the last chunk's pass:
-        a bad CRC-32 of entry 1 (first block 0-10 read as 0-2, 3-6 and
-        7-10) fails the first range, but the engine raises only when the
-        slower ranges' readers have run to their end."""
+        """The same in panels, whose reader raises its faults with its last
+        panel: a bad CRC-32 of entry 1 (first block 0-10 read as 0-2, 3-6
+        and 7-10) fails the first range, but the engine raises only once
+        the slower ranges have read their last panel."""
         q, _, handle = _panel_sets(tmp_path)
         _flip_entry_byte(tmp_path / "r.ivc", 1, at_crc=True)
-        read_panels, lock, active = DatasetFile.read_panels, threading.Lock(), [0]
+        read_panels, lock, done = DatasetFile.read_panels, threading.Lock(), []
 
-        def slow_after_first(self, i0, i1, out, panels):
-            with lock:
-                active[0] += 1
+        def slow_last_panel(self, i0, i1, out, panels):
+            reader = read_panels(self, i0, i1, out, panels)
+            for _ in panels[:-1]:
+                yield next(reader)
             try:
-                yield from read_panels(self, i0, i1, out, panels)
+                next(reader)  # the last panel: the range's faults raise here
+            finally:
                 if i0 >= 3:  # the other workers' ranges
                     time.sleep(0.2)
-            finally:
                 with lock:
-                    active[0] -= 1
+                    done.append(i0)
+            yield
 
         monkeypatch.setattr(core, "worker_count", lambda: 3)
-        monkeypatch.setattr(DatasetFile, "read_panels", slow_after_first)
+        monkeypatch.setattr(DatasetFile, "read_panels", slow_last_panel)
         with pytest.raises(FormatError, match=r"r.ivc: entry 1 \('r001'\): checksum"):
             max_correlations(q, handle, block_budget_mib=PANEL_BUDGET)
-        assert active[0] == 0
+        assert sorted(done) == [0, 3, 7]
 
     def test_range_across_two_sets_names_the_lower_fault(self, tmp_path, monkeypatch):
         """The resident rows, 7 synthetic then 5 test, are read as 0-3,
@@ -1054,6 +1058,31 @@ class TestReadWorkers:
             out = np.empty((11, len(chunks[0]), 1024))
             correlate._read_chunks(parts, out, chunks, "concat")
             assert passes == [3] * len(chunks)
+
+    def test_one_row_range_read_in_panels_without_a_copy(self):
+        """A panel pass over a one-row range centers its 1 MiB panel
+        without a copy, and the row keeps the bits it has in a 3-row
+        range: every panel, mean, sum of squares and validity."""
+        images = random_dataset(3, (4, 512, 256), 133)
+        chunks = [(0,), (1,), (2,), (3,)]
+        for mode in CHANNEL_MODES:
+            found = []
+            for i0, i1 in ((0, 3), (1, 2)):
+                out, digests = np.empty((i1 - i0, 1, 512 * 256)), []
+                tracemalloc.start()
+                try:
+                    stats = correlate._read_chunks(
+                        [(images, i0, i1)], out, chunks, mode,
+                        lambda p: digests.append(hashlib.sha256(out[1 - i0]).digest()),
+                    )
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                found.append((digests, [s[:, 1 - i0].tobytes() for s in stats], peak))
+            (block, block_stats, _), (lone, lone_stats, peak) = found
+            assert peak < 1 << 20, (mode, peak)
+            assert lone == block and len(lone) == 4, mode
+            assert lone_stats == block_stats, mode
 
     @pytest.mark.parametrize("panels", [False, True], ids=["whole", "panels"])
     @pytest.mark.parametrize("bad", [False, True], ids=["ok", "bad"])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import memaudit.ingest as ingest
-from memaudit.core import ImageRecord, VolumeRecord, exhaust
+from memaudit.core import ImageRecord, VolumeRecord
 from memaudit.errors import (
     EmptyInputError,
     FormatError,
@@ -686,6 +686,34 @@ class TestFileBackedSets:
         handle.read_rows(0, 2, out, (0,))
         np.testing.assert_array_equal(out[:, 0], [[0, 9, 200, 3], [5, 5, 1, 255]])
 
+    def test_last_panel_raises_the_read_faults(self, tmp_path):
+        """A panel reader returns from next() for every panel but the last,
+        which raises the read's lowest-index fault instead: next() once per
+        panel is the whole protocol. Entry 1 of 3 has a NaN in channel 0
+        and a stale CRC-32: it reads as zeros from the first panel on, and
+        its checksum error raises with the third."""
+        for name in ("clean", "bad"):
+            (tmp_path / name).mkdir()
+            _ivc_train(tmp_path / name, n_files=1, per_file=3)
+        path = tmp_path / "bad" / "part0.ivc"
+        payload = bytearray(read_ivc(path)[1].pixels.astype("<f4").tobytes())
+        payload[:4] = struct.pack("<f", float("nan"))
+        _set_entry_payload(path, 1, bytes(payload), fix_crc=False)
+        clean, bad = (open_dataset(tmp_path / name / "train.mf") for name in ("clean", "bad"))
+        panels = [(0,), (1,), (2,)]
+        want, out = np.empty((2, 3, 1, 20))
+        expected, reader = clean.read_panels(0, 3, want, panels), bad.read_panels(0, 3, out, panels)
+        for _ in panels[:-1]:
+            next(expected)
+            next(reader)
+            np.testing.assert_array_equal(out[[0, 2]], want[[0, 2]])
+            assert not out[1].any()
+        next(expected)
+        with pytest.raises(FormatError, match=r"part0.ivc: entry 1 \('im0_1'\): checksum mismatch"):
+            next(reader)
+        with pytest.raises(StopIteration):
+            next(expected)
+
     def test_embedding_rows_equal_loaded(self, tmp_path, monkeypatch):
         import memaudit.ingest as ingest
 
@@ -843,7 +871,7 @@ class TestFileBackedSets:
             "load_records": lambda: load_records(mf),
             "load_dataset": lambda: load_dataset(mf),
             "read_rows": lambda: handle.read_rows(0, n, out, range(c)),
-            "read_panels": lambda: exhaust(handle.read_panels(0, n, out[:, :1], panels)),
+            "read_panels": lambda: list(handle.read_panels(0, n, out[:, :1], panels)),
         }
         messages = {}
         for name, read in readers.items():
