@@ -3,8 +3,9 @@
 Exit codes are part of the interface so CI pipelines can gate on them:
 0 success, 1 audit completed and flagged memorization, 2 usage error,
 3 I/O / format / data error. A command reserves its outputs before its
-work, and they commit together or not at all (ingest.OutputSet); two
-runs with identical inputs and seeds produce byte-identical reports.
+work, and they commit together or not at all (ingest.OutputSet); an
+output at one of its inputs is a usage error (_check_inputs); two runs
+with identical inputs and seeds produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -195,6 +196,25 @@ def _parse_remap(text: str) -> dict[float, float]:
     return mapping
 
 
+def _check_inputs(outputs: OutputSet, flag: str, *files) -> None:
+    """A usage error if one of outputs is at one of files, the inputs read
+    for flag, or at an EMB1 file's `.ids` sidecar: a command never writes
+    over its own input."""
+    sidecars = [Path(f).with_suffix(".ids") for f in files if Path(f).suffix.lower() == ".emb"]
+    for file in (*files, *sidecars):
+        reserved = outputs.reserved(file)
+        if reserved is not None:
+            raise UsageError(f"{reserved[0]} {reserved[1]} names {file}, an input of {flag}")
+
+
+def _manifest(outputs: OutputSet, flag: str, path):
+    """load_manifest(path), after _check_inputs of the manifest and every
+    file it lists."""
+    manifest = load_manifest(path)
+    _check_inputs(outputs, flag, path, *(file for _, file in manifest.entries))
+    return manifest
+
+
 def _write_set(images, container, manifest_path, name: str, role: str) -> None:
     """Write images to an IVC1 container and a manifest naming it."""
     write_ivc(images, container)
@@ -215,8 +235,10 @@ def _cmd_preprocess(args) -> int:
     remap = _parse_remap(args.remap) if args.remap else None
     rescale_channels = _parse_channels(args.rescale_channels, "--rescale-channels")
     remap_channels = _parse_channels(args.remap_channels, "--remap-channels")
-    with OutputSet(("--out-container", args.out_container), ("--out-manifest", args.out_manifest)):
-        manifest = load_manifest(args.manifest)
+    with OutputSet(
+        ("--out-container", args.out_container), ("--out-manifest", args.out_manifest)
+    ) as outputs:
+        manifest = _manifest(outputs, "--manifest", args.manifest)
         records = load_records(manifest)
         counts = sorted({rec.channels for rec in records})
         for flag, channels in (
@@ -277,16 +299,17 @@ def _holds(manifest) -> str:
     return "embeddings" if all(fmt == "emb" for fmt, _ in manifest.entries) else "images"
 
 
-def _audit(args):
+def _audit(args, outputs: OutputSet):
     """Compare synthetic with train and, given --test, test with train and
     synthetic with test. Images and embeddings share every step; the
     manifest kind only picks the reader and the engine's options, and
     options of the other kind are usage errors (a --synthetic or --test
     manifest of the other kind, a data error). Every set stays in its
     files and is read once into the engine's float64 buffers (a --sample
-    reads only the picked synthetic rows), by one engine call."""
+    reads only the picked synthetic rows), by one engine call. No input
+    may be one of outputs (_check_inputs)."""
     channels = _parse_channels(args.channels)
-    manifest = load_manifest(args.train)
+    manifest = _manifest(outputs, "--train", args.train)
     kind = _holds(manifest)
     embeddings = kind == "embeddings"
     foreign = {"--channels": args.channels, "--channel-mode": args.channel_mode}
@@ -305,7 +328,7 @@ def _audit(args):
     row_length = segments * math.prod(train.shape[1:])
 
     def open_like(flag, path):  # a set of --train's kind
-        other = load_manifest(path)
+        other = _manifest(outputs, flag, path)
         if _holds(other) != kind:
             raise ManifestError(
                 f"{flag} {path} holds {_holds(other)}, but --train {args.train} holds {kind}"
@@ -369,8 +392,8 @@ def _cmd_audit(args) -> int:
     with OutputSet(
         ("--matches-out", args.matches_out),
         ("--baseline-matches-out", args.baseline_matches_out), ("--out", args.out),
-    ):
-        plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit(args)
+    ) as outputs:
+        plan, synth_vs_train, baseline, synth_vs_test, sample_ids = _audit(args, outputs)
         report = build_audit_report(
             plan, synth_vs_train, baseline=baseline, synth_vs_test=synth_vs_test,
             rule=args.rule, histogram_bins=args.histogram_bins, sample_ids=sample_ids,
@@ -391,13 +414,14 @@ def _cmd_audit(args) -> int:
     return EXIT_FLAGGED if report.flagged else EXIT_OK
 
 
-def _paired_images(paths, loaded: dict):
-    """The images of the two datasets a --*-pairs flag names. ``loaded``
-    holds every manifest this run has read, by resolved path, so each is
-    read once."""
+def _paired_images(outputs: OutputSet, flag: str, paths, loaded: dict):
+    """The images of the two datasets flag, a --*-pairs flag, names.
+    ``loaded`` holds every manifest this run has read, by resolved path,
+    so each is read once."""
     for path in paths:
         key = Path(path).resolve()
         if key not in loaded:
+            _manifest(outputs, flag, path)  # a usage error if an output is at an input
             loaded[key] = load_dataset(path)
     a, b = (loaded[Path(path).resolve()].images for path in paths)
     if len(a) != len(b):
@@ -416,14 +440,17 @@ def _cmd_metrics(args) -> int:
     result: dict = {}
     loaded: dict = {}
     params = SsimParams(window=args.ssim_window, sigma=args.ssim_sigma)
-    with OutputSet(("--out", args.out)):
-        for paths, key, field, score in (
-            (args.ssim_pairs, "ssim", "ssim", lambda x, y: ssim(x, y, params)),
-            (args.mi_pairs, "mutual_information", "mi_bits",
+    with OutputSet(("--out", args.out)) as outputs:
+        _check_inputs(outputs, "--fid", *(args.fid or ()))
+        if args.inception:
+            _check_inputs(outputs, "--is", args.inception)
+        for flag, paths, key, field, score in (
+            ("--ssim-pairs", args.ssim_pairs, "ssim", "ssim", lambda x, y: ssim(x, y, params)),
+            ("--mi-pairs", args.mi_pairs, "mutual_information", "mi_bits",
              lambda x, y: mutual_information(x, y, args.mi_bins)),
         ):
             if paths:
-                a, b = _paired_images(paths, loaded)
+                a, b = _paired_images(outputs, flag, paths, loaded)
                 scores = pool_map(lambda pair: score(*pair), zip(a, b))  # one pair per task
                 values = [{"a": x.id, "b": y.id, field: v} for x, y, v in zip(a, b, scores)]
                 result[key] = {"pairs": values, "mean": sum(v[field] for v in values) / len(values)}
@@ -452,8 +479,10 @@ def _cmd_plant(args) -> int:
     manifest_path = args.out_manifest
     if manifest_path is None:  # the container's path with .mf for its suffix
         manifest_path = Path(args.out).parent / (Path(args.out).stem + ".mf")
-    with OutputSet(("--out", args.out), ("--truth", args.truth), ("--out-manifest", manifest_path)):
-        dataset, truth = plant(load_dataset(args.train), config)
+    with OutputSet(
+        ("--out", args.out), ("--truth", args.truth), ("--out-manifest", manifest_path)
+    ) as outputs:
+        dataset, truth = plant(load_dataset(_manifest(outputs, "--train", args.train)), config)
         save_ground_truth(truth, args.truth)
         _write_set(list(dataset.images), args.out, manifest_path, dataset.name, "synthetic")
     counts = ", ".join(f"{k}={v}" for k, v in truth.kind_counts().items() if v)
@@ -493,7 +522,10 @@ def _check_same_reference(matches_path, plan, baseline_path, baseline_plan) -> N
 
 def _cmd_report(args) -> int:
     _check_baseline(args, args.baseline, "--baseline")
-    with OutputSet(("--out", args.out)):
+    with OutputSet(("--out", args.out)) as outputs:
+        _check_inputs(outputs, "--matches", args.matches)
+        if args.baseline:
+            _check_inputs(outputs, "--baseline", args.baseline)
         plan, synth_matches = _labelled_matches(args.matches, "synth-vs-train")
         baseline = None
         if args.baseline:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -40,21 +41,46 @@ def worker_count() -> int:
 
 
 def pool_map(fn: Callable, items: Iterable) -> list:
-    """[fn(item) for item in items], on a pool of worker_count() threads,
-    in order; with one worker, on this thread. Each result depends on its
-    item alone, so the list is the same at any CPU count. If calls fail,
-    the failure raised is that of the lowest-index failing item; on the
-    pool, only once every call has run to its end (the pool's exit waits
-    for them all, where Executor.map would drop those not yet started).
-    fn must not call BLAS on products big enough to start the library's
-    own threads (see metrics.BAND_PRODUCT_MACS), so the pool never runs
-    beside them."""
-    workers = worker_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(workers) as pool:
-        calls = [pool.submit(fn, item) for item in items]
-    return [call.result() for call in calls]
+    """[fn(item) for item in items], in order, run by this thread and
+    min(worker_count(), len(items)) - 1 helper threads, each taking the
+    next untaken item until none is left; on one CPU no thread starts.
+    Each result depends on its item alone, so the list is the same at any
+    CPU count. Every call runs, and every helper has ended, before this
+    returns or raises: if calls fail, the failure raised is that of the
+    lowest-index failing item, but an interrupt (a BaseException that is
+    not an Exception, say KeyboardInterrupt) wins, and once one is raised
+    no thread takes another item. fn must not call BLAS on products big
+    enough to start the library's own threads (see
+    metrics.BAND_PRODUCT_MACS), so the pool never runs beside them."""
+    items = list(items)
+    results, failures = [None] * len(items), {}
+    untaken, lock = iter(range(len(items))), threading.Lock()
+
+    def drain() -> None:
+        try:
+            while True:
+                with lock:
+                    i = next(untaken, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except Exception as exc:
+                    failures[i] = exc
+        except BaseException as exc:  # raised below, once every helper has ended
+            with lock:
+                failures[-1] = exc  # the lowest key: it wins
+                deque(untaken, maxlen=0)
+
+    helpers = [threading.Thread(target=drain) for _ in range(min(worker_count(), len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _check_record(record, kind: str, field: str) -> None:

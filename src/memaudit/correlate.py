@@ -23,8 +23,9 @@ Every read (the resident rows, each reference block) goes through one
 builder, _read_chunks: rows are read as a list of channel chunks, each
 chunk standardized in place as it lands, in one core.pool_map pass (the
 package's one worker pool) over contiguous row ranges, one per CPU this
-process may run on (zlib, file reads and numpy's loops release the
-GIL). A whole row is the one-chunk case, read by read_rows and
+process may run on: this thread reads one, and a helper thread each
+other (zlib, file reads and numpy's loops release the GIL; on one CPU no
+thread starts). A whole row is the one-chunk case, read by read_rows and
 standardized by core.standardize_rows. Where a block of whole image
 rows would be narrower than the dgemm needs (GEMM_KNEE_COLUMNS, see
 plan_audit), reference blocks take one chunk per masked channel instead
@@ -406,8 +407,9 @@ def _read_chunks(parts, out, chunks, mode, each=None):
     """Read the rows of parts, (set, i0, i1) ranges laid end to end, into
     out (n, len(chunk), L) one chunk of channels at a time, each
     standardized in place, in one core.pool_map pass per chunk over
-    contiguous ranges, one per worker. One chunk, the masked channels
-    (whole rows), is read by each set's read_rows and standardized by
+    contiguous ranges, one per worker: this thread and pool_map's helpers
+    (which thread reads a range can change from pass to pass). One
+    chunk, the masked channels (whole rows), is read by each set's read_rows and standardized by
     standardize_rows: returns its valid (n,). Several, one channel each
     (panels, of parts' one set), are read by one read_panels generator
     per range, one next() a pass (the last raises the range's faults),

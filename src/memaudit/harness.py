@@ -9,9 +9,10 @@ All randomness comes from the documented splitmix64 stream in `_rng`;
 image i uses the derived stream seed mix64(run seed) XOR i, so outputs
 are bit-identical for a given config regardless of generation order.
 So the images of `generate_train_set` and the outputs of `plant` are
-made on a pool of one thread per CPU this process may run on
-(`core.pool_map`) and collected in order: every set and ground truth is
-the same at any CPU count. Each worker holds one image in flight.
+made by the calling thread and a helper thread per further CPU this
+process may run on (`core.pool_map`; on one CPU, no thread starts) and
+collected in order: every set and ground truth is the same at any CPU
+count. Each worker holds one image in flight.
 The ground truth (ids, kinds, sources) comes from integer draws only and
 is the same on any host; the pixels of noisy and fresh images come from
 normals, whose last bits depend on numpy's SIMD dispatch and libm.

@@ -138,6 +138,11 @@ class OutputSet:
             for _, _, tmp in self._temps.values():
                 tmp.unlink(missing_ok=True)  # gone once renamed
 
+    def reserved(self, path) -> Optional[tuple[str, str]]:
+        """(what, path as given) of the output reserved at path's file, or None."""
+        found = self._temps.get(os.path.realpath(path))
+        return found[:2] if found else None
+
     def _fill(self, key: str, chunks: Iterable[bytes]) -> None:
         _, name, tmp = self._temps[key]
         self._written.discard(key)  # until the whole of data is in
@@ -910,16 +915,20 @@ class EmbeddingSetFile:
 
     def __init__(self, manifest: Manifest):
         self.name, self.role = manifest.name, manifest.role
-        members: list[tuple[Path, str, tuple[int, ...]]] = []
-        self._files: list[tuple[Path, int, int]] = []  # (path, first row, rows)
+        ids: list[str] = []
+        self._files: list[tuple[Path, int, int, tuple[int]]] = []  # (path, first row, rows, (dim,))
         for file in _embedding_files(manifest):
             with _file_cursor(file) as cur:
                 n, dim = _emb_header(cur)
-            self._files.append((file, len(members), n))
-            members.extend((file, i, (dim,)) for i in _emb_ids(file, n))
+            self._files.append((file, len(ids), n, (dim,)))
+            ids.extend(_emb_ids(file, n))
+        members = (
+            (file, ids[i], shape) for file, first, n, shape in self._files
+            for i in range(first, first + n)
+        )
         _check_members(manifest.name, members, "embedding")
-        self.ids = tuple(m[1] for m in members)
-        self.dim: int = members[0][2][0]
+        self.ids = tuple(ids)
+        self.dim: int = next(shape[0] for _, _, n, shape in self._files if n)  # the first row's
         self.shape = (1, self.dim)
         self._step = max(1, _READ_CHUNK_BYTES // (4 * self.dim))  # rows per chunk
 
@@ -930,7 +939,7 @@ class EmbeddingSetFile:
         """Rows i0..i1-1 into out, shape (i1 - i0, len(channels) = 1, dim)."""
         dim, step = self.dim, self._step
         scratch = np.empty(4 * dim * min(step, i1 - i0), np.uint8)
-        for file, first, n in self._files:
+        for file, first, n, _ in self._files:
             lo, hi = max(i0, first), min(i1, first + n)
             if lo >= hi:
                 continue

@@ -483,6 +483,87 @@ class TestEmptyOutputPath:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutputAtAnInput:
+    """An output at one of the command's inputs (a manifest read, a file
+    it lists, an EMB1 file's .ids sidecar, a match or EMB1 file) exits 2
+    naming the output's flag and path, the input and its flag, and every
+    file is as it was: no input written over, no output or temp file."""
+
+    def _refused(self, tmp_path, capsys, command, argv, outputs, flag, name, source, listed):
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        outputs = {**outputs, flag: str(tmp_path / name)}
+        code = run([command, *argv, *(x for pair in outputs.items() for x in pair), "--quiet"])
+        shown = (tmp_path / name).resolve() if listed else tmp_path / name  # manifests resolve
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"memaudit {command}: {flag} {tmp_path / name} names {shown}, an input of {source}\n"
+        )
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+
+    @pytest.mark.parametrize("kind, flag, name, source, listed", [
+        ("images", "--matches-out", "t1.ivc", "--train", True),
+        ("images", "--out", "train.mf", "--train", False),
+        ("images", "--out", "synth.ivc", "--synthetic", True),
+        ("images", "--baseline-matches-out", "heldout.mf", "--test", False),
+        ("embeddings", "--out", "train.ids", "--train", True),
+        ("embeddings", "--matches-out", "test.emb", "--test", True),
+    ])
+    def test_audit(self, tmp_path, capsys, kind, flag, name, source, listed):
+        sets = _split_train(tmp_path) if kind == "images" else _emb_sets(tmp_path)
+        argv = [x for pair in zip(("--train", "--synthetic", "--test"), map(str, sets)) for x in pair]
+        flags = ("--out", "--matches-out", "--baseline-matches-out")
+        outputs = {f: str(tmp_path / f"{f[2:]}.json") for f in flags}
+        self._refused(tmp_path, capsys, "audit", argv, outputs, flag, name, source, listed)
+
+    @pytest.mark.parametrize("flag, name, listed", [
+        ("--out", "train.ivc", True), ("--truth", "train.mf", False),
+        ("--out-manifest", "train.mf", False),
+    ])
+    def test_plant(self, tmp_path, capsys, train_manifest, flag, name, listed):
+        argv = ["--train", str(train_manifest), "--n", "3", "--seed", "1"]
+        outputs = {f: str(tmp_path / f"p-{f[2:]}") for f in ("--out", "--truth", "--out-manifest")}
+        self._refused(tmp_path, capsys, "plant", argv, outputs, flag, name, "--train", listed)
+
+    @pytest.mark.parametrize("flag, name, listed", [
+        ("--out-container", "in.ivc", True), ("--out-manifest", "in.mf", False),
+    ])
+    def test_preprocess(self, tmp_path, capsys, flag, name, listed):
+        write_ivc([image(np.arange(16.0).reshape(4, 4), id="a")], tmp_path / "in.ivc")
+        write_manifest(tmp_path / "in.mf", "in", "train", ["in.ivc"])
+        argv = ["--manifest", str(tmp_path / "in.mf")]
+        outputs = {f"--out-{what}": str(tmp_path / f"q-{what}") for what in ("container", "manifest")}
+        self._refused(
+            tmp_path, capsys, "preprocess", argv, outputs, flag, name, "--manifest", listed
+        )
+
+    @pytest.mark.parametrize("name, source, listed", [
+        ("a.mf", "--ssim-pairs", False), ("b.ivc", "--ssim-pairs", True),
+        ("s.emb", "--fid", False), ("p.ids", "--is", False),
+    ])
+    def test_metrics(self, tmp_path, capsys, name, source, listed):
+        for seed, pair in ((31, "a"), (32, "b")):
+            images = generate_train_set(2, 1, 8, 8, seed=seed).images
+            write_ivc(list(images), tmp_path / f"{pair}.ivc")
+            write_manifest(tmp_path / f"{pair}.mf", pair, "test", [f"{pair}.ivc"])
+        for emb, dim in (("r", 4), ("s", 4), ("p", 3)):
+            ids = tuple(f"{emb}{i}" for i in range(5))
+            rows = np.full((5, dim), 1.0 / dim, np.float32)
+            write_embeddings(EmbeddingSet(ids, dim, rows), tmp_path / f"{emb}.emb")
+        pairs = [str(tmp_path / "a.mf"), str(tmp_path / "b.mf")]
+        argv = ["--ssim-pairs", *pairs, "--mi-pairs", *pairs,
+                "--fid", str(tmp_path / "r.emb"), str(tmp_path / "s.emb"),
+                "--is", str(tmp_path / "p.emb")]
+        outputs = {"--out": str(tmp_path / "metrics.json")}
+        self._refused(tmp_path, capsys, "metrics", argv, outputs, "--out", name, source, listed)
+
+    @pytest.mark.parametrize("name, source", [("m.json", "--matches"), ("b.json", "--baseline")])
+    def test_report(self, tmp_path, capsys, name, source):
+        paths = TestReportCommand._audit(tmp_path)
+        argv = ["--matches", str(paths["m"]), "--baseline", str(paths["b"])]
+        outputs = {"--out": str(tmp_path / "r.json")}
+        self._refused(tmp_path, capsys, "report", argv, outputs, "--out", name, source, False)
+
+
 class TestOutputsCommitTogether:
     """A command's outputs commit together: when a later output fails
     (its chunk producer runs out of disk after an earlier output's bytes

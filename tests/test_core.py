@@ -277,8 +277,10 @@ class TestPearson:
 
 class TestPoolMap:
     """core.pool_map, the package's one worker pool (the count forced
-    through core.worker_count): results in item order, one worker on the
-    calling thread, and a failure raised only once every call has run."""
+    through core.worker_count): the calling thread and worker_count() - 1
+    helper threads run the items, results come in item order, and a
+    failure is raised only once every call has run and every helper has
+    ended."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_results_in_order(self, monkeypatch, workers):
@@ -291,18 +293,38 @@ class TestPoolMap:
 
         monkeypatch.setattr(core, "worker_count", lambda: workers)
         assert core.pool_map(square, range(6)) == [i * i for i in range(6)]
-        main = threading.get_ident()
-        if workers == 1:
-            assert threads == {main}
-        else:
-            assert main not in threads
+        assert threading.get_ident() in threads and len(threads) <= workers
+
+    @pytest.mark.parametrize(
+        "workers, items, helpers", [(1, 8, 0), (3, 8, 2), (3, 2, 1), (3, 0, 0)]
+    )
+    def test_helper_threads(self, monkeypatch, workers, items, helpers):
+        """min(worker_count(), items) - 1 helper threads start, all ended
+        on return: none on one CPU (each call sleeps, so a pool that
+        starts a thread per busy worker would start one more)."""
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def call(i):
+            time.sleep(0.005)
+            return i
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        monkeypatch.setattr(core, "worker_count", lambda: workers)
+        assert core.pool_map(call, range(items)) == list(range(items))
+        assert len(started) == helpers
+        assert not any(thread.is_alive() for thread in started)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_lowest_failure_raised_after_every_call(self, monkeypatch, workers):
         """Items 0 and 1 return at once, item 2 fails after 0.01 s and
         item 5 at once, the others take 0.05 s: item 2's error is raised,
-        and on the pool only when all 8 calls have run (item 7 is still
-        queued when item 2 fails); one worker stops at item 2."""
+        and only when all 8 calls have run, on one worker as on three
+        (item 7 is still untaken when item 2 fails)."""
         lock, started, finished = threading.Lock(), set(), set()
 
         def call(i):
@@ -320,4 +342,47 @@ class TestPoolMap:
         monkeypatch.setattr(core, "worker_count", lambda: workers)
         with pytest.raises(ValueError, match="^item 2$"):
             core.pool_map(call, range(8))
-        assert started == finished == set(range(3 if workers == 1 else 8))
+        assert started == finished == set(range(8))
+
+    @pytest.mark.parametrize(
+        "workers, where", [(1, "caller"), (3, "caller"), (3, "helper")]
+    )
+    def test_interrupt_raised_once_every_helper_ended(self, monkeypatch, workers, where):
+        """A KeyboardInterrupt that fn raises, on the calling thread or on
+        a helper, propagates from the calling thread once every helper has
+        ended, and no thread takes another item after it: at most one
+        item per thread runs, where the others take 0.05 s each."""
+        main, lock, started = threading.get_ident(), threading.Lock(), []
+
+        def call(i):
+            with lock:
+                started.append(i)
+            if (threading.get_ident() == main) == (where == "caller"):
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+
+        monkeypatch.setattr(core, "worker_count", lambda: workers)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            core.pool_map(call, range(8))
+        assert threading.active_count() == before
+        assert len(started) <= workers
+
+    def test_each_item_taken_once_under_contention(self, monkeypatch):
+        """8 workers on this machine's CPUs, switching threads every
+        microsecond: each of 3,000 items runs exactly once."""
+        calls, lock = [], threading.Lock()
+
+        def call(i):
+            with lock:
+                calls.append(i)
+            return -i
+
+        monkeypatch.setattr(core, "worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert core.pool_map(call, range(3000)) == [-i for i in range(3000)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(3000))

@@ -911,9 +911,9 @@ class TestFloat32Screen:
 
 class TestReadWorkers:
     """Every range the engine reads is split into contiguous ranges, one
-    per worker thread (the count forced through core.worker_count); the
-    valid-row packing, GEMMs and merges run on the calling thread once
-    every range has been read."""
+    per worker (the count forced through core.worker_count): the calling
+    thread and its pool_map helpers; the valid-row packing, GEMMs and
+    merges run on the calling thread once every range has been read."""
 
     def test_ranges_split_and_searched_after_reads(self, monkeypatch):
         q = random_dataset(7, (2, 6, 6), 121, role="synthetic", name="q")
@@ -958,10 +958,10 @@ class TestReadWorkers:
                 expected += [(r0 + n * j // w, r0 + n * (j + 1) // w) for j in range(w)]
             assert train == expected
             threads = {ident for *_, ident in reads}
-            if workers == 1:  # pool_map runs one worker on this thread
+            # this thread reads ranges too, beside workers - 1 helpers
+            assert main in threads and peak[0] <= workers
+            if workers == 1:
                 assert threads == {main}
-            else:  # on the pool's threads, never more than workers at once
-                assert main not in threads and peak[0] <= workers
         assert results[1] == results[2] == results[3] == results[5]
 
     def test_failure_raised_after_every_range_is_done(self, tmp_path, monkeypatch):
