@@ -2,10 +2,11 @@
 
 Exit codes are part of the interface so CI pipelines can gate on them:
 0 success, 1 audit completed and flagged memorization, 2 usage error,
-3 I/O / format / data error. A command reserves its outputs before its
-work, and they commit together or not at all (ingest.OutputSet); an
-output at one of its inputs is a usage error (_check_inputs); two runs
-with identical inputs and seeds produce byte-identical reports.
+3 I/O / format / data error or out of memory. A command reserves its
+outputs before its work, and they commit together or not at all
+(ingest.OutputSet); an output at one of its inputs is a usage error
+(_check_inputs); two runs with identical inputs and seeds produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -227,11 +228,7 @@ def _write_set(images, container, manifest_path, name: str, role: str) -> None:
 
 
 def _cmd_preprocess(args) -> int:
-    rule = SliceFilterRule(
-        min_fraction=args.min_fraction,
-        intensity_threshold=args.threshold,
-        channel=args.filter_channel,
-    )
+    rule = SliceFilterRule(args.min_fraction, args.threshold, args.filter_channel)
     remap = _parse_remap(args.remap) if args.remap else None
     rescale_channels = _parse_channels(args.rescale_channels, "--rescale-channels")
     remap_channels = _parse_channels(args.remap_channels, "--remap-channels")
@@ -239,35 +236,31 @@ def _cmd_preprocess(args) -> int:
         ("--out-container", args.out_container), ("--out-manifest", args.out_manifest)
     ) as outputs:
         manifest = _manifest(outputs, "--manifest", args.manifest)
-        records = load_records(manifest)
-        counts = sorted({rec.channels for rec in records})
-        for flag, channels in (
-            ("--filter-channel", (args.filter_channel,)),
-            ("--rescale-channels", rescale_channels),
-            ("--remap-channels", remap_channels),
-        ):
-            for count in counts:
-                _channel_mask(flag, channels, count)
 
-        images = []
-        for rec in records:
-            if isinstance(rec, VolumeRecord):
-                images.extend(slice_volume(rec, rule))
-            else:
-                images.append(rec)
-        log.info("preprocess: %d record(s) -> %d slice(s)", len(records), len(images))
+        def check_channels(dims) -> None:  # from the headers, before any payload is read
+            counts = sorted({d[0] for d in dims})
+            for flag, channels in (
+                ("--filter-channel", (args.filter_channel,)),
+                ("--rescale-channels", rescale_channels),
+                ("--remap-channels", remap_channels),
+            ):
+                for count in counts:
+                    _channel_mask(flag, channels, count)
 
+        records = load_records(manifest, check_channels)
         out = []
-        for img in images:
-            if args.pad:
-                img = zero_pad(img, args.pad[0], args.pad[1])
-            if args.rescale:
-                img = rescale_intensity(img, channels=rescale_channels)
-            if remap:
-                img = remap_labels(img, remap, channels=remap_channels)
-            if args.resize:
-                img = resize_bilinear(img, args.resize[0], args.resize[1])
-            out.append(img)
+        for rec in records:  # each volume's slices transformed before the next is sliced
+            for img in slice_volume(rec, rule) if isinstance(rec, VolumeRecord) else [rec]:
+                if args.pad:
+                    img = zero_pad(img, args.pad[0], args.pad[1])
+                if args.rescale:
+                    img = rescale_intensity(img, channels=rescale_channels)
+                if remap:
+                    img = remap_labels(img, remap, channels=remap_channels)
+                if args.resize:
+                    img = resize_bilinear(img, args.resize[0], args.resize[1])
+                out.append(img)
+        log.info("preprocess: %d record(s) -> %d slice(s)", len(records), len(out))
         if not out:
             raise MemauditError("preprocess produced no images (filter dropped everything)")
         _write_set(out, args.out_container, args.out_manifest, f"{manifest.name}-pre", manifest.role)
@@ -669,8 +662,9 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"memaudit {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MemauditError, OSError) as exc:
-        print(f"memaudit {args.command}: {exc}", file=sys.stderr)
+    except (MemauditError, OSError, MemoryError) as exc:
+        what = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"memaudit {args.command}: {what}{exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -23,16 +23,16 @@ FormatError naming the byte offset. Each image format has one header scan
 (`_scan_pgm`, `_scan_ivc`) that turns a file into entries (id, dims,
 dtype, payload offset; a PGM file is one u8 entry with its maxval and no
 checksum) without reading a payload byte, and both share one entry
-reader, `_read_panels`: it reads a panel of channels at a time with a
-running CRC-32, `_payload_chunk` reading and checking each run of
-payload bytes and `_check_crc` the checksum. Its protocol is one
-next() per panel: each panel but the last yields, and the last raises
-the read's lowest-index fault instead, if it found one.
-`DatasetFile.read_panels` calls it; `read_ivc`, `read_pgm` and
-`DatasetFile.read_rows` are its one-panel case, a single next(). EMB1
-rows have their own chunked read, `EmbeddingSetFile.read_rows`. A manifest's set has one reader, the
-`read_rows` of its `open_dataset` / `open_embedding_set` handle;
-`load_dataset` / `load_embedding_set` are that plus a read of every row,
+reader, `_read_panels`, which reads a panel of channels at a time with a
+running CRC-32. Its protocol is one next() per panel: each panel but the
+last yields, and the last raises the read's lowest-index fault instead,
+if it found one. `DatasetFile` reads through it; `read_pgm`, `read_ivc`,
+`load_records` and `load_dataset` are one `_scan` of every file's
+headers, so a header fault in any file is found before any payload is
+read, then one `_read_records`: a one-panel read per run of entries of
+equal dims into one float32 array whose rows the records view. EMB1 rows
+have their own chunked read, `EmbeddingSetFile.read_rows`;
+`load_embedding_set` is `open_embedding_set` plus a read of every row,
 and `read_embeddings` is `load_embedding_set` of a one-file manifest.
 Every set, in memory or file-backed, has a `shape`, (C, H, W) for images
 or (1, dim) for embeddings, and `read_rows(i0, i1, out, channels)`, which
@@ -55,7 +55,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -343,20 +343,29 @@ def _read_panels(
         yield
 
 
-def _read_records(fmt: str, path: Path) -> list[Union[ImageRecord, VolumeRecord]]:
-    """Every record of one PGM or IVC1 file, in file order: the header
-    scan, then each run of entries of equal dims read and checked by one
-    _read_panels call, as one panel of all their channels, into one
-    float32 array that their records view."""
-    with _file_cursor(path) as cur:
-        entries = _SCANNERS[fmt](cur)
+def _scan(files: Iterable[tuple[str, Path]]) -> list[tuple[Path, _Entry]]:
+    """(file, entry) of every entry of files, (format, path) pairs, in
+    order: every header is scanned, a header fault in any file raised,
+    before any payload is read."""
+    locations = []
+    for fmt, file in files:
+        with _file_cursor(file) as cur:
+            locations.extend((file, entry) for entry in _SCANNERS[fmt](cur))
+    return locations
+
+
+def _read_records(locations) -> list[Union[ImageRecord, VolumeRecord]]:
+    """The records of the entries at locations, _scan's (file, entry)
+    pairs, in order: each run of entries of equal dims read and checked
+    by one _read_panels call, as one panel of all their channels, into
+    one float32 array whose disjoint rows their records view."""
     records: list[Union[ImageRecord, VolumeRecord]] = []
-    for dims, run in groupby(entries, key=lambda entry: entry.dims):
+    for dims, run in groupby(locations, key=lambda location: location[1].dims):
         run = list(run)
         values = np.empty((len(run), dims[0], math.prod(dims[1:])), dtype=np.float32)
-        next(_read_panels([(path, entry) for entry in run], values, [range(dims[0])]))
+        next(_read_panels(run, values, [range(dims[0])]))
         kind = ImageRecord if len(dims) == 3 else VolumeRecord
-        records.extend(kind(entry.id, *dims, row) for entry, row in zip(run, values))
+        records.extend(kind(entry.id, *dims, row) for (_, entry), row in zip(run, values))
     return records
 
 
@@ -370,7 +379,7 @@ def read_pgm(path) -> ImageRecord:
 
     Pixel values come back as reals 0-255; the record id is the file stem.
     """
-    return _read_records("pgm", Path(path))[0]
+    return _read_records(_scan([("pgm", Path(path))]))[0]
 
 
 def _scan_pgm(cur: _Cursor) -> list[_Entry]:
@@ -519,7 +528,7 @@ def _scan_ivc(cur: _Cursor) -> list[_Entry]:
 
 def read_ivc(path) -> list[Union[ImageRecord, VolumeRecord]]:
     """Decode an IVC1 container into image and volume records (file order)."""
-    return _read_records("ivc", Path(path))
+    return _read_records(_scan([("ivc", Path(path))]))
 
 
 _SCANNERS = {"pgm": _scan_pgm, "ivc": _scan_ivc}
@@ -821,12 +830,16 @@ def _check_members(
         raise ManifestError(f"{name}: no 2-D images")
 
 
-def load_records(manifest: Union[Manifest, str, Path]) -> list[Union[ImageRecord, VolumeRecord]]:
-    """All image/volume records referenced by a manifest, in manifest order."""
-    records: list[Union[ImageRecord, VolumeRecord]] = []
-    for fmt, file in _image_files(_as_manifest(manifest)):
-        records.extend(_read_records(fmt, file))
-    return records
+def load_records(
+    manifest: Union[Manifest, str, Path], check: Optional[Callable[[list], None]] = None
+) -> list[Union[ImageRecord, VolumeRecord]]:
+    """All image/volume records referenced by a manifest, in manifest
+    order; check, if given, is called with the list of their dims once
+    every header is scanned, before any payload is read."""
+    locations = _scan(_image_files(_as_manifest(manifest)))
+    if check is not None:
+        check([entry.dims for _, entry in locations])
+    return _read_records(locations)
 
 
 def load_dataset(manifest: Union[Manifest, str, Path]) -> Dataset:
@@ -836,12 +849,7 @@ def load_dataset(manifest: Union[Manifest, str, Path]) -> Dataset:
     and mixed dimensions raise a ManifestError naming every offender.
     """
     images = open_dataset(manifest)
-    c, h, w = images.shape
-    pixels = np.empty((len(images), c, h * w), dtype=np.float32)  # no record shares a row
-    images.read_rows(0, len(images), pixels, range(c))
-    return Dataset(images.name, images.role, tuple(
-        ImageRecord(i, c, h, w, row) for i, row in zip(images.ids, pixels)
-    ))
+    return Dataset(images.name, images.role, _read_records(images._locations))
 
 
 def load_embedding_set(manifest: Union[Manifest, str, Path]) -> EmbeddingSet:
@@ -876,10 +884,7 @@ class DatasetFile:
 
     def __init__(self, manifest: Manifest):
         self.name, self.role = manifest.name, manifest.role
-        self._locations: list[tuple[Path, _Entry]] = []
-        for fmt, file in _image_files(manifest):
-            with _file_cursor(file) as cur:
-                self._locations.extend((file, entry) for entry in _SCANNERS[fmt](cur))
+        self._locations = _scan(_image_files(manifest))
         _check_members(
             manifest.name, ((f, e.id, e.dims) for f, e in self._locations), "image"
         )

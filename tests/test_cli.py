@@ -132,6 +132,26 @@ class TestExitCodes:
         ])
         assert code == 0
 
+    def test_out_of_memory_is_data_error(self, tmp_path, train_manifest, capsys, monkeypatch):
+        # Not the "memorization flagged" exit 1, and no traceback: one line,
+        # and no output is left behind.
+        synth_mf, _ = plant_set(tmp_path, train_manifest, seed=5)
+        before = sorted(tmp_path.iterdir())
+        message = "Unable to allocate 750. MiB for an array with shape (1500, 1, 65536)"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(correlate, "_read_chunks", fail)
+        code = run([
+            "audit", "--train", str(train_manifest), "--synthetic", str(synth_mf),
+            "--rule", "fixed:0.9", "--out", str(tmp_path / "r.json"),
+            "--matches-out", str(tmp_path / "m.json"), "--quiet",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"memaudit audit: out of memory: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestAuditEndToEnd:
     def test_planted_copies_detected_with_baseline(self, tmp_path, train_manifest):
@@ -716,6 +736,45 @@ class TestPreprocessCommand:
         (rec,) = load_dataset(tmp_path / "io.mf").images
         assert (rec.id, rec.shape) == ("img", (2, 8, 3))
         np.testing.assert_array_equal(rec.pixels, resize_bilinear(img, 8, 3).pixels)
+
+    def test_each_volume_transformed_before_the_next_is_sliced(self, tmp_path, monkeypatch):
+        # One pass: a volume's kept slices are padded before the next
+        # volume is sliced, so no whole set of untransformed slices is held.
+        rng = np.random.default_rng(15)
+        vols = []
+        for name, kept in (("a", (0, 2)), ("b", (1,)), ("c", (0, 1, 2))):
+            data = np.zeros((1, 3, 6, 6), np.float32)
+            for d in kept:
+                data[0, d] = rng.integers(60, 200, (6, 6))
+            vols.append(VolumeRecord(name, 1, 3, 6, 6, data.reshape(-1)))
+        write_ivc(vols[:2], tmp_path / "v1.ivc")
+        write_ivc(vols[2:], tmp_path / "v2.ivc")
+        write_manifest(tmp_path / "v.mf", "vols", "train", ["v1.ivc", "v2.ivc"])
+        calls = []
+        slice_volume, zero_pad = cli.slice_volume, cli.zero_pad
+
+        def sliced(vol, rule):
+            calls.append(("slice", vol.id))
+            return slice_volume(vol, rule)
+
+        def padded(img, h, w):
+            calls.append(("pad", img.id))
+            return zero_pad(img, h, w)
+
+        monkeypatch.setattr(cli, "slice_volume", sliced)
+        monkeypatch.setattr(cli, "zero_pad", padded)
+        code = run([
+            "preprocess", "--manifest", str(tmp_path / "v.mf"),
+            "--out-container", str(tmp_path / "out.ivc"),
+            "--out-manifest", str(tmp_path / "out.mf"), "--pad", "8", "8", "--quiet",
+        ])
+        assert code == 0
+        assert calls == [
+            ("slice", "a"), ("pad", "a_s000"), ("pad", "a_s002"),
+            ("slice", "b"), ("pad", "b_s001"),
+            ("slice", "c"), ("pad", "c_s000"), ("pad", "c_s001"), ("pad", "c_s002"),
+        ]
+        assert [r.id for r in read_ivc(tmp_path / "out.ivc")] == [c[1] for c in calls if c[0] == "pad"]
 
     def test_filter_drops_everything_is_data_error(self, tmp_path):
         vol = VolumeRecord("dark", 1, 2, 10, 10, np.zeros(200, np.float32))
@@ -1845,6 +1904,37 @@ class TestFlagValues:
         assert code == 2
         assert flag in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ivc", "in.mf"]
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--filter-channel", "7"], "--filter-channel: channel mask [7] out of range"),
+        (["--rescale", "--rescale-channels", "0,9"],
+         "--rescale-channels: channel mask [0, 9] out of range"),
+        (["--remap", "1=2", "--remap-channels", "9"],
+         "--remap-channels: channel mask [9] out of range"),
+    ], ids=["filter-channel", "rescale-channels", "remap-channels"])
+    def test_preprocess_channels_checked_before_any_payload(
+        self, tmp_path, capsys, monkeypatch, extra, message
+    ):
+        # Checked against the channel counts of the header scan: no payload
+        # of these two 5-channel volumes is read.
+        rng = np.random.default_rng(9201)
+        vols = [
+            VolumeRecord(f"v{i}", 5, 3, 8, 8, rng.integers(0, 255, 960).astype(np.float32))
+            for i in range(2)
+        ]
+        write_ivc(vols, tmp_path / "v.ivc")
+        write_manifest(tmp_path / "v.mf", "v", "train", ["v.ivc"])
+        reads = []
+        monkeypatch.setattr(ingest, "_read_panels", lambda *a: reads.append(a))
+        code = run([
+            "preprocess", "--manifest", str(tmp_path / "v.mf"),
+            "--out-container", str(tmp_path / "out.ivc"),
+            "--out-manifest", str(tmp_path / "out.mf"), *extra,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"memaudit preprocess: {message} for 5 channels\n"
+        assert reads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.ivc", "v.mf"]
 
 
 PLANT_AND_METRICS = """

@@ -1015,6 +1015,29 @@ class TestOneReadPath:
             reader(path)
         assert str(exc.value).startswith(f"{path}: {message}")
 
+    @pytest.mark.parametrize("first", ["ivc", "pgm"])
+    def test_header_fault_in_any_file_found_before_any_payload(
+        self, tmp_path, monkeypatch, first
+    ):
+        # Every header of a manifest is scanned before any payload is read,
+        # so a bad header in its second file costs no read of the first.
+        if first == "ivc":
+            write_ivc([image([[1.5, 2], [3, 4]], id="a")], tmp_path / "a.ivc")
+        else:
+            write_pgm(image([[1, 2], [3, 4]], id="a"), tmp_path / "a.pgm")
+        bad = tmp_path / "b.ivc"
+        bad.write_bytes(b"IVC1" + struct.pack("<IH", 1, 1) + b"x" + bytes([5]))
+        write_manifest(tmp_path / "m.mf", "m", "train", [f"a.{first}", "b.ivc"])
+        reads = []
+        read_panels = ingest._read_panels
+        monkeypatch.setattr(
+            ingest, "_read_panels", lambda *a: reads.append(a) or read_panels(*a)
+        )
+        with pytest.raises(FormatError) as exc:
+            load_records(tmp_path / "m.mf")
+        assert str(exc.value) == f"{bad.resolve()}: entry 0: ndims must be 3 or 4, got 5 at offset 11"
+        assert reads == []
+
 
 
 def _ivc_header(ndims, dims):
