@@ -410,12 +410,12 @@ def _cmd_audit(args) -> int:
 def _paired_images(outputs: OutputSet, flag: str, paths, loaded: dict):
     """The images of the two datasets flag, a --*-pairs flag, names.
     ``loaded`` holds every manifest this run has read, by resolved path,
-    so each is read once."""
+    so each is parsed and read once; an output at one of its files is a
+    usage error."""
     for path in paths:
         key = Path(path).resolve()
         if key not in loaded:
-            _manifest(outputs, flag, path)  # a usage error if an output is at an input
-            loaded[key] = load_dataset(path)
+            loaded[key] = load_dataset(_manifest(outputs, flag, path))
     a, b = (loaded[Path(path).resolve()].images for path in paths)
     if len(a) != len(b):
         raise MemauditError(

@@ -1,9 +1,46 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memaudit
 from memaudit.core import Dataset, ImageRecord
+
+SRC = str(Path(memaudit.__file__).parents[1])
+
+
+def child(*args, env=None, one_cpu=False, address_space=None):
+    """A fresh interpreter running ``python *args`` (``-m memaudit.cli ...``
+    or ``-c code ...``) on the tested source, under ``-X dev`` when this
+    one is, with ``env`` laid over this process's environment (a None value
+    unsets its variable). ``one_cpu`` pins the child to the lowest CPU this
+    process may run on; ``address_space`` caps the child's address space in
+    bytes. Both limits are set in the child alone, after it forks. Returns
+    the CompletedProcess, stdout and stderr as text."""
+    merged = {**os.environ, "PYTHONPATH": SRC, **(env or {})}
+    if one_cpu and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    if address_space is not None:
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no address-space limit on this platform")
+
+    def limits():
+        if one_cpu:
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, *(["-X", "dev"] if sys.flags.dev_mode else []), *args],
+        env={name: value for name, value in merged.items() if value is not None},
+        capture_output=True, text=True, timeout=300,
+        preexec_fn=limits if one_cpu or address_space is not None else None,
+    )
 
 
 def image(values, channels=1, height=None, width=None, id="img"):

@@ -5,8 +5,6 @@ import math
 import os
 import re
 import struct
-import subprocess
-import sys
 import zlib
 from collections import Counter
 from dataclasses import asdict
@@ -16,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import memaudit
 import memaudit.cli as cli
 import memaudit.core as core
 import memaudit.correlate as correlate
@@ -43,7 +40,7 @@ from memaudit.ingest import (
 from memaudit.preprocess import resize_bilinear
 from memaudit.report import load_matches, matches_to_dict
 
-from conftest import image, ivc_payload_span, set_first_ivc_id
+from conftest import child, image, ivc_payload_span, set_first_ivc_id
 
 
 @pytest.fixture()
@@ -883,22 +880,32 @@ class TestMetricsCommand:
         assert run(["metrics", "--quiet"]) == 2
 
     def test_each_manifest_loaded_once(self, tmp_path, train_manifest, monkeypatch):
+        """Each manifest is parsed once, so the file list checked against
+        the outputs is the list read, and its images are read once."""
         synth_mf, _ = plant_set(tmp_path, train_manifest, seed=4, n=30)
-        loads = Counter()
-        load = cli.load_dataset
+        parses, loads = Counter(), Counter()
+        parse, load = ingest.load_manifest, cli.load_dataset
 
-        def counted(path):
-            loads[Path(path).name] += 1
-            return load(path)
+        def parsed(path):
+            parses[Path(path).name] += 1
+            return parse(path)
 
-        monkeypatch.setattr(cli, "load_dataset", counted)
+        def loaded(manifest):
+            dataset = load(manifest)
+            loads[dataset.role] += 1
+            return dataset
+
+        for module in (cli, ingest):
+            monkeypatch.setattr(module, "load_manifest", parsed)
+        monkeypatch.setattr(cli, "load_dataset", loaded)
         pairs = [str(synth_mf), str(train_manifest)]
         code = run([
             "metrics", "--ssim-pairs", *pairs, "--mi-pairs", *pairs,
             "--out", str(tmp_path / "m.json"), "--quiet",
         ])
         assert code == 0
-        assert loads == {"synth.mf": 1, "train.mf": 1}
+        assert parses == {"synth.mf": 1, "train.mf": 1}
+        assert loads == {"synthetic": 1, "train": 1}
         result = json.loads((tmp_path / "m.json").read_text())
         assert len(result["ssim"]["pairs"]) == len(result["mutual_information"]["pairs"]) == 30
 
@@ -1940,8 +1947,14 @@ class TestFlagValues:
 PLANT_AND_METRICS = """
 import sys
 from memaudit.cli import run
-train, out = sys.argv[1:]
-assert run(["plant", "--train", train, "--n", "4", "--seed", "3", "--out", out + "/synth.ivc",
+from memaudit.harness import generate_train_set
+from memaudit.ingest import write_ivc, write_manifest
+out = sys.argv[1]
+write_ivc(list(generate_train_set(4, 2, 128, 128, seed=9400).images), out + "/train.ivc")
+write_manifest(out + "/train.mf", "train", "train", ["train.ivc"])
+train = out + "/train.mf"
+assert run(["plant", "--train", train, "--n", "4", "--p-copy", "0.25", "--p-noisy", "0.25",
+            "--p-shift", "0.25", "--seed", "3", "--out", out + "/synth.ivc",
             "--truth", out + "/truth.json", "--quiet"]) == 0
 assert run(["metrics", "--ssim-pairs", out + "/synth.mf", train, "--mi-pairs", out + "/synth.mf",
             train, "--out", out + "/metrics.json", "--quiet"]) == 0
@@ -1949,20 +1962,15 @@ print(sorted(m for m in sys.modules if m.startswith("scipy") or m == "secrets"))
 """
 
 
-def _plant_and_metrics(tmp_path, name, **env):
-    """A fresh child process plants 4 fresh 2x128x128 images from a
-    4-image train set, then scores them against it with SSIM and MI."""
-    train_mf = tmp_path / "train.mf"
-    if not train_mf.exists():
-        write_ivc(list(generate_train_set(4, 2, 128, 128, seed=9400).images), tmp_path / "train.ivc")
-        write_manifest(train_mf, "train", "train", ["train.ivc"])
+def _plant_and_metrics(tmp_path, name, **limits):
+    """A fresh child process (``limits`` as conftest.child takes them)
+    writes a 4-image 2x128x128 train set, plants 4 images from it (a copy,
+    a noisy copy, a shifted copy and a fresh image), then scores them
+    against it with SSIM and MI."""
     out = tmp_path / name
     out.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(Path(memaudit.__file__).parents[1]), **env)
-    result = subprocess.run(
-        [sys.executable, "-c", PLANT_AND_METRICS, str(train_mf), str(out)],
-        env=env, capture_output=True, text=True, check=True,
-    )
+    result = child("-c", PLANT_AND_METRICS, str(out), **limits)
+    assert result.returncode == 0, result.stderr
     return out, result.stdout.strip()
 
 
@@ -1979,29 +1987,64 @@ def test_audit_leaves_numpy_ma_unloaded(tmp_path, train_manifest):
     """The report's median comes from its sorted values, not np.median,
     whose first call imports numpy.ma (about 10 ms of every audit)."""
     synth_mf, _ = plant_set(tmp_path, train_manifest, seed=6, n=4, p_copy=0.5)
-    child = "import sys\nfrom memaudit.cli import run\nrun(sys.argv[1:])\nprint('numpy.ma' in sys.modules)"
-    result = subprocess.run([
-        sys.executable, "-c", child, "audit", "--train", str(train_manifest),
+    code = "import sys\nfrom memaudit.cli import run\nrun(sys.argv[1:])\nprint('numpy.ma' in sys.modules)"
+    result = child(
+        "-c", code, "audit", "--train", str(train_manifest),
         "--synthetic", str(synth_mf), "--test", str(synth_mf), "--rule", "fixed:0.99",
         "--out", str(tmp_path / "r.json"), "--quiet",
-    ], env=dict(os.environ, PYTHONPATH=str(Path(memaudit.__file__).parents[1])),
-        capture_output=True, text=True, check=True)
+    )
+    assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
     assert json.loads((tmp_path / "r.json").read_text())["summaries"][0]["median"] > 0
 
 
 def test_plant_and_metrics_identical_across_blas_threads(tmp_path):
-    """The filter's band products give the same bytes at 1 and 2 BLAS threads."""
-    one, _ = _plant_and_metrics(tmp_path, "one", OPENBLAS_NUM_THREADS="1")
-    two, _ = _plant_and_metrics(tmp_path, "two", OPENBLAS_NUM_THREADS="2")
-    for name in ("synth.ivc", "truth.json", "metrics.json"):
-        assert (one / name).read_bytes() == (two / name).read_bytes(), name
-    assert json.loads((one / "metrics.json").read_text())["ssim"]["mean"] < 0.9
+    """The filter's band products give the same bytes at 1 and 2 BLAS
+    threads, and the harness's pool the same on one CPU (one worker, on
+    the calling thread) as on all; each run leaves its outputs and no
+    temp file."""
+    two = {"OPENBLAS_NUM_THREADS": "2"}
+    runs = [
+        _plant_and_metrics(tmp_path, "two", env=two),
+        _plant_and_metrics(tmp_path, "one", env={"OPENBLAS_NUM_THREADS": "1"}),
+        _plant_and_metrics(tmp_path, "one-cpu", env=two, one_cpu=True),
+    ]
+    files = [{path.name: path.read_bytes() for path in out.iterdir()} for out, _ in runs]
+    assert sorted(files[0]) == [
+        "metrics.json", "synth.ivc", "synth.mf", "train.ivc", "train.mf", "truth.json",
+    ]
+    assert files[0] == files[1] == files[2]
+    kinds = sorted(entry["kind"] for entry in json.loads(files[0]["truth.json"]))
+    assert kinds == ["copy", "fresh", "noisy", "shift"]
+    assert json.loads(files[0]["metrics.json"])["ssim"]["mean"] < 0.9
+
+
+def _flagging_audit(tmp_path, name, budget, **limits):
+    """The report, match list and baseline matches, by file name, that a
+    child `memaudit audit` (``limits`` as conftest.child takes them) of
+    tmp_path's train, synth and test manifests writes to tmp_path/name at
+    a block budget, flagging the copies among the synthetic rows."""
+    out = tmp_path / name
+    out.mkdir()
+    audit = child(
+        "-m", "memaudit.cli", "audit",
+        "--train", str(tmp_path / "train.mf"), "--synthetic", str(tmp_path / "synth.mf"),
+        "--test", str(tmp_path / "test.mf"), "--block-budget-mib", budget,
+        "--out", str(out / "report.json"), "--matches-out", str(out / "matches.json"),
+        "--baseline-matches-out", str(out / "baseline.json"), "--quiet", **limits,
+    )
+    assert audit.returncode == 1, audit.stderr  # the copies are flagged
+    return {file: (out / file).read_bytes() for file in ("report.json", "matches.json",
+                                                          "baseline.json")}
 
 
 def test_audit_identical_across_blas_threads(tmp_path):
     """An audit's report and match files have the same bytes at 1 and 2
-    BLAS threads, with many small GEMMs (a tiny budget) or few large ones."""
+    BLAS threads, with many small GEMMs (a tiny budget), panels (2 MiB) or
+    few large ones. Against the 2 MiB run at 2 threads, one more input at
+    a time changes no byte either: one CPU (the read side on the calling
+    thread) or OpenBLAS's own idle timeout (28) in place of the command
+    line's."""
     train = generate_train_set(40, 5, 64, 64, seed=9700)
     sets = {
         "train": (train.images, "train"),
@@ -2012,32 +2055,26 @@ def test_audit_identical_across_blas_threads(tmp_path):
     for name, (images, role) in sets.items():
         write_ivc(list(images), tmp_path / f"{name}.ivc")
         write_manifest(tmp_path / f"{name}.mf", name, role, [f"{name}.ivc"])
-    env = dict(os.environ, PYTHONPATH=str(Path(memaudit.__file__).parents[1]))
+    base = {"OPENBLAS_NUM_THREADS": "2", "OPENBLAS_THREAD_TIMEOUT": None}
+    runs = [(budget, dict(base, OPENBLAS_NUM_THREADS=threads), False)
+            for budget in ("0.05", "2", "32") for threads in "12"]
+    runs += [("2", base, True), ("2", dict(base, OPENBLAS_THREAD_TIMEOUT="28"), False)]
     outputs = {}
-    for budget in ("0.05", "32"):
-        for threads in ("1", "2"):
-            out = tmp_path / f"{budget}-{threads}"
-            out.mkdir()
-            audit = subprocess.run([
-                sys.executable, "-m", "memaudit.cli", "audit",
-                "--train", str(tmp_path / "train.mf"), "--synthetic", str(tmp_path / "synth.mf"),
-                "--test", str(tmp_path / "test.mf"), "--block-budget-mib", budget,
-                "--out", str(out / "report.json"), "--matches-out", str(out / "matches.json"),
-                "--baseline-matches-out", str(out / "baseline.json"), "--quiet",
-            ], env=dict(env, OPENBLAS_NUM_THREADS=threads), timeout=300)
-            assert audit.returncode == 1  # planted copies are flagged
-            outputs[budget, threads] = {
-                name: (out / name).read_bytes()
-                for name in ("report.json", "matches.json", "baseline.json")
-            }
-        assert outputs[budget, "1"] == outputs[budget, "2"], budget
+    for index, (budget, env, one_cpu) in enumerate(runs):
+        files = _flagging_audit(tmp_path, str(index), budget, env=env, one_cpu=one_cpu)
+        outputs.setdefault(budget, []).append(files)
+    for budget, same in outputs.items():
+        assert all(files == same[0] for files in same), budget
+    # 2 MiB holds 15 whole rows of 4 masked 64x64 channels, so it reads panels
+    assert json.loads(outputs["2"][0]["report.json"])["plan"]["block_reference"] == 40
 
 
 def test_embedding_audit_identical_across_budgets_and_blas_threads(tmp_path):
     """A screened (float32 sgemm, then exact values) embedding audit writes
-    the same bytes at every block budget and at 1 and 2 BLAS threads: a
-    reported value is the float64 pairwise dot of its two rows. Only the
-    plan's block_reference differs between budgets."""
+    the same bytes at every block budget, at 1 and 2 BLAS threads, and on
+    one CPU (its reads on the calling thread): a reported value is the
+    float64 pairwise dot of its two rows. Only the plan's block_reference
+    differs between budgets."""
     rng = np.random.default_rng(9800)
     dim = 512
     train = rng.normal(size=(400, dim)).astype(np.float32)
@@ -2051,24 +2088,44 @@ def test_embedding_audit_identical_across_budgets_and_blas_threads(tmp_path):
         ids = tuple(f"{name}{i:03d}" for i in rng.permutation(len(rows)))
         write_embeddings(EmbeddingSet(ids, dim, rows), tmp_path / f"{name}.emb")
         write_manifest(tmp_path / f"{name}.mf", name, role, [f"{name}.emb"])
-    env = dict(os.environ, PYTHONPATH=str(Path(memaudit.__file__).parents[1]))
-    outputs, blocks = {}, set()
-    for budget in ("0.05", "1", "32", "512"):
-        for threads in ("1", "2"):
-            out = tmp_path / f"{budget}-{threads}"
-            out.mkdir()
-            audit = subprocess.run([
-                sys.executable, "-m", "memaudit.cli", "audit",
-                "--train", str(tmp_path / "train.mf"), "--synthetic", str(tmp_path / "synth.mf"),
-                "--test", str(tmp_path / "test.mf"), "--block-budget-mib", budget,
-                "--out", str(out / "report.json"), "--matches-out", str(out / "matches.json"),
-                "--quiet",
-            ], env=dict(env, OPENBLAS_NUM_THREADS=threads), timeout=300)
-            assert audit.returncode == 1  # the copies are flagged
-            blocks.add(json.loads((out / "report.json").read_text())["plan"]["block_reference"])
-            outputs[budget, threads] = [
-                re.sub(rb'"block_reference": \d+', b"", (out / name).read_bytes())
-                for name in ("report.json", "matches.json")
-            ]
+    runs = [(budget, threads, False) for budget in ("0.05", "1", "32", "512") for threads in "12"]
+    runs.append(("0.05", "2", True))
+    outputs, blocks = set(), set()
+    for index, (budget, threads, one_cpu) in enumerate(runs):
+        files = _flagging_audit(
+            tmp_path, str(index), budget, env={"OPENBLAS_NUM_THREADS": threads}, one_cpu=one_cpu,
+        )
+        blocks.add(json.loads(files["report.json"])["plan"]["block_reference"])
+        outputs.add(tuple(re.sub(rb'"block_reference": \d+', b"", v) for v in files.values()))
     assert len(blocks) == 3  # 6-row, 136-row and whole-set blocks
-    assert len(set(map(tuple, outputs.values()))) == 1
+    assert len(outputs) == 1
+
+
+def test_audit_that_cannot_allocate_exits_3(tmp_path):
+    """1,500 synthetic 1x256x256 u8 images (98 MB on disk; one random image
+    under every id) need 750 MiB of float64 resident rows. Under a 700,000
+    KiB address-space limit, above what the interpreter and numpy take,
+    that allocation fails: on all CPUs and on one, the audit exits 3 (a
+    data error, not the "memorization flagged" 1), prints one "out of
+    memory" line and no traceback, and leaves no output or temp file.
+    OpenBLAS takes about 46 MiB of address space per thread as numpy
+    loads, so the child runs one BLAS thread: on a many-core machine the
+    default count would fail the import itself."""
+    rng = np.random.default_rng(7)
+    for name, role, n in (("train", "train", 8), ("synth", "synthetic", 1500)):
+        pixels = rng.integers(0, 256, 256 * 256).astype(np.float32)
+        images = [ImageRecord(f"{name}{i}", 1, 256, 256, pixels) for i in range(n)]
+        write_ivc(images, tmp_path / f"{name}.ivc")
+        write_manifest(tmp_path / f"{name}.mf", name, role, [f"{name}.ivc"])
+    inputs = sorted(tmp_path.iterdir())
+    for one_cpu in (False, True):
+        audit = child(
+            "-m", "memaudit.cli", "audit", "--train", str(tmp_path / "train.mf"),
+            "--synthetic", str(tmp_path / "synth.mf"), "--rule", "fixed:0.99",
+            "--out", str(tmp_path / "r.json"), "--matches-out", str(tmp_path / "m.json"),
+            "--quiet", env={"OPENBLAS_NUM_THREADS": "1"}, one_cpu=one_cpu,
+            address_space=700_000 * 1024,
+        )
+        assert audit.returncode == 3, audit.stderr
+        assert re.fullmatch(r"memaudit audit: out of memory: .+\n", audit.stderr), audit.stderr
+        assert sorted(tmp_path.iterdir()) == inputs

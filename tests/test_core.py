@@ -1,12 +1,9 @@
 import math
-import os
 import re
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +21,7 @@ from memaudit.core import (
 )
 from memaudit.errors import InvalidArgumentError, UndefinedCorrelationError
 
-from conftest import image
+from conftest import child, image
 
 
 def standardized(img, channel_mask=None, mode="concat"):
@@ -205,15 +202,9 @@ class TestStandardize:
             "print(*(hashlib.sha256(standardize_rows(x[:n].copy(), m)[0].tobytes()).hexdigest() "
             "for n in (1, 3) for m in ('concat', 'mean', 'pearson', 'cosine')))"
         )
-        src = str(Path(core.__file__).parents[1])
-        outputs = [
-            subprocess.run(
-                [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
-            ).stdout
-            for threads in ("1", "2")
-        ]
-        assert outputs[0] == outputs[1] != ""
+        runs = [child("-c", probe, env={"OPENBLAS_NUM_THREADS": threads}) for threads in "12"]
+        assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout != ""
 
 
 class TestPearson:

@@ -1,15 +1,10 @@
-import os
 import re
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import memaudit
 import memaudit.harness as harness
 from memaudit import core
 from memaudit.correlate import max_correlations
@@ -26,6 +21,8 @@ from memaudit.harness import (
 )
 from memaudit.ingest import write_ivc, write_manifest
 from memaudit.report import FlaggedPair, derive_threshold, flag_memorized, summarize
+
+from conftest import child
 
 
 @pytest.fixture(scope="module")
@@ -292,17 +289,16 @@ def test_truth_identical_across_simd_dispatch(tmp_path, train):
     truth.json has the same bytes whatever numpy's SIMD dispatch."""
     write_ivc(list(train.images), tmp_path / "train.ivc")
     write_manifest(tmp_path / "train.mf", "train", "train", ["train.ivc"])
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    env["PYTHONPATH"] = str(Path(memaudit.__file__).parents[1])
     truths = []
-    for name, extra in (("default", {}), ("lower", LOWER_SIMD)):
+    for name, env in (("default", {"NPY_DISABLE_CPU_FEATURES": None}), ("lower", LOWER_SIMD)):
         truth = tmp_path / f"{name}.json"
-        subprocess.run([
-            sys.executable, "-m", "memaudit.cli", "plant", "--train", str(tmp_path / "train.mf"),
+        planted = child(
+            "-m", "memaudit.cli", "plant", "--train", str(tmp_path / "train.mf"),
             "--n", "20", "--p-copy", "0.2", "--p-noisy", "0.2", "--p-shift", "0.2",
             "--seed", "5", "--out", str(tmp_path / f"{name}.ivc"), "--truth", str(truth),
-            "--quiet",
-        ], env={**env, **extra}, check=True)
+            "--quiet", env=env,
+        )
+        assert planted.returncode == 0, planted.stderr
         truths.append(truth.read_bytes())
     assert truths[0] == truths[1]
     assert {e.kind for e in load_ground_truth(tmp_path / "default.json").entries} == {

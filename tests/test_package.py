@@ -3,24 +3,13 @@ memaudit` loads no numpy, every exported name resolves from its submodule
 on first use, and the command line sets OpenBLAS's idle timeout before
 numpy loads."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import memaudit
-
-SRC = str(Path(memaudit.__file__).parents[1])
+from conftest import child
 
 
 def _child(code, **env):
     """stdout of a fresh interpreter running code, with OPENBLAS_THREAD_TIMEOUT
     set only as given."""
-    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=dict(inherited, PYTHONPATH=SRC, **env),
-        capture_output=True, text=True, timeout=120,
-    )
+    result = child("-c", code, env={"OPENBLAS_THREAD_TIMEOUT": None, **env})
     assert result.returncode == 0, result.stderr
     return result.stdout
 
